@@ -19,139 +19,51 @@ type DebugResult struct {
 	Outputs map[string][]*stt.Tuple
 }
 
-// Debug executes the plan in-process on the given per-source sample tuples.
-// Samples are replayed in event-time order with per-tuple watermarks, so
-// blocking operations flush exactly as they would live.
+// Debug executes the plan in-process on the given per-source sample tuples,
+// on the same wiring the executor deploys, with a tap on every node's
+// output. Samples are replayed in event-time order with per-tuple
+// watermarks, so blocking operations flush exactly as they would live.
 func Debug(plan *Plan, samples map[string][]*stt.Tuple) (*DebugResult, error) {
 	res := &DebugResult{Outputs: map[string][]*stt.Tuple{}}
 	var mu sync.Mutex
+	errc := make(chan error, len(plan.Nodes)) // a node fails at most once
 	record := func(node string, t *stt.Tuple) {
 		mu.Lock()
 		res.Outputs[node] = append(res.Outputs[node], t)
 		mu.Unlock()
 	}
 
-	// One stream per edge.
-	edges := map[[2]string]*stream.Stream{}
-	for _, pn := range plan.Nodes {
-		for _, to := range pn.Out {
-			key := [2]string{pn.ID, to}
-			schema := pn.OutSchema
-			edges[key] = stream.New(pn.ID+"->"+to, schema, stream.DefaultBuffer)
+	w := Wire(plan, stream.DefaultBuffer, Hooks{
+		Emit: func(pn *PlanNode, t *stt.Tuple) { record(pn.ID, t) },
+		Fail: func(pn *PlanNode, err error) {
+			errc <- fmt.Errorf("dataflow: node %s: %w", pn.ID, err)
+		},
+	})
+	w.Run(func(pn *PlanNode, out ops.Emitter) {
+		sample := append([]*stt.Tuple(nil), samples[pn.ID]...)
+		if len(sample) == 0 {
+			// Allow addressing samples by sensor ID as well.
+			sample = append(sample, samples[pn.SensorID]...)
 		}
-	}
-
-	var wg sync.WaitGroup
-	errc := make(chan error, len(plan.Nodes))
-
-	for _, pn := range plan.Nodes {
-		pn := pn
-		outs := make([]*stream.Stream, 0, len(pn.Out))
-		for _, to := range pn.Out {
-			outs = append(outs, edges[[2]string{pn.ID, to}])
+		sort.SliceStable(sample, func(i, j int) bool {
+			return sample[i].Time.Before(sample[j].Time)
+		})
+		for _, t := range sample {
+			out.Send(t)
+			out.SendWatermark(t.Time)
 		}
-		ins := make([]*stream.Stream, 0, len(pn.In))
-		for _, from := range pn.In {
-			ins = append(ins, edges[[2]string{from, pn.ID}])
-		}
-
-		switch pn.Kind {
-		case ops.KindSource:
-			sample := append([]*stt.Tuple(nil), samples[pn.ID]...)
-			if len(sample) == 0 {
-				// Allow addressing samples by sensor ID as well.
-				sample = append(sample, samples[pn.SensorID]...)
+		out.Close()
+	}, func(pn *PlanNode, ins []*stream.Stream) error {
+		for _, in := range ins {
+			for _, t := range stream.Collect(in) {
+				record(pn.ID, t)
 			}
-			sort.SliceStable(sample, func(i, j int) bool {
-				return sample[i].Time.Before(sample[j].Time)
-			})
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for _, t := range sample {
-					record(pn.ID, t)
-					for _, o := range outs {
-						o.Send(t)
-						o.SendWatermark(t.Time)
-					}
-				}
-				for _, o := range outs {
-					o.Close()
-				}
-			}()
-
-		case ops.KindSink:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for _, in := range ins {
-					for t := range readTuples(in) {
-						record(pn.ID, t)
-					}
-				}
-			}()
-
-		default:
-			if pn.Op == nil {
-				return nil, fmt.Errorf("dataflow: node %s has no operator", pn.ID)
-			}
-			mid := stream.New(pn.ID+".out", pn.OutSchema, stream.DefaultBuffer)
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				if err := pn.Op.Run(ins, mid); err != nil {
-					errc <- fmt.Errorf("dataflow: node %s: %w", pn.ID, err)
-				}
-			}()
-			go func() {
-				defer wg.Done()
-				broadcast(mid, outs, func(t *stt.Tuple) { record(pn.ID, t) })
-			}()
 		}
-	}
-
-	wg.Wait()
+		return nil
+	})
 	close(errc)
 	if err := <-errc; err != nil {
 		return nil, err
 	}
 	return res, nil
-}
-
-// readTuples exposes a stream's tuples as a channel, consuming watermarks.
-func readTuples(s *stream.Stream) <-chan *stt.Tuple {
-	out := make(chan *stt.Tuple, 64)
-	go func() {
-		defer close(out)
-		for item := range s.C {
-			if item.Kind == stream.ItemTuple {
-				out <- item.Tuple
-			}
-		}
-	}()
-	return out
-}
-
-// broadcast fans one stream out to several consumers, tapping each tuple.
-func broadcast(in *stream.Stream, outs []*stream.Stream, tapTuple func(*stt.Tuple)) {
-	for item := range in.C {
-		switch item.Kind {
-		case stream.ItemTuple:
-			if tapTuple != nil {
-				tapTuple(item.Tuple)
-			}
-			for _, o := range outs {
-				o.Send(item.Tuple)
-			}
-		case stream.ItemWatermark:
-			for _, o := range outs {
-				o.SendWatermark(item.Watermark)
-			}
-		case stream.ItemEOS:
-			// Close after the range loop drains.
-		}
-	}
-	for _, o := range outs {
-		o.Close()
-	}
 }

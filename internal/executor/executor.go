@@ -1,9 +1,15 @@
 // Package executor realizes deployed dataflows: it compiles a conceptual
 // dataflow, translates it to DSN, obtains a placement from the configured
 // strategy, applies the SCN configuration requests to the simulated network,
-// generates one process (goroutine) per operation, binds sources to sensors
-// through the publish/subscribe layer, and coordinates execution — the
-// "translator" plus "executor" modules of the paper's Figure 1.
+// generates the processes, binds sources to sensors through the
+// publish/subscribe layer, and coordinates execution — the "translator" plus
+// "executor" modules of the paper's Figure 1.
+//
+// The DSN document keeps one service per operation, each placed and linked
+// by flows. A process (goroutine) is generated per source, blocking
+// operation and sink; non-blocking operations run as function calls inside
+// the process that produced the tuple (see dataflow.Wiring), their edges
+// accounted on the SCN flows all the same.
 //
 // Execution is generation-based: a deployment runs a generation until the
 // requested time range completes or a graceful stop is requested; stopping
@@ -151,7 +157,8 @@ type Deployment struct {
 	sinkCtrs   map[string]*ops.Counters
 
 	lastSample time.Time
-	stopCh     chan struct{}
+	stopCh     chan struct{}    // closed by Stop; nil between runs
+	coord      *timeCoordinator // of the running generation
 	stopOnce   sync.Once
 }
 
@@ -274,11 +281,7 @@ func (d *Deployment) compileAndConfigure(spec *dataflow.Spec) error {
 		return err
 	}
 	// Apply SCN: (re)allocate one flow per link with its QoS.
-	for _, id := range e.cfg.Network.Flows() {
-		if d.flowBelongs(id) {
-			_ = e.cfg.Network.ReleaseFlow(id)
-		}
-	}
+	d.releaseFlows()
 	for _, l := range doc.Links {
 		flowID := dsn.FlowID(doc.Name, l.From, l.To, l.Port)
 		if _, err := e.cfg.Network.AllocateFlow(flowID, placement[l.From], placement[l.To], l.QoS); err != nil {
@@ -320,15 +323,15 @@ func (d *Deployment) compileAndConfigure(spec *dataflow.Spec) error {
 	return nil
 }
 
-// flowBelongs reports whether a flow ID was allocated for this deployment.
-func (d *Deployment) flowBelongs(flowID string) bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+// releaseFlows frees the flows of the current DSN document's links. The
+// caller is the only writer of d.doc, or holds d.mu.
+func (d *Deployment) releaseFlows() {
 	if d.doc == nil {
-		return false
+		return
 	}
-	prefix := d.doc.Name + "/"
-	return len(flowID) > len(prefix) && flowID[:len(prefix)] == prefix
+	for _, l := range d.doc.Links {
+		_ = d.exec.cfg.Network.ReleaseFlow(dsn.FlowID(d.doc.Name, l.From, l.To, l.Port))
+	}
 }
 
 // DSNText returns the dataflow's DSN document (shown in the P2 demo step).
@@ -391,13 +394,17 @@ func (d *Deployment) Fires() []ops.FireEvent {
 }
 
 // Stop requests a graceful stop of the running generation: sources cease
-// emitting, in-flight tuples drain to the sinks, Run returns.
+// emitting (those waiting on the coordinator are released), in-flight tuples
+// drain to the sinks, Run returns.
 func (d *Deployment) Stop() {
 	d.mu.RLock()
-	ch := d.stopCh
+	ch, coord := d.stopCh, d.coord
 	d.mu.RUnlock()
 	if ch != nil {
-		d.stopOnce.Do(func() { close(ch) })
+		d.stopOnce.Do(func() {
+			close(ch)
+			coord.stop()
+		})
 	}
 }
 
@@ -533,17 +540,16 @@ func (d *Deployment) Rebalance(at time.Time) ([]Migration, error) {
 	return []Migration{{Op: victim.ID, From: hot, To: cold}}, nil
 }
 
-// reallocFlowsLocked re-establishes the flows of every link touching the
-// given service under the current placement. Caller holds d.mu.
+// reallocFlowsLocked re-routes the flows of every link touching the given
+// service under the current placement. The flows keep their traffic
+// accounts, which a running generation holds. Caller holds d.mu.
 func (d *Deployment) reallocFlowsLocked(service string) error {
-	e := d.exec
 	for _, l := range d.doc.Links {
 		if l.From != service && l.To != service {
 			continue
 		}
 		id := dsn.FlowID(d.doc.Name, l.From, l.To, l.Port)
-		_ = e.cfg.Network.ReleaseFlow(id)
-		if _, err := e.cfg.Network.AllocateFlow(id, d.placement[l.From], d.placement[l.To], l.QoS); err != nil {
+		if err := d.exec.cfg.Network.RerouteFlow(id, d.placement[l.From], d.placement[l.To], l.QoS); err != nil {
 			return err
 		}
 	}
@@ -556,9 +562,7 @@ func (d *Deployment) Undeploy() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	e := d.exec
-	for _, l := range d.doc.Links {
-		_ = e.cfg.Network.ReleaseFlow(dsn.FlowID(d.doc.Name, l.From, l.To, l.Port))
-	}
+	d.releaseFlows()
 	for id, node := range d.placement {
 		if pn := d.plan.Node(id); pn != nil {
 			_ = e.cfg.Network.AddLoad(node, -opWeight(pn.Kind))

@@ -2,6 +2,7 @@ package executor
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -25,44 +26,65 @@ func (d *Deployment) Run(from, to time.Time) error {
 	}
 	d.running = true
 	d.stopCh = make(chan struct{})
+	d.coord = newTimeCoordinator()
 	d.stopOnce = sync.Once{}
-	plan := d.plan
-	placement := make(map[string]string, len(d.placement))
-	for k, v := range d.placement {
-		placement[k] = v
-	}
-	docName := d.doc.Name
+	plan, docName, coord := d.plan, d.doc.Name, d.coord
+	placement := maps.Clone(d.placement)
 	d.mu.Unlock()
 
 	defer func() {
 		d.mu.Lock()
 		d.running = false
-		d.stopCh = nil
+		d.stopCh, d.coord = nil, nil
 		d.mu.Unlock()
 	}()
 
 	e := d.exec
-	buffer := e.cfg.Buffer
 
-	// One stream per edge, plus a router per producing node that fans its
-	// output out to the edges and records cross-node transfers.
-	edges := map[[2]string]*stream.Stream{}
-	for _, pn := range plan.Nodes {
-		for _, toID := range pn.Out {
-			edges[[2]string{pn.ID, toID}] = stream.New(pn.ID+"->"+toID, pn.OutSchema, buffer)
+	// Lay the plan out: one goroutine per source, blocking operation and
+	// sink, non-blocking operations fused into their producer's process, a
+	// channel only between goroutines (see dataflow.Wiring). Each node ends
+	// at most once, so errs never blocks.
+	errs := make(chan error, len(plan.Nodes))
+	w := dataflow.Wire(plan, e.cfg.Buffer, dataflow.Hooks{
+		// Cross-node transfers are accounted on every plan edge whose
+		// endpoints are placed apart, fused or not.
+		Edge: func(from, to *dataflow.PlanNode, port int) func(*stt.Tuple) {
+			if placement[from.ID] == placement[to.ID] {
+				return nil
+			}
+			flow := e.cfg.Network.FlowCounter(dsn.FlowID(docName, from.ID, to.ID, port))
+			bytes := tupleBytes(from.OutSchema)
+			return func(*stt.Tuple) { flow.Add(1, bytes) }
+		},
+		Fail: func(pn *dataflow.PlanNode, err error) {
+			if pn.Kind != ops.KindSink {
+				err = fmt.Errorf("executor: operation %s: %w", pn.ID, err)
+			}
+			errs <- err
+			d.Stop() // stop sources so the generation drains
+		},
+	})
+
+	// Sinks are built before any goroutine starts, so a construction
+	// failure has nothing to unwind but the sinks already built.
+	sinks := map[string]Sink{}
+	for _, pn := range w.Procs {
+		if pn.Kind != ops.KindSink {
+			continue
 		}
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, len(plan.Nodes)*2)
-	fail := func(err error) {
-		errs <- err
-		d.Stop() // stop sources so the generation drains
+		sink, err := d.buildSink(pn, placement[pn.ID])
+		if err != nil {
+			for _, built := range sinks {
+				_ = built.Close() // nothing was accepted; the build error is the one to report
+			}
+			return err
+		}
+		sinks[pn.ID] = sink
 	}
 
 	// Event-time coordination across sources (see timeCoordinator). Register
 	// every source before any starts so none races ahead.
-	coord := newTimeCoordinator()
 	for _, pn := range plan.Nodes {
 		if pn.Kind == ops.KindSource {
 			d.mu.RLock()
@@ -74,91 +96,12 @@ func (d *Deployment) Run(from, to time.Time) error {
 			coord.register(pn.ID, start)
 		}
 	}
-	// Release coordinator waiters when a stop is requested.
-	d.mu.RLock()
-	stopCh := d.stopCh
-	d.mu.RUnlock()
-	stopWatch := make(chan struct{})
-	go func() {
-		select {
-		case <-stopCh:
-		case <-stopWatch:
-		}
-		coord.stop()
-	}()
 
-	for _, pn := range plan.Nodes {
-		pn := pn
-		outs := make([]*stream.Stream, 0, len(pn.Out))
-		outFlows := make([]string, 0, len(pn.Out))
-		remote := make([]bool, 0, len(pn.Out))
-		for _, toID := range pn.Out {
-			outs = append(outs, edges[[2]string{pn.ID, toID}])
-			port := 0
-			if t := plan.Node(toID); t != nil {
-				for i, from := range t.In {
-					if from == pn.ID {
-						port = i
-					}
-				}
-			}
-			outFlows = append(outFlows, dsn.FlowID(docName, pn.ID, toID, port))
-			remote = append(remote, placement[pn.ID] != placement[toID])
-		}
-		ins := make([]*stream.Stream, 0, len(pn.In))
-		for _, fromID := range pn.In {
-			ins = append(ins, edges[[2]string{fromID, pn.ID}])
-		}
-
-		switch pn.Kind {
-		case ops.KindSource:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				d.runSource(pn, coord, outs, outFlows, remote, from, to)
-			}()
-
-		case ops.KindSink:
-			sink, err := d.buildSink(pn, placement[pn.ID])
-			if err != nil {
-				// Construction failure before any goroutine: unwind inputs.
-				for _, in := range ins {
-					go in.Drain()
-				}
-				fail(err)
-				continue
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := d.runSink(pn, sink, ins); err != nil {
-					fail(err)
-				}
-			}()
-
-		default:
-			mid := stream.New(pn.ID+".out", pn.OutSchema, buffer)
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				err := pn.Op.Run(ins, mid)
-				// Unblock upstream regardless of how Run ended.
-				for _, in := range ins {
-					in.Drain()
-				}
-				if err != nil {
-					fail(fmt.Errorf("executor: operation %s: %w", pn.ID, err))
-				}
-			}()
-			go func() {
-				defer wg.Done()
-				d.route(pn, mid, outs, outFlows, remote)
-			}()
-		}
-	}
-
-	wg.Wait()
-	close(stopWatch)
+	w.Run(func(pn *dataflow.PlanNode, out ops.Emitter) {
+		d.runSource(pn, coord, out, from, to)
+	}, func(pn *dataflow.PlanNode, ins []*stream.Stream) error {
+		return d.runSink(pn, sinks[pn.ID], ins)
+	})
 	close(errs)
 	return <-errs
 }
@@ -173,21 +116,18 @@ func tupleBytes(s *stt.Schema) uint64 {
 // tuples but still advances the watermark, so downstream windows keep
 // flushing — exactly the "activation/deactivation of streams" semantics of
 // Table 1's trigger operations.
-func (d *Deployment) runSource(pn *dataflow.PlanNode, coord *timeCoordinator, outs []*stream.Stream, flows []string, remote []bool, from, to time.Time) {
+func (d *Deployment) runSource(pn *dataflow.PlanNode, coord *timeCoordinator, out ops.Emitter, from, to time.Time) {
 	e := d.exec
 	src, ok := e.cfg.Sensors(pn.SensorID)
 	if !ok {
 		// Sensor vanished between compile and run; emit nothing.
 		coord.done(pn.ID)
-		for _, o := range outs {
-			o.Close()
-		}
+		out.Close()
 		return
 	}
 	defer coord.done(pn.ID)
 	ctr := d.srcCtrs[pn.ID]
 	period := src.Period()
-	bytes := tupleBytes(src.Schema())
 
 	d.mu.RLock()
 	start, resumed := d.sourcePos[pn.ID]
@@ -216,12 +156,7 @@ func (d *Deployment) runSource(pn *dataflow.PlanNode, coord *timeCoordinator, ou
 				ctr.In.Add(1)
 				ctr.Out.Add(1)
 			}
-			for i, o := range outs {
-				o.Send(tup)
-				if remote[i] {
-					e.cfg.Network.RecordTransfer(flows[i], 1, bytes)
-				}
-			}
+			out.Send(tup)
 		} else {
 			if ctr != nil {
 				ctr.In.Add(1)
@@ -231,9 +166,7 @@ func (d *Deployment) runSource(pn *dataflow.PlanNode, coord *timeCoordinator, ou
 			// aligned with event time across activation changes.
 			_ = src.At(ts)
 		}
-		for _, o := range outs {
-			o.SendWatermark(ts)
-		}
+		out.SendWatermark(ts)
 		d.maybeSample(ts)
 		ts = ts.Add(period)
 	}
@@ -241,37 +174,7 @@ done:
 	d.mu.Lock()
 	d.sourcePos[pn.ID] = ts
 	d.mu.Unlock()
-	for _, o := range outs {
-		o.Close()
-	}
-}
-
-// route fans an operation's output to its consumers, recording cross-node
-// transfers on the corresponding SCN flows.
-func (d *Deployment) route(pn *dataflow.PlanNode, mid *stream.Stream, outs []*stream.Stream, flows []string, remote []bool) {
-	e := d.exec
-	bytes := uint64(0)
-	if pn.OutSchema != nil {
-		bytes = tupleBytes(pn.OutSchema)
-	}
-	for item := range mid.C {
-		switch item.Kind {
-		case stream.ItemTuple:
-			for i, o := range outs {
-				o.Send(item.Tuple)
-				if remote[i] {
-					e.cfg.Network.RecordTransfer(flows[i], 1, bytes)
-				}
-			}
-		case stream.ItemWatermark:
-			for _, o := range outs {
-				o.SendWatermark(item.Watermark)
-			}
-		}
-	}
-	for _, o := range outs {
-		o.Close()
-	}
+	out.Close()
 }
 
 // runSink drains the sink's inputs into its destination. A Close failure is

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"streamloader/internal/dsn"
 	"streamloader/internal/geo"
@@ -53,8 +54,26 @@ type Flow struct {
 	MaxLatencyMS int
 	LatencyMS    float64
 
-	bytes  uint64
-	tuples uint64
+	counter *FlowCounter
+}
+
+// FlowCounter is the traffic account of one allocated flow. The data plane
+// resolves it once per run (Network.FlowCounter) and then pays two atomic
+// adds per transfer, with no lock and no lookup; TransferStats reads the
+// same counters. It lives as long as its flow: RerouteFlow keeps it,
+// ReleaseFlow orphans it.
+type FlowCounter struct {
+	tuples, bytes atomic.Uint64
+}
+
+// Add accounts tuples/bytes moved over the flow. The counter of an unknown
+// flow is nil and ignores transfers.
+func (c *FlowCounter) Add(tuples, bytes uint64) {
+	if c == nil {
+		return
+	}
+	c.tuples.Add(tuples)
+	c.bytes.Add(bytes)
 }
 
 // Network is the simulated topology plus its allocation state. All methods
@@ -303,17 +322,56 @@ func (n *Network) AllocateFlow(id, from, to string, qos dsn.QoS) (*Flow, error) 
 		return nil, fmt.Errorf("network: flow %s: best path latency %.1fms exceeds bound %dms",
 			id, latency, qos.MaxLatencyMS)
 	}
-	for i := 0; i+1 < len(path); i++ {
-		n.links[linkKey(path[i], path[i+1])].allocated += float64(qos.MinBandwidthKbps)
-	}
+	n.reserveLocked(path, float64(qos.MinBandwidthKbps))
 	f := &Flow{
 		ID: id, From: from, To: to, Path: path,
 		ReservedKbps: float64(qos.MinBandwidthKbps),
 		MaxLatencyMS: qos.MaxLatencyMS,
 		LatencyMS:    latency,
+		counter:      &FlowCounter{},
 	}
 	n.flows[id] = f
 	return f, nil
+}
+
+// RerouteFlow moves an allocated flow to new endpoints (an operator
+// migrated): its old reservations are freed, a path is found and reserved
+// as in AllocateFlow, and the flow keeps its identity and its traffic
+// account, so a run that resolved the FlowCounter keeps counting into the
+// flow table. On failure the flow is left as it was.
+func (n *Network) RerouteFlow(id, from, to string, qos dsn.QoS) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	f, ok := n.flows[id]
+	if !ok {
+		return fmt.Errorf("network: unknown flow %s", id)
+	}
+	n.reserveLocked(f.Path, -f.ReservedKbps)
+	path, latency, err := n.routeLocked(from, to, float64(qos.MinBandwidthKbps))
+	if err == nil && qos.MaxLatencyMS > 0 && latency > float64(qos.MaxLatencyMS) {
+		err = fmt.Errorf("best path latency %.1fms exceeds bound %dms", latency, qos.MaxLatencyMS)
+	}
+	if err != nil {
+		n.reserveLocked(f.Path, f.ReservedKbps)
+		return fmt.Errorf("network: flow %s: %w", id, err)
+	}
+	f.From, f.To, f.Path = from, to, path
+	f.ReservedKbps = float64(qos.MinBandwidthKbps)
+	f.MaxLatencyMS = qos.MaxLatencyMS
+	f.LatencyMS = latency
+	n.reserveLocked(f.Path, f.ReservedKbps)
+	return nil
+}
+
+// reserveLocked adds kbps (negative to free) to every link of the path.
+func (n *Network) reserveLocked(path []string, kbps float64) {
+	for i := 0; i+1 < len(path); i++ {
+		l := n.links[linkKey(path[i], path[i+1])]
+		l.allocated += kbps
+		if l.allocated < 0 {
+			l.allocated = 0
+		}
+	}
 }
 
 // ReleaseFlow frees a flow's reservations.
@@ -324,13 +382,7 @@ func (n *Network) ReleaseFlow(id string) error {
 	if !ok {
 		return fmt.Errorf("network: unknown flow %s", id)
 	}
-	for i := 0; i+1 < len(f.Path); i++ {
-		l := n.links[linkKey(f.Path[i], f.Path[i+1])]
-		l.allocated -= f.ReservedKbps
-		if l.allocated < 0 {
-			l.allocated = 0
-		}
-	}
+	n.reserveLocked(f.Path, -f.ReservedKbps)
 	delete(n.flows, id)
 	return nil
 }
@@ -358,23 +410,28 @@ func (n *Network) Flows() []string {
 	return out
 }
 
-// RecordTransfer accounts tuples/bytes moved over a flow. The executor calls
-// it per batch; the monitor reads it for the Figure 3 statistics.
-func (n *Network) RecordTransfer(id string, tuples, bytes uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+// FlowCounter resolves a flow to its traffic account, or nil for an unknown
+// flow.
+func (n *Network) FlowCounter(id string) *FlowCounter {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
 	if f, ok := n.flows[id]; ok {
-		f.tuples += tuples
-		f.bytes += bytes
+		return f.counter
 	}
+	return nil
+}
+
+// RecordTransfer accounts tuples/bytes moved over a flow by name; transfers
+// on an unknown flow are ignored. Per-tuple callers resolve the FlowCounter
+// once instead.
+func (n *Network) RecordTransfer(id string, tuples, bytes uint64) {
+	n.FlowCounter(id).Add(tuples, bytes)
 }
 
 // TransferStats returns the accumulated tuples and bytes of a flow.
 func (n *Network) TransferStats(id string) (tuples, bytes uint64) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if f, ok := n.flows[id]; ok {
-		return f.tuples, f.bytes
+	if c := n.FlowCounter(id); c != nil {
+		return c.tuples.Load(), c.bytes.Load()
 	}
 	return 0, 0
 }

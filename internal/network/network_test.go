@@ -1,6 +1,7 @@
 package network
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -439,5 +440,78 @@ func TestQuickRouteSymmetry(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestFlowCounterIsTheFlowsAccount(t *testing.T) {
+	n, _ := Star(cfg(3))
+	if _, err := n.AllocateFlow("f", "node-00", "node-01", dsn.QoS{MinBandwidthKbps: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if n.FlowCounter("ghost") != nil {
+		t.Error("unknown flow must resolve to no counter")
+	}
+	c := n.FlowCounter("f")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				c.Add(1, 64)
+				n.RecordTransfer("f", 1, 64)
+			}
+		}()
+	}
+	wg.Wait()
+	if tuples, bytes := n.TransferStats("f"); tuples != 8000 || bytes != 8000*64 {
+		t.Errorf("stats = %d, %d, want 8000 and %d", tuples, bytes, 8000*64)
+	}
+}
+
+func TestRerouteFlowKeepsIdentityAndAccount(t *testing.T) {
+	n, _ := Star(cfg(3))
+	if _, err := n.AllocateFlow("f", "node-00", "node-01", dsn.QoS{MinBandwidthKbps: 100}); err != nil {
+		t.Fatal(err)
+	}
+	c := n.FlowCounter("f")
+	c.Add(7, 70)
+	before, _ := n.Flow("f")
+
+	if err := n.RerouteFlow("f", "node-00", "node-02", dsn.QoS{MinBandwidthKbps: 100}); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := n.Flow("f")
+	if after.To != "node-02" || after.Path[len(after.Path)-1] != "node-02" {
+		t.Errorf("rerouted flow = %+v", after)
+	}
+	// The account a running generation resolved still is the flow's.
+	c.Add(1, 10)
+	if n.FlowCounter("f") != c {
+		t.Error("reroute replaced the flow's counter")
+	}
+	if tuples, bytes := n.TransferStats("f"); tuples != 8 || bytes != 80 {
+		t.Errorf("stats after reroute = %d, %d, want 8 and 80", tuples, bytes)
+	}
+	// Reservations moved with it: the old path's last hop is free again.
+	last := len(before.Path) - 1
+	if free, _ := n.LinkFree(before.Path[last-1], before.Path[last]); free != 1000 {
+		t.Errorf("old last hop has %v free, want all of it back", free)
+	}
+
+	// A reroute that cannot be admitted leaves the flow as it was.
+	if err := n.RerouteFlow("f", "node-00", "node-01", dsn.QoS{MinBandwidthKbps: 1e9}); err == nil {
+		t.Fatal("reroute beyond link capacity must fail")
+	}
+	kept, _ := n.Flow("f")
+	if kept.To != "node-02" || kept.ReservedKbps != 100 {
+		t.Errorf("failed reroute changed the flow: %+v", kept)
+	}
+	last = len(kept.Path) - 1
+	if free, _ := n.LinkFree(kept.Path[last-1], kept.Path[last]); free != 900 {
+		t.Errorf("failed reroute left %v free on the kept path, want the reservation restored", free)
+	}
+	if err := n.RerouteFlow("ghost", "node-00", "node-01", dsn.QoS{}); err == nil {
+		t.Error("unknown flow must fail")
 	}
 }

@@ -64,7 +64,7 @@ type Aggregate struct {
 	attrIdx   int // -1 for COUNT
 	groupIdxs []int
 
-	windows map[int64]map[string]*aggState
+	windows map[int64]map[string]*aggState // per-run, reset by Run
 }
 
 type aggState struct {
@@ -91,7 +91,6 @@ func NewAggregate(name string, interval time.Duration, groupBy []string, fn AggF
 		interval: interval,
 		fn:       fn,
 		attrIdx:  -1,
-		windows:  make(map[int64]map[string]*aggState),
 	}
 
 	var outFields []stt.Field
@@ -205,7 +204,7 @@ func (st *aggState) absorbPosition(t *stt.Tuple) {
 
 // flush emits every window whose end is at or before wm, in window order
 // with deterministic group order.
-func (a *Aggregate) flush(wm time.Time, out *stream.Stream) {
+func (a *Aggregate) flush(wm time.Time, out Emitter) {
 	var ready []int64
 	for w := range a.windows {
 		end := windowStart(w+1, a.interval)
@@ -283,12 +282,12 @@ func (a *Aggregate) emitTuple(st *aggState, windowStart time.Time) *stt.Tuple {
 }
 
 // Run maintains the window cache and flushes on watermarks.
-func (a *Aggregate) Run(in []*stream.Stream, out *stream.Stream) error {
+func (a *Aggregate) Run(in []*stream.Stream, out Emitter) error {
+	defer out.Close()
 	if len(in) != 1 {
-		out.Close()
 		return fmt.Errorf("aggregate %s: want exactly 1 input, got %d", a.name, len(in))
 	}
-	defer out.Close()
+	a.windows = make(map[int64]map[string]*aggState)
 	for item := range in[0].C {
 		switch item.Kind {
 		case stream.ItemTuple:

@@ -28,8 +28,9 @@ type Join struct {
 
 	leftWin  map[int64][]*stt.Tuple
 	rightWin map[int64][]*stt.Tuple
-	merger   *watermarkMerger
-	flushed  int64 // highest window index already flushed + 1 (as lower bound)
+	// Per-run state, reset at the start of every Run.
+	merger  *watermarkMerger
+	flushed int64 // highest window index already flushed + 1 (as lower bound)
 }
 
 // NewJoin compiles the predicate against both input schemas and derives the
@@ -66,17 +67,24 @@ func NewJoin(name string, interval time.Duration, predicate string, left, right 
 	if err != nil {
 		return nil, fmt.Errorf("join %s: %w", name, err)
 	}
-	return &Join{
+	j := &Join{
 		base:     base{name: name, kind: KindJoin, out: out},
 		interval: interval,
 		pred:     pred,
 		left:     left,
 		right:    right,
-		leftWin:  make(map[int64][]*stt.Tuple),
-		rightWin: make(map[int64][]*stt.Tuple),
-		merger:   newWatermarkMerger(2),
-		flushed:  -1 << 62,
-	}, nil
+	}
+	j.reset()
+	return j, nil
+}
+
+// reset clears the per-run state: the EOS flush leaves flushed and the
+// merger at end-of-time, which would make every tuple of a later run late.
+func (j *Join) reset() {
+	j.leftWin = make(map[int64][]*stt.Tuple)
+	j.rightWin = make(map[int64][]*stt.Tuple)
+	j.merger = newWatermarkMerger(2)
+	j.flushed = -1 << 62
 }
 
 // combine builds the joined tuple from a matching pair.
@@ -106,7 +114,7 @@ func (j *Join) combine(l, r *stt.Tuple) *stt.Tuple {
 
 // flush joins and emits every window whose end has passed the combined
 // watermark, in window order with input order preserved inside a window.
-func (j *Join) flush(wm time.Time, out *stream.Stream) error {
+func (j *Join) flush(wm time.Time, out Emitter) error {
 	// Advance the flushed high-water mark from the watermark itself, so
 	// late tuples are recognized even for windows that held no data.
 	if limit := windowIndex(wm, j.interval); limit > j.flushed {
@@ -149,12 +157,12 @@ func (j *Join) flush(wm time.Time, out *stream.Stream) error {
 
 // Run consumes both inputs, windowing each side and joining on flush.
 // in[0] is the left input, in[1] the right.
-func (j *Join) Run(in []*stream.Stream, out *stream.Stream) error {
+func (j *Join) Run(in []*stream.Stream, out Emitter) error {
+	defer out.Close()
 	if len(in) != 2 {
-		out.Close()
 		return fmt.Errorf("join %s: want exactly 2 inputs, got %d", j.name, len(in))
 	}
-	defer out.Close()
+	j.reset()
 
 	ch0, ch1 := in[0].C, in[1].C
 	var lastEmitted time.Time

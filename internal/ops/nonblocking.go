@@ -7,14 +7,13 @@ import (
 
 	"streamloader/internal/expr"
 	"streamloader/internal/geo"
-	"streamloader/internal/stream"
 	"streamloader/internal/stt"
 )
 
 // Filter implements σ(s, cond): tuples that do not satisfy cond are
 // filtered out.
 type Filter struct {
-	base
+	mapOp
 	cond *expr.Compiled
 }
 
@@ -24,30 +23,27 @@ func NewFilter(name, cond string, in *stt.Schema) (*Filter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("filter %s: %w", name, err)
 	}
-	return &Filter{
-		base: base{name: name, kind: KindFilter, out: in},
-		cond: c,
-	}, nil
+	o := &Filter{cond: c}
+	o.mapOp = mapOp{base: base{name: name, kind: KindFilter, out: in}, fn: o.apply}
+	return o, nil
 }
 
-// Run consumes the input, emitting only satisfying tuples.
-func (o *Filter) Run(in []*stream.Stream, out *stream.Stream) error {
-	return o.runMap(in, out, func(t *stt.Tuple) (*stt.Tuple, error) {
-		ok, err := o.cond.EvalBool(expr.Scope{Tuple: t})
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, nil
-		}
-		return t, nil
-	})
+// apply passes only satisfying tuples.
+func (o *Filter) apply(t *stt.Tuple) (*stt.Tuple, error) {
+	ok, err := o.cond.EvalBool(expr.Scope{Tuple: t})
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, nil
+	}
+	return t, nil
 }
 
 // VirtualProperty implements ⊎s⟨p, spec⟩: a new attribute p is added to the
 // schema of s according to the specification spec.
 type VirtualProperty struct {
-	base
+	mapOp
 	spec *expr.Compiled
 }
 
@@ -66,24 +62,21 @@ func NewVirtualProperty(name, property, spec, unit string, in *stt.Schema) (*Vir
 	if err != nil {
 		return nil, fmt.Errorf("virtual property %s: %w", name, err)
 	}
-	return &VirtualProperty{
-		base: base{name: name, kind: KindVirtual, out: outSchema},
-		spec: c,
-	}, nil
+	o := &VirtualProperty{spec: c}
+	o.mapOp = mapOp{base: base{name: name, kind: KindVirtual, out: outSchema}, fn: o.apply}
+	return o, nil
 }
 
-// Run extends each tuple with the computed property.
-func (o *VirtualProperty) Run(in []*stream.Stream, out *stream.Stream) error {
-	return o.runMap(in, out, func(t *stt.Tuple) (*stt.Tuple, error) {
-		v, err := o.spec.EvalTuple(t)
-		if err != nil {
-			return nil, err
-		}
-		ext := t.Clone()
-		ext.Schema = o.out
-		ext.Values = append(ext.Values, v)
-		return ext, nil
-	})
+// apply extends the tuple with the computed property.
+func (o *VirtualProperty) apply(t *stt.Tuple) (*stt.Tuple, error) {
+	v, err := o.spec.EvalTuple(t)
+	if err != nil {
+		return nil, err
+	}
+	ext := t.Clone()
+	ext.Schema = o.out
+	ext.Values = append(ext.Values, v)
+	return ext, nil
 }
 
 // culler drops a fraction r of matching tuples using a deterministic credit
@@ -114,7 +107,7 @@ func (c *culler) keep() bool {
 // CullTime implements γr(s, ⟨t1,t2⟩): tuples in the temporal interval
 // [t1, t2] are culled by reducing rate r; tuples outside pass through.
 type CullTime struct {
-	base
+	mapOp
 	from, to time.Time
 	cull     culler
 }
@@ -127,28 +120,24 @@ func NewCullTime(name string, rate float64, from, to time.Time, in *stt.Schema) 
 	if to.Before(from) {
 		return nil, fmt.Errorf("cull time %s: interval end %v before start %v", name, to, from)
 	}
-	return &CullTime{
-		base: base{name: name, kind: KindCullTime, out: in},
-		from: from, to: to,
-		cull: newCuller(rate),
-	}, nil
+	o := &CullTime{from: from, to: to, cull: newCuller(rate)}
+	o.mapOp = mapOp{base: base{name: name, kind: KindCullTime, out: in}, fn: o.apply}
+	return o, nil
 }
 
-// Run culls tuples inside the temporal interval.
-func (o *CullTime) Run(in []*stream.Stream, out *stream.Stream) error {
-	return o.runMap(in, out, func(t *stt.Tuple) (*stt.Tuple, error) {
-		inside := !t.Time.Before(o.from) && !t.Time.After(o.to)
-		if inside && !o.cull.keep() {
-			return nil, nil
-		}
-		return t, nil
-	})
+// apply culls tuples inside the temporal interval.
+func (o *CullTime) apply(t *stt.Tuple) (*stt.Tuple, error) {
+	inside := !t.Time.Before(o.from) && !t.Time.After(o.to)
+	if inside && !o.cull.keep() {
+		return nil, nil
+	}
+	return t, nil
 }
 
 // CullSpace implements γr(s, ⟨coord1,coord2⟩): tuples falling in the area
 // delimited by the two coordinates are culled by reducing rate r.
 type CullSpace struct {
-	base
+	mapOp
 	area geo.Rect
 	cull culler
 }
@@ -161,19 +150,15 @@ func NewCullSpace(name string, rate float64, area geo.Rect, in *stt.Schema) (*Cu
 	if !area.Valid() {
 		return nil, fmt.Errorf("cull space %s: invalid area %v", name, area)
 	}
-	return &CullSpace{
-		base: base{name: name, kind: KindCullSpace, out: in},
-		area: area,
-		cull: newCuller(rate),
-	}, nil
+	o := &CullSpace{area: area, cull: newCuller(rate)}
+	o.mapOp = mapOp{base: base{name: name, kind: KindCullSpace, out: in}, fn: o.apply}
+	return o, nil
 }
 
-// Run culls tuples inside the area.
-func (o *CullSpace) Run(in []*stream.Stream, out *stream.Stream) error {
-	return o.runMap(in, out, func(t *stt.Tuple) (*stt.Tuple, error) {
-		if o.area.Contains(geo.Point{Lat: t.Lat, Lon: t.Lon}) && !o.cull.keep() {
-			return nil, nil
-		}
-		return t, nil
-	})
+// apply culls tuples inside the area.
+func (o *CullSpace) apply(t *stt.Tuple) (*stt.Tuple, error) {
+	if o.area.Contains(geo.Point{Lat: t.Lat, Lon: t.Lon}) && !o.cull.keep() {
+		return nil, nil
+	}
+	return t, nil
 }

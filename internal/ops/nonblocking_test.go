@@ -2,6 +2,7 @@ package ops
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -261,4 +262,60 @@ func TestCullRateOne_DropsEverythingInside(t *testing.T) {
 	if len(got) != 0 {
 		t.Errorf("r=1 must drop everything in the interval, kept %d", len(got))
 	}
+}
+
+// Map is the operation; Run only drives it from a stream. Both count.
+func TestMapIsWhatRunApplies(t *testing.T) {
+	filter, err := NewFilter("hot", "temperature > 25", weatherSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp, err := NewVirtualProperty("vp", "double", "temperature * 2", "", weatherSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var _ = []Mapper{filter, vp, &Transform{}, &CullTime{}, &CullSpace{}}
+
+	cold, hot := wtuple(0, 20, "a"), wtuple(time.Second, 30, "b")
+	if res, err := filter.Map(cold); res != nil || err != nil {
+		t.Errorf("Map(cold) = %v, %v, want dropped", res, err)
+	}
+	if res, err := filter.Map(hot); res != hot || err != nil {
+		t.Errorf("Map(hot) = %v, %v, want the tuple itself", res, err)
+	}
+	if in, out, dropped := filter.Counters().Snapshot(); in != 2 || out != 1 || dropped != 1 {
+		t.Errorf("filter counters after two Maps = %d %d %d", in, out, dropped)
+	}
+	ext, err := vp.Map(hot)
+	if err != nil || ext.MustGet("double").AsFloat() != 60 || ext.Schema != vp.OutSchema() {
+		t.Errorf("virtual property Map = %v, %v", ext, err)
+	}
+	if len(hot.Values) != 2 {
+		t.Error("Map must not modify its input: the tuple may fan out to other consumers")
+	}
+}
+
+func TestMapErrorNamesTheOperation(t *testing.T) {
+	op, err := NewFilter("ratio", "1 / (_seq - 1) < 5", weatherSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := wtuple(0, 20, "a")
+	bad.Seq = 1
+	if _, err := op.Map(bad); err == nil || !strings.Contains(err.Error(), "ratio: ") {
+		t.Fatalf("Map error = %v, want it to name the operation", err)
+	}
+	if in, out, dropped := op.Counters().Snapshot(); in != 1 || out != 0 || dropped != 0 {
+		t.Errorf("counters after a failed Map = %d %d %d, want 1 0 0", in, out, dropped)
+	}
+	// Run ends on the error and still closes its output.
+	in := feed(weatherSchema(), []*stt.Tuple{wtuple(0, 20, "a"), bad, wtuple(time.Second, 20, "c")}, false)
+	out := stream.New("o", op.OutSchema(), 8)
+	if err := op.Run([]*stream.Stream{in}, out); err == nil {
+		t.Fatal("Run must return the Map error")
+	}
+	if got := stream.Collect(out); len(got) != 1 {
+		t.Errorf("Run emitted %d tuples before the failure, want 1", len(got))
+	}
+	in.Drain()
 }

@@ -2,13 +2,19 @@
 // Table 1: Aggregation, Cull Time, Cull Space, Filter, Join, Transform,
 // Trigger On, Trigger Off and Virtual Property.
 //
-// Operations are event-driven processes: each runs as one goroutine
-// consuming input streams and producing one output stream, mirroring the
-// paper's "processes are generated for each operation of the dataflow".
-// Non-blocking operations (filter, cull-time/space, transform, virtual
-// property) apply to each tuple as it is processed; blocking operations
-// (aggregation, trigger, join) maintain a cache of tuples that is processed
-// every t time interval, driven by event-time watermarks.
+// Operations come in the two shapes of the paper's §3. Non-blocking
+// operations (filter, cull-time/space, transform, virtual property) are
+// "applied directly on each tuple": each is a Mapper, a per-tuple function
+// the engine calls inside whichever process produced the tuple. Blocking
+// operations (aggregation, trigger, join) maintain a cache of tuples that is
+// processed every t time interval, driven by event-time watermarks; each runs
+// as one process (goroutine) consuming input streams. Every operation writes
+// to an Emitter, so what follows it — a channel into the next process, or the
+// next per-tuple function — is the engine's choice, not the operation's.
+//
+// Every Operator also has a Run that drives it from input streams; for a
+// Mapper it is a thin adapter over Map, used by tests and benchmarks that
+// time one operation alone.
 package ops
 
 import (
@@ -76,7 +82,17 @@ func (c *Counters) Snapshot() (in, out, dropped uint64) {
 	return c.In.Load(), c.Out.Load(), c.Dropped.Load()
 }
 
-// Operator is one runnable operation process.
+// Emitter is the output side of an operation: tuples and watermarks in
+// event-time order, then Close exactly once. *stream.Stream is the emitter
+// that crosses into another goroutine; the engine composes others (fan-out,
+// the next Mapper) that stay in the caller's.
+type Emitter interface {
+	Send(*stt.Tuple)
+	SendWatermark(time.Time)
+	Close()
+}
+
+// Operator is one operation of a dataflow.
 type Operator interface {
 	// Name is the dataflow-unique operation name.
 	Name() string
@@ -86,9 +102,19 @@ type Operator interface {
 	OutSchema() *stt.Schema
 	// Counters exposes the live tuple counters.
 	Counters() *Counters
-	// Run consumes the inputs until EOS and closes out. It is called once,
-	// on its own goroutine, by the executor.
-	Run(in []*stream.Stream, out *stream.Stream) error
+	// Run consumes the inputs until EOS and closes out, on the caller's
+	// goroutine. It may be called again once it has returned: per-run state
+	// (window caches, watermarks) starts fresh, counters accumulate.
+	Run(in []*stream.Stream, out Emitter) error
+}
+
+// Mapper is a non-blocking operation: a function of one tuple, with no
+// state the watermark drives.
+type Mapper interface {
+	Operator
+	// Map applies the operation to one tuple and counts it. A nil tuple
+	// with a nil error means the tuple was dropped.
+	Map(*stt.Tuple) (*stt.Tuple, error)
 }
 
 // base carries the common operator identity.
@@ -104,33 +130,48 @@ func (b *base) Kind() Kind             { return b.kind }
 func (b *base) OutSchema() *stt.Schema { return b.out }
 func (b *base) Counters() *Counters    { return &b.counters }
 
-// runMap is the shared loop of the non-blocking operations: apply f to each
-// tuple, forward watermarks unchanged. f returns the tuples to emit (nil to
-// drop) — every non-blocking operation of Table 1 is a special case.
-func (b *base) runMap(in []*stream.Stream, out *stream.Stream, f func(*stt.Tuple) (*stt.Tuple, error)) error {
-	if len(in) != 1 {
-		out.Close()
-		return fmt.Errorf("%s: want exactly 1 input, got %d", b.name, len(in))
+// mapOp is the shared shape of the non-blocking operations: fn decides a
+// tuple's fate (nil to drop) — every non-blocking operation of Table 1 is a
+// special case — and Map and Run are derived from it.
+type mapOp struct {
+	base
+	fn func(*stt.Tuple) (*stt.Tuple, error)
+}
+
+// Map applies the operation to one tuple, maintaining the counters.
+func (o *mapOp) Map(t *stt.Tuple) (*stt.Tuple, error) {
+	o.counters.In.Add(1)
+	res, err := o.fn(t)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", o.name, err)
 	}
+	if res == nil {
+		o.counters.Dropped.Add(1)
+		return nil, nil
+	}
+	o.counters.Out.Add(1)
+	return res, nil
+}
+
+// Run maps every tuple of the single input and forwards watermarks
+// unchanged.
+func (o *mapOp) Run(in []*stream.Stream, out Emitter) error {
 	defer out.Close()
+	if len(in) != 1 {
+		return fmt.Errorf("%s: want exactly 1 input, got %d", o.name, len(in))
+	}
 	for item := range in[0].C {
 		switch item.Kind {
 		case stream.ItemTuple:
-			b.counters.In.Add(1)
-			res, err := f(item.Tuple)
+			res, err := o.Map(item.Tuple)
 			if err != nil {
-				return fmt.Errorf("%s: %w", b.name, err)
+				return err
 			}
-			if res == nil {
-				b.counters.Dropped.Add(1)
-				continue
+			if res != nil {
+				out.Send(res)
 			}
-			b.counters.Out.Add(1)
-			out.Send(res)
 		case stream.ItemWatermark:
 			out.SendWatermark(item.Watermark)
-		case stream.ItemEOS:
-			// Close happens via defer after the channel drains.
 		}
 	}
 	return nil

@@ -172,3 +172,41 @@ func TestRunMapArity(t *testing.T) {
 		t.Error("0 inputs must fail")
 	}
 }
+
+// Run is repeatable: window caches, the late-tuple bound and the watermark
+// merger belong to one run, counters to the operator.
+func TestBlockingOperatorsRunAgainFromFresh(t *testing.T) {
+	join, err := NewJoin("j", time.Minute, "true", weatherSchema(), weatherSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := NewAggregate("a", time.Minute, nil, AggCount, "", weatherSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	act := &fakeActivator{}
+	trig, err := NewTriggerOn("t", time.Minute, "temperature > 25", []string{"x"}, TriggerAny, act, nil, weatherSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second run replays the same event times: after the first run's
+	// end-of-stream flush they would all be late.
+	for run := 1; run <= 2; run++ {
+		tuples := []*stt.Tuple{wtuple(0, 30, "a"), wtuple(time.Second, 31, "b")}
+		if got := runOp(t, join, feed(weatherSchema(), tuples, true), feed(weatherSchema(), tuples, true)); len(got) != 4 {
+			t.Errorf("run %d: join emitted %d tuples, want 4", run, len(got))
+		}
+		if got := runOp(t, agg, feed(weatherSchema(), tuples, true)); len(got) != 1 || got[0].MustGet("count").AsInt() != 2 {
+			t.Errorf("run %d: aggregate emitted %v, want one count of 2", run, got)
+		}
+		if got := runOp(t, trig, feed(weatherSchema(), tuples, true)); len(got) != 2 {
+			t.Errorf("run %d: trigger passed %d tuples, want 2", run, len(got))
+		}
+		if in, out, dropped := join.Counters().Snapshot(); in != uint64(4*run) || out != uint64(4*run) || dropped != 0 {
+			t.Errorf("run %d: join counters = %d %d %d", run, in, out, dropped)
+		}
+	}
+	if len(act.activated) != 2 {
+		t.Errorf("trigger fired %d times over two runs, want 2", len(act.activated))
+	}
+}

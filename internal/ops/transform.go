@@ -5,7 +5,6 @@ import (
 
 	"streamloader/internal/expr"
 	"streamloader/internal/geo"
-	"streamloader/internal/stream"
 	"streamloader/internal/stt"
 )
 
@@ -45,7 +44,7 @@ type stepFunc func(*stt.Tuple) (*stt.Tuple, error)
 // Transform implements ◇trans s: the transformation function trans — a
 // pipeline of reconciliation steps — applied to every tuple of s.
 type Transform struct {
-	base
+	mapOp
 	steps []stepFunc
 }
 
@@ -55,7 +54,8 @@ func NewTransform(name string, steps []TransformStep, in *stt.Schema) (*Transfor
 	if len(steps) == 0 {
 		return nil, fmt.Errorf("transform %s: needs at least one step", name)
 	}
-	t := &Transform{base: base{name: name, kind: KindTransform}}
+	t := &Transform{}
+	t.mapOp = mapOp{base: base{name: name, kind: KindTransform}, fn: t.apply}
 	schema := in
 	for i, s := range steps {
 		fn, next, err := compileStep(s, schema)
@@ -243,20 +243,18 @@ func compileCoarsen(s TransformStep, in *stt.Schema) (stepFunc, *stt.Schema, err
 	return fn, out, nil
 }
 
-// Run applies the step pipeline to every tuple.
-func (o *Transform) Run(in []*stream.Stream, out *stream.Stream) error {
-	return o.runMap(in, out, func(t *stt.Tuple) (*stt.Tuple, error) {
-		cur := t
-		for _, step := range o.steps {
-			next, err := step(cur)
-			if err != nil {
-				return nil, err
-			}
-			if next == nil {
-				return nil, nil
-			}
-			cur = next
+// apply runs the step pipeline on one tuple.
+func (o *Transform) apply(t *stt.Tuple) (*stt.Tuple, error) {
+	cur := t
+	for _, step := range o.steps {
+		next, err := step(cur)
+		if err != nil {
+			return nil, err
 		}
-		return cur, nil
-	})
+		if next == nil {
+			return nil, nil
+		}
+		cur = next
+	}
+	return cur, nil
 }

@@ -55,7 +55,7 @@ type Trigger struct {
 	act      Activator
 	onFire   func(FireEvent)
 
-	windows map[int64][]*stt.Tuple
+	windows map[int64][]*stt.Tuple // per-run, reset by Run
 }
 
 // NewTriggerOn builds a ⊕ON trigger.
@@ -104,7 +104,6 @@ func newTrigger(name string, on bool, interval time.Duration, cond string, targe
 		targets:  append([]string(nil), targets...),
 		act:      act,
 		onFire:   onFire,
-		windows:  make(map[int64][]*stt.Tuple),
 	}, nil
 }
 
@@ -179,12 +178,12 @@ func (tr *Trigger) flush(wm time.Time) error {
 
 // Run passes tuples through unchanged while caching them per window; windows
 // are evaluated as watermarks pass.
-func (tr *Trigger) Run(in []*stream.Stream, out *stream.Stream) error {
+func (tr *Trigger) Run(in []*stream.Stream, out Emitter) error {
+	defer out.Close()
 	if len(in) != 1 {
-		out.Close()
 		return fmt.Errorf("%s %s: want exactly 1 input, got %d", tr.kind, tr.name, len(in))
 	}
-	defer out.Close()
+	tr.windows = make(map[int64][]*stt.Tuple)
 	for item := range in[0].C {
 		switch item.Kind {
 		case stream.ItemTuple:

@@ -3,6 +3,12 @@
 // watermarks that drive the "every t time intervals" semantics of the
 // blocking operations, and clocks for live versus replay execution.
 //
+// A Stream is the edge between two goroutines. Not every edge of a dataflow
+// is one: the engine lays a channel only where two processes meet (into a
+// blocking operation, into a sink) and calls the non-blocking operations in
+// between as functions, through the Send/SendWatermark/Close interface that
+// *Stream also satisfies (ops.Emitter).
+//
 // A stream carries three item kinds, in order:
 //
 //   - Tuple items: the STT events themselves;
@@ -63,11 +69,13 @@ func WatermarkItem(ts time.Time) Item { return Item{Kind: ItemWatermark, Waterma
 // EOSItem is the end-of-stream marker.
 func EOSItem() Item { return Item{Kind: ItemEOS} }
 
-// DefaultBuffer is the default channel capacity of a stream edge. The
-// buffering ablation (EXPERIMENTS.md A3) sweeps this.
+// DefaultBuffer is the default channel capacity of a stream edge: deep
+// enough that a producer rarely parks on a consumer that is momentarily
+// behind, at 256 items x 40 B per edge. BenchmarkAblation_Buffer (A3, root
+// bench_test.go) sweeps it from 1 to 4096.
 const DefaultBuffer = 256
 
-// Stream is a typed edge between two dataflow processes.
+// Stream is a typed edge between two dataflow processes (goroutines).
 type Stream struct {
 	// Name identifies the edge in logs and monitoring ("filter1->join2").
 	Name string
