@@ -143,7 +143,7 @@ func main() {
 			log.Fatal(err)
 		}
 		s.Emit(from, to, func(t *stt.Tuple) bool {
-			if err := enc.Encode(t.Map()); err != nil {
+			if err := enc.Encode(t); err != nil {
 				log.Fatal(err)
 			}
 			total++

@@ -467,7 +467,7 @@ func TestIntegrationReplaySensor(t *testing.T) {
 	var trace strings.Builder
 	enc := json.NewEncoder(&trace)
 	gen.Emit(itStart, itStart.Add(30*time.Minute), func(tup *stt.Tuple) bool {
-		if err := enc.Encode(tup.Map()); err != nil {
+		if err := enc.Encode(tup); err != nil {
 			t.Fatal(err)
 		}
 		return true

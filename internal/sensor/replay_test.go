@@ -155,7 +155,7 @@ func TestReplayRoundTripsSlgenOutput(t *testing.T) {
 	var originals []*stt.Tuple
 	gen.Emit(from, from.Add(10*time.Minute), func(tup *stt.Tuple) bool {
 		originals = append(originals, tup)
-		b, err := jsonMarshal(tup.Map())
+		b, err := jsonMarshal(tup)
 		if err != nil {
 			t.Fatal(err)
 		}

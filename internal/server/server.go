@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"sort"
 	"strconv"
@@ -116,10 +117,20 @@ func (s *Server) Handler() http.Handler {
 	return s.instrument(mux)
 }
 
+// writeJSON sends v as one JSON document. It encodes before it commits the
+// status, so a value encoding/json refuses (a NaN in an aggregate row, say)
+// becomes a logged 500 instead of the requested status over an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		log.Printf("encode %T response: %v", v, err)
+		status = http.StatusInternalServerError
+		// A map of strings always encodes.
+		body, _ = json.Marshal(map[string]string{"error": "encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n')) // a failed write is a client that left
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -292,13 +303,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	out := map[string][]map[string]any{}
-	for node, tuples := range res.Outputs {
-		for _, tup := range tuples {
-			out[node] = append(out[node], tup.Map())
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, res.Outputs)
 }
 
 func (s *Server) handleDSN(w http.ResponseWriter, r *http.Request) {
@@ -515,10 +520,17 @@ const ndjsonFlushEvery = 64
 // this tick even when it never reaches ndjsonFlushEvery lines.
 const ndjsonFlushInterval = 250 * time.Millisecond
 
+// jsonAppender is a value that writes its own JSON, sparing encoding/json's
+// reflection on the lines a stream has thousands of.
+type jsonAppender interface {
+	AppendJSON(dst []byte) []byte
+}
+
 // writeNDJSON streams one value per line, flushing every ndjsonFlushEvery
 // lines, every ndjsonFlushInterval while lines sit buffered, and once at
-// the end. It stops at the first write error (client gone) and reports
-// whether the stream completed.
+// the end. A jsonAppender line encodes itself; any other value goes through
+// encoding/json. It stops at the first write error (client gone) and
+// reports whether the stream completed.
 func writeNDJSON(w http.ResponseWriter, lines func(yield func(v any) bool)) bool {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
@@ -565,10 +577,18 @@ func writeNDJSON(w http.ResponseWriter, lines func(yield func(v any) bool)) bool
 
 	n := 0
 	ok := true
+	var line []byte // reused across jsonAppender lines
 	lines(func(v any) bool {
 		mu.Lock()
 		defer mu.Unlock()
-		if err := enc.Encode(v); err != nil {
+		var err error
+		if a, appends := v.(jsonAppender); appends {
+			line = append(a.AppendJSON(line[:0]), '\n')
+			_, err = w.Write(line)
+		} else {
+			err = enc.Encode(v)
+		}
+		if err != nil {
 			ok = false
 			return false
 		}
@@ -595,6 +615,12 @@ func writeNDJSON(w http.ResponseWriter, lines func(yield func(v any) bool)) bool
 // reports how many time-partitioned segments the query scanned versus
 // pruned by their time envelope, plus how many cold-segment chunks were
 // served from the chunk cache versus read back from disk.
+//
+// Each event is written in the STT wire form (see package stt): sorted
+// keys, non-finite numbers as null. The page is encoded by appending into
+// one buffer that is handed to the connection every pageFlushBytes — no
+// per-event map, no reflection — and is byte for byte the document
+// encoding/json produced from maps.
 //
 // &format=ndjson streams the page as newline-delimited JSON instead of one
 // buffered array: one {"seq","event"} object per line, flushed
@@ -700,21 +726,17 @@ func (s *Server) handleWarehouseQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		evs = nil
 	}
-	type eventView struct {
-		Seq   uint64         `json:"seq"`
-		Event map[string]any `json:"event"`
-	}
-	summary := map[string]any{
-		"count": len(evs), "segments": qs,
-		"offset": offset, "truncated": truncated,
-	}
-	if wantTrace {
-		summary["trace"] = tr.Report()
-	}
 	if format == "ndjson" {
+		summary := map[string]any{
+			"count": len(evs), "segments": qs,
+			"offset": offset, "truncated": truncated,
+		}
+		if wantTrace {
+			summary["trace"] = tr.Report()
+		}
 		writeNDJSON(w, func(yield func(v any) bool) {
-			for _, ev := range evs {
-				if !yield(eventView{Seq: ev.Seq, Event: ev.Tuple.Map()}) {
+			for i := range evs {
+				if !yield((*pageEvent)(&evs[i])) {
 					return
 				}
 			}
@@ -722,12 +744,65 @@ func (s *Server) handleWarehouseQuery(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	out := make([]eventView, 0, len(evs))
-	for _, ev := range evs {
-		out = append(out, eventView{Seq: ev.Seq, Event: ev.Tuple.Map()})
+	// The envelope's members are written in the sorted order encoding/json
+	// gives a map — count, events, offset, segments, trace, truncated — so
+	// the events can be appended straight into the page buffer. What follows
+	// them is small and goes through Marshal as a struct declared in that
+	// same order.
+	var report *obs.TraceReport
+	if wantTrace {
+		report = tr.Report()
 	}
-	summary["events"] = out
-	writeJSON(w, http.StatusOK, summary)
+	tail, err := json.Marshal(struct {
+		Offset    int                  `json:"offset"`
+		Segments  warehouse.QueryStats `json:"segments"`
+		Trace     *obs.TraceReport     `json:"trace,omitempty"`
+		Truncated bool                 `json:"truncated"`
+	}{offset, qs, report, truncated})
+	if err != nil {
+		log.Printf("encode query summary: %v", err)
+		writeError(w, http.StatusInternalServerError, "encode response: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	buf := make([]byte, 0, pageFlushBytes+pageFlushBytes/8)
+	buf = append(buf, `{"count":`...)
+	buf = strconv.AppendInt(buf, int64(len(evs)), 10)
+	buf = append(buf, `,"events":[`...)
+	for i := range evs {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = (*pageEvent)(&evs[i]).AppendJSON(buf)
+		if len(buf) >= pageFlushBytes {
+			if _, err := w.Write(buf); err != nil {
+				return // client gone
+			}
+			buf = buf[:0]
+		}
+	}
+	buf = append(buf, "],"...)
+	buf = append(buf, tail[1:]...) // the tail's members, without its '{'
+	buf = append(buf, '\n')
+	_, _ = w.Write(buf) // a failed write is a client that left
+}
+
+// pageFlushBytes is how much of a JSON query page is encoded before it is
+// handed to the connection: large enough that a 10000-event page costs a
+// couple of dozen writes, small enough that the page buffer stays a minor
+// allocation beside the events it renders.
+const pageFlushBytes = 64 << 10
+
+// pageEvent is the wire form of one query match: {"seq":N,"event":{…}},
+// the same on a JSON page and on an NDJSON line.
+type pageEvent warehouse.Event
+
+func (ev *pageEvent) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendUint(dst, ev.Seq, 10)
+	dst = append(dst, `,"event":`...)
+	dst = ev.Tuple.AppendJSON(dst)
+	return append(dst, '}')
 }
 
 // warehouseErrStatus classifies a warehouse query/aggregate evaluation

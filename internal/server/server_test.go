@@ -23,7 +23,7 @@ import (
 	"streamloader/internal/warehouse"
 )
 
-func newTestServer(t *testing.T) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB) (*Server, *httptest.Server) {
 	t.Helper()
 	net, err := network.Star(network.TopologyConfig{Nodes: 2, Capacity: 100})
 	if err != nil {
@@ -232,23 +232,27 @@ func TestDataflowLifecycle(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/api/dataflows/web-flow/start", body, nil); code != 202 {
 		t.Fatalf("start status %d", code)
 	}
-	// Stop (waits for the run to finish).
+	// Stats, polled until the minute's 60 readings have reached the filter:
+	// stop interrupts a run that is still replaying, so stopping first made
+	// the count a race.
+	var stats monitor.Report
+	var filterIn uint64
+	for deadline := time.Now().Add(10 * time.Second); filterIn < 60 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if code := getJSON(t, ts.URL+"/api/dataflows/web-flow/stats", &stats); code != 200 {
+			t.Fatal("stats failed")
+		}
+		for _, op := range stats.Ops {
+			if op.Name == "hot" {
+				filterIn = op.In
+			}
+		}
+	}
+	// Stop (waits for the run to drain).
 	if code := postJSON(t, ts.URL+"/api/dataflows/web-flow/stop", nil, nil); code != 200 {
 		t.Fatal("stop failed")
 	}
-	// Stats.
-	var stats monitor.Report
-	if code := getJSON(t, ts.URL+"/api/dataflows/web-flow/stats", &stats); code != 200 {
-		t.Fatal("stats failed")
-	}
 	if len(stats.Ops) != 3 {
 		t.Errorf("stats ops = %d", len(stats.Ops))
-	}
-	var filterIn uint64
-	for _, op := range stats.Ops {
-		if op.Name == "hot" {
-			filterIn = op.In
-		}
 	}
 	if filterIn != 60 {
 		t.Errorf("filter in = %d, want 60", filterIn)

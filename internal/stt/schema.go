@@ -35,6 +35,9 @@ type Schema struct {
 	fields []Field
 	index  map[string]int
 
+	// wire is the key table of the event wire form (Tuple.AppendJSON).
+	wire []wireKey
+
 	// TGran and SGran are the temporal and spatial granularities the
 	// stream's events are represented at.
 	TGran TemporalGranularity
@@ -66,7 +69,7 @@ func NewSchema(fields []Field, tg TemporalGranularity, sg SpatialGranularity, th
 	ts := make([]string, len(themes))
 	copy(ts, themes)
 	sort.Strings(ts)
-	return &Schema{fields: fs, index: idx, TGran: tg, SGran: sg, Themes: ts}, nil
+	return &Schema{fields: fs, index: idx, wire: wireKeys(fs, idx), TGran: tg, SGran: sg, Themes: ts}, nil
 }
 
 // MustSchema is NewSchema that panics on error; for package-level literals

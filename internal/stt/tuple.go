@@ -130,25 +130,6 @@ func (t *Tuple) Coarsen(target *Schema) (*Tuple, error) {
 	return c, nil
 }
 
-// Map returns the tuple's payload and STT metadata as a generic map, for
-// JSON encoding in samples, logs and the warehouse.
-func (t *Tuple) Map() map[string]any {
-	m := make(map[string]any, t.Schema.NumFields()+5)
-	for i, v := range t.Values {
-		m[t.Schema.Field(i).Name] = v.GoValue()
-	}
-	m["_time"] = t.Time.UTC().Format(time.RFC3339Nano)
-	m["_lat"] = t.Lat
-	m["_lon"] = t.Lon
-	if t.Theme != "" {
-		m["_theme"] = t.Theme
-	}
-	if t.Source != "" {
-		m["_source"] = t.Source
-	}
-	return m
-}
-
 // String renders the tuple compactly for logs and sample windows.
 func (t *Tuple) String() string {
 	var b strings.Builder

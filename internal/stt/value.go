@@ -7,6 +7,17 @@
 // Granularities identify correlations among data produced by different
 // sensors and impose consistency constraints when streams produced by
 // heterogeneous devices are composed.
+//
+// # Wire form
+//
+// An event has one JSON rendering, written by Tuple.AppendJSON (and, through
+// MarshalJSON, by encoding/json): an object of the payload fields by name
+// plus _time, _lat, _lon and — when set — _theme and _source, keys in
+// sorted order. It is byte for byte what encoding/json writes for the
+// equivalent map[string]any, without building the map: NewSchema prepares
+// the sorted, pre-quoted key table once per schema. The one difference is
+// that NaN and ±Inf, which JSON cannot carry and encoding/json refuses,
+// are written as null.
 package stt
 
 import (

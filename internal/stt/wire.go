@@ -1,0 +1,214 @@
+package stt
+
+import (
+	"math"
+	"sort"
+	"strconv"
+	"time"
+	"unicode/utf8"
+)
+
+// metaKey names one of the STT coordinates an event's wire object carries
+// beside its payload fields.
+type metaKey uint8
+
+const (
+	metaNone metaKey = iota
+	metaLat
+	metaLon
+	metaSource
+	metaTheme
+	metaTime
+)
+
+var metaNames = [...]string{
+	metaLat:    "_lat",
+	metaLon:    "_lon",
+	metaSource: "_source",
+	metaTheme:  "_theme",
+	metaTime:   "_time",
+}
+
+// wireKey is one member of an event's wire object. A payload field named
+// like a meta key shares its entry: the coordinate is written when the
+// event has one, the field's value otherwise.
+type wireKey struct {
+	name   string
+	quoted string  // `"name":`, escaped as encoding/json escapes a map key
+	field  int     // position in Tuple.Values, -1 for a pure meta key
+	meta   metaKey // metaNone for a pure payload field
+}
+
+// wireKeys builds a schema's key table: field names and meta keys merged
+// and ordered the way encoding/json orders map keys (by raw key bytes).
+// index maps a field name to its position in fields.
+func wireKeys(fields []Field, index map[string]int) []wireKey {
+	keys := make([]wireKey, len(fields), len(fields)+len(metaNames))
+	for i, f := range fields {
+		keys[i] = wireKey{name: f.Name, field: i}
+	}
+	for m := metaLat; m <= metaTime; m++ {
+		if i, shared := index[metaNames[m]]; shared {
+			keys[i].meta = m
+		} else {
+			keys = append(keys, wireKey{name: metaNames[m], field: -1, meta: m})
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].name < keys[j].name })
+	for i := range keys {
+		keys[i].quoted = string(append(appendJSONString(nil, keys[i].name), ':'))
+	}
+	return keys
+}
+
+// AppendJSON appends the event's wire form to dst: one JSON object holding
+// the payload fields by name and the STT coordinates as _time (RFC3339Nano,
+// UTC), _lat, _lon and — when set — _theme and _source, with keys in sorted
+// order. The bytes are exactly what encoding/json writes for the equivalent
+// map[string]any (sorted keys, its float format, its string escaping), with
+// one deliberate difference: a NaN or ±Inf payload value, which
+// encoding/json refuses, is written as null.
+func (t *Tuple) AppendJSON(dst []byte) []byte {
+	dst = append(dst, '{')
+	open := len(dst)
+	for _, k := range t.Schema.wire {
+		// A coordinate the event lacks leaves the key to a same-named
+		// payload field, if the schema has one.
+		meta := k.meta
+		if meta == metaTheme && t.Theme == "" || meta == metaSource && t.Source == "" {
+			meta = metaNone
+		}
+		if meta == metaNone && (k.field < 0 || k.field >= len(t.Values)) {
+			continue
+		}
+		if len(dst) > open {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, k.quoted...)
+		switch meta {
+		case metaNone:
+			dst = t.Values[k.field].AppendJSON(dst)
+		case metaLat:
+			dst = appendJSONFloat(dst, t.Lat)
+		case metaLon:
+			dst = appendJSONFloat(dst, t.Lon)
+		case metaSource:
+			dst = appendJSONString(dst, t.Source)
+		case metaTheme:
+			dst = appendJSONString(dst, t.Theme)
+		case metaTime:
+			dst = appendJSONTime(dst, t.Time)
+		}
+	}
+	return append(dst, '}')
+}
+
+// MarshalJSON makes the wire form what encoding/json writes for a tuple.
+func (t *Tuple) MarshalJSON() ([]byte, error) {
+	return t.AppendJSON(nil), nil
+}
+
+// AppendJSON appends the value's wire form to dst, byte for byte what
+// encoding/json writes for GoValue — except that NaN and ±Inf become null.
+func (v Value) AppendJSON(dst []byte) []byte {
+	switch v.kind {
+	case KindBool:
+		return strconv.AppendBool(dst, v.b)
+	case KindInt:
+		return strconv.AppendInt(dst, v.i, 10)
+	case KindFloat:
+		return appendJSONFloat(dst, v.f)
+	case KindString:
+		return appendJSONString(dst, v.s)
+	case KindTime:
+		return appendJSONTime(dst, v.t)
+	default:
+		return append(dst, "null"...)
+	}
+}
+
+func appendJSONTime(dst []byte, t time.Time) []byte {
+	// The layout yields only digits, '-', ':', '.', 'T', 'Z' and '+':
+	// nothing to escape.
+	dst = append(dst, '"')
+	dst = t.UTC().AppendFormat(dst, time.RFC3339Nano)
+	return append(dst, '"')
+}
+
+// appendJSONFloat follows encoding/json's float64 encoder: the shortest
+// decimal that round-trips, exponent form below 1e-6 and from 1e21, and a
+// one-digit negative exponent written without its leading zero.
+func appendJSONFloat(dst []byte, f float64) []byte {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return append(dst, "null"...)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString follows encoding/json's string encoder with HTML
+// escaping on, as Marshal and a default Encoder have it: quotes,
+// backslashes, control bytes, '<', '>' and '&' are escaped, invalid UTF-8
+// becomes \ufffd, and U+2028/U+2029 are written as escapes.
+func appendJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		if c == utf8.RuneError && size == 1 {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			i += size
+			start = i
+			continue
+		}
+		if c == '\u2028' || c == '\u2029' {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
+			i += size
+			start = i
+			continue
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}

@@ -3,7 +3,7 @@ package warehouse
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -364,7 +364,7 @@ func (s *shard) selectQ(q Query) ([]Event, segScan, error) {
 			}
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return eventLess(out[i], out[j]) })
+	slices.SortStableFunc(out, eventCompare)
 	// The globally-earliest Limit events are contained in the union of each
 	// shard's earliest Limit matches, so capping here is safe and keeps the
 	// merge cost bounded.

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"sort"
@@ -893,12 +894,16 @@ func mergeEvents(parts [][]Event, limit int) []Event {
 	return out
 }
 
-func eventLess(a, b Event) bool {
-	if !a.Tuple.Time.Equal(b.Tuple.Time) {
-		return a.Tuple.Time.Before(b.Tuple.Time)
+// eventCompare orders events by (time, seq), the order every select and
+// merge returns them in.
+func eventCompare(a, b Event) int {
+	if c := a.Tuple.Time.Compare(b.Tuple.Time); c != 0 {
+		return c
 	}
-	return a.Seq < b.Seq
+	return cmp.Compare(a.Seq, b.Seq)
 }
+
+func eventLess(a, b Event) bool { return eventCompare(a, b) < 0 }
 
 // Count returns the number of matching events without materializing them.
 // Queries without a Cond or Limit take a fast path that sums per-segment
