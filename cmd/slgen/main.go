@@ -39,6 +39,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -237,7 +238,7 @@ func aggregateWarehouse(dir, fn, field, group string, bucket time.Duration, from
 		log.Fatalf("bad -agg flags: %v", err)
 	}
 	parsed := aq.Func
-	rows, qs, err := w.Aggregate(aq)
+	rows, qs, err := w.Aggregate(context.Background(), aq)
 	if err != nil {
 		log.Fatalf("aggregate: %v", err)
 	}
@@ -292,7 +293,7 @@ func verifyWarehouse(dir string, minEvents int, viewAq *warehouse.AggQuery, requ
 	if err != nil {
 		log.Fatalf("view rows: %v", err)
 	}
-	want, _, err := w.Aggregate(*viewAq)
+	want, _, err := w.Aggregate(context.Background(), *viewAq)
 	if err != nil {
 		log.Fatalf("aggregate: %v", err)
 	}

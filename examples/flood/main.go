@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -153,7 +154,7 @@ func main() {
 	}
 
 	// Flood alerts: river above 1.8 m while raining.
-	alerts, err := wh.Select(warehouse.Query{Cond: "level > 1.8"})
+	alerts, _, err := wh.Select(context.Background(), warehouse.Query{Cond: "level > 1.8"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func main() {
 	}
 
 	// Apparent temperature: hottest felt hour of the day.
-	weather, err := wh.Select(warehouse.Query{Cond: "apparent_temp > 0"})
+	weather, _, err := wh.Select(context.Background(), warehouse.Query{Cond: "apparent_temp > 0"})
 	if err != nil {
 		log.Fatal(err)
 	}

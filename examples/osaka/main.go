@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -155,7 +156,7 @@ func main() {
 	}
 
 	// Nothing was acquired before the trigger fired.
-	early, err := wh.Count(warehouse.Query{To: firstFire})
+	early, _, err := wh.Count(context.Background(), warehouse.Query{To: firstFire})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package streamloader
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -150,7 +151,7 @@ func TestIntegrationOsakaScenario(t *testing.T) {
 	activationEdge := fired[0].WindowStart.Add(time.Hour) // window end
 
 	// Nothing in the warehouse predates the activation edge.
-	early, err := rig.wh.Count(warehouse.Query{To: activationEdge})
+	early, _, err := rig.wh.Count(context.Background(), warehouse.Query{To: activationEdge})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +159,8 @@ func TestIntegrationOsakaScenario(t *testing.T) {
 		t.Errorf("%d events acquired before the trigger activated the streams", early)
 	}
 	// Both gated streams contributed afterwards.
-	rainN, _ := rig.wh.Count(warehouse.Query{Themes: []string{"rain"}})
-	socialN, _ := rig.wh.Count(warehouse.Query{Themes: []string{"social"}})
+	rainN, _, _ := rig.wh.Count(context.Background(), warehouse.Query{Themes: []string{"rain"}})
+	socialN, _, _ := rig.wh.Count(context.Background(), warehouse.Query{Themes: []string{"social"}})
 	if rainN == 0 || socialN == 0 {
 		t.Errorf("gated streams missing from warehouse: rain=%d social=%d", rainN, socialN)
 	}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"time"
@@ -21,6 +22,21 @@ type Trace struct {
 // NewTrace opens a trace rooted at now.
 func NewTrace(name string) *Trace {
 	return &Trace{name: name, start: time.Now()}
+}
+
+type traceKey struct{}
+
+// WithTrace returns a context carrying tr, so a query entry point takes its
+// optional trace from the context it already receives.
+func WithTrace(ctx context.Context, tr *Trace) context.Context {
+	return context.WithValue(ctx, traceKey{}, tr)
+}
+
+// TraceFrom returns the trace WithTrace attached, or nil — which every
+// Trace and Span method accepts — when there is none.
+func TraceFrom(ctx context.Context) *Trace {
+	tr, _ := ctx.Value(traceKey{}).(*Trace)
+	return tr
 }
 
 // Span is one timed region inside a trace, with optional integer

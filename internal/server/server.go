@@ -7,6 +7,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -603,15 +604,18 @@ func writeNDJSON(w http.ResponseWriter, lines func(yield func(v any) bool)) bool
 }
 
 // handleWarehouseQuery runs an STT query against the Event Data Warehouse
-// using the parseWarehouseFilter params plus &limit= and &offset=. The
+// using the parseWarehouseFilter params plus &limit= and &offset=: a page is
+// one warehouse.Select, a bare count (limit=0) one warehouse.Count, both
+// under the request's context — a client that goes away stops the scan at
+// the next segment — with the optional ?trace=1 trace riding on it. The
 // select fans out across the warehouse shards and merges in time order.
 // Results are paged: offset skips that many matches in (time, seq) order,
 // limit caps the page, and the response's "truncated" flag says whether
 // more matches follow — so a spilled history can be walked page by page
 // instead of materialized in one response. limit=0 asks for the match count
-// alone: it routes through the warehouse Count fast path, which never
-// materializes an event (time-only constraints resolve on segment indexes
-// and cold-segment envelopes without touching disk). The "segments" object
+// alone: Count never materializes or sorts an event (time-only constraints
+// resolve on segment indexes and cold-segment envelopes without touching
+// disk; a cond= is evaluated event by event). The "segments" object
 // reports how many time-partitioned segments the query scanned versus
 // pruned by their time envelope, plus how many cold-segment chunks were
 // served from the chunk cache versus read back from disk.
@@ -664,6 +668,7 @@ func (s *Server) handleWarehouseQuery(w http.ResponseWriter, r *http.Request) {
 		offset = parsed
 	}
 	tr, wantTrace := s.queryTrace(r, "warehouse_query")
+	ctx := obs.WithTrace(r.Context(), tr)
 	start := time.Now()
 	if countOnly {
 		// The caller wants the cardinality, not the events: skip
@@ -675,7 +680,7 @@ func (s *Server) handleWarehouseQuery(w http.ResponseWriter, r *http.Request) {
 		if cq.Cond != "" {
 			cq.Limit = 10001
 		}
-		n, qs, err := s.Warehouse.CountTraced(cq, tr)
+		n, qs, err := s.Warehouse.Count(ctx, cq)
 		if err != nil {
 			writeError(w, warehouseErrStatus(err), "%v", err)
 			return
@@ -711,7 +716,7 @@ func (s *Server) handleWarehouseQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// Fetch one event past the page to learn whether the result was cut.
 	q.Limit = offset + limit + 1
-	evs, qs, err := s.Warehouse.SelectTraced(q, tr)
+	evs, qs, err := s.Warehouse.Select(ctx, q)
 	if err != nil {
 		writeError(w, warehouseErrStatus(err), "%v", err)
 		return
@@ -805,12 +810,19 @@ func (ev *pageEvent) AppendJSON(dst []byte) []byte {
 	return append(dst, '}')
 }
 
+// statusClientClosedRequest is nginx's code for a request whose client left
+// before the answer: nobody reads it, and it stays out of the 5xx count.
+const statusClientClosedRequest = 499
+
 // warehouseErrStatus classifies a warehouse query/aggregate evaluation
 // error: malformed specs are the client's (400), a condition that fails at
-// runtime or a group explosion is addressable by the client (422), and
+// runtime or a group explosion is addressable by the client (422), a scan
+// cancelled because the client went away is nobody's fault (499), and
 // anything else — cold-segment I/O above all — is a server fault (500).
 func warehouseErrStatus(err error) int {
 	switch {
+	case errors.Is(err, context.Canceled):
+		return statusClientClosedRequest
 	case errors.Is(err, warehouse.ErrInvalidAggQuery):
 		return http.StatusBadRequest
 	case errors.Is(err, warehouse.ErrCondEval), errors.Is(err, warehouse.ErrTooManyGroups):
@@ -849,9 +861,11 @@ func aggRowViews(rows []warehouse.AggRow, bucketed bool) []aggRowView {
 // the parseWarehouseFilter params plus &func= (count, sum, avg, min, max),
 // &field= (the aggregated payload field; required for everything but
 // count), &group= (comma-separated: source, theme) and &bucket= (a Go
-// duration; fixed-width event-time windows). The aggregation is evaluated
-// as per-shard, per-segment partial aggregates merged at the top — no event
-// list is materialized, and cold segments whose header stats cover the
+// duration; fixed-width event-time windows). It is one warehouse.Aggregate
+// under the request's context, cancellable and traceable like a query. The
+// aggregation is evaluated as per-shard, per-segment partial aggregates
+// merged at the top — no event list is materialized, and cold segments
+// whose header stats cover the
 // query never open their event block (the "cold_header_only" counter in
 // "segments" says how many were answered that way). Partially-covered v2
 // cold files answer individual chunks from the per-chunk stats in their
@@ -878,7 +892,7 @@ func (s *Server) handleWarehouseAggregate(w http.ResponseWriter, r *http.Request
 	fn := aq.Func
 	tr, wantTrace := s.queryTrace(r, "warehouse_aggregate")
 	start := time.Now()
-	rows, qs, err := s.Warehouse.AggregateTraced(aq, tr)
+	rows, qs, err := s.Warehouse.Aggregate(obs.WithTrace(r.Context(), tr), aq)
 	if err != nil {
 		writeError(w, warehouseErrStatus(err), "%v", err)
 		return

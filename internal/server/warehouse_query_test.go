@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -170,12 +171,24 @@ func TestWarehouseQueryCountOnlyCondCeiling(t *testing.T) {
 		Events    []any `json:"events"`
 		Truncated bool  `json:"truncated"`
 	}
-	u := ts.URL + "/api/warehouse/query?limit=0&cond=" + url.QueryEscape("temperature > 0")
-	if code := getJSON(t, u, &res); code != 200 {
-		t.Fatalf("status = %d", code)
-	}
-	if res.Count != 10000 || !res.Truncated || len(res.Events) != 0 {
-		t.Fatalf("ceiling count = %d truncated=%v events=%d, want 10000/true/0", res.Count, res.Truncated, len(res.Events))
+	// Temperatures are 15..10064: the three conditions match all 10050
+	// events, exactly one past the ceiling, and exactly the ceiling.
+	for _, tc := range []struct {
+		cond      string
+		truncated bool
+	}{
+		{"temperature > 0", true},
+		{"temperature > 63", true},  // 10001 matches
+		{"temperature > 64", false}, // 10000 matches
+	} {
+		u := ts.URL + "/api/warehouse/query?limit=0&cond=" + url.QueryEscape(tc.cond)
+		if code := getJSON(t, u, &res); code != 200 {
+			t.Fatalf("%s: status = %d", tc.cond, code)
+		}
+		if res.Count != 10000 || res.Truncated != tc.truncated || len(res.Events) != 0 {
+			t.Fatalf("%s: count = %d truncated=%v events=%d, want 10000/%v/0",
+				tc.cond, res.Count, res.Truncated, len(res.Events), tc.truncated)
+		}
 	}
 	// Without a condition the count stays exact and unbounded.
 	if code := getJSON(t, ts.URL+"/api/warehouse/query?limit=0", &res); code != 200 {
@@ -400,6 +413,29 @@ func TestWarehouseQueryNDJSONDisconnect(t *testing.T) {
 	}
 	if strings.Contains(rec.buf.String(), `"summary"`) {
 		t.Fatal("summary written despite disconnect")
+	}
+}
+
+// TestWarehouseQueryClientGone: the handlers hand the request context to
+// the warehouse, so a request whose client already left stops before its
+// first segment and is answered 499, not counted as a server fault.
+func TestWarehouseQueryClientGone(t *testing.T) {
+	srv, _ := newTestServer(t)
+	if err := srv.Warehouse.AppendBatch(queryTuples(10)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, path := range []string{
+		"/api/warehouse/query",
+		"/api/warehouse/query?limit=0",
+		"/api/warehouse/aggregate?func=count",
+	} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil).WithContext(ctx))
+		if rec.Code != 499 {
+			t.Errorf("%s: status = %d, want 499", path, rec.Code)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -176,7 +177,7 @@ func TestWarehouseQueryGoldenBody(t *testing.T) {
 					t.Fatal(err)
 				}
 				q.Limit = tc.offset + tc.limit + 1
-				evs, qs, err := srv.Warehouse.SelectWithStats(q)
+				evs, qs, err := srv.Warehouse.Select(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -239,7 +240,7 @@ func TestWarehouseQueryGoldenLargePage(t *testing.T) {
 	if len(got) < 3*pageFlushBytes {
 		t.Fatalf("page is %d bytes; the test wants several flushes of %d", len(got), pageFlushBytes)
 	}
-	evs, qs, err := srv.Warehouse.SelectWithStats(warehouse.Query{Limit: 3001})
+	evs, qs, err := srv.Warehouse.Select(context.Background(), warehouse.Query{Limit: 3001})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,13 @@
 package warehouse
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
 
-	"streamloader/internal/expr"
 	"streamloader/internal/obs"
 	"streamloader/internal/ops"
 	"streamloader/internal/partial"
@@ -161,29 +161,23 @@ func (p *aggPlan) windowFrom(now time.Time) {
 	}
 }
 
-// projection names the event columns this plan's decode path touches, for
-// projected v3 chunk reads: the time always (window filtering), geo only
-// under a Region, theme/source only when filtered or grouped on, and of the
-// payload only the aggregated field. A payload condition reads everything —
-// it can reference any field.
-func (p *aggPlan) projection() persist.Projection {
-	if p.Cond != "" {
-		return persist.FullProjection
+// scanPlan is the plan's filter plus the columns folding an event reads
+// beyond the filter's own: theme and source when grouped on, and of the
+// payload only the aggregated field.
+func (p *aggPlan) scanPlan() scanPlan {
+	proj := p.Query.projection()
+	if p.Cond == "" {
+		if p.groupTheme {
+			proj.Mask |= persist.ColTheme
+		}
+		if p.groupSource {
+			proj.Mask |= persist.ColSource
+		}
+		if !p.bareCount {
+			proj.Field = p.Field
+		}
 	}
-	proj := persist.Projection{Mask: persist.ColTime}
-	if p.Region != nil {
-		proj.Mask |= persist.ColGeo
-	}
-	if len(p.Themes) > 0 || p.groupTheme {
-		proj.Mask |= persist.ColTheme
-	}
-	if len(p.Sources) > 0 || p.groupSource {
-		proj.Mask |= persist.ColSource
-	}
-	if !p.bareCount {
-		proj.Field = p.Field
-	}
-	return proj
+	return scanPlan{Query: p.Query, proj: proj}
 }
 
 // contribution resolves whether one event contributes and with what value.
@@ -217,74 +211,69 @@ func (p *aggPlan) keyOf(t *stt.Tuple) (partial.Key, time.Time) {
 	return partial.BucketKey(bs, source, theme), bs
 }
 
-// accumulate folds one matching event into the group map. It reports false
-// when the group cardinality bound is exceeded.
-func (p *aggPlan) accumulate(acc map[partial.Key]*partial.State, t *stt.Tuple) bool {
-	f, ok := p.contribution(t)
-	if !ok {
-		return true
+// aggVisitor folds matching events into per-group partial states: into the
+// flat group map of one scan, or — for a standing view's tap and checkpoint
+// tail fold — into the bucketed store, where each event files under the
+// frame of its own bucket so retention cuts and window expiry can drop whole
+// frames later.
+type aggVisitor struct {
+	noShortcuts
+	p     *aggPlan
+	flat  map[partial.Key]*partial.State
+	store *partial.Store
+}
+
+// group returns the state of one group, nil when creating it would exceed
+// the cardinality bound. bs is the bucket start, zero when unbucketed.
+func (v *aggVisitor) group(key partial.Key, bs time.Time) *partial.State {
+	if v.store != nil {
+		return v.store.Group(key, bs, v.p.maxGroups)
 	}
-	key, bs := p.keyOf(t)
-	st := acc[key]
+	st := v.flat[key]
 	if st == nil {
-		if len(acc) >= p.maxGroups {
-			return false
+		if len(v.flat) >= v.p.maxGroups {
+			return nil
 		}
 		st = partial.New(bs)
-		acc[key] = st
+		v.flat[key] = st
 	}
-	if p.Func == ops.AggCount {
+	return st
+}
+
+// event folds one matching event.
+func (v *aggVisitor) event(ev Event) error {
+	f, ok := v.p.contribution(ev.Tuple)
+	if !ok {
+		return nil
+	}
+	st := v.group(v.p.keyOf(ev.Tuple))
+	if st == nil {
+		return errAggGroups
+	}
+	if v.p.Func == ops.AggCount {
 		st.ObserveCount(1)
 	} else {
 		st.Observe(f)
 	}
-	return true
+	return nil
 }
 
-// accumulateStore is accumulate targeting a bucketed store: the event files
-// under the frame of its own bucket (the zero frame when unbucketed), which
-// is what lets retention cuts and window expiry drop whole frames later. It
-// reports false when the group cardinality bound is exceeded.
-func (p *aggPlan) accumulateStore(st *partial.Store, t *stt.Tuple) bool {
-	f, ok := p.contribution(t)
-	if !ok {
-		return true
-	}
-	key, bs := p.keyOf(t)
-	s := st.Group(key, bs, p.maxGroups)
-	if s == nil {
-		return false
-	}
-	if p.Func == ops.AggCount {
-		s.ObserveCount(1)
-	} else {
-		s.Observe(f)
-	}
-	return true
-}
+func (v *aggVisitor) done() int { return len(v.flat) }
 
-// add folds a header-derived count into the group map (cold fast path).
-func (p *aggPlan) add(acc map[partial.Key]*partial.State, bs time.Time, source, theme string, n int64) bool {
-	key := partial.BucketKey(time.Time{}, source, theme)
-	if p.Bucket > 0 {
-		key = partial.BucketKey(bs, source, theme)
-	}
-	st := acc[key]
+// add folds a header- or chunk-derived count into a group.
+func (v *aggVisitor) add(bs time.Time, source, theme string, n int) error {
+	st := v.group(partial.BucketKey(bs, source, theme), bs)
 	if st == nil {
-		if len(acc) >= p.maxGroups {
-			return false
-		}
-		st = partial.New(bs)
-		acc[key] = st
+		return errAggGroups
 	}
-	st.ObserveCount(n)
-	return true
+	st.ObserveCount(int64(n))
+	return nil
 }
 
 var errAggGroups = fmt.Errorf("%w (narrow the filter, coarsen the bucket, or raise MaxGroups)", ErrTooManyGroups)
 
-// coldHeaderAgg answers one cold segment purely from its in-RAM header
-// stats, without opening the event block. It applies only when every live
+// file answers one cold segment purely from its in-RAM header stats,
+// without opening the event block. It applies only when every live
 // event's contribution is fully determined by the header:
 //
 //   - bare COUNT (a field or numeric aggregate needs payload values);
@@ -298,20 +287,20 @@ var errAggGroups = fmt.Errorf("%w (narrow the filter, coarsen the bucket, or rai
 //     a theme filter alone must name exactly one theme, whose ThemeCounts
 //     entry is precisely the matchTheme cardinality.
 //
-// The first return says whether the segment was answered; the second is
-// false only on group-cardinality overflow.
-func (p *aggPlan) coldHeaderAgg(acc map[partial.Key]*partial.State, cs *coldSegment) (bool, bool) {
+// The error is only ever group-cardinality overflow.
+func (v *aggVisitor) file(cs *coldSegment) (bool, error) {
+	p := v.p
 	if !p.bareCount || p.Region != nil || p.Cond != "" {
-		return false, true
+		return false, nil
 	}
 	if !cs.coveredBy(p.From, p.To) {
-		return false, true
+		return false, nil
 	}
 	var bs time.Time
 	if p.Bucket > 0 {
 		hb, tb := cs.head.Time.Truncate(p.Bucket), cs.tail.Time.Truncate(p.Bucket)
 		if !hb.Equal(tb) {
-			return false, true
+			return false, nil
 		}
 		bs = hb
 	}
@@ -319,30 +308,30 @@ func (p *aggPlan) coldHeaderAgg(acc map[partial.Key]*partial.State, cs *coldSegm
 	needTheme := p.groupTheme || len(p.Themes) > 0
 	switch {
 	case needSource && needTheme:
-		return false, true
+		return false, nil
 	case p.groupTheme:
 		if len(p.Themes) > 0 || cs.primaryThemes == nil {
-			return false, true
+			return false, nil
 		}
 		named := 0
 		for th, n := range cs.primaryThemes {
 			named += n
-			if !p.add(acc, bs, "", th, int64(n)) {
-				return true, false
+			if err := v.add(bs, "", th, n); err != nil {
+				return true, err
 			}
 		}
 		if rem := cs.count - named; rem > 0 {
-			if !p.add(acc, bs, "", "", int64(rem)) {
-				return true, false
+			if err := v.add(bs, "", "", rem); err != nil {
+				return true, err
 			}
 		}
 	case needTheme:
 		if len(p.Themes) != 1 {
-			return false, true
+			return false, nil
 		}
 		if n := cs.themeCounts[p.Themes[0]]; n > 0 {
-			if !p.add(acc, bs, "", "", int64(n)) {
-				return true, false
+			if err := v.add(bs, "", "", n); err != nil {
+				return true, err
 			}
 		}
 	case needSource:
@@ -356,169 +345,79 @@ func (p *aggPlan) coldHeaderAgg(acc map[partial.Key]*partial.State, cs *coldSegm
 			if p.groupSource {
 				group = src
 			}
-			if !p.add(acc, bs, group, "", int64(n)) {
-				return true, false
+			if err := v.add(bs, group, "", n); err != nil {
+				return true, err
 			}
 		}
 		// Events with an empty source are absent from sourceCounts; the
 		// remainder is exactly them.
 		if rem := cs.count - named; rem > 0 && (len(p.Sources) == 0 || containsString(p.Sources, "")) {
-			if !p.add(acc, bs, "", "", int64(rem)) {
-				return true, false
+			if err := v.add(bs, "", "", rem); err != nil {
+				return true, err
 			}
 		}
 	default:
-		if !p.add(acc, bs, "", "", int64(cs.count)) {
-			return true, false
-		}
-	}
-	return true, true
-}
-
-// addStats folds one chunk's field summary into the group map (cold
-// chunk-stats fast path). A summary with no contributing events adds no
-// group — a row exists only when at least one event contributed — so this
-// can be called unconditionally for an answered chunk.
-func (p *aggPlan) addStats(acc map[partial.Key]*partial.State, bs time.Time, source, theme string, fs persist.FieldStats) bool {
-	contrib := fs.Num
-	if p.Func == ops.AggCount {
-		contrib = fs.NonNull
-	}
-	if contrib == 0 {
-		return true
-	}
-	key := partial.BucketKey(time.Time{}, source, theme)
-	if p.Bucket > 0 {
-		key = partial.BucketKey(bs, source, theme)
-	}
-	st := acc[key]
-	if st == nil {
-		if len(acc) >= p.maxGroups {
-			return false
-		}
-		st = partial.New(bs)
-		acc[key] = st
-	}
-	if p.Func == ops.AggCount {
-		st.ObserveCount(int64(fs.NonNull))
-	} else {
-		st.ObserveStats(int64(fs.Num), fs.Sum, fs.Min, fs.Max)
-	}
-	return true
-}
-
-// coldChunkAgg extends the header fast path one level down: a v2 cold
-// segment the header could not answer whole is walked chunk by chunk, and
-// every chunk whose sparse-index stats fully determine its contribution is
-// folded without being decoded. A chunk is stats-answerable when it is
-// wholly live (no retention skip inside it), its [min, max] time envelope
-// lands inside the query window and — under bucketing — in one bucket, and
-// the filter/grouping can be resolved from the chunk's count maps: a bare
-// COUNT folds per-source or per-theme counts exactly like the header path;
-// a field aggregate needs every chunk event to pass the filter and a
-// uniform group key, and then folds the chunk's per-field Num/Sum/Min/Max
-// frame. A chunk the filter provably rejects outright (no matching source
-// or theme present) is skipped without a read — also a stats answer. The
-// chunks in between decode exactly as before, in contiguous runs through
-// the chunk cache, preserving fold order so results are identical to the
-// decode-everything path. Returns handled=false when the per-chunk walk
-// does not apply at all (v1 file, Region or Cond present) and the caller
-// must fall back to the full window read.
-func (p *aggPlan) coldChunkAgg(acc map[partial.Key]*partial.State, cs *coldSegment, sc *segScan) (bool, error) {
-	info := cs.info
-	if cs.loaded != nil || p.Region != nil || p.Cond != "" ||
-		info.NumChunks() == 0 || info.Sparse[0].Stats == nil {
-		return false, nil
-	}
-	lo, hi := info.WindowPositions(p.From, p.To)
-	if lo < cs.skip {
-		lo = cs.skip
-	}
-	if lo >= hi {
-		return true, nil
-	}
-	proj := p.projection()
-	// flush decodes one pending run of event ordinals — only the plan's
-	// projected columns on v3 files — and filters exactly.
-	flush := func(a, b int) error {
-		if a >= b {
-			return nil
-		}
-		t0 := cs.readHist.Start()
-		pes, rs, err := info.ReadRangeProjected(cs.cache, a, b, proj)
-		cs.readHist.Since(t0)
-		if err != nil {
-			return err
-		}
-		sc.addRead(rs)
-		for _, pe := range pes {
-			ev := Event{Seq: pe.Seq, Tuple: pe.Tuple}
-			match, err := matchEvent(ev, p.Query, nil) // Cond is empty here
-			if err != nil {
-				return err
-			}
-			if match && !p.accumulate(acc, ev.Tuple) {
-				return errAggGroups
-			}
-		}
-		return nil
-	}
-	runStart := -1
-	for k := 0; k < info.NumChunks(); k++ {
-		start, end := info.ChunkRange(k)
-		if end <= lo {
-			continue
-		}
-		if start >= hi {
-			break
-		}
-		answered, ok := p.chunkAgg(acc, cs, k, start, end)
-		if !ok {
-			return false, errAggGroups
-		}
-		if answered {
-			if runStart >= 0 {
-				if err := flush(runStart, start); err != nil {
-					return false, err
-				}
-				runStart = -1
-			}
-			sc.chunkStats++
-			continue
-		}
-		if runStart < 0 {
-			runStart = max(start, lo)
-		}
-	}
-	if runStart >= 0 {
-		if err := flush(runStart, hi); err != nil {
-			return false, err
+		if err := v.add(bs, "", "", cs.count); err != nil {
+			return true, err
 		}
 	}
 	return true, nil
 }
 
-// chunkAgg tries to fold chunk k (event ordinals [start, end)) from its
-// stats alone. The first return says whether the chunk was answered — which
-// includes proving it contributes nothing — and the second is false only on
-// group-cardinality overflow.
-func (p *aggPlan) chunkAgg(acc map[partial.Key]*partial.State, cs *coldSegment, k, start, end int) (bool, bool) {
+// addStats folds one chunk's field summary into a group. A summary with no
+// contributing events adds no group — a row exists only when at least one
+// event contributed — so this can be called unconditionally for an answered
+// chunk.
+func (v *aggVisitor) addStats(bs time.Time, source, theme string, fs persist.FieldStats) error {
+	contrib := fs.Num
+	if v.p.Func == ops.AggCount {
+		contrib = fs.NonNull
+	}
+	if contrib == 0 {
+		return nil
+	}
+	st := v.group(partial.BucketKey(bs, source, theme), bs)
+	if st == nil {
+		return errAggGroups
+	}
+	if v.p.Func == ops.AggCount {
+		st.ObserveCount(int64(fs.NonNull))
+	} else {
+		st.ObserveStats(int64(fs.Num), fs.Sum, fs.Min, fs.Max)
+	}
+	return nil
+}
+
+// chunk extends the header fast path one level down: it folds chunk k of a
+// v2+ cold file (event ordinals [start, end)) from its sparse-index stats
+// alone, without a decode. A chunk is stats-answerable when it is wholly
+// live (no retention skip inside it), its [min, max] time envelope lands
+// inside the query window and — under bucketing — in one bucket, there is no
+// Region or Cond, and the filter and grouping resolve from the chunk's count
+// maps: a bare COUNT folds per-source or per-theme counts exactly like the
+// header path; a field aggregate needs every chunk event to pass the filter
+// and a uniform group key, and then folds the chunk's per-field
+// Num/Sum/Min/Max frame. A chunk the filter provably rejects outright (no
+// matching source or theme present) is answered too — with nothing. The
+// error is only ever group-cardinality overflow.
+func (v *aggVisitor) chunk(cs *coldSegment, k, start, end int) (bool, error) {
+	p := v.p
 	st := cs.info.Sparse[k].Stats
-	if st == nil || start < cs.skip {
-		return false, true
+	if st == nil || start < cs.skip || p.Region != nil || p.Cond != "" {
+		return false, nil
 	}
 	minTime := cs.info.Sparse[k].Time
 	if !p.From.IsZero() && minTime.Before(p.From) {
-		return false, true
+		return false, nil
 	}
 	if !p.To.IsZero() && !st.MaxTime.Before(p.To) {
-		return false, true
+		return false, nil
 	}
 	var bs time.Time
 	if p.Bucket > 0 {
 		hb, tb := minTime.Truncate(p.Bucket), st.MaxTime.Truncate(p.Bucket)
 		if !hb.Equal(tb) {
-			return false, true
+			return false, nil
 		}
 		bs = hb
 	}
@@ -540,7 +439,7 @@ func (p *aggPlan) chunkAgg(acc map[partial.Key]*partial.State, cs *coldSegment, 
 			srcMatched += n - srcNamed
 		}
 		if srcMatched == 0 {
-			return true, true // provably no match: skip without a read
+			return true, nil // provably no match: skip without a read
 		}
 	}
 	srcFull := srcMatched == n
@@ -562,13 +461,13 @@ func (p *aggPlan) chunkAgg(acc map[partial.Key]*partial.State, cs *coldSegment, 
 		}
 		switch {
 		case allZero:
-			return true, true // provably no match
+			return true, nil // provably no match
 		case full:
 			thMatched = n
 		case len(p.Themes) == 1:
 			thMatched = st.ThemeCounts[p.Themes[0]]
 		default:
-			return false, true
+			return false, nil
 		}
 	}
 	thFull := thMatched == n
@@ -576,42 +475,42 @@ func (p *aggPlan) chunkAgg(acc map[partial.Key]*partial.State, cs *coldSegment, 
 	if p.bareCount {
 		switch {
 		case p.groupSource && p.groupTheme:
-			return false, true // no source×theme cross in the stats
+			return false, nil // no source×theme cross in the stats
 		case p.groupSource:
 			if !thFull {
-				return false, true
+				return false, nil
 			}
 			for src, c := range st.SourceCounts {
 				if len(p.Sources) > 0 && !containsString(p.Sources, src) {
 					continue
 				}
-				if !p.add(acc, bs, src, "", int64(c)) {
-					return true, false
+				if err := v.add(bs, src, "", c); err != nil {
+					return true, err
 				}
 			}
 			if rem := n - sumCounts(st.SourceCounts); rem > 0 && (len(p.Sources) == 0 || containsString(p.Sources, "")) {
-				if !p.add(acc, bs, "", "", int64(rem)) {
-					return true, false
+				if err := v.add(bs, "", "", rem); err != nil {
+					return true, err
 				}
 			}
-			return true, true
+			return true, nil
 		case p.groupTheme:
 			if !srcFull || !thFull {
-				return false, true
+				return false, nil
 			}
 			named := 0
 			for th, c := range st.PrimaryThemeCounts {
 				named += c
-				if !p.add(acc, bs, "", th, int64(c)) {
-					return true, false
+				if err := v.add(bs, "", th, c); err != nil {
+					return true, err
 				}
 			}
 			if rem := n - named; rem > 0 {
-				if !p.add(acc, bs, "", "", int64(rem)) {
-					return true, false
+				if err := v.add(bs, "", "", rem); err != nil {
+					return true, err
 				}
 			}
-			return true, true
+			return true, nil
 		default:
 			// No grouping: one of the filters must be exactly resolvable.
 			var m int
@@ -621,12 +520,12 @@ func (p *aggPlan) chunkAgg(acc map[partial.Key]*partial.State, cs *coldSegment, 
 			case thFull:
 				m = srcMatched
 			default:
-				return false, true
+				return false, nil
 			}
-			if m > 0 && !p.add(acc, bs, "", "", int64(m)) {
-				return true, false
+			if m > 0 {
+				return true, v.add(bs, "", "", m)
 			}
-			return true, true
+			return true, nil
 		}
 	}
 
@@ -635,30 +534,27 @@ func (p *aggPlan) chunkAgg(acc map[partial.Key]*partial.State, cs *coldSegment, 
 	// and the chunk's numeric frame must be total — NaN/Inf values cannot
 	// ride in the stats, so their chunks decode.
 	if !srcFull || !thFull {
-		return false, true
+		return false, nil
 	}
 	if p.Func != ops.AggCount && st.Fields[p.Field].NonFinite > 0 {
-		return false, true
+		return false, nil
 	}
 	source, theme := "", ""
 	if p.groupSource {
 		src, uniform := uniformKey(st.SourceCounts, n)
 		if !uniform {
-			return false, true
+			return false, nil
 		}
 		source = src
 	}
 	if p.groupTheme {
 		th, uniform := uniformKey(st.PrimaryThemeCounts, n)
 		if !uniform {
-			return false, true
+			return false, nil
 		}
 		theme = th
 	}
-	if !p.addStats(acc, bs, source, theme, st.Fields[p.Field]) {
-		return true, false
-	}
-	return true, true
+	return true, v.addStats(bs, source, theme, st.Fields[p.Field])
 }
 
 // sumCounts totals a count map.
@@ -715,71 +611,37 @@ func (p *aggPlan) rowsFromPartials(merged map[partial.Key]*partial.State) []AggR
 }
 
 // Aggregate evaluates an aggregation over the store without materializing a
-// merged event list: each shard folds its matching events (or, for covered
-// cold segments, its header stats) into partial aggregates, and the partials
-// merge at the top. Rows come back sorted by (bucket, source, theme). A
-// group appears only when at least one event contributed to it.
-func (w *Warehouse) Aggregate(q AggQuery) ([]AggRow, QueryStats, error) {
-	rows, qs, _, err := w.aggregate(q, nil)
-	return rows, qs, err
-}
-
-// AggregateTraced is Aggregate recording, when tr is non-nil, one span per
-// shard visited plus the top-level merge span — the ?trace=1 explain path.
-func (w *Warehouse) AggregateTraced(q AggQuery, tr *obs.Trace) ([]AggRow, QueryStats, error) {
-	rows, qs, _, err := w.aggregate(q, tr)
-	return rows, qs, err
-}
-
-// aggregate additionally reports the group count before row building, for
-// telemetry-minded callers and tests.
-func (w *Warehouse) aggregate(q AggQuery, tr *obs.Trace) ([]AggRow, QueryStats, int, error) {
+// merged event list: each shard folds its matching events (or, for cold
+// files and chunks whose stats determine their contribution, the stats) into
+// partial aggregates, and the partials merge at the top. Rows come back
+// sorted by (bucket, source, theme). A group appears only when at least one
+// event contributed to it. Telemetry, tracing (obs.WithTrace) and
+// cancellation are Select's.
+func (w *Warehouse) Aggregate(ctx context.Context, q AggQuery) ([]AggRow, QueryStats, error) {
 	t0 := w.met.aggregate.Start()
 	defer w.met.aggregate.Since(t0)
-	var qs QueryStats
 	p, err := q.plan()
 	if err != nil {
-		return nil, qs, 0, err
+		return nil, QueryStats{}, err
 	}
 	now := w.now()
 	p.windowFrom(now)
-	shards := w.routedShards(p.Query)
-	parts := make([]map[partial.Key]*partial.State, len(shards))
-	scans := make([]segScan, len(shards))
-	errs := make([]error, len(shards))
-	forEachShard(shards, func(i int, s *shard) {
-		sp := shardSpan(tr, s)
-		parts[i], scans[i], errs[i] = s.aggQ(&p)
-		endShardSpan(sp, scans[i], len(parts[i]))
+	pl := p.scanPlan()
+	vs, qs, err := scanShards(ctx, w, &pl, func() *aggVisitor {
+		return &aggVisitor{p: &p, flat: map[partial.Key]*partial.State{}}
 	})
-	for _, sc := range scans {
-		qs.SegmentsScanned += sc.scanned
-		qs.SegmentsPruned += sc.pruned
-		qs.ColdCacheHits += sc.cacheHits
-		qs.ColdCacheMisses += sc.cacheMisses
-		qs.ColdHeaderOnly += sc.headerOnly
-		qs.ColdChunkStats += sc.chunkStats
-		qs.ColdColumnsSkipped += sc.columnsSkipped
-		qs.ColdBytesDecoded += sc.bytesDecoded
-	}
-	if qs.ColdChunkStats > 0 {
-		w.chunkStatsHits.Add(uint64(qs.ColdChunkStats))
-	}
-	w.columnsSkipped.Add(uint64(qs.ColdColumnsSkipped))
-	for _, err := range errs {
-		if err != nil {
-			return nil, qs, 0, err
-		}
+	if err != nil {
+		return nil, qs, err
 	}
 	// Merge in shard order, so equal-key float partials combine in a
 	// deterministic order run to run. The per-shard maps are throwaway, so
 	// the merge may take ownership of their states (no clone).
-	msp := tr.Start("merge")
+	msp := obs.TraceFrom(ctx).Start("merge")
 	merged := map[partial.Key]*partial.State{}
-	for _, part := range parts {
-		if !partial.Merge(merged, part, p.maxGroups, false) {
+	for _, v := range vs {
+		if !partial.Merge(merged, v.flat, p.maxGroups, false) {
 			msp.End()
-			return nil, qs, 0, errAggGroups
+			return nil, qs, errAggGroups
 		}
 	}
 	if keep := p.windowKeep(now); keep != nil {
@@ -791,80 +653,5 @@ func (w *Warehouse) aggregate(q AggQuery, tr *obs.Trace) ([]AggRow, QueryStats, 
 	}
 	msp.SetInt("groups", int64(len(merged)))
 	msp.End()
-	return p.rowsFromPartials(merged), qs, len(merged), nil
-}
-
-// aggQ folds this shard's matching events into per-group partials under the
-// shard read lock; see aggLocked for the scan itself.
-func (s *shard) aggQ(p *aggPlan) (map[partial.Key]*partial.State, segScan, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.aggLocked(p)
-}
-
-// aggLocked folds this shard's matching events into per-group partials. Cold
-// segments are answered from header stats when coldHeaderAgg's coverage
-// rules hold; otherwise only their window-overlapping chunks are read back
-// (through the chunk cache) and filtered exactly, and hot segments iterate
-// their cheapest candidate index. No event list is built, sorted or merged.
-// The caller holds the shard lock (read suffices; view backfill calls it
-// under the write lock so the scan and the tap attach are one atomic step).
-func (s *shard) aggLocked(p *aggPlan) (map[partial.Key]*partial.State, segScan, error) {
-	var sc segScan
-	acc := map[partial.Key]*partial.State{}
-	conds := map[*stt.Schema]*expr.Compiled{}
-	for _, cs := range s.cold {
-		if cs.prunedBy(p.From, p.To) {
-			sc.pruned++
-			continue
-		}
-		sc.scanned++
-		answered, ok := p.coldHeaderAgg(acc, cs)
-		if answered {
-			if !ok {
-				return nil, sc, errAggGroups
-			}
-			sc.headerOnly++
-			continue
-		}
-		handled, err := p.coldChunkAgg(acc, cs, &sc)
-		if err != nil {
-			return nil, sc, err
-		}
-		if handled {
-			continue
-		}
-		evs, rs, err := cs.readWindowProjected(p.From, p.To, p.projection())
-		if err != nil {
-			return nil, sc, err
-		}
-		sc.addRead(rs)
-		for _, ev := range evs {
-			match, err := matchEvent(ev, p.Query, conds)
-			if err != nil {
-				return nil, sc, err
-			}
-			if match && !p.accumulate(acc, ev.Tuple) {
-				return nil, sc, errAggGroups
-			}
-		}
-	}
-	for _, seg := range s.segs {
-		if seg.prunedBy(p.From, p.To) {
-			sc.pruned++
-			continue
-		}
-		sc.scanned++
-		for _, ord := range seg.candidateSet(p.Query) {
-			ev := seg.events[ord]
-			match, err := matchEvent(ev, p.Query, conds)
-			if err != nil {
-				return nil, sc, err
-			}
-			if match && !p.accumulate(acc, ev.Tuple) {
-				return nil, sc, errAggGroups
-			}
-		}
-	}
-	return acc, sc, nil
+	return p.rowsFromPartials(merged), qs, nil
 }

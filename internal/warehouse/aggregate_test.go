@@ -1,6 +1,8 @@
 package warehouse
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -13,7 +15,7 @@ import (
 
 func aggRows(t *testing.T, w *Warehouse, q AggQuery) []AggRow {
 	t.Helper()
-	rows, _, err := w.Aggregate(q)
+	rows, _, err := w.Aggregate(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,19 +142,19 @@ func TestAggregateValidation(t *testing.T) {
 		"bad group":     {Func: ops.AggCount, GroupBy: []string{"region"}},
 		"neg bucket":    {Func: ops.AggCount, Bucket: -time.Hour},
 	} {
-		if _, _, err := w.Aggregate(q); err == nil {
+		if _, _, err := w.Aggregate(context.Background(), q); err == nil {
 			t.Errorf("%s: want error", name)
 		}
 	}
 	// Lower-case function names parse (the HTTP layer passes them through).
-	if _, _, err := w.Aggregate(AggQuery{Func: "count"}); err != nil {
+	if _, _, err := w.Aggregate(context.Background(), AggQuery{Func: "count"}); err != nil {
 		t.Errorf("lower-case func: %v", err)
 	}
 }
 
 func TestAggregateMaxGroups(t *testing.T) {
 	w := loaded(t)
-	_, _, err := w.Aggregate(AggQuery{Func: ops.AggCount, GroupBy: []string{"source"}, MaxGroups: 2})
+	_, _, err := w.Aggregate(context.Background(), AggQuery{Func: ops.AggCount, GroupBy: []string{"source"}, MaxGroups: 2})
 	if err == nil {
 		t.Fatal("want group-cardinality error")
 	}
@@ -188,6 +190,36 @@ func aggColdPair(t *testing.T, n int) (cold, hot *Warehouse) {
 	return cold, hot
 }
 
+// TestCancelledQueryReadsNothing: a query whose context is already
+// cancelled returns context.Canceled before it opens a single cold file.
+func TestCancelledQueryReadsNothing(t *testing.T) {
+	cold, _ := aggColdPair(t, 600)
+	if n := cold.Stats().SegmentsCold; n < 2 {
+		t.Fatalf("%d cold files, want >= 2", n)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	q := Query{Cond: "temperature > 0"} // no shortcut answers this: every file would be read
+	check := func(name string, qs QueryStats, err error) {
+		t.Helper()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", name, err)
+		}
+		if qs.ColdCacheMisses != 0 || qs.ColdCacheHits != 0 || qs.SegmentsScanned != 0 {
+			t.Errorf("%s: scanned after cancellation: %+v", name, qs)
+		}
+	}
+	evs, qs, err := cold.Select(ctx, q)
+	check("Select", qs, err)
+	if evs != nil {
+		t.Errorf("Select returned %d events with its error", len(evs))
+	}
+	_, qs, err = cold.Count(ctx, q)
+	check("Count", qs, err)
+	_, qs, err = cold.Aggregate(ctx, AggQuery{Query: q, Func: ops.AggAvg, Field: "temperature"})
+	check("Aggregate", qs, err)
+}
+
 func diffAggRows(got, want []AggRow) string {
 	if len(got) != len(want) {
 		return fmt.Sprintf("%d rows, want %d", len(got), len(want))
@@ -218,7 +250,7 @@ func TestAggregateColdHeaderFastPath(t *testing.T) {
 			Func: ops.AggCount, GroupBy: []string{"source"}},
 		"bucketed": {Func: ops.AggCount, Bucket: 24 * 365 * time.Hour},
 	} {
-		rows, qs, err := cold.Aggregate(q)
+		rows, qs, err := cold.Aggregate(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -237,7 +269,7 @@ func TestAggregateColdHeaderFastPath(t *testing.T) {
 		slow := q
 		rect := geo.NewRect(geo.Point{Lat: -90, Lon: -180}, geo.Point{Lat: 90, Lon: 180})
 		slow.Region = &rect
-		slowRows, sqs, err := cold.Aggregate(slow)
+		slowRows, sqs, err := cold.Aggregate(context.Background(), slow)
 		if err != nil {
 			t.Fatalf("%s slow: %v", name, err)
 		}
@@ -266,7 +298,7 @@ func TestAggregateColdFallbacks(t *testing.T) {
 		"two themes": {Query: Query{Themes: []string{"weather", "social"}},
 			Func: ops.AggCount},
 	} {
-		rows, _, err := cold.Aggregate(q)
+		rows, _, err := cold.Aggregate(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -282,14 +314,14 @@ func TestAggregateColdFallbacks(t *testing.T) {
 func TestAggregateColdAfterRetention(t *testing.T) {
 	cold, _ := aggColdPair(t, 1000)
 	cold.SetRetention(400)
-	want, _, err := cold.Aggregate(AggQuery{
+	want, _, err := cold.Aggregate(context.Background(), AggQuery{
 		Query: Query{Region: allRegion()}, // force the slow path
 		Func:  ops.AggCount, GroupBy: []string{"source"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, qs, err := cold.Aggregate(AggQuery{Func: ops.AggCount, GroupBy: []string{"source"}})
+	got, qs, err := cold.Aggregate(context.Background(), AggQuery{Func: ops.AggCount, GroupBy: []string{"source"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +444,7 @@ func chunkFallbackQueries() map[string]AggQuery {
 func TestAggregateChunkStatsFastPath(t *testing.T) {
 	cold, hot := aggChunkPair(t, persist.SegmentV2, 13*persist.IndexEvery)
 	for name, q := range chunkStatsQueries() {
-		rows, qs, err := cold.Aggregate(q)
+		rows, qs, err := cold.Aggregate(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -426,7 +458,7 @@ func TestAggregateChunkStatsFastPath(t *testing.T) {
 		// the result set; rows must be byte-identical.
 		slow := q
 		slow.Region = allRegion()
-		slowRows, sqs, err := cold.Aggregate(slow)
+		slowRows, sqs, err := cold.Aggregate(context.Background(), slow)
 		if err != nil {
 			t.Fatalf("%s slow: %v", name, err)
 		}
@@ -438,7 +470,7 @@ func TestAggregateChunkStatsFastPath(t *testing.T) {
 		}
 	}
 	for name, q := range chunkFallbackQueries() {
-		rows, _, err := cold.Aggregate(q)
+		rows, _, err := cold.Aggregate(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -456,7 +488,7 @@ func TestAggregateChunkStatsFastPath(t *testing.T) {
 func TestAggregateChunkStatsV1Files(t *testing.T) {
 	cold, hot := aggChunkPair(t, persist.SegmentV1, 13*persist.IndexEvery)
 	for name, q := range chunkStatsQueries() {
-		rows, qs, err := cold.Aggregate(q)
+		rows, qs, err := cold.Aggregate(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -478,11 +510,11 @@ func TestAggregateChunkStatsAfterRetention(t *testing.T) {
 	q := AggQuery{Func: ops.AggSum, Field: "temperature"}
 	slow := q
 	slow.Region = allRegion()
-	want, _, err := cold.Aggregate(slow)
+	want, _, err := cold.Aggregate(context.Background(), slow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, qs, err := cold.Aggregate(q)
+	got, qs, err := cold.Aggregate(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

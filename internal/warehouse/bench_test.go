@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -75,7 +76,7 @@ func benchConcurrentIngest(b *testing.B, shards, producers, batch int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		w := NewSharded(shards)
+		w := NewWithConfig(Config{Shards: shards})
 		var wg sync.WaitGroup
 		for p := 0; p < producers; p++ {
 			wg.Add(1)
@@ -127,7 +128,7 @@ func BenchmarkIngestBatchConcurrent(b *testing.B) {
 // benchLoadedSharded fills a warehouse with n events over 16 sources.
 func benchLoadedSharded(b *testing.B, shards, n int) *Warehouse {
 	b.Helper()
-	w := NewSharded(shards)
+	w := NewWithConfig(Config{Shards: shards})
 	batch := make([]*stt.Tuple, 0, 1024)
 	for i := 0; i < n; i++ {
 		batch = append(batch, wTuple(time.Duration(i)*time.Second, float64(10+i%25),
@@ -161,7 +162,7 @@ func BenchmarkSelectFanout(b *testing.B) {
 					go func() {
 						defer wg.Done()
 						for i := r; i < b.N; i += readers {
-							if _, err := w.Select(q); err != nil {
+							if _, _, err := w.Select(context.Background(), q); err != nil {
 								b.Error(err)
 								return
 							}
@@ -182,7 +183,7 @@ func BenchmarkSelectTimeRange(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Select(q); err != nil {
+		if _, _, err := w.Select(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -195,7 +196,7 @@ func BenchmarkSelectRegion(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Select(q); err != nil {
+		if _, _, err := w.Select(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,7 +208,7 @@ func BenchmarkSelectCond(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Select(q); err != nil {
+		if _, _, err := w.Select(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -272,7 +273,7 @@ func BenchmarkSelectSegmentPruning(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, qs, err := w.SelectWithStats(q)
+				_, qs, err := w.Select(context.Background(), q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -371,7 +372,7 @@ func BenchmarkSelectColdVsHot(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := w.Select(q); err != nil {
+			if _, _, err := w.Select(context.Background(), q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -396,7 +397,7 @@ func BenchmarkSelectColdVsHot(b *testing.B) {
 		b.ResetTimer()
 		var scanned, pruned int
 		for i := 0; i < b.N; i++ {
-			_, qs, err := w.SelectWithStats(q)
+			_, qs, err := w.Select(context.Background(), q)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -444,7 +445,7 @@ func BenchmarkSelectColdCached(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := w.Select(q); err != nil {
+			if _, _, err := w.Select(context.Background(), q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -453,14 +454,14 @@ func BenchmarkSelectColdCached(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		w := open(b, DefaultColdCacheBytes)
 		defer w.Close()
-		if _, err := w.Select(q); err != nil { // warm the cache
+		if _, _, err := w.Select(context.Background(), q); err != nil { // warm the cache
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		var hits, misses int
 		for i := 0; i < b.N; i++ {
-			_, qs, err := w.SelectWithStats(q)
+			_, qs, err := w.Select(context.Background(), q)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -559,7 +560,7 @@ func BenchmarkAggregatePushdown(b *testing.B) {
 	// selectAggregate is the client-side baseline: materialize the merged
 	// event list, then fold it.
 	selectAggregate := func(b *testing.B, w *Warehouse, aq AggQuery) {
-		evs, err := w.Select(aq.Query)
+		evs, _, err := w.Select(context.Background(), aq.Query)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -594,7 +595,7 @@ func BenchmarkAggregatePushdown(b *testing.B) {
 				b.ResetTimer()
 				var headerOnly, chunkReads int
 				for i := 0; i < b.N; i++ {
-					rows, qs, err := w.Aggregate(shape.aq)
+					rows, qs, err := w.Aggregate(context.Background(), shape.aq)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -641,7 +642,7 @@ func BenchmarkCountFastPath(b *testing.B) {
 	b.Run("count", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := w.Count(q); err != nil {
+			if _, _, err := w.Count(context.Background(), q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -649,7 +650,7 @@ func BenchmarkCountFastPath(b *testing.B) {
 	b.Run("select", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			evs, err := w.Select(q)
+			evs, _, err := w.Select(context.Background(), q)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -742,7 +743,7 @@ func BenchmarkViewFanout(b *testing.B) {
 				b.Fatal(err)
 			}
 			lat = append(lat, time.Since(start))
-			if _, _, err := w.Aggregate(aq); err != nil {
+			if _, _, err := w.Aggregate(context.Background(), aq); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -793,7 +794,7 @@ func BenchmarkAggregatePartialCover(b *testing.B) {
 			b.ResetTimer()
 			var chunkReads, statsChunks int
 			for i := 0; i < b.N; i++ {
-				rows, qs, err := w.Aggregate(q)
+				rows, qs, err := w.Aggregate(context.Background(), q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -888,7 +889,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := w.Select(q); err != nil {
+					if _, _, err := w.Select(context.Background(), q); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -1092,7 +1093,7 @@ func BenchmarkSelectProjected(b *testing.B) {
 			var bytesDecoded int64
 			var columnsSkipped int
 			for i := 0; i < b.N; i++ {
-				rows, qs, err := w.Aggregate(q)
+				rows, qs, err := w.Aggregate(context.Background(), q)
 				if err != nil {
 					b.Fatal(err)
 				}

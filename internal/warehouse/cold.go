@@ -97,139 +97,6 @@ func (c *coldSegment) coveredBy(from, to time.Time) bool {
 	return true
 }
 
-// readWindow decodes the live events whose chunks can intersect the
-// [from, to) window, going through the warehouse chunk cache when one is
-// configured. Results are in (time, seq) order and conservative: the
-// caller re-filters exactly.
-func (c *coldSegment) readWindow(from, to time.Time) ([]Event, persist.ReadStats, error) {
-	return c.readWindowProjected(from, to, persist.FullProjection)
-}
-
-// readWindowProjected is readWindow restricted to the columns proj names.
-// On a v3 file only those columns decode; v1/v2 files return full events
-// (always a superset — callers may only rely on the projected columns).
-func (c *coldSegment) readWindowProjected(from, to time.Time, proj persist.Projection) ([]Event, persist.ReadStats, error) {
-	if c.loaded != nil {
-		return c.loaded, persist.ReadStats{}, nil // compaction already paid for the full load
-	}
-	lo, hi := c.info.WindowPositions(from, to)
-	if lo < c.skip {
-		lo = c.skip
-	}
-	t0 := c.readHist.Start()
-	pes, rs, err := c.info.ReadRangeProjected(c.cache, lo, hi, proj)
-	c.readHist.Since(t0)
-	if err != nil {
-		return nil, rs, err
-	}
-	out := make([]Event, len(pes))
-	for i, pe := range pes {
-		out[i] = Event{Seq: pe.Seq, Tuple: pe.Tuple}
-	}
-	return out, rs, nil
-}
-
-// selectWindow reads the events a Select needs from this segment. On v3
-// files with a cheap column filter (theme/source/region, no payload
-// condition), it runs two phases: a projected pre-filter pass decodes only
-// the filter columns, then only the runs of matching ordinals are fully
-// materialized (through the cache) and re-filtered exactly. Everything else
-// takes the classic full window read. Matches are appended to out.
-func (c *coldSegment) selectWindow(q Query, conds condCache, out []Event, sc *segScan) ([]Event, error) {
-	twoPhase := c.loaded == nil && q.Cond == "" &&
-		c.info.Version >= persist.SegmentV3 &&
-		(len(q.Themes) > 0 || len(q.Sources) > 0 || q.Region != nil)
-	if !twoPhase {
-		evs, rs, err := c.readWindow(q.From, q.To)
-		if err != nil {
-			return out, err
-		}
-		sc.addRead(rs)
-		for _, ev := range evs {
-			ok, err := matchEvent(ev, q, conds)
-			if err != nil {
-				return out, err
-			}
-			if ok {
-				out = append(out, ev)
-			}
-		}
-		return out, nil
-	}
-
-	proj := persist.Projection{Mask: persist.ColTime}
-	if len(q.Themes) > 0 {
-		proj.Mask |= persist.ColTheme
-	}
-	if len(q.Sources) > 0 {
-		proj.Mask |= persist.ColSource
-	}
-	if q.Region != nil {
-		proj.Mask |= persist.ColGeo
-	}
-	lo, hi := c.info.WindowPositions(q.From, q.To)
-	if lo < c.skip {
-		lo = c.skip
-	}
-	t0 := c.readHist.Start()
-	pes, rs, err := c.info.ReadRangeProjected(c.cache, lo, hi, proj)
-	c.readHist.Since(t0)
-	if err != nil {
-		return out, err
-	}
-	sc.addRead(rs)
-	// Matching ordinals, coalesced into runs so phase two reads contiguous
-	// stretches (a run break costs a chunk-cache lookup, not a pread).
-	const gap = 32
-	runStart, runEnd := -1, -1
-	flush := func() error {
-		if runStart < 0 {
-			return nil
-		}
-		t0 := c.readHist.Start()
-		full, rs, err := c.info.ReadRangeCached(c.cache, runStart, runEnd)
-		c.readHist.Since(t0)
-		if err != nil {
-			return err
-		}
-		sc.addRead(rs)
-		for _, pe := range full {
-			ev := Event{Seq: pe.Seq, Tuple: pe.Tuple}
-			ok, err := matchEvent(ev, q, conds)
-			if err != nil {
-				return err
-			}
-			if ok {
-				out = append(out, ev)
-			}
-		}
-		runStart = -1
-		return nil
-	}
-	for i, pe := range pes {
-		ok, err := matchEvent(Event{Tuple: pe.Tuple}, q, conds)
-		if err != nil {
-			return out, err
-		}
-		if !ok {
-			continue
-		}
-		ord := lo + i
-		if runStart >= 0 && ord-runEnd <= gap {
-			runEnd = ord + 1
-			continue
-		}
-		if err := flush(); err != nil {
-			return out, err
-		}
-		runStart, runEnd = ord, ord+1
-	}
-	if err := flush(); err != nil {
-		return out, err
-	}
-	return out, nil
-}
-
 // ensureLoaded materializes every live event, for compactions that need
 // per-event keys. Release with unload once done. The read deliberately
 // bypasses the chunk cache (nil): the result is pinned in c.loaded for the

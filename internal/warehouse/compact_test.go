@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -30,7 +31,7 @@ func segFiles(t *testing.T, dir string) []string {
 
 func allSeqs(t *testing.T, w *Warehouse) []uint64 {
 	t.Helper()
-	evs, err := w.Select(Query{})
+	evs, _, err := w.Select(context.Background(), Query{})
 	if err != nil {
 		t.Fatal(err)
 	}

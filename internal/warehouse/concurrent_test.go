@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -34,11 +35,11 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 		{Themes: []string{"weather"}, Cond: "temperature > 15"},
 		{Limit: 17},
 	} {
-		a, err := single.Select(q)
+		a, _, err := single.Select(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := batched.Select(q)
+		b, _, err := batched.Select(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +83,7 @@ func TestBatchSeqOrderPreserved(t *testing.T) {
 	}
 	// All tuples share one event time, so Select ordering falls back to
 	// Seq, which must reflect batch order even across shards.
-	evs, err := w.Select(Query{})
+	evs, _, err := w.Select(context.Background(), Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestBatchSeqOrderPreserved(t *testing.T) {
 }
 
 func TestRetentionAcrossShards(t *testing.T) {
-	w := NewSharded(4)
+	w := NewWithConfig(Config{Shards: 4})
 	w.SetRetention(100)
 	// Four sources land on (up to) four shards; appends interleave in
 	// global time order, so eviction must coordinate across shards.
@@ -113,7 +114,7 @@ func TestRetentionAcrossShards(t *testing.T) {
 	if got := int(w.Evicted()) + w.Len(); got != 400 {
 		t.Errorf("evicted + len = %d, want 400", got)
 	}
-	evs, err := w.Select(Query{})
+	evs, _, err := w.Select(context.Background(), Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestSegmentRotationRace(t *testing.T) {
 				default:
 				}
 				from := t0.Add(time.Duration(n%20) * 30 * time.Minute)
-				evs, err := w.Select(Query{From: from, To: from.Add(4 * time.Hour)})
+				evs, _, err := w.Select(context.Background(), Query{From: from, To: from.Add(4 * time.Hour)})
 				if err != nil {
 					t.Error(err)
 					return
@@ -175,7 +176,7 @@ func TestSegmentRotationRace(t *testing.T) {
 						return
 					}
 				}
-				if _, err := w.Count(Query{From: from, To: from.Add(time.Hour)}); err != nil {
+				if _, _, err := w.Count(context.Background(), Query{From: from, To: from.Add(time.Hour)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -242,7 +243,7 @@ func TestSegmentRotationRace(t *testing.T) {
 	if got := int(w.Evicted()) + w.Len(); got != writers*perWriter {
 		t.Errorf("evicted + len = %d, want %d", got, writers*perWriter)
 	}
-	evs, err := w.Select(Query{})
+	evs, _, err := w.Select(context.Background(), Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestConcurrentWarehouse(t *testing.T) {
 					return
 				default:
 				}
-				evs, err := w.Select(Query{From: t0, To: t0.Add(500 * time.Minute)})
+				evs, _, err := w.Select(context.Background(), Query{From: t0, To: t0.Add(500 * time.Minute)})
 				if err != nil {
 					t.Error(err)
 					return
@@ -300,7 +301,7 @@ func TestConcurrentWarehouse(t *testing.T) {
 						return
 					}
 				}
-				if _, err := w.Count(Query{Themes: []string{"weather"}}); err != nil {
+				if _, _, err := w.Count(context.Background(), Query{Themes: []string{"weather"}}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -367,7 +368,7 @@ func TestConcurrentWarehouse(t *testing.T) {
 	if got := int(w.Evicted()) + w.Len(); got != writers*perWriter {
 		t.Errorf("evicted + len = %d, want %d", got, writers*perWriter)
 	}
-	evs, err := w.Select(Query{})
+	evs, _, err := w.Select(context.Background(), Query{})
 	if err != nil {
 		t.Fatal(err)
 	}

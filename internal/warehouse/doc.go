@@ -20,18 +20,49 @@
 // sealed segment's [minTime, maxTime] envelope. Each segment carries its
 // own time index plus spatial-grid, theme and source inverted indexes.
 //
-// # Queries
+// # Query path
 //
-// Select fans out across shards concurrently and k-way merges the per-shard
-// results in (event time, Seq) order; a source-constrained query is routed
-// only to the shards those sources hash to. Within a shard, a segment whose
-// envelope misses the query's [From, To) window is pruned outright — none
-// of its indexes are consulted — which keeps small-window queries cheap on
-// a wide history. SelectWithStats exposes the scanned/pruned split per
-// query. Count takes a fast path when no Cond or Limit is set: time-only
-// constraints are answered by binary search on segment time indexes alone,
-// and other constraints are counted without materializing, sorting or
-// merging events.
+// There are three query entry points, each (ctx, query) → (result,
+// QueryStats, error): Select returns events in (event time, Seq) order,
+// Count a number, Aggregate grouped rows. All three fan out across shards
+// concurrently — a source-constrained query only to the shards those
+// sources hash to — and walk each shard with the same kernel, shard.scan,
+// under the shard's read lock. The context cancels a query between
+// segments, and carries the optional trace (obs.WithTrace): one span per
+// shard visited plus one for the merge.
+//
+// The kernel takes a plan and a visitor. The plan is the query's window,
+// filters and Cond, the column projection cold reads decode, and an
+// optional seq floor. The walk is fixed: every segment whose time envelope
+// misses the [From, To) window is pruned outright — no index consulted, no
+// file opened — which keeps small-window queries cheap on a wide history.
+// A surviving cold file is offered to the visitor whole (can its header
+// answer?), then chunk by chunk (can this chunk's stats answer?); the runs
+// of chunks left over are read back through the chunk cache with the
+// plan's projection and each event filtered exactly. When the visitor
+// wants whole rows and a theme, source or region filter applies, a v3 file
+// is read in two phases: the filter's columns first, whole rows only for
+// the stretches that hold a match. A surviving in-memory segment is
+// offered whole, then walked over its cheapest index — theme, source,
+// spatial grid or time; an index with no entry for what the query asks
+// proves the segment empty. Cold files go oldest first, chunks in file
+// order, then segments in creation order, so float partials fold in the
+// same order run to run.
+//
+// The visitors are small. Select's collects matches, sorts them and caps
+// them at the limit, and the per-shard results k-way merge. Count's takes
+// a covered cold file's header count and a binary-searched slice of a
+// segment's time index when the window is the only constraint — touching
+// no event — and otherwise counts matches one by one (Cond included)
+// without materializing, sorting or merging anything. Aggregate's folds
+// matches into per-group partials and answers cold files and chunks from
+// their stats under the rules of the next section. View backfill, the
+// one-bucket boundary rescan and the checkpoint tail fold (the seq floor:
+// only events a checkpoint has not seen, files it covers skipped whole,
+// no statistics trusted) run the same kernel with the aggregate visitor
+// under the write lock they already hold. QueryStats reports the walk:
+// segments scanned and pruned, cache hits and misses, files and chunks
+// answered from stats, columns skipped and bytes decoded.
 //
 // # Aggregate pushdown
 //

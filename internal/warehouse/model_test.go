@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -41,6 +42,9 @@ const (
 	opAppend mopKind = iota
 	opAppendBatch
 	opSelect
+	// opCount draws from the same generator as opSelect, Cond and Limit
+	// included, so the count visitor's own Cond evaluation and Limit cap are
+	// checked against the model on every config.
 	opCount
 	// opAggregate pushes a randomized aggregation (function × group-by ×
 	// bucket × filter) down into the warehouse and checks the rows against
@@ -545,7 +549,7 @@ func runOps(cfg Config, mops []mop) string {
 			m.append(op.tuples...)
 			advanceClock(op.tuples)
 		case opSelect:
-			got, err := w.Select(op.q)
+			got, _, err := w.Select(context.Background(), op.q)
 			if err != nil {
 				return fmt.Sprintf("op %d %s: %v", i, op, err)
 			}
@@ -553,7 +557,7 @@ func runOps(cfg Config, mops []mop) string {
 				return fmt.Sprintf("op %d %s: %s", i, op, diff)
 			}
 		case opCount:
-			got, err := w.Count(op.q)
+			got, _, err := w.Count(context.Background(), op.q)
 			if err != nil {
 				return fmt.Sprintf("op %d %s: %v", i, op, err)
 			}
@@ -561,7 +565,7 @@ func runOps(cfg Config, mops []mop) string {
 				return fmt.Sprintf("op %d %s: count = %d, model = %d", i, op, got, want)
 			}
 		case opAggregate:
-			got, _, err := w.Aggregate(op.aq)
+			got, _, err := w.Aggregate(context.Background(), op.aq)
 			if err != nil {
 				return fmt.Sprintf("op %d %s: %v", i, op, err)
 			}
@@ -642,7 +646,7 @@ func runOps(cfg Config, mops []mop) string {
 				return fmt.Sprintf("after op %d %s: view %d Rows: %v", i, op, vi, err)
 			}
 			if diff := diffAggRows(got, m.aggregate(lv.aq, modelNow())); diff != "" {
-				live, _, aerr := w.Aggregate(lv.aq)
+				live, _, aerr := w.Aggregate(context.Background(), lv.aq)
 				liveDiff := "aggregate matches view"
 				if aerr != nil {
 					liveDiff = fmt.Sprintf("aggregate err %v", aerr)

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -54,11 +55,11 @@ func ingestMixed(t *testing.T, w *Warehouse, n int) []*stt.Tuple {
 // event (Seq, time, payload).
 func sameSelect(t *testing.T, got, want *Warehouse, q Query) {
 	t.Helper()
-	gevs, err := got.Select(q)
+	gevs, _, err := got.Select(context.Background(), q)
 	if err != nil {
 		t.Fatalf("select: %v", err)
 	}
-	wevs, err := want.Select(q)
+	wevs, _, err := want.Select(context.Background(), q)
 	if err != nil {
 		t.Fatalf("reference select: %v", err)
 	}
@@ -133,11 +134,11 @@ func TestSpilledEqualsInMemory(t *testing.T) {
 	}
 	for _, q := range queriesOver() {
 		sameSelect(t, durable, mem, q)
-		gn, err := durable.Count(q)
+		gn, _, err := durable.Count(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wn, err := mem.Count(q)
+		wn, _, err := mem.Count(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +149,7 @@ func TestSpilledEqualsInMemory(t *testing.T) {
 
 	// Envelope pruning still applies to spilled segments: a narrow window
 	// over a wide history must not open most files.
-	_, qs, err := durable.SelectWithStats(Query{From: t0.Add(8 * time.Hour), To: t0.Add(8*time.Hour + 10*time.Minute)})
+	_, qs, err := durable.Select(context.Background(), Query{From: t0.Add(8 * time.Hour), To: t0.Add(8*time.Hour + 10*time.Minute)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestCrashRecoveryRecoversEverything(t *testing.T) {
 	if err := re.Append(wTuple(1000*time.Minute, 21, "umeda", 34.7, 135.5)); err != nil {
 		t.Fatal(err)
 	}
-	evs, err := re.Select(Query{Sources: []string{"umeda"}})
+	evs, _, err := re.Select(context.Background(), Query{Sources: []string{"umeda"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestRetentionSurvivesCrash(t *testing.T) {
 	w.SetRetention(150)
 	ingestMixed(t, w, 600)
 	beforeLen := w.Len()
-	evs, err := w.Select(Query{})
+	evs, _, err := w.Select(context.Background(), Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestRetentionSurvivesCrash(t *testing.T) {
 	if re.Len() != beforeLen {
 		t.Fatalf("recovered Len = %d, want %d (no resurrection)", re.Len(), beforeLen)
 	}
-	revs, err := re.Select(Query{})
+	revs, _, err := re.Select(context.Background(), Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +339,7 @@ func TestRetentionDeletesColdFilesWhole(t *testing.T) {
 		t.Fatalf("Len = %d after retention", w.Len())
 	}
 	// Queries still work over the surviving mixed history.
-	if _, err := w.Select(Query{}); err != nil {
+	if _, _, err := w.Select(context.Background(), Query{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -359,14 +360,14 @@ func TestColdCacheServesRepeatQueries(t *testing.T) {
 	}
 
 	q := Query{From: t0, To: t0.Add(4 * time.Hour)}
-	first, qs1, err := w.SelectWithStats(q)
+	first, qs1, err := w.Select(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if qs1.ColdCacheMisses == 0 {
 		t.Fatalf("cold first pass reported no chunk misses: %+v", qs1)
 	}
-	second, qs2, err := w.SelectWithStats(q)
+	second, qs2, err := w.Select(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +398,7 @@ func TestColdCacheServesRepeatQueries(t *testing.T) {
 	defer off.Close()
 	ingestMixed(t, off, 600)
 	off.DrainSpills()
-	evs, qs, err := off.SelectWithStats(q)
+	evs, qs, err := off.Select(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +554,7 @@ func TestCrashedCompactionAfterVictimDeletedByCut(t *testing.T) {
 	if got := w.Len(); got != len(v2) {
 		t.Fatalf("Len = %d after recovery, want %d (V2's survivors once)", got, len(v2))
 	}
-	evs, err := w.Select(Query{})
+	evs, _, err := w.Select(context.Background(), Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +574,7 @@ func TestCrashedCompactionAfterVictimDeletedByCut(t *testing.T) {
 // maxSelectSeq returns the highest Seq among all live events.
 func maxSelectSeq(t *testing.T, w *Warehouse) uint64 {
 	t.Helper()
-	evs, err := w.Select(Query{})
+	evs, _, err := w.Select(context.Background(), Query{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,350 @@
+package warehouse
+
+import (
+	"context"
+
+	"streamloader/internal/obs"
+	"streamloader/internal/persist"
+)
+
+// scanPlan is what one shard-local scan evaluates: the query (window,
+// filters, Cond; Limit is the visitor's business) plus how to read it.
+type scanPlan struct {
+	Query
+	// proj names the columns the visitor and the filter read off a cold
+	// event; on v3 files nothing else is decoded.
+	proj persist.Projection
+	// minSeq restricts the scan to events with Seq >= minSeq — the view
+	// checkpoint's tail fold; set it through after. Header, chunk and index
+	// statistics know nothing of seqs, so a positive floor also makes every
+	// shortcut illegal.
+	minSeq uint64
+}
+
+// after returns the plan restricted to the events with Seq > seqHi; telling
+// them apart needs the seq column.
+func (pl scanPlan) after(seqHi uint64) scanPlan {
+	pl.minSeq = seqHi + 1
+	pl.proj.Mask |= persist.ColSeq
+	return pl
+}
+
+// projection names the columns matchEvent reads for this query: the time
+// always, geo only under a Region, theme and source only when filtered on.
+// A payload condition reads everything — it can reference any field.
+func (q *Query) projection() persist.Projection {
+	if q.Cond != "" {
+		return persist.FullProjection
+	}
+	proj := persist.Projection{Mask: persist.ColTime}
+	if q.Region != nil {
+		proj.Mask |= persist.ColGeo
+	}
+	if len(q.Themes) > 0 {
+		proj.Mask |= persist.ColTheme
+	}
+	if len(q.Sources) > 0 {
+		proj.Mask |= persist.ColSource
+	}
+	return proj
+}
+
+// visitor is what a scan feeds: select collects, count counts, aggregate
+// folds. The three shortcuts let a visitor answer a whole unit from
+// statistics instead of its events — true means answered, and the kernel
+// moves on without reading the unit.
+type visitor interface {
+	// file may answer a whole cold file from its envelope and header counts.
+	file(cs *coldSegment) (bool, error)
+	// chunk may answer chunk k of a cold file, event ordinals [start, end),
+	// from its sparse-index stats.
+	chunk(cs *coldSegment, k, start, end int) (bool, error)
+	// segment may answer an in-memory segment from its indexes.
+	segment(g *segment) bool
+	// event takes one matching event.
+	event(ev Event) error
+	// done finishes the shard-local result once the scan succeeded and
+	// reports its size (the shard span's "events" attribute).
+	done() int
+}
+
+// noShortcuts is embedded by visitors that lack some or all shortcuts.
+type noShortcuts struct{}
+
+func (noShortcuts) file(*coldSegment) (bool, error)                 { return false, nil }
+func (noShortcuts) chunk(*coldSegment, int, int, int) (bool, error) { return false, nil }
+func (noShortcuts) segment(*segment) bool                           { return false }
+
+// scanner is the state of one shard-local scan.
+type scanner struct {
+	pl    *scanPlan
+	v     visitor
+	conds condCache
+	qs    QueryStats
+}
+
+// scan is the one walk every query, view backfill and checkpoint tail fold
+// takes through a shard: segments whose time envelope misses the window are
+// pruned without touching an index or opening a file; a surviving cold file
+// is offered to the visitor whole, then chunk by chunk, and only the runs
+// of chunks left unanswered are read back, with the plan's projection, and
+// filtered exactly; a surviving in-memory segment is offered whole, then
+// walked over its cheapest index. Visit order is fixed — cold files oldest
+// first, chunks in file order, then segments in creation order — so float
+// partials fold in the same order run to run. The context is checked before
+// each file and segment. Caller holds s.mu; read suffices.
+func (s *shard) scan(ctx context.Context, pl *scanPlan, v visitor) (QueryStats, error) {
+	sc := scanner{pl: pl, v: v, conds: condCache{}}
+	for _, cs := range s.cold {
+		if err := ctx.Err(); err != nil {
+			return sc.qs, err
+		}
+		if cs.prunedBy(pl.From, pl.To) || cs.seqHi < pl.minSeq {
+			sc.qs.SegmentsPruned++
+			continue
+		}
+		sc.qs.SegmentsScanned++
+		if err := sc.cold(cs); err != nil {
+			return sc.qs, err
+		}
+	}
+	for _, seg := range s.segs {
+		if err := ctx.Err(); err != nil {
+			return sc.qs, err
+		}
+		if seg.prunedBy(pl.From, pl.To) {
+			sc.qs.SegmentsPruned++
+			continue
+		}
+		sc.qs.SegmentsScanned++
+		if pl.minSeq == 0 && v.segment(seg) {
+			continue
+		}
+		for _, ord := range seg.candidateSet(pl.Query) {
+			if err := sc.visit(seg.events[ord]); err != nil {
+				return sc.qs, err
+			}
+		}
+	}
+	return sc.qs, nil
+}
+
+// cold walks one cold file that survived envelope pruning.
+func (sc *scanner) cold(cs *coldSegment) error {
+	pl, info := sc.pl, cs.info
+	shortcuts := pl.minSeq == 0
+	if shortcuts {
+		answered, err := sc.v.file(cs)
+		if err != nil {
+			return err
+		}
+		if answered {
+			sc.qs.ColdHeaderOnly++
+			return nil
+		}
+	}
+	if cs.loaded != nil {
+		// A retention cut already paid for the full load.
+		for _, ev := range cs.loaded {
+			if err := sc.visit(ev); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	lo, hi := info.WindowPositions(pl.From, pl.To)
+	lo = max(lo, cs.skip)
+	if lo >= hi {
+		return nil
+	}
+	// A select wants whole rows; when a column filter can reject events on
+	// its own, a v3 file decodes only the filter's columns first and whole
+	// rows only where something matched.
+	read := sc.readRun
+	if pl.proj == persist.FullProjection && pl.Cond == "" && info.Version >= persist.SegmentV3 &&
+		(len(pl.Themes) > 0 || len(pl.Sources) > 0 || pl.Region != nil) {
+		read = sc.readMatchingRuns
+	}
+	// Chunks the visitor answers from stats split the window into runs; a
+	// run is read as one stretch, in order, so the fold order is that of
+	// decoding everything.
+	runStart := -1
+	for k := 0; k < info.NumChunks(); k++ {
+		start, end := info.ChunkRange(k)
+		if end <= lo {
+			continue
+		}
+		if start >= hi {
+			break
+		}
+		answered := false
+		if shortcuts {
+			var err error
+			if answered, err = sc.v.chunk(cs, k, start, end); err != nil {
+				return err
+			}
+		}
+		if !answered {
+			if runStart < 0 {
+				runStart = max(start, lo)
+			}
+			continue
+		}
+		sc.qs.ColdChunkStats++
+		if runStart >= 0 {
+			if err := read(cs, runStart, start); err != nil {
+				return err
+			}
+			runStart = -1
+		}
+	}
+	if runStart >= 0 {
+		return read(cs, runStart, hi)
+	}
+	return nil
+}
+
+// readRun decodes event ordinals [a, b) of a cold file — the plan's
+// projected columns on v3, whole events on v1/v2 — and visits each.
+func (sc *scanner) readRun(cs *coldSegment, a, b int) error {
+	pes, err := sc.read(cs, a, b, sc.pl.proj)
+	if err != nil {
+		return err
+	}
+	for _, pe := range pes {
+		if err := sc.visit(Event(pe)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readMatchingRuns is readRun in two phases: decode only the filter's
+// columns of [a, b), then readRun the stretches holding a match. Matching
+// ordinals closer than gap coalesce into one stretch: a break costs a
+// chunk-cache lookup, not a pread.
+func (sc *scanner) readMatchingRuns(cs *coldSegment, a, b int) error {
+	const gap = 32
+	pes, err := sc.read(cs, a, b, sc.pl.projection())
+	if err != nil {
+		return err
+	}
+	runStart, runEnd := 0, 0
+	for i, pe := range pes {
+		if ok, _ := matchEvent(Event(pe), &sc.pl.Query, nil); !ok { // Cond is empty here
+			continue
+		}
+		ord := a + i
+		if runEnd > runStart && ord-runEnd <= gap {
+			runEnd = ord + 1
+			continue
+		}
+		if err := sc.readRun(cs, runStart, runEnd); err != nil {
+			return err
+		}
+		runStart, runEnd = ord, ord+1
+	}
+	return sc.readRun(cs, runStart, runEnd)
+}
+
+// read is the one place a query touches a cold file's event block, through
+// the warehouse chunk cache when one is configured.
+func (sc *scanner) read(cs *coldSegment, a, b int, proj persist.Projection) ([]persist.Event, error) {
+	if a >= b {
+		return nil, nil
+	}
+	t0 := cs.readHist.Start()
+	pes, rs, err := cs.info.ReadRangeProjected(cs.cache, a, b, proj)
+	cs.readHist.Since(t0)
+	sc.qs.ColdCacheHits += rs.CacheHits
+	sc.qs.ColdCacheMisses += rs.CacheMisses
+	sc.qs.ColdColumnsSkipped += rs.ColumnsSkipped
+	sc.qs.ColdBytesDecoded += rs.BytesDecoded
+	return pes, err
+}
+
+// visit filters one candidate exactly and hands a match to the visitor.
+func (sc *scanner) visit(ev Event) error {
+	if ev.Seq < sc.pl.minSeq {
+		return nil
+	}
+	ok, err := matchEvent(ev, &sc.pl.Query, sc.conds)
+	if err != nil || !ok {
+		return err
+	}
+	return sc.v.event(ev)
+}
+
+// add folds one shard's counters into the query total.
+func (qs *QueryStats) add(o QueryStats) {
+	qs.SegmentsScanned += o.SegmentsScanned
+	qs.SegmentsPruned += o.SegmentsPruned
+	qs.ColdCacheHits += o.ColdCacheHits
+	qs.ColdCacheMisses += o.ColdCacheMisses
+	qs.ColdHeaderOnly += o.ColdHeaderOnly
+	qs.ColdChunkStats += o.ColdChunkStats
+	qs.ColdColumnsSkipped += o.ColdColumnsSkipped
+	qs.ColdBytesDecoded += o.ColdBytesDecoded
+}
+
+// scanShards is the fan-out the three query entry points share: one fresh
+// visitor per shard the query routes to, scanned concurrently under each
+// shard's read lock, with a "shard" span each when ctx carries a trace. The
+// visitors come back in shard order, so merges are deterministic.
+func scanShards[V visitor](ctx context.Context, w *Warehouse, pl *scanPlan, newVisitor func() V) ([]V, QueryStats, error) {
+	tr := obs.TraceFrom(ctx)
+	shards := w.routedShards(pl.Query)
+	vs := make([]V, len(shards))
+	stats := make([]QueryStats, len(shards))
+	errs := make([]error, len(shards))
+	forEachShard(shards, func(i int, s *shard) {
+		sp := tr.Start("shard")
+		sp.SetInt("shard", int64(s.idx))
+		vs[i] = newVisitor()
+		s.mu.RLock()
+		stats[i], errs[i] = s.scan(ctx, pl, vs[i])
+		s.mu.RUnlock()
+		events := 0
+		if errs[i] == nil {
+			events = vs[i].done()
+		}
+		endShardSpan(sp, stats[i], events)
+	})
+	var qs QueryStats
+	for _, st := range stats {
+		qs.add(st)
+	}
+	w.chunkStatsHits.Add(uint64(qs.ColdChunkStats))
+	w.columnsSkipped.Add(uint64(qs.ColdColumnsSkipped))
+	for _, err := range errs {
+		if err != nil {
+			return nil, qs, err
+		}
+	}
+	return vs, qs, nil
+}
+
+// endShardSpan closes a per-shard span with the shard's scan telemetry.
+func endShardSpan(sp *obs.Span, qs QueryStats, events int) {
+	if sp == nil {
+		return
+	}
+	sp.SetInt("events", int64(events))
+	sp.SetInt("segments_scanned", int64(qs.SegmentsScanned))
+	sp.SetInt("segments_pruned", int64(qs.SegmentsPruned))
+	sp.SetInt("cold_cache_hits", int64(qs.ColdCacheHits))
+	sp.SetInt("cold_cache_misses", int64(qs.ColdCacheMisses))
+	if qs.ColdHeaderOnly > 0 {
+		sp.SetInt("cold_header_only", int64(qs.ColdHeaderOnly))
+	}
+	if qs.ColdChunkStats > 0 {
+		sp.SetInt("cold_chunk_stats_hits", int64(qs.ColdChunkStats))
+	}
+	if qs.ColdColumnsSkipped > 0 {
+		sp.SetInt("cold_columns_skipped", int64(qs.ColdColumnsSkipped))
+	}
+	if qs.ColdBytesDecoded > 0 {
+		sp.SetInt("cold_bytes_decoded", qs.ColdBytesDecoded)
+	}
+	sp.End()
+}

@@ -137,14 +137,13 @@ func (g *segment) timeBounds(from, to time.Time) (int, int) {
 }
 
 // candidateSet picks the cheapest index for the query and returns candidate
-// ordinals. Caller holds the shard read lock.
+// ordinals: every event when no index applies, none when an index proves
+// the segment holds no match. Caller holds the shard read lock.
 func (g *segment) candidateSet(q Query) []int {
-	best := []int(nil)
-	bestN := len(g.events) + 1
-
+	best, indexed := g.byTime, false
 	consider := func(ords []int) {
-		if len(ords) < bestN {
-			best, bestN = ords, len(ords)
+		if !indexed || len(ords) < len(best) {
+			best, indexed = ords, true
 		}
 	}
 	if len(q.Themes) > 0 {
@@ -184,9 +183,6 @@ func (g *segment) candidateSet(q Query) []int {
 	if !q.From.IsZero() || !q.To.IsZero() {
 		lo, hi := g.timeBounds(q.From, q.To)
 		consider(g.byTime[lo:hi])
-	}
-	if best == nil {
-		return g.byTime
 	}
 	return best
 }

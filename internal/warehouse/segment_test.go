@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -34,7 +35,7 @@ func TestSegmentRotationBySpan(t *testing.T) {
 	if st.Segments < 9 || st.Segments > 11 {
 		t.Errorf("Segments = %d, want ~10", st.Segments)
 	}
-	evs, err := w.Select(Query{})
+	evs, _, err := w.Select(context.Background(), Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestStragglersLandInSideSegment(t *testing.T) {
 		t.Errorf("Segments = %d after straggler, want %d", got, base+1)
 	}
 	// The straggler is queryable and sorts first.
-	evs, err := w.Select(Query{})
+	evs, _, err := w.Select(context.Background(), Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestStragglersLandInSideSegment(t *testing.T) {
 			len(evs), evs[0].Tuple.Source)
 	}
 	// A query over recent history must not scan the straggler's segment.
-	_, qs, err := w.SelectWithStats(Query{From: t0, To: t0.Add(25 * time.Minute)})
+	_, qs, err := w.Select(context.Background(), Query{From: t0, To: t0.Add(25 * time.Minute)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestStragglersLandInSideSegment(t *testing.T) {
 func TestNarrowSelectPrunesSegments(t *testing.T) {
 	w := NewWithConfig(Config{Shards: 1, SegmentEvents: 100, SegmentSpan: 24 * 365 * time.Hour})
 	loadOrdered(t, w, 10_000) // ~100 segments over ~7 days
-	evs, qs, err := w.SelectWithStats(Query{
+	evs, qs, err := w.Select(context.Background(), Query{
 		From: t0.Add(5000 * time.Minute),
 		To:   t0.Add(5100 * time.Minute),
 	})
@@ -117,7 +118,7 @@ func TestRetentionDropsWholeSegments(t *testing.T) {
 		t.Errorf("Len = %d, want 300", w.Len())
 	}
 	// Exactly the globally-oldest were dropped: survivors start at minute 700.
-	evs, err := w.Select(Query{})
+	evs, _, err := w.Select(context.Background(), Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,15 +151,15 @@ func TestCountFastPath(t *testing.T) {
 		{Themes: []string{"weather"}},
 		{Sources: []string{"cnt-1", "cnt-3"}, From: t0.Add(time.Hour), To: t0.Add(6 * time.Hour)},
 		{Region: &region},
-		{Cond: "temperature > 20"},                   // falls back to Select
-		{From: t0.Add(time.Hour), Limit: 7},          // falls back to Select
+		{Cond: "temperature > 20"},                   // counted event by event
+		{From: t0.Add(time.Hour), Limit: 7},          // capped at the limit
 		{From: t0.Add(800 * time.Minute), Limit: 10}, // empty window
 	} {
-		evs, err := w.Select(q)
+		evs, _, err := w.Select(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := w.Count(q)
+		n, _, err := w.Count(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +168,7 @@ func TestCountFastPath(t *testing.T) {
 		}
 	}
 	// Sanity: the time-only count really covers everything.
-	if n, _ := w.Count(Query{}); n != 800 {
+	if n, _, _ := w.Count(context.Background(), Query{}); n != 800 {
 		t.Errorf("Count{} = %d, want 800", n)
 	}
 }
@@ -190,14 +191,14 @@ func TestSegmentTrimKeepsIndexes(t *testing.T) {
 		t.Fatalf("Len = %d, want 60", w.Len())
 	}
 	// Theme, source and time indexes all consistent post-trim.
-	n, err := w.Count(Query{Sources: []string{"trim-1"}})
+	n, _, err := w.Count(context.Background(), Query{Sources: []string{"trim-1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 15 { // survivors are minutes 40..99; 15 of them are i%4==1
 		t.Errorf("source count after trim = %d, want 15", n)
 	}
-	evs, err := w.Select(Query{Themes: []string{"weather"}, Cond: "temperature > 89"})
+	evs, _, err := w.Select(context.Background(), Query{Themes: []string{"weather"}, Cond: "temperature > 89"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,4 +214,26 @@ func TestSegmentTrimKeepsIndexes(t *testing.T) {
 func regionAround(lat, lon float64) geo.Rect {
 	return geo.NewRect(geo.Point{Lat: lat - 0.05, Lon: lon - 0.05},
 		geo.Point{Lat: lat + 0.05, Lon: lon + 0.05})
+}
+
+// TestCandidateSetProvesAbsence: an index that holds no entry for what the
+// query asks proves the segment has no match — the candidate set is empty,
+// not the whole time index "no applicable index" falls back to.
+func TestCandidateSetProvesAbsence(t *testing.T) {
+	g := newSegment()
+	for i := 0; i < 100; i++ {
+		g.append(Event{Seq: uint64(i), Tuple: wTuple(time.Duration(i)*time.Second, 20, "seg-src", 34.7, 135.5)})
+	}
+	for name, q := range map[string]Query{
+		"absent source":           {Sources: []string{"nobody"}},
+		"absent theme":            {Themes: []string{"social"}},
+		"absent source in window": {Sources: []string{"nobody"}, From: t0.Add(10 * time.Second), To: t0.Add(15 * time.Second)},
+	} {
+		if n := len(g.candidateSet(q)); n != 0 {
+			t.Errorf("%s: %d candidates, want 0", name, n)
+		}
+	}
+	if n := len(g.candidateSet(Query{})); n != 100 {
+		t.Errorf("unconstrained: %d candidates, want 100", n)
+	}
 }

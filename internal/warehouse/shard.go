@@ -3,7 +3,6 @@ package warehouse
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -77,28 +76,8 @@ type shard struct {
 	tapScratch [1]Event
 }
 
-// segScan counts how segment pruning — and, for cold segments, the chunk
-// cache, projected column decode, and the aggregate header and chunk-stats
-// fast paths — served one shard-local query.
-type segScan struct {
-	scanned, pruned        int
-	cacheHits, cacheMisses int
-	headerOnly             int
-	chunkStats             int
-	columnsSkipped         int
-	bytesDecoded           int64
-}
-
-// addRead folds one cold read's stats into the scan.
-func (sc *segScan) addRead(rs persist.ReadStats) {
-	sc.cacheHits += rs.CacheHits
-	sc.cacheMisses += rs.CacheMisses
-	sc.columnsSkipped += rs.ColumnsSkipped
-	sc.bytesDecoded += rs.BytesDecoded
-}
-
 // condCache caches per-schema compilations of a query's Cond across the
-// segments one shard-local scan visits.
+// events one scan (or one view tap) filters.
 type condCache = map[*stt.Schema]*expr.Compiled
 
 func newShard(lim segLimits) *shard {
@@ -323,60 +302,9 @@ func (s *shard) spillSnapshotLocked(seg *segment) []persist.Event {
 	return events
 }
 
-// selectQ evaluates the query against this shard, returning events in
-// (event time, Seq) order, capped at q.Limit when set. Segments whose time
-// envelope misses the query window are pruned without touching any index —
-// or, for spilled segments, without opening the file; a cold segment that
-// survives pruning has only its window-overlapping chunks read back and
-// linearly filtered.
-func (s *shard) selectQ(q Query) ([]Event, segScan, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-
-	var sc segScan
-	conds := condCache{}
-	var out []Event
-	for _, cs := range s.cold {
-		if cs.prunedBy(q.From, q.To) {
-			sc.pruned++
-			continue
-		}
-		sc.scanned++
-		var err error
-		if out, err = cs.selectWindow(q, conds, out, &sc); err != nil {
-			return nil, sc, err
-		}
-	}
-	for _, seg := range s.segs {
-		if seg.prunedBy(q.From, q.To) {
-			sc.pruned++
-			continue
-		}
-		sc.scanned++
-		for _, ord := range seg.candidateSet(q) {
-			ev := seg.events[ord]
-			ok, err := matchEvent(ev, q, conds)
-			if err != nil {
-				return nil, sc, err
-			}
-			if ok {
-				out = append(out, ev)
-			}
-		}
-	}
-	slices.SortStableFunc(out, eventCompare)
-	// The globally-earliest Limit events are contained in the union of each
-	// shard's earliest Limit matches, so capping here is safe and keeps the
-	// merge cost bounded.
-	if q.Limit > 0 && len(out) > q.Limit {
-		out = out[:q.Limit]
-	}
-	return out, sc, nil
-}
-
 // matchEvent applies every query constraint to one event; conds caches the
 // per-schema compilation of q.Cond across segments.
-func matchEvent(ev Event, q Query, conds map[*stt.Schema]*expr.Compiled) (bool, error) {
+func matchEvent(ev Event, q *Query, conds condCache) (bool, error) {
 	t := ev.Tuple
 	if !q.From.IsZero() && t.Time.Before(q.From) {
 		return false, nil
@@ -418,74 +346,6 @@ func matchEvent(ev Event, q Query, conds map[*stt.Schema]*expr.Compiled) (bool, 
 		}
 	}
 	return true, nil
-}
-
-// countQ counts the matching events without materializing or sorting them.
-// Time-only queries touch as few events as possible: pruned segments are
-// skipped, fully-covered segments (in memory or on disk) contribute their
-// count outright, partially-covered in-memory segments a binary-searched
-// slice of their time index, and only a partially-covered cold segment
-// reads its boundary chunks back. Only valid for queries without Cond or
-// Limit.
-func (s *shard) countQ(q Query) (int, segScan, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-
-	var sc segScan
-	n := 0
-	timeOnly := q.Region == nil && len(q.Themes) == 0 && len(q.Sources) == 0
-	for _, cs := range s.cold {
-		if cs.prunedBy(q.From, q.To) {
-			sc.pruned++
-			continue
-		}
-		sc.scanned++
-		if timeOnly && cs.coveredBy(q.From, q.To) {
-			n += cs.count
-			continue
-		}
-		// A count never returns events, so only the filter columns need to
-		// decode (v3 files; v1/v2 fall through to a full read).
-		proj := persist.Projection{Mask: persist.ColTime}
-		if len(q.Themes) > 0 {
-			proj.Mask |= persist.ColTheme
-		}
-		if len(q.Sources) > 0 {
-			proj.Mask |= persist.ColSource
-		}
-		if q.Region != nil {
-			proj.Mask |= persist.ColGeo
-		}
-		evs, rs, err := cs.readWindowProjected(q.From, q.To, proj)
-		if err != nil {
-			return 0, sc, err
-		}
-		sc.addRead(rs)
-		for _, ev := range evs {
-			// q.Cond is empty here, so matchEvent cannot fail.
-			if ok, _ := matchEvent(ev, q, nil); ok {
-				n++
-			}
-		}
-	}
-	for _, seg := range s.segs {
-		if seg.prunedBy(q.From, q.To) {
-			sc.pruned++
-			continue
-		}
-		sc.scanned++
-		if timeOnly {
-			lo, hi := seg.timeBounds(q.From, q.To)
-			n += hi - lo
-			continue
-		}
-		for _, ord := range seg.candidateSet(q) {
-			if ok, _ := matchEvent(seg.events[ord], q, nil); ok {
-				n++
-			}
-		}
-	}
-	return n, sc, nil
 }
 
 // stats folds this shard's contribution into st under the shard's own

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -113,7 +114,7 @@ func TestSpillStress(t *testing.T) {
 				default:
 				}
 				from := t0.Add(time.Duration(n%20) * 30 * time.Minute)
-				evs, err := w.Select(Query{From: from, To: from.Add(4 * time.Hour)})
+				evs, _, err := w.Select(context.Background(), Query{From: from, To: from.Add(4 * time.Hour)})
 				if err != nil {
 					t.Error(err)
 					return
@@ -130,7 +131,7 @@ func TestSpillStress(t *testing.T) {
 						return
 					}
 				}
-				if _, err := w.Count(Query{From: from, To: from.Add(time.Hour)}); err != nil {
+				if _, _, err := w.Count(context.Background(), Query{From: from, To: from.Add(time.Hour)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -202,7 +203,7 @@ func TestSpillStress(t *testing.T) {
 	if got := int(w.Evicted()) + w.Len(); got != writers*perWriter {
 		t.Errorf("evicted + len = %d, want %d", got, writers*perWriter)
 	}
-	evs, err := w.Select(Query{})
+	evs, _, err := w.Select(context.Background(), Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestSpillStress(t *testing.T) {
 	}
 	// Repeat the full select: the second pass rides the chunk cache and
 	// must be byte-identical.
-	again, err := w.Select(Query{})
+	again, _, err := w.Select(context.Background(), Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestSpillStress(t *testing.T) {
 	if re.Len() != beforeLen {
 		t.Fatalf("recovered Len = %d, want %d", re.Len(), beforeLen)
 	}
-	revs, err := re.Select(Query{})
+	revs, _, err := re.Select(context.Background(), Query{})
 	if err != nil {
 		t.Fatal(err)
 	}

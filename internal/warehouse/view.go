@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -8,10 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"streamloader/internal/expr"
 	"streamloader/internal/ops"
 	"streamloader/internal/partial"
-	"streamloader/internal/stt"
 )
 
 // This file implements materialized aggregate views: standing AggQuery
@@ -163,7 +162,7 @@ type viewPart struct {
 	store *partial.Store
 	// conds caches the view's compiled payload condition per schema, like
 	// a query-local cache but living as long as the view.
-	conds map[*stt.Schema]*expr.Compiled
+	conds condCache
 }
 
 // onCommit folds one committed batch into the shard's partial frames.
@@ -174,22 +173,18 @@ func (p *viewPart) onCommit(w *Warehouse, s *shard, evs []Event) {
 	v := p.v
 	matched := 0
 	p.mu.Lock()
+	fold := aggVisitor{p: &v.plan, store: p.store}
 	for _, ev := range evs {
-		ok, err := matchEvent(ev, v.plan.Query, p.conds)
+		ok, err := matchEvent(ev, &v.plan.Query, p.conds)
+		if err == nil && ok {
+			err = fold.event(ev)
+			matched++
+		}
 		if err != nil {
 			p.mu.Unlock()
 			v.fail(err)
 			return
 		}
-		if !ok {
-			continue
-		}
-		if !v.plan.accumulateStore(p.store, ev.Tuple) {
-			p.mu.Unlock()
-			v.fail(errAggGroups)
-			return
-		}
-		matched++
 	}
 	p.mu.Unlock()
 	if matched > 0 {
@@ -370,7 +365,7 @@ func (w *Warehouse) RegisterView(q AggQuery, policy ops.UpdatePolicy) (*View, er
 		v.parts[i] = &viewPart{
 			v:     v,
 			store: partial.NewStore(p.Bucket),
-			conds: map[*stt.Schema]*expr.Compiled{},
+			conds: condCache{},
 		}
 	}
 	v.dirty.Store(true)
@@ -556,55 +551,21 @@ func (v *View) refreshLocked() error {
 }
 
 // rebuildLocked re-derives every shard's partials from a fresh scan; the
-// caller holds refreshMu. Per shard, one write-lock critical section
-// detaches the tap, scans (aggLocked), installs the result and re-attaches
-// — so no commit lands in both the scan and the tap, and none lands in
-// neither. The dirty flag clears before scanning: a cut racing the rebuild
-// re-marks it and the caller's loop goes again.
+// caller holds refreshMu. The dirty flag clears before scanning: a cut
+// racing the rebuild re-marks it and the caller's loop goes again.
 func (v *View) rebuildLocked() error {
-	t0 := v.w.met.viewRebuild.Start()
-	defer v.w.met.viewRebuild.Since(t0)
 	v.dirty.Store(false)
-	for i, s := range v.w.shards {
-		p := v.parts[i]
-		s.mu.Lock()
-		s.detachTapLocked(p)
-		stopped := false
-		select {
-		case <-v.stopc:
-			stopped = true
-		default:
-		}
-		if stopped {
-			// Teardown won the race; do not re-attach behind its back.
-			s.mu.Unlock()
-			return ErrViewClosed
-		}
-		acc, _, err := s.aggLocked(&v.plan)
-		if err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		p.mu.Lock()
+	return v.rescanLocked(&v.plan, func(p *viewPart, acc map[partial.Key]*partial.State) {
 		p.store = partial.FromFlat(v.plan.Bucket, acc)
-		p.mu.Unlock()
-		s.attachTapLocked(p)
-		s.mu.Unlock()
-	}
-	v.mutations.Add(1)
-	return nil
+	})
 }
 
 // rescanFrameLocked re-derives one frame — the bucket a retention cut
-// partially evicted — from a window-restricted scan, per shard under the
-// same detach-scan-install-attach critical section rebuildLocked uses.
-// The scan is bounded to [start, start+bucket), so a MIN/MAX view pays
-// one bucket's worth of re-reading instead of a history rescan. The
-// caller holds refreshMu.
+// partially evicted — from a scan bounded to [start, start+bucket), so a
+// MIN/MAX view pays one bucket's worth of re-reading instead of a history
+// rescan. The caller holds refreshMu.
 func (v *View) rescanFrameLocked(start time.Time) error {
 	v.w.viewBoundaryRescans.Add(1)
-	t0 := v.w.met.viewRebuild.Start()
-	defer v.w.met.viewRebuild.Since(t0)
 	q := v.plan
 	q.From, q.To = start, start.Add(v.plan.Bucket)
 	if !v.plan.From.IsZero() && v.plan.From.After(q.From) {
@@ -613,27 +574,40 @@ func (v *View) rescanFrameLocked(start time.Time) error {
 	if !v.plan.To.IsZero() && v.plan.To.Before(q.To) {
 		q.To = v.plan.To
 	}
+	return v.rescanLocked(&q, func(p *viewPart, acc map[partial.Key]*partial.State) {
+		p.store.ReplaceFrame(start, acc)
+	})
+}
+
+// rescanLocked scans every shard with ap — the view's plan, or that plan
+// narrowed to one bucket — and hands each shard's groups to install (under
+// the part's lock). Per shard, one write-lock critical section detaches the
+// tap, scans, installs and re-attaches — so no commit lands in both the
+// scan and the tap, and none lands in neither. The scan is not
+// interruptible: stopping a backfill on teardown comes with moving it off
+// the lock. The caller holds refreshMu.
+func (v *View) rescanLocked(ap *aggPlan, install func(*viewPart, map[partial.Key]*partial.State)) error {
+	t0 := v.w.met.viewRebuild.Start()
+	defer v.w.met.viewRebuild.Since(t0)
+	pl := ap.scanPlan()
 	for i, s := range v.w.shards {
 		p := v.parts[i]
 		s.mu.Lock()
 		s.detachTapLocked(p)
-		stopped := false
 		select {
 		case <-v.stopc:
-			stopped = true
-		default:
-		}
-		if stopped {
+			// Teardown won the race; do not re-attach behind its back.
 			s.mu.Unlock()
 			return ErrViewClosed
+		default:
 		}
-		acc, _, err := s.aggLocked(&q)
-		if err != nil {
+		fold := aggVisitor{p: ap, flat: map[partial.Key]*partial.State{}}
+		if _, err := s.scan(context.Background(), &pl, &fold); err != nil {
 			s.mu.Unlock()
 			return err
 		}
 		p.mu.Lock()
-		p.store.ReplaceFrame(start, acc)
+		install(p, fold.flat)
 		p.mu.Unlock()
 		s.attachTapLocked(p)
 		s.mu.Unlock()

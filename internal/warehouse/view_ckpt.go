@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -9,10 +10,8 @@ import (
 	"strconv"
 	"time"
 
-	"streamloader/internal/expr"
 	"streamloader/internal/partial"
 	"streamloader/internal/persist"
-	"streamloader/internal/stt"
 )
 
 // View checkpoints: a durable warehouse periodically persists each view's
@@ -305,6 +304,7 @@ func (v *View) tryResume() {
 		stores[i] = st
 	}
 	v.dirty.Store(false)
+	whole := v.plan.scanPlan()
 	for i, s := range w.shards {
 		p := v.parts[i]
 		s.mu.Lock()
@@ -313,10 +313,14 @@ func (v *View) tryResume() {
 			v.resumeAbort(i)
 			return
 		}
-		// Fold the tail and attach the tap in one critical section, so no
-		// commit lands in both the fold and the tap, and none in neither —
-		// the same gap-free handoff the backfill scan uses.
-		if err := v.foldTailLocked(s, stores[i], ck.Shards[i].SeqHi, p.conds); err != nil {
+		// Fold the tail — every event the checkpoint has not seen; cold
+		// files it covers whole are skipped without a read — and attach the
+		// tap in one critical section, so no commit lands in both the fold
+		// and the tap, and none in neither: the same gap-free handoff the
+		// backfill scan uses.
+		pl := whole.after(ck.Shards[i].SeqHi)
+		fold := aggVisitor{p: &v.plan, store: stores[i]}
+		if _, err := s.scan(context.Background(), &pl, &fold); err != nil {
 			s.mu.Unlock()
 			v.resumeAbort(i)
 			return
@@ -341,49 +345,6 @@ func (v *View) resumeAbort(attached int) {
 		s.mu.Unlock()
 	}
 	v.dirty.Store(true)
-}
-
-// foldTailLocked folds every event on s with Seq > after into st through
-// the view's filter. Caller holds s.mu (write). Cold files entirely
-// covered by the checkpoint (seqHi <= after) are skipped without a read;
-// memory segments are cheap enough to walk unconditionally.
-func (v *View) foldTailLocked(s *shard, st *partial.Store, after uint64, conds map[*stt.Schema]*expr.Compiled) error {
-	fold := func(evs []Event) error {
-		for _, ev := range evs {
-			if ev.Seq <= after {
-				continue
-			}
-			ok, err := matchEvent(ev, v.plan.Query, conds)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			if !v.plan.accumulateStore(st, ev.Tuple) {
-				return errAggGroups
-			}
-		}
-		return nil
-	}
-	for _, cs := range s.cold {
-		if cs.seqHi <= after {
-			continue
-		}
-		evs, _, err := cs.readWindow(time.Time{}, time.Time{})
-		if err != nil {
-			return err
-		}
-		if err := fold(evs); err != nil {
-			return err
-		}
-	}
-	for _, seg := range s.segs {
-		if err := fold(seg.events); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // recordViewDef records the view's definition in the manifest, so the

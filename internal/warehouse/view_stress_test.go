@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -208,7 +209,7 @@ func TestViewStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := w.Aggregate(sp.aq)
+		want, _, err := w.Aggregate(context.Background(), sp.aq)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,10 +4,8 @@ import (
 	"sort"
 	"time"
 
-	"streamloader/internal/expr"
 	"streamloader/internal/partial"
 	"streamloader/internal/persist"
-	"streamloader/internal/stt"
 )
 
 // Retention-cut maintenance for standing views. compactAll calls
@@ -167,9 +165,10 @@ func (v *View) subtractBoundary(boundary [][]Event) bool {
 			continue
 		}
 		deltas := map[partial.Key]*partial.State{}
-		conds := map[*stt.Schema]*expr.Compiled{}
+		fold := aggVisitor{p: &v.plan, flat: deltas}
+		conds := condCache{}
 		for _, ev := range evs {
-			m, err := matchEvent(ev, v.plan.Query, conds)
+			m, err := matchEvent(ev, &v.plan.Query, conds)
 			if err != nil {
 				v.fail(err)
 				return false
@@ -177,7 +176,7 @@ func (v *View) subtractBoundary(boundary [][]Event) bool {
 			if !m {
 				continue
 			}
-			if !v.plan.accumulate(deltas, ev.Tuple) {
+			if fold.event(ev) != nil {
 				// Delta cardinality overflowed the group bound — the view
 				// itself would have failed folding these; rebuild instead.
 				v.dirty.Store(true)

@@ -3,7 +3,9 @@ package warehouse
 import (
 	"cmp"
 	"container/heap"
+	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -144,8 +146,9 @@ type QueryStats struct {
 	// query found decoded in the chunk cache versus read back from disk.
 	ColdCacheHits   int `json:"cold_cache_hits"`
 	ColdCacheMisses int `json:"cold_cache_misses"`
-	// ColdHeaderOnly counts the cold segments an aggregate answered purely
-	// from header stats — no chunk read, no event decoded.
+	// ColdHeaderOnly counts the cold segments an aggregate or a time-only
+	// count answered purely from header stats — no chunk read, no event
+	// decoded.
 	ColdHeaderOnly int `json:"cold_header_only"`
 	// ColdChunkStats counts the cold-segment chunks an aggregate answered
 	// from per-chunk sparse-index stats (v2+ files) — each one a chunk that
@@ -262,11 +265,6 @@ type persistState struct {
 
 // New creates an empty warehouse with the default configuration.
 func New() *Warehouse { return NewWithConfig(Config{}) }
-
-// NewSharded creates an empty warehouse with n shards, rounded up to a
-// power of two; n < 1 falls back to DefaultShards. One shard degenerates
-// to a single-lock store.
-func NewSharded(n int) *Warehouse { return NewWithConfig(Config{Shards: n}) }
 
 // NewWithConfig creates an empty in-memory warehouse sized by cfg; zero
 // fields take their defaults. The persistence fields (DataDir and friends)
@@ -752,15 +750,6 @@ func (w *Warehouse) routedShards(q Query) []*shard {
 	return routed
 }
 
-// Select returns the events matching the query, in event-time order.
-// Shards are queried concurrently and their (sorted) results merged; a
-// source-constrained query is routed only to the shards those sources
-// hash to.
-func (w *Warehouse) Select(q Query) ([]Event, error) {
-	evs, _, err := w.SelectWithStats(q)
-	return evs, err
-}
-
 // forEachShard runs fn once per shard, concurrently when there are several.
 func forEachShard(shards []*shard, fn func(i int, s *shard)) {
 	if len(shards) == 1 {
@@ -778,78 +767,53 @@ func forEachShard(shards []*shard, fn func(i int, s *shard)) {
 	wg.Wait()
 }
 
-// SelectWithStats is Select plus segment-pruning telemetry for the query.
-func (w *Warehouse) SelectWithStats(q Query) ([]Event, QueryStats, error) {
-	return w.SelectTraced(q, nil)
-}
-
-// shardSpan opens one per-shard trace span (nil trace → nil span) and, on
-// close, annotates it with the shard's scan telemetry.
-func shardSpan(tr *obs.Trace, s *shard) *obs.Span {
-	sp := tr.Start("shard")
-	sp.SetInt("shard", int64(s.idx))
-	return sp
-}
-
-func endShardSpan(sp *obs.Span, sc segScan, events int) {
-	if sp == nil {
-		return
-	}
-	sp.SetInt("events", int64(events))
-	sp.SetInt("segments_scanned", int64(sc.scanned))
-	sp.SetInt("segments_pruned", int64(sc.pruned))
-	sp.SetInt("cold_cache_hits", int64(sc.cacheHits))
-	sp.SetInt("cold_cache_misses", int64(sc.cacheMisses))
-	if sc.headerOnly > 0 {
-		sp.SetInt("cold_header_only", int64(sc.headerOnly))
-	}
-	if sc.chunkStats > 0 {
-		sp.SetInt("cold_chunk_stats_hits", int64(sc.chunkStats))
-	}
-	if sc.columnsSkipped > 0 {
-		sp.SetInt("cold_columns_skipped", int64(sc.columnsSkipped))
-	}
-	if sc.bytesDecoded > 0 {
-		sp.SetInt("cold_bytes_decoded", sc.bytesDecoded)
-	}
-	sp.End()
-}
-
-// SelectTraced is SelectWithStats recording, when tr is non-nil, one span
-// per shard visited (with its scan telemetry as attributes) plus a merge
-// span — the ?trace=1 explain path.
-func (w *Warehouse) SelectTraced(q Query, tr *obs.Trace) ([]Event, QueryStats, error) {
+// Select returns the events matching the query in (event time, Seq) order,
+// capped at q.Limit when set, plus how pruning and the cold cache served it.
+// Shards are scanned concurrently and their sorted results merged; a
+// source-constrained query visits only the shards those sources hash to.
+// When ctx carries a trace (obs.WithTrace) the call records one span per
+// shard visited and a merge span — the ?trace=1 explain path. A cancelled
+// ctx stops the scan at the next segment and returns ctx.Err().
+func (w *Warehouse) Select(ctx context.Context, q Query) ([]Event, QueryStats, error) {
 	t0 := w.met.selectQ.Start()
 	defer w.met.selectQ.Since(t0)
-	shards := w.routedShards(q)
-	parts := make([][]Event, len(shards))
-	scans := make([]segScan, len(shards))
-	errs := make([]error, len(shards))
-	forEachShard(shards, func(i int, s *shard) {
-		sp := shardSpan(tr, s)
-		parts[i], scans[i], errs[i] = s.selectQ(q)
-		endShardSpan(sp, scans[i], len(parts[i]))
-	})
-	var qs QueryStats
-	for _, sc := range scans {
-		qs.SegmentsScanned += sc.scanned
-		qs.SegmentsPruned += sc.pruned
-		qs.ColdCacheHits += sc.cacheHits
-		qs.ColdCacheMisses += sc.cacheMisses
-		qs.ColdColumnsSkipped += sc.columnsSkipped
-		qs.ColdBytesDecoded += sc.bytesDecoded
+	pl := scanPlan{Query: q, proj: persist.FullProjection}
+	vs, qs, err := scanShards(ctx, w, &pl, func() *selectVisitor { return &selectVisitor{limit: q.Limit} })
+	if err != nil {
+		return nil, qs, err
 	}
-	w.columnsSkipped.Add(uint64(qs.ColdColumnsSkipped))
-	for _, err := range errs {
-		if err != nil {
-			return nil, qs, err
-		}
+	msp := obs.TraceFrom(ctx).Start("merge")
+	parts := make([][]Event, len(vs))
+	for i, v := range vs {
+		parts[i] = v.out
 	}
-	msp := tr.Start("merge")
 	out := mergeEvents(parts, q.Limit)
 	msp.SetInt("events", int64(len(out)))
 	msp.End()
 	return out, qs, nil
+}
+
+// selectVisitor collects a shard's matches and sorts them.
+type selectVisitor struct {
+	noShortcuts
+	limit int
+	out   []Event
+}
+
+func (v *selectVisitor) event(ev Event) error {
+	v.out = append(v.out, ev)
+	return nil
+}
+
+func (v *selectVisitor) done() int {
+	slices.SortStableFunc(v.out, eventCompare)
+	// The globally-earliest Limit events are contained in the union of each
+	// shard's earliest Limit matches, so capping here is safe and keeps the
+	// merge cost bounded.
+	if v.limit > 0 && len(v.out) > v.limit {
+		v.out = v.out[:v.limit]
+	}
+	return len(v.out)
 }
 
 // mergeEvents k-way merges per-shard results already sorted by
@@ -905,58 +869,63 @@ func eventCompare(a, b Event) int {
 
 func eventLess(a, b Event) bool { return eventCompare(a, b) < 0 }
 
-// Count returns the number of matching events without materializing them.
-// Queries without a Cond or Limit take a fast path that sums per-segment
-// counts — time-only constraints resolve entirely on the segment time
-// indexes, never touching an event.
-func (w *Warehouse) Count(q Query) (int, error) {
-	n, _, err := w.CountWithStats(q)
-	return n, err
-}
-
-// CountWithStats is Count plus the segment-pruning and cold-cache telemetry
-// of the counting pass.
-func (w *Warehouse) CountWithStats(q Query) (int, QueryStats, error) {
-	return w.CountTraced(q, nil)
-}
-
-// CountTraced is CountWithStats with optional per-shard tracing, mirroring
-// SelectTraced.
-func (w *Warehouse) CountTraced(q Query, tr *obs.Trace) (int, QueryStats, error) {
-	if q.Cond != "" || q.Limit > 0 {
-		evs, qs, err := w.SelectTraced(q, tr)
-		return len(evs), qs, err
-	}
+// Count returns the number of matching events — at most q.Limit when set —
+// without materializing or sorting them, with the same telemetry, tracing
+// and cancellation as Select. A query constrained by time alone touches no
+// event: covered cold files contribute their header count, in-memory
+// segments a binary-searched slice of their time index, and only a
+// partially covered cold file reads its boundary chunks back. Anything else
+// decodes the filter's columns (everything, under a Cond) and counts.
+func (w *Warehouse) Count(ctx context.Context, q Query) (int, QueryStats, error) {
 	t0 := w.met.selectQ.Start()
 	defer w.met.selectQ.Since(t0)
-	shards := w.routedShards(q)
-	counts := make([]int, len(shards))
-	scans := make([]segScan, len(shards))
-	errs := make([]error, len(shards))
-	forEachShard(shards, func(i int, s *shard) {
-		sp := shardSpan(tr, s)
-		counts[i], scans[i], errs[i] = s.countQ(q)
-		endShardSpan(sp, scans[i], counts[i])
-	})
-	var qs QueryStats
-	n := 0
-	for i, c := range counts {
-		n += c
-		qs.SegmentsScanned += scans[i].scanned
-		qs.SegmentsPruned += scans[i].pruned
-		qs.ColdCacheHits += scans[i].cacheHits
-		qs.ColdCacheMisses += scans[i].cacheMisses
-		qs.ColdColumnsSkipped += scans[i].columnsSkipped
-		qs.ColdBytesDecoded += scans[i].bytesDecoded
+	pl := scanPlan{Query: q, proj: q.projection()}
+	timeOnly := q.Region == nil && len(q.Themes) == 0 && len(q.Sources) == 0 && q.Cond == ""
+	vs, qs, err := scanShards(ctx, w, &pl, func() *countVisitor { return &countVisitor{q: &pl.Query, timeOnly: timeOnly} })
+	if err != nil {
+		return 0, qs, err
 	}
-	w.columnsSkipped.Add(uint64(qs.ColdColumnsSkipped))
-	for _, err := range errs {
-		if err != nil {
-			return 0, qs, err
-		}
+	n := 0
+	for _, v := range vs {
+		n += v.n
+	}
+	if q.Limit > 0 && n > q.Limit {
+		n = q.Limit
 	}
 	return n, qs, nil
 }
+
+// countVisitor counts a shard's matches; when the window is the only
+// constraint, envelopes and time indexes count exactly without an event.
+type countVisitor struct {
+	noShortcuts
+	q        *Query
+	timeOnly bool
+	n        int
+}
+
+func (v *countVisitor) file(cs *coldSegment) (bool, error) {
+	if !v.timeOnly || !cs.coveredBy(v.q.From, v.q.To) {
+		return false, nil
+	}
+	v.n += cs.count
+	return true, nil
+}
+
+func (v *countVisitor) segment(g *segment) bool {
+	if v.timeOnly {
+		lo, hi := g.timeBounds(v.q.From, v.q.To)
+		v.n += hi - lo
+	}
+	return v.timeOnly
+}
+
+func (v *countVisitor) event(Event) error {
+	v.n++
+	return nil
+}
+
+func (v *countVisitor) done() int { return v.n }
 
 // Stats summarizes the warehouse content for the monitoring UI.
 type Stats struct {

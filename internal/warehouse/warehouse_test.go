@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -78,7 +79,7 @@ func TestSelectAll(t *testing.T) {
 	if w.Len() != 5 {
 		t.Fatalf("Len = %d", w.Len())
 	}
-	evs, err := w.Select(Query{})
+	evs, _, err := w.Select(context.Background(), Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestSelectAll(t *testing.T) {
 
 func TestSelectTimeRange(t *testing.T) {
 	w := loaded(t)
-	evs, err := w.Select(Query{From: t0.Add(time.Hour), To: t0.Add(2 * time.Hour)})
+	evs, _, err := w.Select(context.Background(), Query{From: t0.Add(time.Hour), To: t0.Add(2 * time.Hour)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestSelectTimeRange(t *testing.T) {
 
 func TestSelectRegion(t *testing.T) {
 	w := loaded(t)
-	evs, err := w.Select(Query{Region: &geo.Osaka})
+	evs, _, err := w.Select(context.Background(), Query{Region: &geo.Osaka})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +119,14 @@ func TestSelectRegion(t *testing.T) {
 
 func TestSelectThemes(t *testing.T) {
 	w := loaded(t)
-	evs, err := w.Select(Query{Themes: []string{"social"}})
+	evs, _, err := w.Select(context.Background(), Query{Themes: []string{"social"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(evs) != 1 || evs[0].Tuple.Source != "twitter-1" {
 		t.Fatalf("social = %v", evs)
 	}
-	evs, _ = w.Select(Query{Themes: []string{"weather", "social"}})
+	evs, _, _ = w.Select(context.Background(), Query{Themes: []string{"weather", "social"}})
 	if len(evs) != 5 {
 		t.Errorf("multi-theme = %d", len(evs))
 	}
@@ -133,7 +134,7 @@ func TestSelectThemes(t *testing.T) {
 
 func TestSelectSources(t *testing.T) {
 	w := loaded(t)
-	evs, err := w.Select(Query{Sources: []string{"umeda"}})
+	evs, _, err := w.Select(context.Background(), Query{Sources: []string{"umeda"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestSelectCondAcrossSchemas(t *testing.T) {
 	w := loaded(t)
 	// The condition type-checks against the weather schema only; social
 	// events must be skipped, not error.
-	evs, err := w.Select(Query{Cond: "temperature > 25"})
+	evs, _, err := w.Select(context.Background(), Query{Cond: "temperature > 25"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestSelectCondAcrossSchemas(t *testing.T) {
 
 func TestSelectCombined(t *testing.T) {
 	w := loaded(t)
-	evs, err := w.Select(Query{
+	evs, _, err := w.Select(context.Background(), Query{
 		From:   t0,
 		To:     t0.Add(4 * time.Hour),
 		Region: &geo.Osaka,
@@ -179,7 +180,7 @@ func TestSelectCombined(t *testing.T) {
 
 func TestSelectLimit(t *testing.T) {
 	w := loaded(t)
-	evs, err := w.Select(Query{Limit: 2})
+	evs, _, err := w.Select(context.Background(), Query{Limit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestSelectLimit(t *testing.T) {
 
 func TestCount(t *testing.T) {
 	w := loaded(t)
-	n, err := w.Count(Query{Themes: []string{"weather"}})
+	n, _, err := w.Count(context.Background(), Query{Themes: []string{"weather"}})
 	if err != nil || n != 4 {
 		t.Errorf("count = %d, %v", n, err)
 	}
@@ -222,7 +223,7 @@ func TestOutOfOrderAppends(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	evs, err := w.Select(Query{})
+	evs, _, err := w.Select(context.Background(), Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestOutOfOrderAppends(t *testing.T) {
 		}
 	}
 	// Binary-searched range query still correct.
-	evs, _ = w.Select(Query{From: t0.Add(2 * time.Hour), To: t0.Add(5 * time.Hour)})
+	evs, _, _ = w.Select(context.Background(), Query{From: t0.Add(2 * time.Hour), To: t0.Add(5 * time.Hour)})
 	if len(evs) != 3 {
 		t.Errorf("range after ooo appends = %d, want 3", len(evs))
 	}
@@ -286,7 +287,7 @@ func TestQuickSelectEqualsNaiveScan(t *testing.T) {
 		themes := [][]string{nil, {"weather"}, {"social"}, {"weather", "social"}}
 		q.Themes = themes[int(themePick)%len(themes)]
 
-		got, err := w.Select(q)
+		got, _, err := w.Select(context.Background(), q)
 		if err != nil {
 			return false
 		}
@@ -325,7 +326,7 @@ func TestRetention(t *testing.T) {
 		t.Error("no evictions recorded")
 	}
 	// Survivors are the newest events and the indexes still work.
-	evs, err := w.Select(Query{})
+	evs, _, err := w.Select(context.Background(), Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,11 +340,11 @@ func TestRetention(t *testing.T) {
 		t.Errorf("old events survived retention: oldest = %v", oldest)
 	}
 	// Theme/source indexes rebuilt consistently.
-	n, err := w.Count(Query{Themes: []string{"weather"}})
+	n, _, err := w.Count(context.Background(), Query{Themes: []string{"weather"}})
 	if err != nil || n != w.Len() {
 		t.Errorf("theme index inconsistent after compaction: %d vs %d", n, w.Len())
 	}
-	n, err = w.Count(Query{Sources: []string{"s"}})
+	n, _, err = w.Count(context.Background(), Query{Sources: []string{"s"}})
 	if err != nil || n != w.Len() {
 		t.Errorf("source index inconsistent after compaction: %d vs %d", n, w.Len())
 	}
