@@ -93,7 +93,7 @@ flags:
 		totDisk += info.Bytes
 		totEvents += info.Count
 		if *decode {
-			evs, _, err := info.ReadRangeCached(nil, 0, info.Count)
+			evs, _, err := info.ReadRangeProjected(nil, 0, info.Count, persist.FullProjection)
 			if err != nil {
 				log.Fatalf("segments: %s: %v", rel, err)
 			}

@@ -11,9 +11,8 @@
 //	             [-retain 0] [-segment-events 4096] [-segment-span 1h]
 //	             [-data-dir ""] [-fsync interval] [-hot-segments 16]
 //	             [-cold-cache-bytes 67108864] [-compact-below 0]
-//	             [-segment-format 0] [-view-checkpoint-every 0]
-//	             [-agg-max-groups 100000] [-max-subscribers 10000]
-//	             [-slow-query 0] [-pprof-addr ""]
+//	             [-view-checkpoint-every 0] [-agg-max-groups 100000]
+//	             [-max-subscribers 10000] [-slow-query 0] [-pprof-addr ""]
 //
 // With -live (default) sources pace in real time; with -live=false the
 // server replays event-time ranges at full speed, which is what the
@@ -28,11 +27,11 @@
 // by -cold-cache-bytes, so repeated window queries over the same history
 // hit RAM instead of disk. A background compactor merges cold files
 // smaller than -compact-below events (or left overlapping by out-of-order
-// spills) into their time-adjacent neighbors; -segment-format pins the
-// cold file format version for downgrade scenarios. Standing views
-// checkpoint their state every -view-checkpoint-every mutations (and on
-// clean shutdown), so a restart or a reconnecting subscriber resumes from
-// the checkpoint plus a WAL-tail fold instead of re-scanning history.
+// spills) into their time-adjacent neighbors, and rewrites cold files an
+// older build left in an older format. Standing views checkpoint their
+// state every -view-checkpoint-every mutations (and on clean shutdown), so
+// a restart or a reconnecting subscriber resumes from the checkpoint plus a
+// WAL-tail fold instead of re-scanning history.
 //
 // Observability: every stage reports latency histograms and counters to
 // GET /metrics (Prometheus text format); ?trace=1 on the query/aggregate
@@ -84,7 +83,6 @@ func main() {
 		hotSegs   = flag.Int("hot-segments", warehouse.DefaultHotSegments, "sealed in-memory segments per shard before spilling to disk (negative: never spill)")
 		coldCache = flag.Int64("cold-cache-bytes", warehouse.DefaultColdCacheBytes, "budget for the LRU of decoded cold-segment chunks (negative: disable)")
 		compBelow = flag.Int("compact-below", 0, "merge cold segment files smaller than this many events into neighbors (0: half of -segment-events; negative: disable compaction)")
-		segFormat = flag.Int("segment-format", 0, "cold segment file format version to write (0: latest; supported: "+persist.SupportedSegmentFormats()+")")
 		viewCkpt  = flag.Int("view-checkpoint-every", 0, "view mutations between standing-view checkpoints on a durable store (0: default; negative: disable)")
 		aggGroups = flag.Int("agg-max-groups", warehouse.DefaultAggMaxGroups, "group cardinality bound for /api/warehouse/aggregate")
 		maxSubs   = flag.Int("max-subscribers", server.DefaultMaxSubscribers, "live /api/warehouse/subscribe client cap across all views")
@@ -93,9 +91,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := persist.ValidateSegmentFormat(*segFormat); err != nil {
-		log.Fatalf("bad -segment-format: %v", err)
-	}
 	net, err := network.Build(*topology, network.TopologyConfig{
 		Nodes: *nodes, Area: geo.Osaka, Capacity: *capacity, Seed: *seed,
 	})
@@ -136,7 +131,6 @@ func main() {
 		HotSegments:    *hotSegs,
 		ColdCacheBytes: *coldCache,
 		CompactBelow:   *compBelow,
-		SegmentFormat:  *segFormat,
 
 		ViewCheckpointEvery: *viewCkpt,
 

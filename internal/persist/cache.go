@@ -35,12 +35,10 @@ type chunkKey struct {
 	chunk int
 }
 
-// chunkEntry holds one decoded chunk: a []Event for row-encoded (v1/v2)
-// chunks, a *colChunk of decoded columns for v3 chunks. Both are immutable
-// once cached.
+// chunkEntry holds one decoded chunk, immutable once cached.
 type chunkEntry struct {
 	key   chunkKey
-	val   any
+	val   *colChunk
 	bytes int64
 }
 
@@ -57,11 +55,10 @@ func NewChunkCache(budget int64) *ChunkCache {
 	}
 }
 
-// get returns the decoded chunk — []Event or *colChunk — and marks it
-// recently used. The returned value is shared: callers must treat it (and
-// the tuples it references) as immutable, which is already the
-// warehouse-wide contract for stored events.
-func (c *ChunkCache) get(k chunkKey) (any, bool) {
+// get returns the decoded chunk and marks it recently used. The returned
+// value is shared: callers must treat it (and the tuples it references) as
+// immutable, which is already the warehouse-wide contract for stored events.
+func (c *ChunkCache) get(k chunkKey) (*colChunk, bool) {
 	c.mu.Lock()
 	el, ok := c.entries[k]
 	if !ok {
@@ -76,47 +73,29 @@ func (c *ChunkCache) get(k chunkKey) (any, bool) {
 	return v, true
 }
 
-// put inserts a decoded chunk, evicting least-recently-used entries until
-// the budget holds. A chunk larger than the whole budget is not cached.
-func (c *ChunkCache) put(k chunkKey, val any, size int64) {
+// update stores a decoded chunk, replacing what the key held — a projected
+// read widens a chunk's cached column set by merging fresh columns into the
+// cached ones and storing the union back — and evicts least-recently-used
+// entries until the budget holds. Two readers racing here each store a
+// correct superset of their own projection, so last-write-wins is safe. A
+// chunk larger than the whole budget is not cached.
+func (c *ChunkCache) update(k chunkKey, val *colChunk, size int64) {
 	if size > c.budget {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		c.lru.MoveToFront(el) // raced with another reader; keep the first copy
-		return
-	}
-	c.insertLocked(k, val, size)
-}
-
-// update is put with replace semantics: the v3 projected-read path widens a
-// chunk's cached column set by merging fresh columns into the cached ones
-// and storing the union back. Two readers racing here each store a correct
-// superset of their own projection, so last-write-wins is safe.
-func (c *ChunkCache) update(k chunkKey, val any, size int64) {
-	if size > c.budget {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
+	el, ok := c.entries[k]
+	if ok {
 		ent := el.Value.(*chunkEntry)
-		c.bytes += size - ent.bytes
+		c.bytes -= ent.bytes
 		ent.val, ent.bytes = val, size
 		c.lru.MoveToFront(el)
-		c.evictLocked(el)
-		return
+	} else {
+		el = c.lru.PushFront(&chunkEntry{key: k, val: val, bytes: size})
+		c.entries[k] = el
 	}
-	c.insertLocked(k, val, size)
-}
-
-// insertLocked adds a new entry, evicting from the LRU tail to budget.
-func (c *ChunkCache) insertLocked(k chunkKey, val any, size int64) {
 	c.bytes += size
-	el := c.lru.PushFront(&chunkEntry{key: k, val: val, bytes: size})
-	c.entries[k] = el
 	c.evictLocked(el)
 }
 

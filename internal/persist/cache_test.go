@@ -48,7 +48,7 @@ func TestReadRangeCachedMatchesUncached(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, rs, err := info.ReadRangeCached(cache, r[0], r[1])
+			got, rs, err := info.ReadRangeProjected(cache, r[0], r[1], FullProjection)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,14 +76,14 @@ func TestReadRangeCachedMatchesUncached(t *testing.T) {
 func TestChunkCacheServesWithoutFile(t *testing.T) {
 	info := cacheSegment(t, 2*IndexEvery)
 	cache := NewChunkCache(1 << 20)
-	want, _, err := info.ReadRangeCached(cache, 0, info.Count)
+	want, _, err := info.ReadRangeProjected(cache, 0, info.Count, FullProjection)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(info.Path); err != nil {
 		t.Fatal(err)
 	}
-	got, rs, err := info.ReadRangeCached(cache, 0, info.Count)
+	got, rs, err := info.ReadRangeProjected(cache, 0, info.Count, FullProjection)
 	if err != nil {
 		t.Fatalf("warm read after file deletion: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestChunkCacheBudgetEvicts(t *testing.T) {
 	chunkBytes := chunkEnd0 - chunkOff0
 	// Budget for roughly two chunks.
 	cache := NewChunkCache(2*chunkBytes + chunkBytes/2)
-	if _, _, err := info.ReadRangeCached(cache, 0, info.Count); err != nil {
+	if _, _, err := info.ReadRangeProjected(cache, 0, info.Count, FullProjection); err != nil {
 		t.Fatal(err)
 	}
 	st := cache.Stats()
@@ -113,7 +113,7 @@ func TestChunkCacheBudgetEvicts(t *testing.T) {
 	}
 	// The surviving entries are the most recently used: the tail of the
 	// read. A re-read of the tail chunk must hit.
-	_, rs, err := info.ReadRangeCached(cache, 7*IndexEvery, 8*IndexEvery)
+	_, rs, err := info.ReadRangeProjected(cache, 7*IndexEvery, 8*IndexEvery, FullProjection)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,12 +10,11 @@ import (
 	"streamloader/internal/stt"
 )
 
-// The v3 columnar chunk codec. A v3 segment file keeps the v2 framing —
-// magic, JSON header with per-chunk stats, seq block, CRC'd chunks of
-// IndexEvery events — but encodes each chunk column-wise instead of
-// row-wise. Every column is a length-prefixed section, so a reader can skip
-// the columns a query does not touch (projected decode) by advancing over
-// the prefix instead of parsing the bytes. Section order within a chunk:
+// The columnar chunk codec (segment format v3; segment.go documents the
+// file around the chunks). Every column is a length-prefixed section, so a
+// reader can skip the columns a query does not touch (projected decode) by
+// advancing over the prefix instead of parsing the bytes. Section order
+// within a chunk:
 //
 //	sec     event-time seconds: first raw, then delta-of-delta zigzag varints
 //	nanos   event-time nanoseconds: one varint per event (-1 = the zero time)
@@ -37,7 +36,7 @@ import (
 // nvals columns are always decoded (they shape the tuple); everything else
 // decodes only when the projection asks for it.
 
-// ColumnMask selects which event columns a projected v3 read materializes.
+// ColumnMask selects which event columns a projected read materializes.
 // The schema and value-count columns are always decoded — they cost a few
 // RLE pairs and every materialized tuple needs them.
 type ColumnMask uint16
@@ -72,7 +71,7 @@ type Projection struct {
 	Field string
 }
 
-// FullProjection decodes every column — what ReadRange uses.
+// FullProjection decodes every column.
 var FullProjection = Projection{Mask: ColAll}
 
 // full reports whether the projection decodes the entire chunk.
@@ -340,11 +339,12 @@ func appendValueColumn(col []byte, events []Event, p int) []byte {
 	return col
 }
 
-// colChunk is one chunk of a v3 file decoded column-wise — what the chunk
-// cache stores for v3 segments instead of materialized rows. A colChunk is
-// immutable once built; merging projections builds a new one. Slices for
-// undecoded columns are nil; valsDone marks which value positions hold
-// decoded payloads.
+// colChunk is one decoded chunk — what a read works on and the chunk cache
+// stores. Usually it holds the columns some projection decoded: slices for
+// undecoded columns are nil, valsDone marks which value positions hold
+// decoded payloads. A chunk decoded straight into rows (decodeChunk says
+// when) has only rows set, under a mask and allVals that claim everything.
+// A colChunk is immutable once built; merging projections builds a new one.
 type colChunk struct {
 	n        int
 	mask     ColumnMask
@@ -361,7 +361,8 @@ type colChunk struct {
 	valsDone []bool
 	allVals  bool
 
-	// rows memoizes the full-projection materialization, so repeated full
+	// rows holds every event of the chunk in full: decoded directly, or
+	// memoized by the first full-projection materialization so repeated full
 	// reads of a cached chunk pay the tuple construction once.
 	rows atomic.Pointer[[]Event]
 }
@@ -445,24 +446,19 @@ func (cc *colChunk) merge(o *colChunk) *colChunk {
 	return out
 }
 
-// materialize builds events [a, b) of the chunk (chunk-local ordinals) from
-// the decoded columns. Columns outside the chunk's mask come back zero. Full
-// whole-chunk materializations are memoized on the chunk.
+// materialize returns events [a, b) of the chunk (chunk-local ordinals):
+// the whole rows when the chunk has them, whatever the projection, else
+// built from the decoded columns, with columns outside the chunk's mask
+// zero. A full whole-chunk build is memoized on the chunk.
 func (cc *colChunk) materialize(a, b int, full bool) []Event {
+	if rows := cc.rows.Load(); rows != nil {
+		return (*rows)[a:b]
+	}
+	rows := cc.buildRows(a, b)
 	if full && a == 0 && b == cc.n {
-		if rows := cc.rows.Load(); rows != nil {
-			return *rows
-		}
-		rows := cc.buildRows(0, cc.n)
 		cc.rows.Store(&rows)
-		return rows
 	}
-	if full {
-		if rows := cc.rows.Load(); rows != nil {
-			return (*rows)[a:b]
-		}
-	}
-	return cc.buildRows(a, b)
+	return rows
 }
 
 func (cc *colChunk) buildRows(a, b int) []Event {

@@ -2,35 +2,18 @@ package persist
 
 import (
 	"encoding/binary"
-	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
-
-	"streamloader/internal/stt"
 )
 
-// writeV3Corpus writes a 3-chunk v3 segment mixing both test schemas, with
-// a NaN payload and empty strings thrown in, and returns the source events.
+// writeV3Corpus writes the fixture corpus — three chunks mixing both test
+// schemas, with NaN payloads and empty strings — as a segment file and
+// returns the source events.
 func writeV3Corpus(t *testing.T, path string) ([]Event, *SegmentInfo) {
 	t.Helper()
-	var events []Event
-	for i := 0; i < IndexEvery*2+19; i++ {
-		if i%7 == 3 {
-			ev := sinkEvent(uint64(i + 1))
-			ev.Tuple.Time = t0.Add(time.Duration(i) * time.Second)
-			if i%14 == 3 {
-				ev.Tuple.Values[2] = stt.Float(math.NaN())
-			}
-			events = append(events, ev)
-		} else {
-			events = append(events,
-				wEvent(uint64(i+1), time.Duration(i)*time.Second, 15+float64(i%10), fmt.Sprintf("st-%d", i%3)))
-		}
-	}
-	info, err := WriteSegmentVersion(path, events, SegmentV3)
+	events := fixtureCorpus(1, 0)
+	info, err := WriteSegment(path, events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,16 +27,11 @@ func TestProjectedDecodeV3(t *testing.T) {
 	dir := t.TempDir()
 	events, info := writeV3Corpus(t, filepath.Join(dir, SegmentFileName(1)))
 
-	full, frs, err := info.ReadRangeCached(nil, 0, info.Count)
+	full, frs, err := info.ReadRangeProjected(nil, 0, info.Count, FullProjection)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, pe := range full {
-		if pe.Seq != events[i].Seq {
-			t.Fatalf("event %d seq = %d, want %d", i, pe.Seq, events[i].Seq)
-		}
-		sameTuple(t, pe.Tuple, events[i].Tuple)
-	}
+	sameEvents(t, full, events)
 	if frs.ColumnsSkipped != 0 {
 		t.Fatalf("full read skipped %d columns", frs.ColumnsSkipped)
 	}
@@ -130,21 +108,16 @@ func TestProjectedCacheWidening(t *testing.T) {
 	}
 	// Broader read: counted as misses (columns must come off disk), merged
 	// into the cached entries.
-	full, rs, err := info.ReadRangeCached(cache, 0, info.Count)
+	full, rs, err := info.ReadRangeProjected(cache, 0, info.Count, FullProjection)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rs.CacheMisses != info.NumChunks() {
 		t.Fatalf("widening read: %+v, want all misses", rs)
 	}
-	for i, pe := range full {
-		if pe.Seq != events[i].Seq {
-			t.Fatalf("event %d seq = %d, want %d", i, pe.Seq, events[i].Seq)
-		}
-		sameTuple(t, pe.Tuple, events[i].Tuple)
-	}
+	sameEvents(t, full, events)
 	// And now the widened entries serve the full read from RAM.
-	if _, rs, err := info.ReadRangeCached(cache, 0, info.Count); err != nil {
+	if _, rs, err := info.ReadRangeProjected(cache, 0, info.Count, FullProjection); err != nil {
 		t.Fatal(err)
 	} else if rs.CacheHits != info.NumChunks() || rs.BytesDecoded != 0 {
 		t.Fatalf("post-widening full read: %+v, want all hits", rs)
@@ -179,7 +152,7 @@ func TestV3CorruptColumns(t *testing.T) {
 				continue // header rejected the file; fine
 			}
 			mi.Sparse[0].CRC = checksum(mut[mi.eventOff+offStart : mi.eventOff+offEnd])
-			evs, _, err := mi.ReadRangeCached(nil, 0, mi.Count)
+			evs, _, err := mi.ReadRangeProjected(nil, 0, mi.Count, FullProjection)
 			// Either a clean decode error or a harmless value change —
 			// never a panic (a panic fails the test on its own).
 			_ = evs
@@ -218,24 +191,6 @@ func TestV3TruncatedSections(t *testing.T) {
 	}
 }
 
-// TestValidateSegmentFormat: 0 and 1..latest pass, the rest fail loudly.
-func TestValidateSegmentFormat(t *testing.T) {
-	for v := 0; v <= SegmentVersionLatest; v++ {
-		if err := ValidateSegmentFormat(v); err != nil {
-			t.Fatalf("format %d rejected: %v", v, err)
-		}
-	}
-	for _, v := range []int{-1, SegmentVersionLatest + 1, 99} {
-		if err := ValidateSegmentFormat(v); err == nil {
-			t.Fatalf("format %d accepted", v)
-		}
-	}
-	if _, err := WriteSegmentVersion(filepath.Join(t.TempDir(), "x.seg"),
-		[]Event{wEvent(1, 0, 20, "st")}, SegmentVersionLatest+1); err == nil {
-		t.Fatal("write with unknown version must fail")
-	}
-}
-
 // TestOpenSegmentBadMagic: the unknown-magic error names the file and what
 // this build supports.
 func TestOpenSegmentBadMagic(t *testing.T) {
@@ -250,7 +205,7 @@ func TestOpenSegmentBadMagic(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown magic accepted")
 	}
-	for _, want := range []string{path, "SLSEG099", "SLSEG001", "SLSEG003", SupportedSegmentFormats()} {
+	for _, want := range []string{path, "SLSEG099", "SLSEG001", "SLSEG003"} {
 		if !contains(err.Error(), want) {
 			t.Fatalf("error %q does not name %q", err, want)
 		}

@@ -245,18 +245,27 @@ func appendBytes(t *testing.T, path string, data []byte) {
 	}
 }
 
-// FuzzSegmentRoundTrip writes fuzz-derived events as a segment file in
-// every supported format version, reopens it, and requires a bit-exact
-// event round-trip — NaN payloads and empty dictionaries included. It then
-// truncates the file at arbitrary points: opening or reading a truncated
-// segment must error cleanly, never panic and never fabricate events.
+// FuzzSegmentRoundTrip writes fuzz-derived events as a segment file,
+// reopens it, and requires a bit-exact event round-trip — NaN payloads and
+// empty dictionaries included. It then truncates the file at arbitrary
+// points: opening or reading a truncated segment must error cleanly, never
+// panic and never fabricate events. No build writes v1/v2 files any more, so
+// their open and decode paths face damage through the checked-in fixtures,
+// each cut at a fuzz-chosen offset.
 func FuzzSegmentRoundTrip(f *testing.F) {
-	f.Add(uint8(1), uint8(3), []byte{2, 1, 2, 3})
-	f.Add(uint8(2), uint8(0), []byte{})
-	f.Add(uint8(3), uint8(9), []byte{3, 0x7f, 0xf8, 0, 0, 0, 0, 0, 1}) // NaN payload
-	f.Add(uint8(0), uint8(255), bytes.Repeat([]byte{4, 0}, 40))        // empty strings
-	f.Fuzz(func(t *testing.T, ver, count uint8, payload []byte) {
-		version := int(ver)%SegmentVersionLatest + 1
+	var oldFiles [][]byte
+	for _, fx := range fixtures {
+		raw, err := os.ReadFile(fx.path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		oldFiles = append(oldFiles, raw)
+	}
+	f.Add(uint8(3), []byte{2, 1, 2, 3})
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(9), []byte{3, 0x7f, 0xf8, 0, 0, 0, 0, 0, 1}) // NaN payload
+	f.Add(uint8(255), bytes.Repeat([]byte{4, 0}, 40))        // empty strings
+	f.Fuzz(func(t *testing.T, count uint8, payload []byte) {
 		n := int(count)%40 + 1
 		vals := fuzzValues(payload)
 		events := make([]Event, 0, n)
@@ -283,68 +292,55 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 
 		dir := t.TempDir()
 		path := filepath.Join(dir, SegmentFileName(1))
-		if _, err := WriteSegmentVersion(path, events, version); err != nil {
-			t.Fatalf("v%d write: %v", version, err)
+		if _, err := WriteSegment(path, events); err != nil {
+			t.Fatalf("write: %v", err)
 		}
 		info, seqs, err := OpenSegment(path)
 		if err != nil {
-			t.Fatalf("v%d open: %v", version, err)
+			t.Fatalf("open: %v", err)
 		}
-		if info.Version != version || info.Count != n || len(seqs) != n {
-			t.Fatalf("v%d: version=%d count=%d seqs=%d, want %d events", version, info.Version, info.Count, len(seqs), n)
+		if info.Version != SegmentVersionLatest || info.Count != n || len(seqs) != n {
+			t.Fatalf("version=%d count=%d seqs=%d, want %d events", info.Version, info.Count, len(seqs), n)
 		}
 		got, err := info.ReadAll()
 		if err != nil {
-			t.Fatalf("v%d read: %v", version, err)
+			t.Fatalf("read: %v", err)
 		}
 		if len(got) != n {
-			t.Fatalf("v%d read %d events, want %d", version, len(got), n)
+			t.Fatalf("read %d events, want %d", len(got), n)
 		}
 		for i, pe := range got {
 			w := events[i]
 			if pe.Seq != w.Seq || pe.Tuple.Seq != w.Tuple.Seq ||
 				pe.Tuple.Theme != w.Tuple.Theme || pe.Tuple.Source != w.Tuple.Source {
-				t.Fatalf("v%d event %d meta = %+v, want %+v", version, i, pe, w)
+				t.Fatalf("event %d meta = %+v, want %+v", i, pe, w)
 			}
 			if !pe.Tuple.Time.Equal(w.Tuple.Time) {
-				t.Fatalf("v%d event %d time = %v, want %v", version, i, pe.Tuple.Time, w.Tuple.Time)
+				t.Fatalf("event %d time = %v, want %v", i, pe.Tuple.Time, w.Tuple.Time)
 			}
 			if math.Float64bits(pe.Tuple.Lat) != math.Float64bits(w.Tuple.Lat) ||
 				math.Float64bits(pe.Tuple.Lon) != math.Float64bits(w.Tuple.Lon) {
-				t.Fatalf("v%d event %d pos mismatch", version, i)
+				t.Fatalf("event %d pos mismatch", i)
 			}
 			if len(pe.Tuple.Values) != len(w.Tuple.Values) {
-				t.Fatalf("v%d event %d: %d values, want %d", version, i, len(pe.Tuple.Values), len(w.Tuple.Values))
+				t.Fatalf("event %d: %d values, want %d", i, len(pe.Tuple.Values), len(w.Tuple.Values))
 			}
 			for j := range pe.Tuple.Values {
 				if !sameValue(pe.Tuple.Values[j], w.Tuple.Values[j]) {
-					t.Fatalf("v%d event %d value %d = %v, want %v",
-						version, i, j, pe.Tuple.Values[j], w.Tuple.Values[j])
+					t.Fatalf("event %d value %d = %v, want %v", i, j, pe.Tuple.Values[j], w.Tuple.Values[j])
 				}
 			}
 		}
 
-		// Truncations must fail cleanly at open or read time.
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, cut := range []int{0, 7, 8, 12, len(raw) / 2, len(raw) - 1} {
-			if cut >= len(raw) {
-				continue
-			}
-			tpath := filepath.Join(dir, SegmentFileName(2))
-			if err := os.WriteFile(tpath, raw[:cut], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			ti, _, err := OpenSegment(tpath)
-			if err != nil {
-				continue // rejected at open: fine
-			}
-			if evs, err := ti.ReadAll(); err == nil && len(evs) != ti.Count {
-				t.Fatalf("truncated at %d of %d: read %d events of claimed %d without error",
-					cut, len(raw), len(evs), ti.Count)
-			}
+			requireTruncationFails(t, raw, cut, dir)
+		}
+		for _, old := range oldFiles {
+			requireTruncationFails(t, old, (int(count)<<8+len(payload)*7919)%len(old), dir)
 		}
 	})
 }

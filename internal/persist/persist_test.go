@@ -1,10 +1,13 @@
 package persist
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -459,6 +462,85 @@ func TestSegmentCorruptionDetected(t *testing.T) {
 	}
 }
 
+// craftedSegment writes the fixture corpus as a segment file, rewrites its
+// header JSON through edit and re-stamps the header's length and checksum:
+// a file whose header passes its CRC and lies. Only OpenSegment's own
+// checks stand between such a header and the read path, which sizes
+// allocations by the count and indexes the event block by the sparse index.
+func craftedSegment(t *testing.T, edit func(*segHeaderJSON)) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), SegmentFileName(1))
+	if _, err := WriteSegment(path, fixtureCorpus(1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdrLen := int(binary.LittleEndian.Uint32(raw[8:]))
+	var hdr segHeaderJSON
+	if err := json.Unmarshal(raw[16:16+hdrLen], &hdr); err != nil {
+		t.Fatal(err)
+	}
+	edit(&hdr)
+	hdrBytes, err := json.Marshal(hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte{}, raw[:8]...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(hdrBytes)))
+	out = binary.LittleEndian.AppendUint32(out, checksum(hdrBytes))
+	out = append(out, hdrBytes...)
+	out = append(out, raw[16+hdrLen:]...)
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// requireOpenRejects requires OpenSegment to refuse each crafted header with
+// an error naming the file.
+func requireOpenRejects(t *testing.T, edits map[string]func(*segHeaderJSON)) {
+	t.Helper()
+	for name, edit := range edits {
+		path := craftedSegment(t, edit)
+		info, _, err := OpenSegment(path)
+		if err == nil {
+			_, err = info.ReadAll() // what an unvalidated header goes on to do
+			t.Errorf("%s: OpenSegment accepted the header; ReadAll then said %v", name, err)
+		} else if !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: error %q does not name %s", name, err, path)
+		}
+	}
+}
+
+// TestOpenSegmentRejectsCraftedCount: the count sizes the seq-block
+// allocation, so it is checked against the file before anything is
+// allocated. A negative count used to panic in make.
+func TestOpenSegmentRejectsCraftedCount(t *testing.T) {
+	requireOpenRejects(t, map[string]func(*segHeaderJSON){
+		"negative count":        func(h *segHeaderJSON) { h.Count = -1 },
+		"count beyond the file": func(h *segHeaderJSON) { h.Count = 1 << 40 },
+		"negative event bytes":  func(h *segHeaderJSON) { h.EventBytes = -h.EventBytes },
+	})
+}
+
+// TestOpenSegmentRejectsCraftedSparseIndex: the read loop slices the event
+// block by the sparse index without re-checking. An offset past the block
+// used to panic there.
+func TestOpenSegmentRejectsCraftedSparseIndex(t *testing.T) {
+	requireOpenRejects(t, map[string]func(*segHeaderJSON){
+		"offset past the block": func(h *segHeaderJSON) { h.Sparse[1].Off = h.EventBytes + 100 },
+		"offsets out of order":  func(h *segHeaderJSON) { h.Sparse[2].Off = h.Sparse[1].Off },
+		"first chunk not at 0":  func(h *segHeaderJSON) { h.Sparse[0].Pos = 5 },
+		"positions out of order": func(h *segHeaderJSON) {
+			h.Sparse[1].Pos, h.Sparse[2].Pos = h.Sparse[2].Pos, h.Sparse[1].Pos
+		},
+		"position past the count": func(h *segHeaderJSON) { h.Sparse[2].Pos = h.Count },
+		"no sparse index":         func(h *segHeaderJSON) { h.Sparse = nil },
+	})
+}
+
 func TestManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	if _, ok, err := LoadManifest(dir); err != nil || ok {
@@ -563,92 +645,103 @@ func TestKeyOrder(t *testing.T) {
 	}
 }
 
+// TestSegmentVersionsRoundTrip: every format version this build reads — the
+// two old ones from their fixtures, v3 freshly written — opens with the
+// chunk stats its version carries (none in v1, in v2 and v3 exactly the
+// summary recomputed from the source events) and decodes to those events.
 func TestSegmentVersionsRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	var events []Event
-	for i := 0; i < IndexEvery*2+37; i++ {
-		events = append(events,
-			wEvent(uint64(i+1), time.Duration(i)*time.Second, 15+float64(i%10), fmt.Sprintf("st-%d", i%3)))
+	type input struct {
+		path    string
+		version int
+		events  []Event
 	}
+	var inputs []input
+	for _, fx := range fixtures {
+		inputs = append(inputs, input{fx.path, fx.version, fixtureCorpus(fx.seqBase, fx.start)})
+	}
+	v3 := input{filepath.Join(t.TempDir(), SegmentFileName(1)), SegmentV3, fixtureCorpus(1, 0)}
+	if _, err := WriteSegment(v3.path, v3.events); err != nil {
+		t.Fatal(err)
+	}
+	inputs = append(inputs, v3)
 
-	for _, tc := range []struct {
-		version   int
-		wantStats bool
-	}{
-		{SegmentV1, false},
-		{SegmentV2, true},
-		{SegmentV3, true},
-	} {
-		path := filepath.Join(dir, SegmentFileName(tc.version))
-		if _, err := WriteSegmentVersion(path, events, tc.version); err != nil {
-			t.Fatalf("v%d write: %v", tc.version, err)
-		}
-		info, seqs, err := OpenSegment(path)
+	for _, in := range inputs {
+		info, seqs, err := OpenSegment(in.path)
 		if err != nil {
-			t.Fatalf("v%d open: %v", tc.version, err)
+			t.Fatalf("v%d open: %v", in.version, err)
 		}
-		if info.Version != tc.version || info.Count != len(events) || len(seqs) != len(events) {
-			t.Fatalf("v%d: version=%d count=%d seqs=%d", tc.version, info.Version, info.Count, len(seqs))
+		if info.Version != in.version || info.Count != len(in.events) || len(seqs) != len(in.events) {
+			t.Fatalf("v%d: version=%d count=%d seqs=%d", in.version, info.Version, info.Count, len(seqs))
 		}
 		if info.NumChunks() != 3 {
-			t.Fatalf("v%d: chunks = %d, want 3", tc.version, info.NumChunks())
+			t.Fatalf("v%d: chunks = %d, want 3", in.version, info.NumChunks())
 		}
 		for k := 0; k < info.NumChunks(); k++ {
-			entry := info.Sparse[k]
-			if (entry.Stats != nil) != tc.wantStats {
-				t.Fatalf("v%d chunk %d: stats = %+v, wantStats = %v", tc.version, k, entry.Stats, tc.wantStats)
-			}
-			if !tc.wantStats {
+			st := info.Sparse[k].Stats
+			if in.version == SegmentV1 {
+				if st != nil {
+					t.Fatalf("v1 chunk %d carries stats %+v", k, st)
+				}
 				continue
 			}
+			if st == nil {
+				t.Fatalf("v%d chunk %d carries no stats", in.version, k)
+			}
 			start, end := info.ChunkRange(k)
-			st := entry.Stats
 			// Recompute the expected summary from the source events.
 			wantSrc := map[string]int{}
+			weatherN, taggedN := 0, 0
 			wantSum, wantMin, wantMax := 0.0, math.Inf(1), math.Inf(-1)
-			for _, ev := range events[start:end] {
-				wantSrc[ev.Tuple.Source]++
-				f := 15 + float64((int(ev.Seq)-1)%10)
+			for _, ev := range in.events[start:end] {
+				if ev.Tuple.Source != "" {
+					wantSrc[ev.Tuple.Source]++
+				}
+				if ev.Tuple.Schema != weather {
+					continue
+				}
+				weatherN++
+				if ev.Tuple.Theme == "weather" {
+					taggedN++
+				}
+				f := ev.Tuple.Values[0].AsFloat()
 				wantSum += f
 				wantMin = math.Min(wantMin, f)
 				wantMax = math.Max(wantMax, f)
 			}
-			if !st.MaxTime.Equal(events[end-1].Tuple.Time) {
-				t.Fatalf("chunk %d max time = %v, want %v", k, st.MaxTime, events[end-1].Tuple.Time)
+			if !st.MaxTime.Equal(in.events[end-1].Tuple.Time) {
+				t.Fatalf("v%d chunk %d max time = %v, want %v", in.version, k, st.MaxTime, in.events[end-1].Tuple.Time)
 			}
 			if len(st.SourceCounts) != len(wantSrc) {
-				t.Fatalf("chunk %d sources = %v, want %v", k, st.SourceCounts, wantSrc)
+				t.Fatalf("v%d chunk %d sources = %v, want %v", in.version, k, st.SourceCounts, wantSrc)
 			}
 			for src, n := range wantSrc {
 				if st.SourceCounts[src] != n {
-					t.Fatalf("chunk %d source %q = %d, want %d", k, src, st.SourceCounts[src], n)
+					t.Fatalf("v%d chunk %d source %q = %d, want %d", in.version, k, src, st.SourceCounts[src], n)
 				}
 			}
-			if st.ThemeCounts["weather"] != end-start || st.PrimaryThemeCounts["weather"] != end-start {
-				t.Fatalf("chunk %d themes = %v / %v", k, st.ThemeCounts, st.PrimaryThemeCounts)
+			// An untagged weather event still matches its schema's theme.
+			if st.ThemeCounts["weather"] != weatherN || st.PrimaryThemeCounts["weather"] != taggedN {
+				t.Fatalf("v%d chunk %d themes = %v / %v, want weather %d / %d",
+					in.version, k, st.ThemeCounts, st.PrimaryThemeCounts, weatherN, taggedN)
 			}
 			fs, ok := st.Fields["temperature"]
-			if !ok || fs.NonNull != end-start || fs.Num != end-start {
-				t.Fatalf("chunk %d temperature stats = %+v (present %v)", k, fs, ok)
+			if !ok || fs.NonNull != weatherN || fs.Num != weatherN {
+				t.Fatalf("v%d chunk %d temperature stats = %+v (present %v)", in.version, k, fs, ok)
 			}
 			if fs.Min != wantMin || fs.Max != wantMax || math.Abs(fs.Sum-wantSum) > 1e-9 {
-				t.Fatalf("chunk %d temperature frame = %+v, want sum=%v min=%v max=%v", k, fs, wantSum, wantMin, wantMax)
+				t.Fatalf("v%d chunk %d temperature frame = %+v, want sum=%v min=%v max=%v",
+					in.version, k, fs, wantSum, wantMin, wantMax)
+			}
+			// The NaN payloads are counted, not folded.
+			if nf := st.Fields["f"]; nf.NonFinite == 0 || nf.Num+nf.NonFinite != nf.NonNull {
+				t.Fatalf("v%d chunk %d field f = %+v, want its NaNs set aside", in.version, k, nf)
 			}
 		}
-		// Event payloads must decode identically in both versions.
-		pes, _, err := info.ReadRangeCached(nil, 0, info.Count)
+		pes, err := info.ReadAll()
 		if err != nil {
-			t.Fatalf("v%d read: %v", tc.version, err)
+			t.Fatalf("v%d read: %v", in.version, err)
 		}
-		if len(pes) != len(events) {
-			t.Fatalf("v%d read %d events, want %d", tc.version, len(pes), len(events))
-		}
-		for i, pe := range pes {
-			if pe.Seq != events[i].Seq {
-				t.Fatalf("v%d event %d seq = %d, want %d", tc.version, i, pe.Seq, events[i].Seq)
-			}
-			sameTuple(t, pe.Tuple, events[i].Tuple)
-		}
+		sameEvents(t, pes, in.events)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 
 // Segment file layout:
 //
-//	[8]  magic "SLSEG001" (v1), "SLSEG002" (v2) or "SLSEG003" (v3)
+//	[8]  magic "SLSEG003" ("SLSEG001" / "SLSEG002" in files of older builds)
 //	[4]  header length          [4] header CRC32C
 //	[..] header JSON            (counts, keys, dictionaries, sparse index)
 //	[..] seq block              count × 8-byte little-endian warehouse seqs
@@ -28,23 +28,25 @@ import (
 // without touching a payload; the event block is cut into chunks of
 // IndexEvery events, each with its own CRC and byte offset in the sparse
 // index, so a time-window read decodes only the chunks that can overlap.
+// Each sparse-index entry also carries its chunk's stats — max event time,
+// per-source / per-theme / primary-theme counts and per-field numeric
+// summaries — so aggregate pushdown can answer individual chunks without
+// decoding them.
 //
-// v2 additionally carries per-chunk stats in each sparse-index entry — the
-// chunk's max event time, per-source / per-theme / primary-theme counts and
-// per-field numeric summaries — so aggregate pushdown can answer individual
-// chunks without decoding them. v1 and v2 encode chunk events row-wise
-// (one self-describing record per event, see codec.go).
-//
-// v3 keeps the v2 framing and header (chunk-stats pushdown included) but
-// encodes each chunk column-wise: a fixed order of length-prefixed column
+// A chunk is encoded column-wise: a fixed order of length-prefixed column
 // sections — delta-of-delta times, delta seqs, RLE schema ids, raw float
 // lat/lon streams, dictionary+RLE theme/source/string columns, and one
 // typed column per payload position (colcodec.go documents the exact
-// order). Each section wears its byte length, so projected reads
-// (ReadRangeProjected with a ColumnMask) skip the columns a query does not
-// touch and materialize rows only for events that survive filtering. All
-// three versions keep decoding forever; writers choose with
-// WriteSegmentVersion / Config.SegmentFormat.
+// order). Each section wears its byte length, so a projected read skips the
+// columns a query does not touch and materializes rows only for events that
+// survive filtering.
+//
+// That is format v3, the only one WriteSegment writes. v1 and v2 files are
+// read-only input: same framing, chunks row-encoded (one self-describing
+// record per event, the WAL's codec in codec.go), v1 without chunk stats.
+// The warehouse's compactor rewrites every such file it finds to v3, so the
+// one piece of code that knows about them, decodeChunk's row branch, goes
+// once no store holds one.
 
 var (
 	segMagicV1 = []byte("SLSEG001")
@@ -52,31 +54,13 @@ var (
 	segMagicV3 = []byte("SLSEG003")
 )
 
-// Segment format versions WriteSegmentVersion accepts. Latest is what
-// WriteSegment writes; older versions stay writable so mixed-version stores
-// can be constructed deliberately (tests, staged rollouts).
+// Segment format versions, as SegmentInfo.Version reports them.
 const (
 	SegmentV1            = 1
 	SegmentV2            = 2
 	SegmentV3            = 3
 	SegmentVersionLatest = SegmentV3
 )
-
-// SupportedSegmentFormats names the formats this build reads and writes,
-// for error messages and CLI validation.
-func SupportedSegmentFormats() string {
-	return fmt.Sprintf("%d..%d", SegmentV1, SegmentVersionLatest)
-}
-
-// ValidateSegmentFormat rejects segment format versions this build cannot
-// write. 0 is accepted as "latest" (the Config.SegmentFormat default).
-func ValidateSegmentFormat(v int) error {
-	if v == 0 || (v >= SegmentV1 && v <= SegmentVersionLatest) {
-		return nil
-	}
-	return fmt.Errorf("persist: unknown segment format %d (supported: %s, or 0 for latest)",
-		v, SupportedSegmentFormats())
-}
 
 // IndexEvery is the sparse-index granule: one index entry (and one CRC'd
 // chunk) per this many events.
@@ -88,9 +72,8 @@ type SparseEntry struct {
 	Time time.Time // that event's time (chunk-local minimum)
 	Off  int64     // byte offset of the chunk within the event block
 	CRC  uint32    // checksum of the chunk's bytes
-	// Stats carries the chunk's aggregate summary in v2 files; nil in v1
-	// files, which disables the per-chunk aggregate fast path (reads are
-	// unaffected).
+	// Stats carries the chunk's aggregate summary; nil in v1 files, which
+	// disables the per-chunk aggregate fast path (reads are unaffected).
 	Stats *ChunkStats
 }
 
@@ -114,7 +97,7 @@ type FieldStats struct {
 	NonFinite int
 }
 
-// ChunkStats is the per-chunk aggregate summary a v2 sparse-index entry
+// ChunkStats is the per-chunk aggregate summary a sparse-index entry
 // carries. Together with the entry's Time (the chunk's minimum event time)
 // it gives the chunk a full time envelope plus the same count maps the file
 // header carries for the whole segment, one level down.
@@ -150,9 +133,9 @@ type sparseJSON struct {
 	Off     int64  `json:"off"`
 	CRC     uint32 `json:"crc"`
 
-	// v2 chunk stats; absent from v1 files. Decoding is gated on the file
-	// magic, not on field presence, so a v2 chunk with empty maps still
-	// gets a non-nil ChunkStats.
+	// Chunk stats; absent from v1 files. Decoding is gated on the file
+	// magic, not on field presence, so a chunk with empty maps still gets a
+	// non-nil ChunkStats.
 	MaxSec   int64                     `json:"max_sec,omitempty"`
 	MaxNanos int                       `json:"max_nanos,omitempty"`
 	Sources  map[string]int            `json:"sources,omitempty"`
@@ -225,27 +208,16 @@ func keyFromJSON(j keyJSON) Key {
 
 // WriteSegment writes events — which must already be in (time, seq) order
 // and non-empty — to path via a temp file, fsyncing file and directory
-// before the rename publishes it. It writes the latest format version.
+// before the rename publishes it. It is the one segment writer: the spiller
+// and the compactor both call it.
 func WriteSegment(path string, events []Event) (*SegmentInfo, error) {
-	return WriteSegmentVersion(path, events, SegmentVersionLatest)
-}
-
-// WriteSegmentVersion is WriteSegment pinned to an explicit format version:
-// SegmentV3 (the default) encodes chunks column-wise for projected decode,
-// SegmentV2 writes row-encoded chunks with per-chunk stats, SegmentV1 the
-// legacy row format — so mixed-version stores can be constructed on purpose.
-func WriteSegmentVersion(path string, events []Event, version int) (*SegmentInfo, error) {
-	if version < SegmentV1 || version > SegmentVersionLatest {
-		return nil, fmt.Errorf("persist: unknown segment version %d (supported: %s)",
-			version, SupportedSegmentFormats())
-	}
 	if len(events) == 0 {
 		return nil, fmt.Errorf("persist: refusing to write empty segment")
 	}
 	dict := newSchemaDict()
 	info := &SegmentInfo{
 		Path:               path,
-		Version:            version,
+		Version:            SegmentVersionLatest,
 		Count:              len(events),
 		Head:               Key{Time: events[0].Tuple.Time, Seq: events[0].Seq},
 		Tail:               Key{Time: events[len(events)-1].Tuple.Time, Seq: events[len(events)-1].Seq},
@@ -254,36 +226,16 @@ func WriteSegmentVersion(path string, events []Event, version int) (*SegmentInfo
 		PrimaryThemeCounts: map[string]int{},
 	}
 
-	// Event block, chunked at IndexEvery events: columnar chunks for v3,
-	// row-encoded for v1/v2.
-	var block []byte
-	if version >= SegmentV3 {
-		var scratch []byte
-		for start := 0; start < len(events); start += IndexEvery {
-			end := min(start+IndexEvery, len(events))
-			info.Sparse = append(info.Sparse, SparseEntry{
-				Pos: start, Time: events[start].Tuple.Time, Off: int64(len(block)),
-			})
-			block = appendChunkV3(block, events[start:end], dict, &scratch)
-			e := &info.Sparse[len(info.Sparse)-1]
-			e.CRC = checksum(block[e.Off:])
-		}
-	} else {
-		for i, ev := range events {
-			if i%IndexEvery == 0 {
-				if i > 0 {
-					prev := &info.Sparse[len(info.Sparse)-1]
-					prev.CRC = checksum(block[prev.Off:])
-				}
-				info.Sparse = append(info.Sparse, SparseEntry{
-					Pos: i, Time: ev.Tuple.Time, Off: int64(len(block)),
-				})
-			}
-			id, _ := dict.id(ev.Tuple.Schema)
-			block = appendEvent(block, ev, id)
-		}
-		last := &info.Sparse[len(info.Sparse)-1]
-		last.CRC = checksum(block[last.Off:])
+	// Event block: one columnar chunk, with its stats, per IndexEvery events.
+	var block, scratch []byte
+	for start := 0; start < len(events); start += IndexEvery {
+		chunk := events[start:min(start+IndexEvery, len(events))]
+		off := len(block)
+		block = appendChunkV3(block, chunk, dict, &scratch)
+		info.Sparse = append(info.Sparse, SparseEntry{
+			Pos: start, Time: chunk[0].Tuple.Time, Off: int64(off),
+			CRC: checksum(block[off:]), Stats: chunkStatsFor(chunk),
+		})
 	}
 	for _, ev := range events {
 		t := ev.Tuple
@@ -298,16 +250,6 @@ func WriteSegmentVersion(path string, events []Event, version int) (*SegmentInfo
 			if theme != t.Theme {
 				info.ThemeCounts[theme]++
 			}
-		}
-	}
-	if version >= SegmentV2 {
-		for k := range info.Sparse {
-			start := info.Sparse[k].Pos
-			end := len(events)
-			if k+1 < len(info.Sparse) {
-				end = info.Sparse[k+1].Pos
-			}
-			info.Sparse[k].Stats = chunkStatsFor(events[start:end])
 		}
 	}
 	info.schemas = dict.order
@@ -353,15 +295,8 @@ func WriteSegmentVersion(path string, events []Event, version int) (*SegmentInfo
 		return nil, err
 	}
 
-	magic := segMagicV1
-	switch {
-	case version >= SegmentV3:
-		magic = segMagicV3
-	case version >= SegmentV2:
-		magic = segMagicV2
-	}
-	buf := make([]byte, 0, len(magic)+8+len(hdrBytes)+8*len(events)+len(block))
-	buf = append(buf, magic...)
+	buf := make([]byte, 0, len(segMagicV3)+8+len(hdrBytes)+8*len(events)+len(block))
+	buf = append(buf, segMagicV3...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hdrBytes)))
 	buf = binary.LittleEndian.AppendUint32(buf, checksum(hdrBytes))
 	buf = append(buf, hdrBytes...)
@@ -402,7 +337,7 @@ func WriteSegmentVersion(path string, events []Event, version int) (*SegmentInfo
 }
 
 // chunkStatsFor summarizes one chunk's events (already in (time, seq)
-// order) for the v2 sparse index.
+// order) for the sparse index.
 func chunkStatsFor(events []Event) *ChunkStats {
 	cs := &ChunkStats{
 		MaxTime:            events[len(events)-1].Tuple.Time,
@@ -491,8 +426,8 @@ func OpenSegment(path string) (*SegmentInfo, []uint64, error) {
 	case string(segMagicV3):
 		version = SegmentV3
 	default:
-		return nil, nil, fmt.Errorf("persist: %s: unknown segment magic %q (this build reads %q..%q, versions %s)",
-			path, fixed[:len(segMagicV1)], segMagicV1, segMagicV3, SupportedSegmentFormats())
+		return nil, nil, fmt.Errorf("persist: %s: unknown segment magic %q (this build reads %q..%q)",
+			path, fixed[:len(segMagicV1)], segMagicV1, segMagicV3)
 	}
 	hdrLen := int(binary.LittleEndian.Uint32(fixed[len(segMagicV1):]))
 	hdrCRC := binary.LittleEndian.Uint32(fixed[len(segMagicV1)+4:])
@@ -509,6 +444,25 @@ func OpenSegment(path string) (*SegmentInfo, []uint64, error) {
 	var hdr segHeaderJSON
 	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
 		return nil, nil, fmt.Errorf("persist: %s: bad header: %w", path, err)
+	}
+	// The header passed its CRC, but a segment file is input from outside the
+	// program. Every number the read path allocates or indexes with is
+	// checked here, once, so that path need not re-check.
+	rest := st.Size() - int64(len(fixed)) - int64(hdrLen) // seq block + event block
+	if hdr.Count < 0 || hdr.EventBytes < 0 || int64(hdr.Count) > rest/8 ||
+		8*int64(hdr.Count)+hdr.EventBytes != rest {
+		return nil, nil, fmt.Errorf("persist: %s: header claims %d events and %d event bytes, the file has %d bytes for both",
+			path, hdr.Count, hdr.EventBytes, rest)
+	}
+	if hdr.Count > 0 && (len(hdr.Sparse) == 0 || hdr.Sparse[0].Pos != 0) {
+		return nil, nil, fmt.Errorf("persist: %s: sparse index does not start at event 0", path)
+	}
+	for k, e := range hdr.Sparse {
+		if e.Pos < 0 || e.Pos >= hdr.Count || e.Off < 0 || e.Off >= hdr.EventBytes ||
+			(k > 0 && (e.Pos <= hdr.Sparse[k-1].Pos || e.Off <= hdr.Sparse[k-1].Off)) {
+			return nil, nil, fmt.Errorf("persist: %s: sparse entry %d (event %d, offset %d) is out of order or outside the file's %d events and %d event bytes",
+				path, k, e.Pos, e.Off, hdr.Count, hdr.EventBytes)
+		}
 	}
 
 	info := &SegmentInfo{
@@ -570,13 +524,7 @@ func OpenSegment(path string) (*SegmentInfo, []uint64, error) {
 	for i := range seqs {
 		seqs[i] = binary.LittleEndian.Uint64(seqBytes[8*i:])
 	}
-	info.eventOff = int64(len(segMagicV1)) + 8 + int64(hdrLen) + int64(8*hdr.Count)
-	if info.eventOff+hdr.EventBytes != st.Size() {
-		return nil, nil, fmt.Errorf("persist: %s: event block size mismatch", path)
-	}
-	if info.Count > 0 && len(info.Sparse) == 0 {
-		return nil, nil, fmt.Errorf("persist: %s: missing sparse index", path)
-	}
+	info.eventOff = st.Size() - hdr.EventBytes
 	info.buildDict()
 	return info, seqs, nil
 }
@@ -625,17 +573,16 @@ func (si *SegmentInfo) ChunkRange(k int) (start, end int) {
 }
 
 // ReadStats reports how one read was served: chunks found decoded in the
-// cache versus chunks read back from disk, plus — on the v3 projected
-// path — how much column skipping saved.
+// cache versus chunks read back from disk, and what the decodes cost.
 type ReadStats struct {
 	CacheHits   int
 	CacheMisses int
-	// ColumnsSkipped counts column sections a projected v3 decode skipped
-	// over instead of parsing. Zero for v1/v2 reads and cache hits.
+	// ColumnsSkipped counts column sections a projected decode skipped over
+	// instead of parsing. Cache hits contribute nothing.
 	ColumnsSkipped int
-	// BytesDecoded is how many event-block bytes actual decodes parsed:
-	// whole chunks for v1/v2, only the projected sections for v3. Cache
-	// hits contribute nothing.
+	// BytesDecoded is how many event-block bytes the decodes parsed: the
+	// projected sections only (whole chunks of a v1/v2 file, which has no
+	// sections). Cache hits contribute nothing.
 	BytesDecoded int64
 }
 
@@ -671,142 +618,16 @@ func (si *SegmentInfo) chunkBounds(k int) (posStart, posEnd int, offStart, offEn
 	return posStart, posEnd, offStart, offEnd
 }
 
-// ReadRange decodes the events with ordinals [lo, hi), reading only the
-// chunks that span the range and verifying each chunk's checksum.
-func (si *SegmentInfo) ReadRange(lo, hi int) ([]Event, error) {
-	evs, _, err := si.ReadRangeCached(nil, lo, hi)
-	return evs, err
-}
-
-// ReadRangeCached is ReadRange through a chunk cache: chunks already
-// decoded in the cache are reused, and only the missing stretches touch the
-// disk — each contiguous run of misses as a single pread into a pooled
-// buffer. A nil cache reads everything. The returned events may be shared
-// with other readers and must not be mutated.
-func (si *SegmentInfo) ReadRangeCached(cache *ChunkCache, lo, hi int) ([]Event, ReadStats, error) {
-	if si.Version >= SegmentV3 {
-		return si.readRangeV3(cache, lo, hi, FullProjection)
-	}
-	var rs ReadStats
-	if lo < 0 || hi > si.Count || lo >= hi {
-		if lo == hi {
-			return nil, rs, nil
-		}
-		return nil, rs, fmt.Errorf("persist: %s: bad range [%d, %d) of %d", si.Path, lo, hi, si.Count)
-	}
-	first, last := si.chunkSpan(lo, hi)
-	chunks := make([][]Event, last-first+1)
-	if cache != nil {
-		for k := first; k <= last; k++ {
-			if v, ok := cache.get(chunkKey{si.Path, k}); ok {
-				if evs, ok := v.([]Event); ok {
-					chunks[k-first] = evs
-					rs.CacheHits++
-					continue
-				}
-			}
-			rs.CacheMisses++
-		}
-	} else {
-		rs.CacheMisses = last - first + 1
-	}
-
-	var f *os.File
-	defer func() {
-		if f != nil {
-			f.Close()
-		}
-	}()
-	for k := first; k <= last; k++ {
-		if chunks[k-first] != nil {
-			continue
-		}
-		end := k
-		for end+1 <= last && chunks[end+1-first] == nil {
-			end++
-		}
-		if f == nil {
-			var err error
-			if f, err = os.Open(si.Path); err != nil {
-				return nil, rs, err
-			}
-		}
-		if err := si.readChunks(f, cache, k, end, chunks[k-first:end+1-first], &rs); err != nil {
-			return nil, rs, err
-		}
-		k = end
-	}
-
-	out := make([]Event, 0, hi-lo)
-	for idx, evs := range chunks {
-		posStart, posEnd, _, _ := si.chunkBounds(first + idx)
-		a, b := max(lo, posStart), min(hi, posEnd)
-		if a < b {
-			out = append(out, evs[a-posStart:b-posStart]...)
-		}
-	}
-	return out, rs, nil
-}
-
-// readChunks reads and decodes chunks [k, end] with one pread, verifying
-// each chunk's checksum, storing the per-chunk event slices into dst and —
-// when a cache is supplied — inserting each decoded chunk into it.
-func (si *SegmentInfo) readChunks(f *os.File, cache *ChunkCache, k, end int, dst [][]Event, rs *ReadStats) error {
-	_, _, startOff, _ := si.chunkBounds(k)
-	_, _, _, endOff := si.chunkBounds(end)
-	bufp := readBufPool.Get().(*[]byte)
-	defer readBufPool.Put(bufp)
-	need := int(endOff - startOff)
-	if cap(*bufp) < need {
-		*bufp = make([]byte, need)
-	}
-	block := (*bufp)[:need]
-	if _, err := f.ReadAt(block, si.eventOff+startOff); err != nil {
-		return fmt.Errorf("persist: %s: reading events: %w", si.Path, err)
-	}
-	for c := k; c <= end; c++ {
-		posStart, posEnd, cOff, cEnd := si.chunkBounds(c)
-		chunk := block[cOff-startOff : cEnd-startOff]
-		if checksum(chunk) != si.Sparse[c].CRC {
-			return fmt.Errorf("persist: %s: chunk %d checksum mismatch", si.Path, c)
-		}
-		d := &decoder{data: chunk}
-		evs := make([]Event, 0, posEnd-posStart)
-		for pos := posStart; pos < posEnd; pos++ {
-			ev := d.event(si.dict)
-			if d.err != nil {
-				return fmt.Errorf("persist: %s: decoding event %d: %w", si.Path, pos, d.err)
-			}
-			evs = append(evs, ev)
-		}
-		rs.BytesDecoded += cEnd - cOff
-		dst[c-k] = evs
-		if cache != nil {
-			cache.put(chunkKey{si.Path, c}, evs, cEnd-cOff)
-		}
-	}
-	return nil
-}
-
-// ReadRangeProjected is ReadRangeCached restricted to the columns proj
-// names. On v3 files only those columns are decoded — skipped sections are
-// counted in ReadStats.ColumnsSkipped — and the returned events carry zero
-// values for unprojected columns. v1/v2 files have no column structure, so
-// the projection is ignored and the read is a full ReadRangeCached; callers
-// therefore always get a superset of what they asked for. The returned
-// events may be shared with other readers and must not be mutated.
+// ReadRangeProjected is the one read of a segment's event block: it returns
+// the events with ordinals [lo, hi), carrying at least the columns proj
+// names (unprojected columns may come back zero). Per chunk spanning the
+// range it consults the cache for decoded columns covering the projection;
+// the chunks that miss are read back — each contiguous run of them with one
+// pread into a pooled buffer — checksummed, decoded (only the projected
+// sections), merged into whatever columns the cache already held for the
+// chunk and stored back. A nil cache reads everything. The returned events
+// may be shared with other readers and must not be mutated.
 func (si *SegmentInfo) ReadRangeProjected(cache *ChunkCache, lo, hi int, proj Projection) ([]Event, ReadStats, error) {
-	if si.Version >= SegmentV3 {
-		return si.readRangeV3(cache, lo, hi, proj)
-	}
-	return si.ReadRangeCached(cache, lo, hi)
-}
-
-// readRangeV3 is the v3 read path: per chunk, consult the cache for decoded
-// columns covering the projection, decode (only) the projected sections of
-// the chunks that miss — one pread per contiguous miss run — and merge
-// fresh columns into whatever the cache already held for the chunk.
-func (si *SegmentInfo) readRangeV3(cache *ChunkCache, lo, hi int, proj Projection) ([]Event, ReadStats, error) {
 	var rs ReadStats
 	if lo < 0 || hi > si.Count || lo >= hi {
 		if lo == hi {
@@ -819,15 +640,13 @@ func (si *SegmentInfo) readRangeV3(cache *ChunkCache, lo, hi int, proj Projectio
 	partial := make([]*colChunk, last-first+1) // cached but missing projected columns
 	if cache != nil {
 		for k := first; k <= last; k++ {
-			if v, ok := cache.get(chunkKey{si.Path, k}); ok {
-				if cc, ok := v.(*colChunk); ok {
-					if cc.covers(proj, si) {
-						chunks[k-first] = cc
-						rs.CacheHits++
-						continue
-					}
-					partial[k-first] = cc
+			if cc, ok := cache.get(chunkKey{si.Path, k}); ok {
+				if cc.covers(proj, si) {
+					chunks[k-first] = cc
+					rs.CacheHits++
+					continue
 				}
+				partial[k-first] = cc
 			}
 			rs.CacheMisses++
 		}
@@ -836,11 +655,7 @@ func (si *SegmentInfo) readRangeV3(cache *ChunkCache, lo, hi int, proj Projectio
 	}
 
 	var f *os.File
-	defer func() {
-		if f != nil {
-			f.Close()
-		}
-	}()
+	var bufp *[]byte
 	for k := first; k <= last; k++ {
 		if chunks[k-first] != nil {
 			continue
@@ -854,10 +669,37 @@ func (si *SegmentInfo) readRangeV3(cache *ChunkCache, lo, hi int, proj Projectio
 			if f, err = os.Open(si.Path); err != nil {
 				return nil, rs, err
 			}
+			defer f.Close()
+			bufp = readBufPool.Get().(*[]byte)
+			defer readBufPool.Put(bufp)
 		}
-		if err := si.readChunksV3(f, cache, k, end, proj,
-			partial[k-first:end+1-first], chunks[k-first:end+1-first], &rs); err != nil {
-			return nil, rs, err
+		_, _, startOff, _ := si.chunkBounds(k)
+		_, _, _, endOff := si.chunkBounds(end)
+		need := int(endOff - startOff)
+		if cap(*bufp) < need {
+			*bufp = make([]byte, need)
+		}
+		block := (*bufp)[:need]
+		if _, err := f.ReadAt(block, si.eventOff+startOff); err != nil {
+			return nil, rs, fmt.Errorf("persist: %s: reading events: %w", si.Path, err)
+		}
+		for c := k; c <= end; c++ {
+			posStart, posEnd, cOff, cEnd := si.chunkBounds(c)
+			chunk := block[cOff-startOff : cEnd-startOff]
+			if checksum(chunk) != si.Sparse[c].CRC {
+				return nil, rs, fmt.Errorf("persist: %s: chunk %d checksum mismatch", si.Path, c)
+			}
+			cc, err := si.decodeChunk(chunk, posEnd-posStart, proj, cache != nil, &rs)
+			if err != nil {
+				return nil, rs, fmt.Errorf("persist: %s: decoding chunk %d: %w", si.Path, c, err)
+			}
+			if p := partial[c-first]; p != nil {
+				cc = p.merge(cc)
+			}
+			chunks[c-first] = cc
+			if cache != nil {
+				cache.update(chunkKey{si.Path, c}, cc, cEnd-cOff)
+			}
 		}
 		k = end
 	}
@@ -874,62 +716,52 @@ func (si *SegmentInfo) readRangeV3(cache *ChunkCache, lo, hi int, proj Projectio
 	return out, rs, nil
 }
 
-// readChunksV3 reads chunks [k, end] with one pread and decodes each one's
-// projected columns, merging with any partially-cached columns and storing
-// the (possibly widened) column sets back into the cache.
-func (si *SegmentInfo) readChunksV3(f *os.File, cache *ChunkCache, k, end int, proj Projection, partial, dst []*colChunk, rs *ReadStats) error {
-	_, _, startOff, _ := si.chunkBounds(k)
-	_, _, _, endOff := si.chunkBounds(end)
-	bufp := readBufPool.Get().(*[]byte)
-	defer readBufPool.Put(bufp)
-	need := int(endOff - startOff)
-	if cap(*bufp) < need {
-		*bufp = make([]byte, need)
-	}
-	block := (*bufp)[:need]
-	if _, err := f.ReadAt(block, si.eventOff+startOff); err != nil {
-		return fmt.Errorf("persist: %s: reading events: %w", si.Path, err)
-	}
-	rowsDirect := cache == nil && proj.full()
-	for c := k; c <= end; c++ {
-		posStart, posEnd, cOff, cEnd := si.chunkBounds(c)
-		chunk := block[cOff-startOff : cEnd-startOff]
-		if checksum(chunk) != si.Sparse[c].CRC {
-			return fmt.Errorf("persist: %s: chunk %d checksum mismatch", si.Path, c)
-		}
-		if rowsDirect {
-			// Nothing to cache: decode straight into rows, skipping the
-			// columnar intermediates (they'd be garbage the moment the rows
-			// materialize).
-			evs, decoded, err := si.decodeChunkRowsV3(chunk, posEnd-posStart)
-			if err != nil {
-				return fmt.Errorf("persist: %s: decoding chunk %d: %w", si.Path, c, err)
-			}
-			rs.BytesDecoded += decoded
-			cc := &colChunk{n: posEnd - posStart, mask: ColAll, allVals: true}
-			cc.rows.Store(&evs)
-			dst[c-k] = cc
-			continue
-		}
-		cc, cd, err := si.decodeChunkV3(chunk, posEnd-posStart, proj)
-		if err != nil {
-			return fmt.Errorf("persist: %s: decoding chunk %d: %w", si.Path, c, err)
-		}
+// decodeChunk decodes one checksummed chunk of n events, and is the only
+// place the read path looks at the file's version. A v3 chunk headed for
+// the cache, or read under a narrow projection, decodes its projected
+// columns. Otherwise the columns would be garbage the moment the rows
+// materialize, so the chunk decodes straight into rows, held in a colChunk
+// that has nothing else and covers every projection: an uncached full read
+// of a v3 file (compaction loads, disabled caches), and every read of a
+// v1/v2 file, whose row-encoded chunks have no columns to project.
+func (si *SegmentInfo) decodeChunk(data []byte, n int, proj Projection, cached bool, rs *ReadStats) (*colChunk, error) {
+	if si.Version >= SegmentV3 && (cached || !proj.full()) {
+		cc, cd, err := si.decodeChunkV3(data, n, proj)
 		rs.ColumnsSkipped += cd.skipped
 		rs.BytesDecoded += cd.decoded
-		if p := partial[c-k]; p != nil {
-			cc = p.merge(cc)
-		}
-		dst[c-k] = cc
-		if cache != nil {
-			cache.update(chunkKey{si.Path, c}, cc, cEnd-cOff)
-		}
+		return cc, err
 	}
-	return nil
+	var rows []Event
+	var err error
+	if si.Version >= SegmentV3 {
+		var decoded int64
+		rows, decoded, err = si.decodeChunkRowsV3(data, n)
+		rs.BytesDecoded += decoded
+	} else {
+		// A chunk of a v1/v2 file is n of the WAL's event records back to
+		// back. Goes with the last such file; see the layout comment.
+		d := &decoder{data: data}
+		rows = make([]Event, n)
+		for i := 0; i < n && d.err == nil; i++ {
+			rows[i] = d.event(si.dict)
+		}
+		err = d.err
+		rs.BytesDecoded += int64(len(data))
+	}
+	if err != nil {
+		return nil, err
+	}
+	cc := &colChunk{n: n, mask: ColAll, allVals: true}
+	cc.rows.Store(&rows)
+	return cc, nil
 }
 
-// ReadAll decodes every event in the file.
-func (si *SegmentInfo) ReadAll() ([]Event, error) { return si.ReadRange(0, si.Count) }
+// ReadRangeCached is ReadRangeProjected with the full projection. Nothing
+// in this module calls it; bench/ does, and bench/ is the one directory a
+// change may not edit (BENCHMARK.json), so it stays until bench/ moves.
+func (si *SegmentInfo) ReadRangeCached(cache *ChunkCache, lo, hi int) ([]Event, ReadStats, error) {
+	return si.ReadRangeProjected(cache, lo, hi, FullProjection)
+}
 
 // Remove deletes the segment file.
 func (si *SegmentInfo) Remove() error {

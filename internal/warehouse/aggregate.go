@@ -389,7 +389,7 @@ func (v *aggVisitor) addStats(bs time.Time, source, theme string, fs persist.Fie
 }
 
 // chunk extends the header fast path one level down: it folds chunk k of a
-// v2+ cold file (event ordinals [start, end)) from its sparse-index stats
+// cold file (event ordinals [start, end)) from its sparse-index stats
 // alone, without a decode. A chunk is stats-answerable when it is wholly
 // live (no retention skip inside it), its [min, max] time envelope lands
 // inside the query window and — under bucketing — in one bucket, there is no

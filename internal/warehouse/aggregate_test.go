@@ -380,15 +380,15 @@ func TestAggregateHeterogeneousSchemas(t *testing.T) {
 }
 
 // aggChunkPair loads identical events into a durable warehouse whose cold
-// files span several 256-event chunks (so the v2 per-chunk stats path has
+// files span several 256-event chunks (so the per-chunk stats path has
 // chunks to answer) and an in-memory twin. Compaction is disabled to keep
 // the file layout deterministic.
-func aggChunkPair(t *testing.T, format, n int) (cold, hot *Warehouse) {
+func aggChunkPair(t *testing.T, n int) (cold, hot *Warehouse) {
 	t.Helper()
 	cold, err := Open(Config{
 		Shards: 1, SegmentEvents: 4 * persist.IndexEvery, SegmentSpan: 240 * time.Hour,
 		DataDir: t.TempDir(), HotSegments: 1, Sync: persist.SyncNever,
-		SegmentFormat: format, CompactBelow: -1,
+		CompactBelow: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -438,11 +438,11 @@ func chunkFallbackQueries() map[string]AggQuery {
 	}
 }
 
-// TestAggregateChunkStatsFastPath: v2 cold files answer chunks of
+// TestAggregateChunkStatsFastPath: cold files answer chunks of
 // partially-covered aggregates from sparse-index stats — identically to the
 // in-memory twin and to the forced decode path.
 func TestAggregateChunkStatsFastPath(t *testing.T) {
-	cold, hot := aggChunkPair(t, persist.SegmentV2, 13*persist.IndexEvery)
+	cold, hot := aggChunkPair(t, 13*persist.IndexEvery)
 	for name, q := range chunkStatsQueries() {
 		rows, qs, err := cold.Aggregate(context.Background(), q)
 		if err != nil {
@@ -483,21 +483,44 @@ func TestAggregateChunkStatsFastPath(t *testing.T) {
 	}
 }
 
-// TestAggregateChunkStatsV1Files: the same store written in the v1 format
-// answers every query identically — just without the chunk fast path.
+// TestAggregateChunkStatsV1Files: a v1 file, which an older build may have
+// left behind, carries no chunk stats, so a window cutting it mid-chunk is
+// answered by decoding; the same window over a v2 file answers its interior
+// chunk from stats. Both equal the naive model — and with compaction
+// disabled both files are left as they are.
 func TestAggregateChunkStatsV1Files(t *testing.T) {
-	cold, hot := aggChunkPair(t, persist.SegmentV1, 13*persist.IndexEvery)
-	for name, q := range chunkStatsQueries() {
-		rows, qs, err := cold.Aggregate(context.Background(), q)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	dir := t.TempDir()
+	m := plantOldFormatFiles(t, dir)
+	cfg := compactCfg(dir)
+	cfg.CompactBelow = -1
+	w, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for version, start := range map[int]time.Duration{persist.SegmentV1: 0, persist.SegmentV2: time.Hour} {
+		window := Query{From: t0.Add(start + 100*time.Second), To: t0.Add(start + 520*time.Second)}
+		for _, q := range []AggQuery{
+			{Func: ops.AggSum, Field: "temperature", Query: window},
+			{Func: ops.AggAvg, Field: "temperature", Query: window},
+			{Func: ops.AggMin, Field: "temperature", Query: window},
+			{Func: ops.AggCount, Query: window},
+		} {
+			rows, qs, err := w.Aggregate(context.Background(), q)
+			if err != nil {
+				t.Fatalf("v%d %s: %v", version, aggString(q), err)
+			}
+			if (qs.ColdChunkStats > 0) != (version >= persist.SegmentV2) {
+				t.Errorf("v%d %s: %d chunks answered from stats", version, aggString(q), qs.ColdChunkStats)
+			}
+			if diff := diffAggRows(rows, m.aggregate(q, time.Time{})); diff != "" {
+				t.Errorf("v%d %s: %s", version, aggString(q), diff)
+			}
 		}
-		if qs.ColdChunkStats != 0 {
-			t.Errorf("%s: v1 files cannot answer chunks from stats (%+v)", name, qs)
-		}
-		if diff := diffAggRows(rows, aggRows(t, hot, q)); diff != "" {
-			t.Errorf("%s vs in-memory: %s", name, diff)
-		}
+	}
+	w.CompactNow() // disabled: a no-op
+	if v := segVersions(t, dir); len(v) != 2 || v[persist.SegmentV1] != 1 || v[persist.SegmentV2] != 1 {
+		t.Fatalf("file versions %v, want the planted v1 and v2 files untouched", v)
 	}
 }
 
@@ -505,7 +528,7 @@ func TestAggregateChunkStatsV1Files(t *testing.T) {
 // answers wholly-live chunks from stats; the straddling chunk decodes. The
 // results stay exact.
 func TestAggregateChunkStatsAfterRetention(t *testing.T) {
-	cold, _ := aggChunkPair(t, persist.SegmentV2, 13*persist.IndexEvery)
+	cold, _ := aggChunkPair(t, 13*persist.IndexEvery)
 	cold.SetRetention(8 * persist.IndexEvery)
 	q := AggQuery{Func: ops.AggSum, Field: "temperature"}
 	slow := q

@@ -107,7 +107,7 @@ func (c *coldSegment) ensureLoaded() error {
 	if c.loaded != nil {
 		return nil
 	}
-	pes, _, err := c.info.ReadRangeCached(nil, c.skip, c.info.Count)
+	pes, _, err := c.info.ReadRangeProjected(nil, c.skip, c.info.Count, persist.FullProjection)
 	if err != nil {
 		return err
 	}

@@ -16,7 +16,9 @@ import (
 // one well-pruning neighbor, using the spiller's discipline — select and
 // validate under the shard lock, do the file I/O with no lock held, swap
 // briefly under the lock — so queries see identical results before, during
-// and after a compaction.
+// and after a compaction. A file in an older segment format is rewritten by
+// the same steps, on its own if it has no neighbor to merge with, so a
+// store an older build wrote converges to the one format this build writes.
 //
 // Crash safety leans on one manifest record per rewrite. Until the merged
 // file is published, nothing has changed on disk. Once it is published but
@@ -171,22 +173,20 @@ type compactSnap struct {
 	count int
 }
 
-// pickCompactionLocked selects the next run of cold segments worth merging:
-// at least two time-adjacent segments (ordered by live head key) where each
+// pickCompactionLocked selects the next run of cold segments worth
+// rewriting: time-adjacent segments (ordered by live head key) where each
 // join is justified — one side is small, or the next segment's envelope
 // overlaps the previous one's (an out-of-order side spill) — capped at
-// maxCompactFiles files and maxOut merged events. Caller holds the shard
+// maxCompactFiles files and maxOut merged events. A run is at least two
+// segments, or one whose file is in an older format. Caller holds the shard
 // lock.
 func (s *shard) pickCompactionLocked(below, maxOut int) []compactSnap {
-	if len(s.cold) < 2 {
-		return nil
-	}
 	order := make([]*coldSegment, len(s.cold))
 	copy(order, s.cold)
 	sort.Slice(order, func(i, j int) bool { return order[i].head.Less(order[j].head) })
 	eligible := func(cs *coldSegment) bool { return !cs.compacting && cs.loaded == nil }
 	small := func(cs *coldSegment) bool { return cs.count < below }
-	for i := 0; i+1 < len(order); i++ {
+	for i := range order {
 		if !eligible(order[i]) {
 			continue
 		}
@@ -204,7 +204,7 @@ func (s *shard) pickCompactionLocked(below, maxOut int) []compactSnap {
 			run = append(run, cs)
 			total += cs.count
 		}
-		if len(run) >= 2 {
+		if len(run) >= 2 || run[0].info.Version < persist.SegmentVersionLatest {
 			snaps := make([]compactSnap, len(run))
 			for k, cs := range run {
 				snaps[k] = compactSnap{cs: cs, skip: cs.skip, count: cs.count}
@@ -223,7 +223,7 @@ func (s *shard) pickCompactionLocked(below, maxOut int) []compactSnap {
 func (w *Warehouse) compactShardOnce(s *shard) bool {
 	s.mu.Lock()
 	snaps := s.pickCompactionLocked(w.compact.below, w.compact.maxOut)
-	if len(snaps) < 2 {
+	if snaps == nil {
 		s.mu.Unlock()
 		return false
 	}
@@ -260,7 +260,7 @@ func (w *Warehouse) compactShardOnce(s *shard) bool {
 			return false
 		}
 		oldGens = append(oldGens, g)
-		pes, _, err := sn.cs.info.ReadRangeCached(nil, sn.skip, sn.cs.info.Count)
+		pes, _, err := sn.cs.info.ReadRangeProjected(nil, sn.skip, sn.cs.info.Count, persist.FullProjection)
 		if err != nil {
 			release()
 			return false
@@ -269,7 +269,7 @@ func (w *Warehouse) compactShardOnce(s *shard) bool {
 	}
 	persist.SortEvents(events)
 
-	info, err := persist.WriteSegmentVersion(path, events, w.segVersion)
+	info, err := persist.WriteSegment(path, events)
 	if err != nil {
 		release()
 		return false

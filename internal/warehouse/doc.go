@@ -101,11 +101,10 @@
 // indistinguishable, crash/reopen included; QueryStats.ColdHeaderOnly
 // counts the segments answered header-only per query.
 //
-// Format-v2 segment files (Config.SegmentFormat pins an older format for
-// downgrade scenarios) push the same idea below the file: each sparse-index
-// entry carries per-chunk stats — the chunk's max event time, per-source,
+// The sparse index pushes the same idea below the file: each entry
+// carries per-chunk stats — the chunk's max event time, per-source,
 // per-theme and primary-theme counts, and per-field non-null/numeric
-// counts, sum, min and max. A partially-covered v2 file answers each
+// counts, sum, min and max. A partially-covered file answers each
 // wholly-live chunk whose [start, max] time envelope sits inside the query
 // window (and, under bucketing, inside one bucket) from those stats alone,
 // under the header path's strictness rules applied per chunk — field
@@ -114,26 +113,31 @@
 // Only the boundary chunks the stats cannot settle are decoded, and chunks
 // are folded in file order with stats-answered chunks and decoded runs
 // interleaved exactly where they lie, so the result stays byte-identical
-// to a full decode (the model checker alternates v1 and v2 files in one
-// store to prove it). QueryStats.ColdChunkStats and the warehouse-level
+// to a full decode. QueryStats.ColdChunkStats and the warehouse-level
 // cold_chunk_stats_hits counter count chunks answered without a read;
-// BenchmarkAggregatePartialCover shows a partially-covering SUM decoding
-// 32x fewer chunks on v2 than v1. v1 files keep decoding as before —
-// the event-block encoding is identical, only the index entries differ.
+// BenchmarkAggregatePartialCover holds a partially-covering SUM to
+// decoding its boundary chunks only.
 //
-// Format-v3 files (the default) keep v2's framing, header, and per-chunk
-// stats but encode each chunk column-wise: timestamps as delta-of-delta
-// varints, sequence numbers as deltas, schema/theme/source as chunk-local
+// A chunk is encoded column-wise: timestamps as delta-of-delta varints,
+// sequence numbers as deltas, schema/theme/source as chunk-local
 // dictionary-coded runs, and payload values as per-position typed columns.
 // Readers carry a column projection (persist.Projection), so the chunks
 // the stats cannot settle decode only the sections a query touches — a
 // single-field SUM reads the time column and that field's column and skips
 // the rest, counted by QueryStats.ColdColumnsSkipped/ColdBytesDecoded and
 // the warehouse-level cold_columns_skipped counter. Full decodes
-// materialize rows directly from the columns, over 2x faster than v2 with
-// ~40% smaller files (BenchmarkColdDecodeV3; BenchmarkSelectProjected
-// prices the projected path). The model checker alternates v1, v2 and v3
-// files in one store to prove all three read identically.
+// materialize rows directly from the columns (BenchmarkColdDecodeV3 prices
+// them and the file size; BenchmarkSelectProjected the projected path).
+//
+// That is segment format v3, the only one written. A store an older build
+// wrote may hold v1 and v2 files: row-encoded chunks, v1 without chunk
+// stats. They read through the same loop — a projected read of one returns
+// whole rows, a v1 file answers no chunk from stats — and the compactor
+// rewrites each to v3 as it finds it (Open enqueues every shard), so such a
+// store converges with nothing for the operator to run; `slctl segments`
+// shows each file's version. TestOldFormatFilesConverge plants one file of
+// each old version and proves the results identical before, during and
+// after.
 //
 // # Retention
 //

@@ -87,7 +87,7 @@ func (w *Warehouse) registerStatsCollector(reg *obs.Registry) {
 		{"streamloader_warehouse_recovered_events_total", "Events recovered by the last Open."},
 		{"streamloader_warehouse_cold_cache_hits_total", "Cold-chunk reads served from the cache."},
 		{"streamloader_warehouse_cold_cache_misses_total", "Cold-chunk reads that went to disk."},
-		{"streamloader_warehouse_cold_chunk_stats_hits_total", "Chunks answered from v2+ per-chunk stats without decoding."},
+		{"streamloader_warehouse_cold_chunk_stats_hits_total", "Chunks answered from per-chunk stats without decoding."},
 		{"streamloader_warehouse_cold_columns_skipped_total", "Column sections skipped by projected v3 cold reads."},
 		{"streamloader_warehouse_compactions_total", "Background cold-file compaction rounds."},
 		{"streamloader_warehouse_segments_compacted_total", "Cold files merged away by compaction."},

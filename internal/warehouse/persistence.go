@@ -82,13 +82,6 @@ func Open(cfg Config) (*Warehouse, error) {
 	}
 	w.coldCache = persist.NewChunkCache(cacheBytes) // nil when disabled
 	w.spill = newSpiller(w)
-	if err := persist.ValidateSegmentFormat(cfg.SegmentFormat); err != nil {
-		return nil, fmt.Errorf("warehouse: open: %w", err)
-	}
-	w.segVersion = cfg.SegmentFormat
-	if w.segVersion == 0 {
-		w.segVersion = persist.SegmentVersionLatest
-	}
 	segEvents := cfg.SegmentEvents
 	if segEvents < 1 {
 		segEvents = DefaultSegmentEvents
@@ -188,7 +181,8 @@ func Open(cfg Config) (*Warehouse, error) {
 	if w.compact != nil {
 		w.compact.start()
 		// Recovery can leave shards littered with small or overlapping
-		// files (crash-orphaned side spills, re-trimmed stragglers); give
+		// files (crash-orphaned side spills, re-trimmed stragglers), and a
+		// store an older build wrote holds files in an older format; give
 		// every shard an initial compaction check.
 		for _, s := range w.shards {
 			w.compact.enqueue(s)

@@ -520,7 +520,7 @@ func TestCrashedCompactionAfterVictimDeletedByCut(t *testing.T) {
 
 	write := func(gen int, events []persist.Event) string {
 		path := filepath.Join(shardDir, persist.SegmentFileName(gen))
-		if _, err := persist.WriteSegmentVersion(path, events, persist.SegmentV1); err != nil {
+		if _, err := persist.WriteSegment(path, events); err != nil {
 			t.Fatal(err)
 		}
 		return path

@@ -12,7 +12,7 @@ import (
 type scanPlan struct {
 	Query
 	// proj names the columns the visitor and the filter read off a cold
-	// event; on v3 files nothing else is decoded.
+	// event; nothing else is decoded.
 	proj persist.Projection
 	// minSeq restricts the scan to events with Seq >= minSeq — the view
 	// checkpoint's tail fold; set it through after. Header, chunk and index
@@ -158,10 +158,10 @@ func (sc *scanner) cold(cs *coldSegment) error {
 		return nil
 	}
 	// A select wants whole rows; when a column filter can reject events on
-	// its own, a v3 file decodes only the filter's columns first and whole
-	// rows only where something matched.
+	// its own, decode only the filter's columns first and whole rows only
+	// where something matched.
 	read := sc.readRun
-	if pl.proj == persist.FullProjection && pl.Cond == "" && info.Version >= persist.SegmentV3 &&
+	if pl.proj == persist.FullProjection && pl.Cond == "" &&
 		(len(pl.Themes) > 0 || len(pl.Sources) > 0 || pl.Region != nil) {
 		read = sc.readMatchingRuns
 	}
@@ -204,8 +204,8 @@ func (sc *scanner) cold(cs *coldSegment) error {
 	return nil
 }
 
-// readRun decodes event ordinals [a, b) of a cold file — the plan's
-// projected columns on v3, whole events on v1/v2 — and visits each.
+// readRun decodes the plan's projected columns of event ordinals [a, b) of
+// a cold file and visits each event.
 func (sc *scanner) readRun(cs *coldSegment, a, b int) error {
 	pes, err := sc.read(cs, a, b, sc.pl.proj)
 	if err != nil {

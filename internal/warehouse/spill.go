@@ -190,7 +190,7 @@ func (w *Warehouse) spillOne(req spillReq) {
 	if w.spill.aborted.Load() {
 		return // crash before the file exists: WAL still owns the events
 	}
-	info, err := persist.WriteSegmentVersion(path, events, w.segVersion)
+	info, err := persist.WriteSegment(path, events)
 	if err != nil {
 		// Durability is unaffected — the WAL records survive — and the
 		// segment stays queryable in memory; a later append re-enqueues.

@@ -77,19 +77,12 @@ type Config struct {
 	// RAM instead of re-reading files. 0 means DefaultColdCacheBytes;
 	// negative disables the cache.
 	ColdCacheBytes int64
-	// SegmentFormat pins the segment-file format version new spills (and
-	// compactions) are written in: 0 writes the latest
-	// (persist.SegmentVersionLatest — the columnar v3 layout with
-	// projected decode), persist.SegmentV2 the row layout with per-chunk
-	// stats, persist.SegmentV1 the legacy row format. Open rejects other
-	// values. Files of every version are always readable regardless of
-	// this setting, so a store may mix them freely.
-	SegmentFormat int
 	// CompactBelow is the live-event threshold under which a cold segment
 	// file counts as small enough to merge with its time-adjacent
 	// neighbors: the background compactor rewrites runs of small or
-	// time-overlapping cold files into one well-pruning file. 0 means
-	// SegmentEvents/2; negative disables compaction.
+	// time-overlapping cold files into one well-pruning file, and any file
+	// in an older format into the current one. 0 means SegmentEvents/2;
+	// negative disables compaction.
 	CompactBelow int
 
 	// ViewCheckpointEvery is how many view state mutations may accumulate
@@ -151,15 +144,15 @@ type QueryStats struct {
 	// decoded.
 	ColdHeaderOnly int `json:"cold_header_only"`
 	// ColdChunkStats counts the cold-segment chunks an aggregate answered
-	// from per-chunk sparse-index stats (v2+ files) — each one a chunk that
-	// overlapped the query window yet was never read or decoded.
+	// from per-chunk sparse-index stats — each one a chunk that overlapped
+	// the query window yet was never read or decoded.
 	ColdChunkStats int `json:"cold_chunk_stats_hits"`
-	// ColdColumnsSkipped counts the column sections projected v3 decodes
+	// ColdColumnsSkipped counts the column sections projected decodes
 	// skipped over — columns the query provably did not need.
 	ColdColumnsSkipped int `json:"cold_columns_skipped"`
 	// ColdBytesDecoded is how many event-block bytes this query's cold
-	// reads actually parsed (whole chunks on v1/v2, only the projected
-	// sections on v3; cache hits contribute nothing).
+	// reads actually parsed: the projected sections only; cache hits
+	// contribute nothing.
 	ColdBytesDecoded int64 `json:"cold_bytes_decoded"`
 }
 
@@ -201,8 +194,8 @@ type Warehouse struct {
 	recovered   atomic.Uint64
 
 	// chunkStatsHits counts the cold chunks aggregate queries answered from
-	// v2+ per-chunk stats; columnsSkipped the v3 column sections projected
-	// reads skipped; compactions/segsCompacted count background cold-file
+	// per-chunk stats; columnsSkipped the column sections projected reads
+	// skipped; compactions/segsCompacted count background cold-file
 	// compactions and the files they merged away.
 	chunkStatsHits atomic.Uint64
 	columnsSkipped atomic.Uint64
@@ -216,10 +209,6 @@ type Warehouse struct {
 	spill     *spiller
 	compact   *compactor
 	coldCache *persist.ChunkCache
-
-	// segVersion is the segment-file format version spills and compactions
-	// write (Config.SegmentFormat resolved).
-	segVersion int
 
 	// retMu serializes retention changes and global compactions, which
 	// need every shard lock (always taken in shard order).
@@ -960,8 +949,8 @@ type Stats struct {
 	ColdCacheBytes  int64  `json:"cold_cache_bytes"`
 
 	// ColdChunkStatsHits counts the cold chunks aggregate queries answered
-	// from v2+ per-chunk sparse-index stats instead of decoding them.
-	// ColdColumnsSkipped counts the v3 column sections projected reads
+	// from per-chunk sparse-index stats instead of decoding them.
+	// ColdColumnsSkipped counts the column sections projected reads
 	// skipped instead of decoding. Compactions counts background cold-file
 	// compactions and SegmentsCompacted the files they merged away.
 	ColdChunkStatsHits uint64 `json:"cold_chunk_stats_hits"`
