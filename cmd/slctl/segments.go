@@ -1,11 +1,12 @@
 package main
 
 // slctl segments inspects a durable warehouse data directory's cold segment
-// files offline: format version, event count and time envelope, chunk count
-// and per-chunk stats coverage, and the on-disk footprint against the
-// row-format (v1-style) encoding of the same events — which is how much the
-// columnar v3 layout actually saves. Reads are read-only; the directory may
-// belong to a stopped server.
+// files offline: event count and time envelope, chunk count, and the on-disk
+// footprint against the row-format (the WAL's) encoding of the same events —
+// which is how much the columnar layout actually saves. Reads are read-only;
+// the directory may belong to a stopped server. A file in a format this
+// build no longer reads stops the dump with OpenSegment's error, which says
+// how to convert it.
 
 import (
 	"flag"
@@ -74,19 +75,12 @@ flags:
 		if err != nil {
 			log.Fatalf("segments: %v", err)
 		}
-		withStats := 0
-		for _, se := range info.Sparse {
-			if se.Stats != nil {
-				withStats++
-			}
-		}
 		rel := path
 		if r, err := filepath.Rel(dir, path); err == nil {
 			rel = r
 		}
 		fmt.Printf("%s\n", rel)
-		fmt.Printf("  format v%d  events %d  chunks %d (%d with stats)\n",
-			info.Version, info.Count, len(info.Sparse), withStats)
+		fmt.Printf("  events %d  chunks %d\n", info.Count, len(info.Sparse))
 		fmt.Printf("  span %s .. %s\n",
 			info.Head.Time.UTC().Format(time.RFC3339Nano),
 			info.Tail.Time.UTC().Format(time.RFC3339Nano))
@@ -108,12 +102,8 @@ flags:
 		}
 		if *chunks {
 			for i, se := range info.Sparse {
-				stats := "-"
-				if se.Stats != nil {
-					stats = "stats"
-				}
-				fmt.Printf("  chunk %3d  pos %6d  %s  off %8d  crc %08x  %s\n",
-					i, se.Pos, se.Time.UTC().Format(time.RFC3339), se.Off, se.CRC, stats)
+				fmt.Printf("  chunk %3d  pos %6d  %s  off %8d  crc %08x\n",
+					i, se.Pos, se.Time.UTC().Format(time.RFC3339), se.Off, se.CRC)
 			}
 		}
 	}

@@ -27,8 +27,7 @@
 // by -cold-cache-bytes, so repeated window queries over the same history
 // hit RAM instead of disk. A background compactor merges cold files
 // smaller than -compact-below events (or left overlapping by out-of-order
-// spills) into their time-adjacent neighbors, and rewrites cold files an
-// older build left in an older format. Standing views checkpoint their
+// spills) into their time-adjacent neighbors. Standing views checkpoint their
 // state every -view-checkpoint-every mutations (and on clean shutdown), so
 // a restart or a reconnecting subscriber resumes from the checkpoint plus a
 // WAL-tail fold instead of re-scanning history.

@@ -39,7 +39,8 @@
 //
 //	counters: streamloader_warehouse_evicted_total,
 //	_segments_dropped_total, _segments_spilled_total,
-//	_recovered_events_total, _cold_cache_hits_total,
+//	_recovered_events_total, _manifest_save_errors_total (manifest
+//	saves that failed since Open), _cold_cache_hits_total,
 //	_cold_cache_misses_total, _cold_chunk_stats_hits_total,
 //	_compactions_total, _segments_compacted_total
 //

@@ -1,21 +1,22 @@
 package persist
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"streamloader/internal/stt"
 )
 
-// The binary event encoding is shared by WAL records and segment files:
-// compact, schema-dictionary based, and self-describing enough to decode
-// with nothing but the dictionary. Times are encoded as (unix seconds,
+// The binary row encoding of an event is the WAL's (segment files hold
+// columns, colcodec.go): compact, schema-dictionary based, and
+// self-describing enough to decode with nothing but the dictionary. Times are encoded as (unix seconds,
 // nanoseconds) rather than UnixNano so any time.Time the STT model can
 // carry — including the zero time — round-trips exactly in wall-clock
 // terms; decoded times come back in UTC, which preserves Equal/Before.
@@ -322,7 +323,7 @@ func (sd *schemaDict) id(s *stt.Schema) (uint64, bool) {
 }
 
 // RowEncodedBytes reports how many bytes events occupy in the row-wise
-// event encoding (the v1/v2 chunk payload), assigning schema dictionary
+// event encoding (the WAL's), assigning schema dictionary
 // ids the way a segment writer would. Inspection tools use it to compare
 // a file's on-disk footprint against the row-format equivalent.
 func RowEncodedBytes(events []Event) int64 {
@@ -337,16 +338,16 @@ func RowEncodedBytes(events []Event) int64 {
 	return n
 }
 
-// SortEvents orders events by (time, seq) in place — the canonical
-// on-disk order WriteSegment requires. Callers with nearly-sorted input
-// (a segment's time index) pay almost nothing: the sort is stable and
-// adaptive.
-func SortEvents(events []Event) {
-	sort.SliceStable(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if !a.Tuple.Time.Equal(b.Tuple.Time) {
-			return a.Tuple.Time.Before(b.Tuple.Time)
-		}
-		return a.Seq < b.Seq
-	})
+// CompareEvents orders events by (time, seq): the canonical on-disk order
+// WriteSegment requires, and the order every select and merge returns.
+func CompareEvents(a, b Event) int {
+	if c := a.Tuple.Time.Compare(b.Tuple.Time); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
 }
+
+// SortEvents orders events by CompareEvents in place. Callers with
+// nearly-sorted input (a segment's time index) pay almost nothing: the sort
+// is stable and adaptive.
+func SortEvents(events []Event) { slices.SortStableFunc(events, CompareEvents) }

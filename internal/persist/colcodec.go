@@ -981,10 +981,10 @@ func (si *SegmentInfo) fillSchemaRLE(data []byte, n int, set func(lo, hi int, s 
 		if d.err != nil {
 			return d.err
 		}
-		s, ok := si.dict[id]
-		if !ok {
+		if id >= uint64(len(si.schemas)) {
 			return fmt.Errorf("persist: undefined schema id %d", id)
 		}
+		s := si.schemas[id]
 		if run == 0 || run > uint64(n-filled) {
 			return fmt.Errorf("persist: schema run %d overflows chunk of %d", run, n)
 		}

@@ -8,6 +8,15 @@
 // it moves (sequence, tuple) pairs between memory and disk with integrity
 // checks, and leaves placement and semantics to the warehouse.
 //
+// # One publish
+//
+// The log is appended to; every other file is replaced whole, by
+// PublishFile (publish.go): write a temp file, fsync it, rename it over the
+// target, fsync the directory. That is the write→validate→swap discipline's
+// one implementation. WriteSegment, SaveManifest and the warehouse's view
+// checkpoints all end in it, it holds the only rename in the program, and a
+// nil return from any of them means the new content survives a crash.
+//
 // # Write-ahead log
 //
 // A WAL is a directory of numbered append-only files. Every append frames
@@ -31,12 +40,14 @@
 //
 // A segment file stores one sealed warehouse segment: a JSON header (event
 // count, time envelope, head/tail keys, per-source and per-theme counts,
-// schema dictionary, sparse index), the sequence numbers of every event,
-// then the events themselves in (time, seq) order. The seq block lets
-// recovery dedupe WAL records against spilled files without decoding any
-// event payload; the sparse index maps every IndexEvery-th event to its
-// byte offset so a time-window read decodes only the overlapping stretch.
-// Segment files are immutable: retention removes them whole, and partial
+// schema dictionary, sparse index with per-chunk stats), the sequence
+// numbers of every event, then the events themselves in (time, seq) order,
+// in column-encoded chunks. The seq block lets recovery dedupe WAL records
+// against spilled files without decoding any event payload; the sparse
+// index maps every IndexEvery-th event to its byte offset so a time-window
+// read decodes only the overlapping stretch. There is one format
+// (segment.go has the layout); a file in either format older builds wrote is
+// refused at OpenSegment. Segment files are immutable: retention removes them whole, and partial
 // eviction is a logical skip re-derivable from the manifest's cuts.
 //
 // # Retention cuts
@@ -357,8 +368,10 @@ func LoadManifest(dir string) (Manifest, bool, error) {
 	return m, true, nil
 }
 
-// SaveManifest writes the manifest atomically (temp file + rename + dir
-// sync), so a crash leaves either the old or the new manifest, never a mix.
+// SaveManifest publishes the manifest with PublishFile: a crash leaves the
+// old manifest or the new one, never a mix, and when it returns nil the new
+// one is on disk — the compactor's record and retention's cut both rely on
+// that before they delete anything.
 func SaveManifest(dir string, m Manifest) error {
 	cuts := make([]Cut, len(m.Cuts))
 	copy(cuts, m.Cuts)
@@ -373,25 +386,5 @@ func SaveManifest(dir string, m Manifest) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so renames and creates within it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return PublishFile(filepath.Join(dir, manifestName), data)
 }

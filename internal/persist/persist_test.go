@@ -645,104 +645,82 @@ func TestKeyOrder(t *testing.T) {
 	}
 }
 
-// TestSegmentVersionsRoundTrip: every format version this build reads — the
-// two old ones from their fixtures, v3 freshly written — opens with the
-// chunk stats its version carries (none in v1, in v2 and v3 exactly the
-// summary recomputed from the source events) and decodes to those events.
+// TestSegmentVersionsRoundTrip: a freshly written segment file — the one
+// format this build has — opens with, per chunk, exactly the stats summary
+// recomputed from the source events, and decodes to those events.
 func TestSegmentVersionsRoundTrip(t *testing.T) {
-	type input struct {
-		path    string
-		version int
-		events  []Event
-	}
-	var inputs []input
-	for _, fx := range fixtures {
-		inputs = append(inputs, input{fx.path, fx.version, fixtureCorpus(fx.seqBase, fx.start)})
-	}
-	v3 := input{filepath.Join(t.TempDir(), SegmentFileName(1)), SegmentV3, fixtureCorpus(1, 0)}
-	if _, err := WriteSegment(v3.path, v3.events); err != nil {
+	events := fixtureCorpus(1, 0)
+	path := filepath.Join(t.TempDir(), SegmentFileName(1))
+	if _, err := WriteSegment(path, events); err != nil {
 		t.Fatal(err)
 	}
-	inputs = append(inputs, v3)
-
-	for _, in := range inputs {
-		info, seqs, err := OpenSegment(in.path)
-		if err != nil {
-			t.Fatalf("v%d open: %v", in.version, err)
+	info, seqs, err := OpenSegment(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Count != len(events) || len(seqs) != len(events) || info.NumChunks() != 3 {
+		t.Fatalf("count=%d seqs=%d chunks=%d, want %d events in 3 chunks", info.Count, len(seqs), info.NumChunks(), len(events))
+	}
+	for k := 0; k < info.NumChunks(); k++ {
+		st := info.Sparse[k].Stats
+		if st == nil {
+			t.Fatalf("chunk %d carries no stats", k)
 		}
-		if info.Version != in.version || info.Count != len(in.events) || len(seqs) != len(in.events) {
-			t.Fatalf("v%d: version=%d count=%d seqs=%d", in.version, info.Version, info.Count, len(seqs))
-		}
-		if info.NumChunks() != 3 {
-			t.Fatalf("v%d: chunks = %d, want 3", in.version, info.NumChunks())
-		}
-		for k := 0; k < info.NumChunks(); k++ {
-			st := info.Sparse[k].Stats
-			if in.version == SegmentV1 {
-				if st != nil {
-					t.Fatalf("v1 chunk %d carries stats %+v", k, st)
-				}
+		start, end := info.ChunkRange(k)
+		// Recompute the expected summary from the source events.
+		wantSrc := map[string]int{}
+		weatherN, taggedN := 0, 0
+		wantSum, wantMin, wantMax := 0.0, math.Inf(1), math.Inf(-1)
+		for _, ev := range events[start:end] {
+			if ev.Tuple.Source != "" {
+				wantSrc[ev.Tuple.Source]++
+			}
+			if ev.Tuple.Schema != weather {
 				continue
 			}
-			if st == nil {
-				t.Fatalf("v%d chunk %d carries no stats", in.version, k)
+			weatherN++
+			if ev.Tuple.Theme == "weather" {
+				taggedN++
 			}
-			start, end := info.ChunkRange(k)
-			// Recompute the expected summary from the source events.
-			wantSrc := map[string]int{}
-			weatherN, taggedN := 0, 0
-			wantSum, wantMin, wantMax := 0.0, math.Inf(1), math.Inf(-1)
-			for _, ev := range in.events[start:end] {
-				if ev.Tuple.Source != "" {
-					wantSrc[ev.Tuple.Source]++
-				}
-				if ev.Tuple.Schema != weather {
-					continue
-				}
-				weatherN++
-				if ev.Tuple.Theme == "weather" {
-					taggedN++
-				}
-				f := ev.Tuple.Values[0].AsFloat()
-				wantSum += f
-				wantMin = math.Min(wantMin, f)
-				wantMax = math.Max(wantMax, f)
-			}
-			if !st.MaxTime.Equal(in.events[end-1].Tuple.Time) {
-				t.Fatalf("v%d chunk %d max time = %v, want %v", in.version, k, st.MaxTime, in.events[end-1].Tuple.Time)
-			}
-			if len(st.SourceCounts) != len(wantSrc) {
-				t.Fatalf("v%d chunk %d sources = %v, want %v", in.version, k, st.SourceCounts, wantSrc)
-			}
-			for src, n := range wantSrc {
-				if st.SourceCounts[src] != n {
-					t.Fatalf("v%d chunk %d source %q = %d, want %d", in.version, k, src, st.SourceCounts[src], n)
-				}
-			}
-			// An untagged weather event still matches its schema's theme.
-			if st.ThemeCounts["weather"] != weatherN || st.PrimaryThemeCounts["weather"] != taggedN {
-				t.Fatalf("v%d chunk %d themes = %v / %v, want weather %d / %d",
-					in.version, k, st.ThemeCounts, st.PrimaryThemeCounts, weatherN, taggedN)
-			}
-			fs, ok := st.Fields["temperature"]
-			if !ok || fs.NonNull != weatherN || fs.Num != weatherN {
-				t.Fatalf("v%d chunk %d temperature stats = %+v (present %v)", in.version, k, fs, ok)
-			}
-			if fs.Min != wantMin || fs.Max != wantMax || math.Abs(fs.Sum-wantSum) > 1e-9 {
-				t.Fatalf("v%d chunk %d temperature frame = %+v, want sum=%v min=%v max=%v",
-					in.version, k, fs, wantSum, wantMin, wantMax)
-			}
-			// The NaN payloads are counted, not folded.
-			if nf := st.Fields["f"]; nf.NonFinite == 0 || nf.Num+nf.NonFinite != nf.NonNull {
-				t.Fatalf("v%d chunk %d field f = %+v, want its NaNs set aside", in.version, k, nf)
+			f := ev.Tuple.Values[0].AsFloat()
+			wantSum += f
+			wantMin = math.Min(wantMin, f)
+			wantMax = math.Max(wantMax, f)
+		}
+		if !st.MaxTime.Equal(events[end-1].Tuple.Time) {
+			t.Fatalf("chunk %d max time = %v, want %v", k, st.MaxTime, events[end-1].Tuple.Time)
+		}
+		if len(st.SourceCounts) != len(wantSrc) {
+			t.Fatalf("chunk %d sources = %v, want %v", k, st.SourceCounts, wantSrc)
+		}
+		for src, n := range wantSrc {
+			if st.SourceCounts[src] != n {
+				t.Fatalf("chunk %d source %q = %d, want %d", k, src, st.SourceCounts[src], n)
 			}
 		}
-		pes, err := info.ReadAll()
-		if err != nil {
-			t.Fatalf("v%d read: %v", in.version, err)
+		// An untagged weather event still matches its schema's theme.
+		if st.ThemeCounts["weather"] != weatherN || st.PrimaryThemeCounts["weather"] != taggedN {
+			t.Fatalf("chunk %d themes = %v / %v, want weather %d / %d",
+				k, st.ThemeCounts, st.PrimaryThemeCounts, weatherN, taggedN)
 		}
-		sameEvents(t, pes, in.events)
+		fs, ok := st.Fields["temperature"]
+		if !ok || fs.NonNull != weatherN || fs.Num != weatherN {
+			t.Fatalf("chunk %d temperature stats = %+v (present %v)", k, fs, ok)
+		}
+		if fs.Min != wantMin || fs.Max != wantMax || math.Abs(fs.Sum-wantSum) > 1e-9 {
+			t.Fatalf("chunk %d temperature frame = %+v, want sum=%v min=%v max=%v",
+				k, fs, wantSum, wantMin, wantMax)
+		}
+		// The NaN payloads are counted, not folded.
+		if nf := st.Fields["f"]; nf.NonFinite == 0 || nf.Num+nf.NonFinite != nf.NonNull {
+			t.Fatalf("chunk %d field f = %+v, want its NaNs set aside", k, nf)
+		}
 	}
+	pes, err := info.ReadAll()
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	sameEvents(t, pes, events)
 }
 
 func TestParseSegmentFileName(t *testing.T) {
@@ -785,5 +763,28 @@ func TestListSegmentsRejectsCorruptNames(t *testing.T) {
 	}
 	if _, _, err := ListSegments(dir); err == nil {
 		t.Fatal("corrupt segment name must fail the listing")
+	}
+}
+
+// TestOpenSegmentRejectsOldFormats: a file wearing the magic of either
+// retired format is refused at open, with an error that names the file and
+// says how to convert it — not "unknown magic", and never a decode attempt.
+func TestOpenSegmentRejectsOldFormats(t *testing.T) {
+	dir := t.TempDir()
+	for _, magic := range []string{"SLSEG001", "SLSEG002"} {
+		path := filepath.Join(dir, SegmentFileName(1))
+		head := append([]byte(magic), 0, 0, 0, 0, 0, 0, 0, 0) // magic, header length 0, CRC 0
+		if err := os.WriteFile(path, head, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := OpenSegment(path)
+		if err == nil {
+			t.Fatalf("%s: opened", magic)
+		}
+		for _, want := range []string{path, magic, "no longer read", "build that still converts"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not mention %q", magic, err, want)
+			}
+		}
 	}
 }

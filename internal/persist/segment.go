@@ -15,9 +15,10 @@ import (
 	"streamloader/internal/stt"
 )
 
-// Segment file layout:
+// Segment file layout — one format, written by WriteSegment and published
+// by PublishFile:
 //
-//	[8]  magic "SLSEG003" ("SLSEG001" / "SLSEG002" in files of older builds)
+//	[8]  magic "SLSEG003"
 //	[4]  header length          [4] header CRC32C
 //	[..] header JSON            (counts, keys, dictionaries, sparse index)
 //	[..] seq block              count × 8-byte little-endian warehouse seqs
@@ -41,25 +42,14 @@ import (
 // columns a query does not touch and materializes rows only for events that
 // survive filtering.
 //
-// That is format v3, the only one WriteSegment writes. v1 and v2 files are
-// read-only input: same framing, chunks row-encoded (one self-describing
-// record per event, the WAL's codec in codec.go), v1 without chunk stats.
-// The warehouse's compactor rewrites every such file it finds to v3, so the
-// one piece of code that knows about them, decodeChunk's row branch, goes
-// once no store holds one.
+// Older builds wrote the same framing with row-encoded chunks under the
+// magics "SLSEG001" and "SLSEG002". This build no longer reads them:
+// OpenSegment names the file and says how to convert it.
 
-var (
-	segMagicV1 = []byte("SLSEG001")
-	segMagicV2 = []byte("SLSEG002")
-	segMagicV3 = []byte("SLSEG003")
-)
-
-// Segment format versions, as SegmentInfo.Version reports them.
 const (
-	SegmentV1            = 1
-	SegmentV2            = 2
-	SegmentV3            = 3
-	SegmentVersionLatest = SegmentV3
+	segMagic     = "SLSEG003"
+	oldSegMagic1 = "SLSEG001"
+	oldSegMagic2 = "SLSEG002"
 )
 
 // IndexEvery is the sparse-index granule: one index entry (and one CRC'd
@@ -72,8 +62,7 @@ type SparseEntry struct {
 	Time time.Time // that event's time (chunk-local minimum)
 	Off  int64     // byte offset of the chunk within the event block
 	CRC  uint32    // checksum of the chunk's bytes
-	// Stats carries the chunk's aggregate summary; nil in v1 files, which
-	// disables the per-chunk aggregate fast path (reads are unaffected).
+	// Stats carries the chunk's aggregate summary.
 	Stats *ChunkStats
 }
 
@@ -133,9 +122,7 @@ type sparseJSON struct {
 	Off     int64  `json:"off"`
 	CRC     uint32 `json:"crc"`
 
-	// Chunk stats; absent from v1 files. Decoding is gated on the file
-	// magic, not on field presence, so a chunk with empty maps still gets a
-	// non-nil ChunkStats.
+	// Chunk stats; a chunk with empty maps still gets a non-nil ChunkStats.
 	MaxSec   int64                     `json:"max_sec,omitempty"`
 	MaxNanos int                       `json:"max_nanos,omitempty"`
 	Sources  map[string]int            `json:"sources,omitempty"`
@@ -165,10 +152,8 @@ type segHeaderJSON struct {
 // envelope, index dictionaries and sparse index — everything queries need
 // to prune, plus what they need to read the overlap when they cannot.
 type SegmentInfo struct {
-	Path string
-	// Version is the file's format version (SegmentV1..SegmentV3).
-	Version int
-	Count   int
+	Path  string
+	Count int
 	// Head and Tail are the keys of the first and last event in (time,
 	// seq) order; [Head.Time, Tail.Time] is the segment's time envelope.
 	Head, Tail   Key
@@ -180,22 +165,12 @@ type SegmentInfo struct {
 	Sparse             []SparseEntry
 	Bytes              int64 // whole-file size
 
-	schemas  []*stt.Schema
-	dict     map[uint64]*stt.Schema // id -> schema, shared by every read
-	eventOff int64                  // absolute offset of the event block
+	schemas  []*stt.Schema // indexed by the schema ids chunks carry
+	eventOff int64         // absolute offset of the event block
 
 	// fieldPos memoizes fieldPositions lookups (v3 projected value reads).
 	fieldPosMu sync.Mutex
 	fieldPos   map[string][]int
-}
-
-// buildDict materializes the id->schema decode dictionary once, so reads
-// do not rebuild a map per call.
-func (si *SegmentInfo) buildDict() {
-	si.dict = make(map[uint64]*stt.Schema, len(si.schemas))
-	for i, s := range si.schemas {
-		si.dict[uint64(i)] = s
-	}
 }
 
 func timeToKeyJSON(k Key) keyJSON {
@@ -206,10 +181,9 @@ func keyFromJSON(j keyJSON) Key {
 	return Key{Time: time.Unix(j.UnixSec, int64(j.Nanos)).UTC(), Seq: j.Seq}
 }
 
-// WriteSegment writes events — which must already be in (time, seq) order
-// and non-empty — to path via a temp file, fsyncing file and directory
-// before the rename publishes it. It is the one segment writer: the spiller
-// and the compactor both call it.
+// WriteSegment encodes events — which must already be in (time, seq) order
+// and non-empty — and publishes the file at path with PublishFile. It is the
+// one segment writer: the spiller and the compactor both call it.
 func WriteSegment(path string, events []Event) (*SegmentInfo, error) {
 	if len(events) == 0 {
 		return nil, fmt.Errorf("persist: refusing to write empty segment")
@@ -217,7 +191,6 @@ func WriteSegment(path string, events []Event) (*SegmentInfo, error) {
 	dict := newSchemaDict()
 	info := &SegmentInfo{
 		Path:               path,
-		Version:            SegmentVersionLatest,
 		Count:              len(events),
 		Head:               Key{Time: events[0].Tuple.Time, Seq: events[0].Seq},
 		Tail:               Key{Time: events[len(events)-1].Tuple.Time, Seq: events[len(events)-1].Seq},
@@ -253,7 +226,6 @@ func WriteSegment(path string, events []Event) (*SegmentInfo, error) {
 		}
 	}
 	info.schemas = dict.order
-	info.buildDict()
 
 	hdr := segHeaderJSON{
 		Count:              info.Count,
@@ -295,8 +267,8 @@ func WriteSegment(path string, events []Event) (*SegmentInfo, error) {
 		return nil, err
 	}
 
-	buf := make([]byte, 0, len(segMagicV3)+8+len(hdrBytes)+8*len(events)+len(block))
-	buf = append(buf, segMagicV3...)
+	buf := make([]byte, 0, len(segMagic)+8+len(hdrBytes)+8*len(events)+len(block))
+	buf = append(buf, segMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hdrBytes)))
 	buf = binary.LittleEndian.AppendUint32(buf, checksum(hdrBytes))
 	buf = append(buf, hdrBytes...)
@@ -307,30 +279,7 @@ func WriteSegment(path string, events []Event) (*SegmentInfo, error) {
 	buf = append(buf, block...)
 	info.Bytes = int64(len(buf))
 
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
+	if err := PublishFile(path, buf); err != nil {
 		return nil, err
 	}
 	return info, nil
@@ -413,24 +362,20 @@ func OpenSegment(path string) (*SegmentInfo, []uint64, error) {
 		return nil, nil, err
 	}
 
-	fixed := make([]byte, len(segMagicV1)+8)
+	fixed := make([]byte, len(segMagic)+8)
 	if _, err := io.ReadFull(f, fixed); err != nil {
 		return nil, nil, fmt.Errorf("persist: %s: short header: %w", path, err)
 	}
-	var version int
-	switch string(fixed[:len(segMagicV1)]) {
-	case string(segMagicV1):
-		version = SegmentV1
-	case string(segMagicV2):
-		version = SegmentV2
-	case string(segMagicV3):
-		version = SegmentV3
+	switch magic := string(fixed[:len(segMagic)]); magic {
+	case segMagic:
+	case oldSegMagic1, oldSegMagic2:
+		return nil, nil, fmt.Errorf("persist: %s: segment format %q is no longer read; open the store once with a build that still converts it (its compactor rewrites every such file as %q), then with this one",
+			path, magic, segMagic)
 	default:
-		return nil, nil, fmt.Errorf("persist: %s: unknown segment magic %q (this build reads %q..%q)",
-			path, fixed[:len(segMagicV1)], segMagicV1, segMagicV3)
+		return nil, nil, fmt.Errorf("persist: %s: unknown segment magic %q (this build reads %q)", path, magic, segMagic)
 	}
-	hdrLen := int(binary.LittleEndian.Uint32(fixed[len(segMagicV1):]))
-	hdrCRC := binary.LittleEndian.Uint32(fixed[len(segMagicV1)+4:])
+	hdrLen := int(binary.LittleEndian.Uint32(fixed[len(segMagic):]))
+	hdrCRC := binary.LittleEndian.Uint32(fixed[len(segMagic)+4:])
 	if int64(hdrLen) > st.Size() {
 		return nil, nil, fmt.Errorf("persist: %s: header length %d exceeds file", path, hdrLen)
 	}
@@ -467,7 +412,6 @@ func OpenSegment(path string) (*SegmentInfo, []uint64, error) {
 
 	info := &SegmentInfo{
 		Path:               path,
-		Version:            version,
 		Count:              hdr.Count,
 		Head:               keyFromJSON(hdr.Head),
 		Tail:               keyFromJSON(hdr.Tail),
@@ -490,30 +434,26 @@ func OpenSegment(path string) (*SegmentInfo, []uint64, error) {
 		info.schemas = append(info.schemas, s)
 	}
 	for _, e := range hdr.Sparse {
-		entry := SparseEntry{
-			Pos: e.Pos, Time: time.Unix(e.UnixSec, int64(e.Nanos)).UTC(),
-			Off: e.Off, CRC: e.CRC,
+		st := &ChunkStats{
+			MaxTime:            time.Unix(e.MaxSec, int64(e.MaxNanos)).UTC(),
+			SourceCounts:       e.Sources,
+			ThemeCounts:        e.Themes,
+			PrimaryThemeCounts: e.Primary,
 		}
-		if version >= SegmentV2 {
-			st := &ChunkStats{
-				MaxTime:            time.Unix(e.MaxSec, int64(e.MaxNanos)).UTC(),
-				SourceCounts:       e.Sources,
-				ThemeCounts:        e.Themes,
-				PrimaryThemeCounts: e.Primary,
-			}
-			if len(e.Fields) > 0 {
-				st.Fields = make(map[string]FieldStats, len(e.Fields))
-				for name, fj := range e.Fields {
-					st.Fields[name] = FieldStats{
-						NonNull: fj.NonNull, Num: fj.Num,
-						Sum: fj.Sum, Min: fj.Min, Max: fj.Max,
-						NonFinite: fj.NonFinite,
-					}
+		if len(e.Fields) > 0 {
+			st.Fields = make(map[string]FieldStats, len(e.Fields))
+			for name, fj := range e.Fields {
+				st.Fields[name] = FieldStats{
+					NonNull: fj.NonNull, Num: fj.Num,
+					Sum: fj.Sum, Min: fj.Min, Max: fj.Max,
+					NonFinite: fj.NonFinite,
 				}
 			}
-			entry.Stats = st
 		}
-		info.Sparse = append(info.Sparse, entry)
+		info.Sparse = append(info.Sparse, SparseEntry{
+			Pos: e.Pos, Time: time.Unix(e.UnixSec, int64(e.Nanos)).UTC(),
+			Off: e.Off, CRC: e.CRC, Stats: st,
+		})
 	}
 
 	seqBytes := make([]byte, 8*hdr.Count)
@@ -525,7 +465,6 @@ func OpenSegment(path string) (*SegmentInfo, []uint64, error) {
 		seqs[i] = binary.LittleEndian.Uint64(seqBytes[8*i:])
 	}
 	info.eventOff = st.Size() - hdr.EventBytes
-	info.buildDict()
 	return info, seqs, nil
 }
 
@@ -581,8 +520,7 @@ type ReadStats struct {
 	// instead of parsing. Cache hits contribute nothing.
 	ColumnsSkipped int
 	// BytesDecoded is how many event-block bytes the decodes parsed: the
-	// projected sections only (whole chunks of a v1/v2 file, which has no
-	// sections). Cache hits contribute nothing.
+	// projected sections only. Cache hits contribute nothing.
 	BytesDecoded int64
 }
 
@@ -716,38 +654,21 @@ func (si *SegmentInfo) ReadRangeProjected(cache *ChunkCache, lo, hi int, proj Pr
 	return out, rs, nil
 }
 
-// decodeChunk decodes one checksummed chunk of n events, and is the only
-// place the read path looks at the file's version. A v3 chunk headed for
+// decodeChunk decodes one checksummed chunk of n events. A chunk headed for
 // the cache, or read under a narrow projection, decodes its projected
 // columns. Otherwise the columns would be garbage the moment the rows
-// materialize, so the chunk decodes straight into rows, held in a colChunk
-// that has nothing else and covers every projection: an uncached full read
-// of a v3 file (compaction loads, disabled caches), and every read of a
-// v1/v2 file, whose row-encoded chunks have no columns to project.
+// materialize, so an uncached full read (compaction loads, disabled caches)
+// decodes straight into rows, held in a colChunk that has nothing else and
+// covers every projection.
 func (si *SegmentInfo) decodeChunk(data []byte, n int, proj Projection, cached bool, rs *ReadStats) (*colChunk, error) {
-	if si.Version >= SegmentV3 && (cached || !proj.full()) {
+	if cached || !proj.full() {
 		cc, cd, err := si.decodeChunkV3(data, n, proj)
 		rs.ColumnsSkipped += cd.skipped
 		rs.BytesDecoded += cd.decoded
 		return cc, err
 	}
-	var rows []Event
-	var err error
-	if si.Version >= SegmentV3 {
-		var decoded int64
-		rows, decoded, err = si.decodeChunkRowsV3(data, n)
-		rs.BytesDecoded += decoded
-	} else {
-		// A chunk of a v1/v2 file is n of the WAL's event records back to
-		// back. Goes with the last such file; see the layout comment.
-		d := &decoder{data: data}
-		rows = make([]Event, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			rows[i] = d.event(si.dict)
-		}
-		err = d.err
-		rs.BytesDecoded += int64(len(data))
-	}
+	rows, decoded, err := si.decodeChunkRowsV3(data, n)
+	rs.BytesDecoded += decoded
 	if err != nil {
 		return nil, err
 	}

@@ -483,47 +483,6 @@ func TestAggregateChunkStatsFastPath(t *testing.T) {
 	}
 }
 
-// TestAggregateChunkStatsV1Files: a v1 file, which an older build may have
-// left behind, carries no chunk stats, so a window cutting it mid-chunk is
-// answered by decoding; the same window over a v2 file answers its interior
-// chunk from stats. Both equal the naive model — and with compaction
-// disabled both files are left as they are.
-func TestAggregateChunkStatsV1Files(t *testing.T) {
-	dir := t.TempDir()
-	m := plantOldFormatFiles(t, dir)
-	cfg := compactCfg(dir)
-	cfg.CompactBelow = -1
-	w, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	for version, start := range map[int]time.Duration{persist.SegmentV1: 0, persist.SegmentV2: time.Hour} {
-		window := Query{From: t0.Add(start + 100*time.Second), To: t0.Add(start + 520*time.Second)}
-		for _, q := range []AggQuery{
-			{Func: ops.AggSum, Field: "temperature", Query: window},
-			{Func: ops.AggAvg, Field: "temperature", Query: window},
-			{Func: ops.AggMin, Field: "temperature", Query: window},
-			{Func: ops.AggCount, Query: window},
-		} {
-			rows, qs, err := w.Aggregate(context.Background(), q)
-			if err != nil {
-				t.Fatalf("v%d %s: %v", version, aggString(q), err)
-			}
-			if (qs.ColdChunkStats > 0) != (version >= persist.SegmentV2) {
-				t.Errorf("v%d %s: %d chunks answered from stats", version, aggString(q), qs.ColdChunkStats)
-			}
-			if diff := diffAggRows(rows, m.aggregate(q, time.Time{})); diff != "" {
-				t.Errorf("v%d %s: %s", version, aggString(q), diff)
-			}
-		}
-	}
-	w.CompactNow() // disabled: a no-op
-	if v := segVersions(t, dir); len(v) != 2 || v[persist.SegmentV1] != 1 || v[persist.SegmentV2] != 1 {
-		t.Fatalf("file versions %v, want the planted v1 and v2 files untouched", v)
-	}
-}
-
 // TestAggregateChunkStatsAfterRetention: a logically-trimmed cold file only
 // answers wholly-live chunks from stats; the straddling chunk decodes. The
 // results stay exact.

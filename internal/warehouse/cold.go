@@ -107,14 +107,11 @@ func (c *coldSegment) ensureLoaded() error {
 	if c.loaded != nil {
 		return nil
 	}
-	pes, _, err := c.info.ReadRangeProjected(nil, c.skip, c.info.Count, persist.FullProjection)
+	evs, _, err := c.info.ReadRangeProjected(nil, c.skip, c.info.Count, persist.FullProjection)
 	if err != nil {
 		return err
 	}
-	c.loaded = make([]Event, len(pes))
-	for i, pe := range pes {
-		c.loaded[i] = Event{Seq: pe.Seq, Tuple: pe.Tuple}
-	}
+	c.loaded = evs
 	return nil
 }
 

@@ -3,8 +3,6 @@ package warehouse
 import (
 	"path/filepath"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"streamloader/internal/persist"
 )
@@ -16,39 +14,27 @@ import (
 // one well-pruning neighbor, using the spiller's discipline — select and
 // validate under the shard lock, do the file I/O with no lock held, swap
 // briefly under the lock — so queries see identical results before, during
-// and after a compaction. A file in an older segment format is rewritten by
-// the same steps, on its own if it has no neighbor to merge with, so a
-// store an older build wrote converges to the one format this build writes.
+// and after a compaction.
 //
 // Crash safety leans on one manifest record per rewrite. Until the merged
 // file is published, nothing has changed on disk. Once it is published but
 // before the CompactionRecord lands in the manifest, the merged file's
 // seqs are a subset of its victims', so recovery detects it as a duplicate
 // and deletes it — the compaction is harmlessly undone. After the record
-// lands, recovery finishes the victim deletions instead (they are
+// lands — saveManifest returned nil, so it is on disk, not merely renamed
+// into place — recovery finishes the victim deletions instead (they are
 // idempotent), so no interleaving of crash and deletion can register the
 // same event twice.
 type compactor struct {
-	w *Warehouse
+	// The queue is of shards to check; the job re-derives the actual
+	// candidates under the shard lock, so a nudge is cheap and a shard
+	// already waiting is not queued again.
+	*worker[*shard]
 	// below is the live-event count under which a cold file is "small";
 	// maxOut caps the merged file's events so compaction cannot build an
 	// ever-growing mega-file.
 	below  int
 	maxOut int
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []*shard
-	queued   map[*shard]bool
-	inFlight int
-	closed   bool
-
-	// aborted is the crash switch, mirroring the spiller's: the worker
-	// stops at its next checkpoint, leaving whatever on-disk state the
-	// "crash" produced for recovery to sort out. CloseHard sets it.
-	aborted atomic.Bool
-
-	wg sync.WaitGroup
 }
 
 // maxCompactFiles bounds how many cold files one rewrite merges, keeping
@@ -56,88 +42,14 @@ type compactor struct {
 const maxCompactFiles = 8
 
 func newCompactor(w *Warehouse, below, segmentEvents int) *compactor {
-	c := &compactor{w: w, below: below, maxOut: 2 * segmentEvents, queued: map[*shard]bool{}}
-	c.cond = sync.NewCond(&c.mu)
-	return c
-}
-
-// start launches the worker; separate from construction so Open can finish
-// recovery before any shard is shared with a goroutine.
-func (c *compactor) start() {
-	c.wg.Add(1)
-	go c.loop()
-}
-
-// enqueue marks a shard for a compaction check. Cheap and idempotent — the
-// worker re-derives the actual candidates under the shard lock.
-func (c *compactor) enqueue(s *shard) {
-	c.mu.Lock()
-	if !c.queued[s] && !c.closed && !c.aborted.Load() {
-		c.queued[s] = true
-		c.queue = append(c.queue, s)
-		c.cond.Broadcast()
-	}
-	c.mu.Unlock()
-}
-
-func (c *compactor) loop() {
-	defer c.wg.Done()
-	for {
-		c.mu.Lock()
-		for len(c.queue) == 0 && !c.closed && !c.aborted.Load() {
-			c.cond.Wait()
-		}
-		if c.aborted.Load() || (c.closed && len(c.queue) == 0) {
-			c.mu.Unlock()
-			return
-		}
-		s := c.queue[0]
-		c.queue[0] = nil
-		c.queue = c.queue[1:]
-		delete(c.queued, s)
-		c.inFlight++
-		c.mu.Unlock()
-
+	c := &compactor{below: below, maxOut: 2 * segmentEvents}
+	c.worker = newWorker(func(s *shard) {
 		// A merge can expose another mergeable run (the merged file may
 		// itself still be small); keep going until the shard is settled.
-		for c.w.compactShardOnce(s) && !c.aborted.Load() {
+		for w.compactShardOnce(s) && !c.aborted.Load() {
 		}
-
-		c.mu.Lock()
-		c.inFlight--
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	}
-}
-
-// close drains the queue and stops the worker. Idempotent.
-func (c *compactor) close() {
-	c.mu.Lock()
-	c.closed = true
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	c.wg.Wait()
-}
-
-// abort stops the worker as a crash would: queued checks are dropped and an
-// in-flight rewrite stops at its next checkpoint, possibly leaving a
-// published merged file with no manifest record — exactly the state a kill
-// there leaves — for recovery to undo. Idempotent.
-func (c *compactor) abort() {
-	c.aborted.Store(true)
-	c.mu.Lock()
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	c.wg.Wait()
-}
-
-// drain blocks until the queue is empty and no compaction is in flight.
-func (c *compactor) drain() {
-	c.mu.Lock()
-	for (len(c.queue) > 0 || c.inFlight > 0) && !c.aborted.Load() {
-		c.cond.Wait()
-	}
-	c.mu.Unlock()
+	})
+	return c
 }
 
 // maybeCompactCold nudges the compactor about a shard whose cold list just
@@ -178,8 +90,7 @@ type compactSnap struct {
 // join is justified — one side is small, or the next segment's envelope
 // overlaps the previous one's (an out-of-order side spill) — capped at
 // maxCompactFiles files and maxOut merged events. A run is at least two
-// segments, or one whose file is in an older format. Caller holds the shard
-// lock.
+// segments. Caller holds the shard lock.
 func (s *shard) pickCompactionLocked(below, maxOut int) []compactSnap {
 	order := make([]*coldSegment, len(s.cold))
 	copy(order, s.cold)
@@ -204,7 +115,7 @@ func (s *shard) pickCompactionLocked(below, maxOut int) []compactSnap {
 			run = append(run, cs)
 			total += cs.count
 		}
-		if len(run) >= 2 || run[0].info.Version < persist.SegmentVersionLatest {
+		if len(run) >= 2 {
 			snaps := make([]compactSnap, len(run))
 			for k, cs := range run {
 				snaps[k] = compactSnap{cs: cs, skip: cs.skip, count: cs.count}
@@ -317,8 +228,7 @@ func (w *Warehouse) installCompaction(s *shard, snaps []compactSnap, info *persi
 	// surviving victim" from two live files.
 	rec := persist.CompactionRecord{Shard: s.idx, NewGen: gen, OldGens: oldGens}
 	w.pers.manifest.Compactions = append(w.pers.manifest.Compactions, rec)
-	w.stampMaxSeq()
-	if err := persist.SaveManifest(w.pers.dir, w.pers.manifest); err != nil {
+	if err := w.saveManifest(); err != nil {
 		w.pers.manifest.Compactions = w.pers.manifest.Compactions[:len(w.pers.manifest.Compactions)-1]
 		abandon()
 		return false
@@ -358,8 +268,9 @@ func (w *Warehouse) installCompaction(s *shard, snaps []compactSnap, info *persi
 	w.segsCompacted.Add(uint64(len(snaps)))
 	s.mu.Unlock()
 
-	// Victims are gone; retire the record. A failed save just means the
-	// next Open re-runs the (idempotent) deletions.
+	// Victims are gone; retire the record. A failed save (counted by
+	// saveManifest) just means the next Open re-runs the (idempotent)
+	// deletions.
 	recs := w.pers.manifest.Compactions
 	for i := range recs {
 		if recs[i].Shard == rec.Shard && recs[i].NewGen == rec.NewGen {
@@ -367,7 +278,7 @@ func (w *Warehouse) installCompaction(s *shard, snaps []compactSnap, info *persi
 			break
 		}
 	}
-	_ = persist.SaveManifest(w.pers.dir, w.pers.manifest)
+	_ = w.saveManifest()
 	return true
 }
 

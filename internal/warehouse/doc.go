@@ -129,15 +129,11 @@
 // materialize rows directly from the columns (BenchmarkColdDecodeV3 prices
 // them and the file size; BenchmarkSelectProjected the projected path).
 //
-// That is segment format v3, the only one written. A store an older build
-// wrote may hold v1 and v2 files: row-encoded chunks, v1 without chunk
-// stats. They read through the same loop — a projected read of one returns
-// whole rows, a v1 file answers no chunk from stats — and the compactor
-// rewrites each to v3 as it finds it (Open enqueues every shard), so such a
-// store converges with nothing for the operator to run; `slctl segments`
-// shows each file's version. TestOldFormatFilesConverge plants one file of
-// each old version and proves the results identical before, during and
-// after.
+// That is the one segment format (magic SLSEG003). The two row-encoded
+// formats older builds wrote are no longer read: persist.OpenSegment refuses
+// such a file with an error that names it, so Open fails rather than guess.
+// The build before this one rewrote every old file in the background on
+// Open, so opening the store once with it converts the directory.
 //
 // # Retention
 //
@@ -202,9 +198,9 @@
 //
 // A durable warehouse also checkpoints view state (view_ckpt.go): every
 // Config.ViewCheckpointEvery mutations, and on clean close/release, the
-// per-shard frames plus the seq high-water mark they cover are written
-// <dataDir>/views/<hash>.ckpt with the same write→validate→swap
-// discipline as every other artifact. Re-registering the same (query,
+// per-shard frames plus the seq high-water mark they cover are published
+// at <dataDir>/views/<hash>.ckpt by persist.PublishFile, like every other
+// artifact. Re-registering the same (query,
 // policy) — a restart, an SSE client reconnecting — seeds from the
 // checkpoint and folds only the WAL-tail events above its seq mark,
 // skipping cold files the checkpoint already covers, instead of scanning
@@ -256,6 +252,25 @@
 // WAL: log files whose every record is spilled or evicted are deleted
 // whole.
 //
+// Everything that is not the log — segment files, the manifest, view
+// checkpoints — reaches disk through one function, persist.PublishFile:
+// temp file, fsync, rename, directory fsync. A crash leaves the old file or
+// the new one, and a nil return means the new one survives a crash. After
+// Open, every manifest save goes through Warehouse.saveManifest (caller
+// holds retMu), which stamps the seq high-water mark and publishes; when it
+// returns nil the cut, the compaction record or the view definition it
+// carries is on disk, which is what lets a retention cut drop files and a
+// compaction delete its victims afterwards. A save that fails is logged and
+// counted in Stats.ManifestSaveErrors
+// (streamloader_warehouse_manifest_save_errors_total). Recording a
+// compaction treats the failure as fatal to that compaction, which is
+// abandoned with the store untouched. The three callers that carry on — a
+// retention cut (eviction proceeds; after a crash the events come back and
+// the next cut evicts them again), retiring a finished compaction's record
+// (the next Open re-runs its idempotent deletions) and recording a view
+// definition (the view works without it) — have no other way to report
+// it: the counter and the log line are where such a failure shows.
+//
 // # The spill pipeline
 //
 // Segment flushes never run on the append path. A shard over its hot
@@ -272,7 +287,10 @@
 // sealed history each shard keeps in RAM: a small budget spills
 // aggressively and leans on the cold-read path, a large one trades memory
 // for all-RAM queries; negative disables spilling entirely (WAL-only
-// durability). The queue itself is bounded: when sustained ingest outruns
+// durability). The spiller and the compactor are two instances of one
+// worker type (worker.go: queue, in-flight count, close = finish the queue,
+// abort = stop as a crash would), on two goroutines so a compaction never
+// sits in front of a spill. The spill queue is bounded: when sustained ingest outruns
 // the disk, appends throttle — off-lock, after the ack, without blocking
 // readers or other shards — until the worker catches up, so the pipeline
 // holds at most a few segments per shard beyond the hot budget instead of
@@ -325,7 +343,7 @@
 // disables it). Repeated window queries over the same spilled history hit
 // RAM instead of re-reading and re-decoding files — cache-warm spilled
 // selects land within ~1.2x of hot-segment selects versus ~5x uncached
-// (BENCH_warehouse.json). Segment files are immutable and file names are
+// (BenchmarkSelectColdCached against BenchmarkSelectColdVsHot). Segment files are immutable and file names are
 // never reused, so entries cannot go stale; deleting a cold file
 // invalidates its chunks eagerly. Misses read each contiguous run of
 // missing chunks with a single pread into pooled buffers, so even the

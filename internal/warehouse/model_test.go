@@ -753,8 +753,7 @@ func TestModelCheck(t *testing.T) {
 			HotSegments: 2, ViewCheckpointEvery: 4},
 		// Durable, with an eager CompactBelow: the compactor rewrites cold
 		// files about as fast as the spiller writes them, under every crash
-		// op. (Old-format files are TestOldFormatFilesConverge's business:
-		// no build can write one any more.)
+		// op.
 		{Shards: 2, SegmentEvents: 4, SegmentSpan: 10 * time.Minute, DataDir: durableDir,
 			HotSegments: 1, CompactBelow: 6, ViewCheckpointEvery: 2},
 	}

@@ -64,6 +64,7 @@ func (w *Warehouse) registerStatsCollector(reg *obs.Registry) {
 		e.Counter("streamloader_warehouse_segments_dropped_total", "", float64(st.SegmentsDropped))
 		e.Counter("streamloader_warehouse_segments_spilled_total", "", float64(st.SegmentsSpilled))
 		e.Counter("streamloader_warehouse_recovered_events_total", "", float64(st.RecoveredEvents))
+		e.Counter("streamloader_warehouse_manifest_save_errors_total", "", float64(st.ManifestSaveErrors))
 		e.Counter("streamloader_warehouse_cold_cache_hits_total", "", float64(st.ColdCacheHits))
 		e.Counter("streamloader_warehouse_cold_cache_misses_total", "", float64(st.ColdCacheMisses))
 		e.Counter("streamloader_warehouse_cold_chunk_stats_hits_total", "", float64(st.ColdChunkStatsHits))
@@ -85,6 +86,7 @@ func (w *Warehouse) registerStatsCollector(reg *obs.Registry) {
 		{"streamloader_warehouse_segments_dropped_total", "Whole segments dropped by retention."},
 		{"streamloader_warehouse_segments_spilled_total", "Segments spilled to disk."},
 		{"streamloader_warehouse_recovered_events_total", "Events recovered by the last Open."},
+		{"streamloader_warehouse_manifest_save_errors_total", "Manifest saves that failed since Open."},
 		{"streamloader_warehouse_cold_cache_hits_total", "Cold-chunk reads served from the cache."},
 		{"streamloader_warehouse_cold_cache_misses_total", "Cold-chunk reads that went to disk."},
 		{"streamloader_warehouse_cold_chunk_stats_hits_total", "Chunks answered from per-chunk stats without decoding."},

@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 
@@ -81,7 +82,7 @@ func Open(cfg Config) (*Warehouse, error) {
 		cacheBytes = DefaultColdCacheBytes
 	}
 	w.coldCache = persist.NewChunkCache(cacheBytes) // nil when disabled
-	w.spill = newSpiller(w)
+	w.spill = newWorker(w.spillOne)
 	segEvents := cfg.SegmentEvents
 	if segEvents < 1 {
 		segEvents = DefaultSegmentEvents
@@ -170,8 +171,7 @@ func Open(cfg Config) (*Warehouse, error) {
 		w.nextID.Store(hw + 1)
 	}
 	if next := w.nextID.Load(); next > 0 && w.pers.manifest.MaxSeq < next-1 {
-		w.pers.manifest.MaxSeq = next - 1
-		if err := persist.SaveManifest(w.pers.dir, w.pers.manifest); err != nil {
+		if err := w.saveManifest(); err != nil {
 			w.CloseHard()
 			return nil, fmt.Errorf("warehouse: open: %w", err)
 		}
@@ -181,8 +181,7 @@ func Open(cfg Config) (*Warehouse, error) {
 	if w.compact != nil {
 		w.compact.start()
 		// Recovery can leave shards littered with small or overlapping
-		// files (crash-orphaned side spills, re-trimmed stragglers), and a
-		// store an older build wrote holds files in an older format; give
+		// files (crash-orphaned side spills, re-trimmed stragglers); give
 		// every shard an initial compaction check.
 		for _, s := range w.shards {
 			w.compact.enqueue(s)
@@ -353,16 +352,15 @@ func (w *Warehouse) recoverShard(s *shard, cuts []persist.Cut, shardIdx int) (ui
 		w.recovered.Add(uint64(cs.count))
 	}
 
-	res, err := persist.ReplayWAL(s.dir, func(pe persist.Event, pos persist.Pos) error {
-		note(pe.Seq)
-		if _, dup := spilled[pe.Seq]; dup {
+	res, err := persist.ReplayWAL(s.dir, func(ev Event, pos persist.Pos) error {
+		note(ev.Seq)
+		if _, dup := spilled[ev.Seq]; dup {
 			return nil
 		}
-		if wm := walCut(pos); !wm.IsZero() &&
-			keyLE(persist.Key{Time: pe.Tuple.Time, Seq: pe.Seq}, wm) {
+		if wm := walCut(pos); !wm.IsZero() && keyLE(eventKey(ev), wm) {
 			return nil
 		}
-		s.appendLocked(Event{Seq: pe.Seq, Tuple: pe.Tuple})
+		s.appendLocked(ev)
 		w.recovered.Add(1)
 		return nil
 	})
@@ -378,16 +376,25 @@ func (w *Warehouse) recoverShard(s *shard, cuts []persist.Cut, shardIdx int) (ui
 	return maxSeq, anySeq, nil
 }
 
-// stampMaxSeq folds the current seq high-water mark into the manifest
-// about to be saved, so sequences assigned before this save can never be
-// reissued by a later recovery — even when a retention cut erases the last
-// trace of the events that carried them. Caller holds retMu (every
-// post-Open manifest mutation is serialized under it); monotone, so a
-// stale re-stamp is harmless.
-func (w *Warehouse) stampMaxSeq() {
+// saveManifest is the one manifest save once Open has built w.pers. It folds
+// the current seq high-water mark into the manifest first, so sequences
+// assigned before this save can never be reissued by a later recovery — even
+// when a retention cut erases the last trace of the events that carried them
+// (monotone, so a stale re-stamp is harmless) — then publishes it. A nil
+// return means the manifest is on disk. A failure is logged and counted in
+// Stats.ManifestSaveErrors here, so a caller whose decision is to carry on
+// regardless drops nothing silently. Caller holds retMu: every post-Open
+// manifest mutation is serialized under it.
+func (w *Warehouse) saveManifest() error {
 	if next := w.nextID.Load(); next > 0 && w.pers.manifest.MaxSeq < next-1 {
 		w.pers.manifest.MaxSeq = next - 1
 	}
+	err := persist.SaveManifest(w.pers.dir, w.pers.manifest)
+	if err != nil {
+		w.manifestSaveErrors.Add(1)
+		log.Printf("warehouse: manifest save failed: %v", err)
+	}
+	return err
 }
 
 // dupFile reports whether every seq of a segment file is already durable in

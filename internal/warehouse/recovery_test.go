@@ -1,8 +1,10 @@
 package warehouse
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"testing"
@@ -652,5 +654,72 @@ func TestRecoveryHonorsManifestSeqHighWater(t *testing.T) {
 	}
 	if man.MaxSeq != 1001 {
 		t.Fatalf("manifest MaxSeq = %d after retention cut, want 1001", man.MaxSeq)
+	}
+}
+
+// TestManifestSaveFailureIsCounted: a retention cut whose manifest save fails
+// still evicts — the documented decision: the worst case after a crash is
+// re-evicting — but the failure is no longer dropped: each one is counted in
+// Stats.ManifestSaveErrors and logged once. The save is made to fail in a way
+// that fails for root too: a non-empty directory squats on the manifest's
+// temp name.
+func TestManifestSaveFailureIsCounted(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	ingestMixed(t, w, 400)
+	w.DrainSpills()
+	w.CompactNow() // settle the compactor, so every save below is the cut's
+	if n := w.Stats().ManifestSaveErrors; n != 0 {
+		t.Fatalf("ManifestSaveErrors = %d on a healthy directory", n)
+	}
+	before, _, err := persist.LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	squat := filepath.Join(dir, "MANIFEST.json.tmp")
+	if err := os.MkdirAll(filepath.Join(squat, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	w.SetRetention(100)
+	if w.Evicted() == 0 || w.Len() > 100 {
+		t.Fatalf("eviction did not proceed past the failed save: evicted %d, len %d", w.Evicted(), w.Len())
+	}
+	w.CompactNow() // the cut nudged the compactor; let its saves fail too before counting
+	failed := w.Stats().ManifestSaveErrors
+	if failed == 0 {
+		t.Fatal("ManifestSaveErrors = 0 after a retention cut whose manifest save failed")
+	}
+	log.SetOutput(os.Stderr)
+	if lines := uint64(bytes.Count(logged.Bytes(), []byte("manifest save failed"))); lines != failed {
+		t.Fatalf("%d failures logged %d times:\n%s", failed, lines, logged.String())
+	}
+	after, _, err := persist.LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after.Cuts) != len(before.Cuts) || after.Evictions != before.Evictions {
+		t.Fatalf("manifest on disk changed under a failing save: %+v -> %+v", before, after)
+	}
+
+	// With the squatter gone the next cut saves, and nothing more is counted.
+	if err := os.RemoveAll(squat); err != nil {
+		t.Fatal(err)
+	}
+	w.SetRetention(40)
+	w.CompactNow()
+	if n := w.Stats().ManifestSaveErrors; n != failed {
+		t.Fatalf("ManifestSaveErrors went %d -> %d with the directory healthy again", failed, n)
+	}
+	if m, _, err := persist.LoadManifest(dir); err != nil || m.Evictions <= before.Evictions {
+		t.Fatalf("manifest after a healthy cut = %+v (%v), want its eviction recorded", m, err)
 	}
 }

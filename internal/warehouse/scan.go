@@ -207,12 +207,12 @@ func (sc *scanner) cold(cs *coldSegment) error {
 // readRun decodes the plan's projected columns of event ordinals [a, b) of
 // a cold file and visits each event.
 func (sc *scanner) readRun(cs *coldSegment, a, b int) error {
-	pes, err := sc.read(cs, a, b, sc.pl.proj)
+	evs, err := sc.read(cs, a, b, sc.pl.proj)
 	if err != nil {
 		return err
 	}
-	for _, pe := range pes {
-		if err := sc.visit(Event(pe)); err != nil {
+	for _, ev := range evs {
+		if err := sc.visit(ev); err != nil {
 			return err
 		}
 	}
@@ -225,13 +225,13 @@ func (sc *scanner) readRun(cs *coldSegment, a, b int) error {
 // chunk-cache lookup, not a pread.
 func (sc *scanner) readMatchingRuns(cs *coldSegment, a, b int) error {
 	const gap = 32
-	pes, err := sc.read(cs, a, b, sc.pl.projection())
+	evs, err := sc.read(cs, a, b, sc.pl.projection())
 	if err != nil {
 		return err
 	}
 	runStart, runEnd := 0, 0
-	for i, pe := range pes {
-		if ok, _ := matchEvent(Event(pe), &sc.pl.Query, nil); !ok { // Cond is empty here
+	for i, ev := range evs {
+		if ok, _ := matchEvent(ev, &sc.pl.Query, nil); !ok { // Cond is empty here
 			continue
 		}
 		ord := a + i
@@ -249,18 +249,18 @@ func (sc *scanner) readMatchingRuns(cs *coldSegment, a, b int) error {
 
 // read is the one place a query touches a cold file's event block, through
 // the warehouse chunk cache when one is configured.
-func (sc *scanner) read(cs *coldSegment, a, b int, proj persist.Projection) ([]persist.Event, error) {
+func (sc *scanner) read(cs *coldSegment, a, b int, proj persist.Projection) ([]Event, error) {
 	if a >= b {
 		return nil, nil
 	}
 	t0 := cs.readHist.Start()
-	pes, rs, err := cs.info.ReadRangeProjected(cs.cache, a, b, proj)
+	evs, rs, err := cs.info.ReadRangeProjected(cs.cache, a, b, proj)
 	cs.readHist.Since(t0)
 	sc.qs.ColdCacheHits += rs.CacheHits
 	sc.qs.ColdCacheMisses += rs.CacheMisses
 	sc.qs.ColdColumnsSkipped += rs.ColumnsSkipped
 	sc.qs.ColdBytesDecoded += rs.BytesDecoded
-	return pes, err
+	return evs, err
 }
 
 // visit filters one candidate exactly and hands a match to the visitor.

@@ -70,10 +70,10 @@ type shard struct {
 	// taps are the post-commit consumers (see tap.go), fired in attachment
 	// order under the write lock after WAL write + visibility.
 	taps []tapConsumer
-	// tapScratch backs the one-event slice Append dispatches with, so the
-	// single-event hot path allocates nothing for the tap. Cleared after
-	// each dispatch so it never retains a tuple.
-	tapScratch [1]Event
+	// oneScratch backs the one-event slice Append hands the WAL and the taps,
+	// so the single-event hot path allocates nothing for either. Cleared
+	// after each append so it never retains a tuple.
+	oneScratch [1]Event
 }
 
 // condCache caches per-schema compilations of a query's Cond across the
@@ -271,7 +271,7 @@ func (s *shard) maybeSpillLocked(w *Warehouse) {
 			continue
 		}
 		seg.spilling = true
-		w.spill.enqueue(s, seg)
+		w.spill.enqueue(spillReq{s: s, seg: seg})
 		resident--
 	}
 }
@@ -290,11 +290,10 @@ func (s *shard) containsSegLocked(seg *segment) bool {
 // spillSnapshotLocked copies a segment's events in the canonical on-disk
 // (time, seq) order. Caller holds the write lock; the copy holds only
 // tuple references, so the expensive encode happens off-lock.
-func (s *shard) spillSnapshotLocked(seg *segment) []persist.Event {
-	events := make([]persist.Event, 0, seg.len())
+func (s *shard) spillSnapshotLocked(seg *segment) []Event {
+	events := make([]Event, 0, seg.len())
 	for _, ord := range seg.byTime {
-		ev := seg.events[ord]
-		events = append(events, persist.Event{Seq: ev.Seq, Tuple: ev.Tuple})
+		events = append(events, seg.events[ord])
 	}
 	// byTime is time-sorted with ties in insertion order; the file wants
 	// ties by seq.

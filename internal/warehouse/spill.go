@@ -2,8 +2,6 @@ package warehouse
 
 import (
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 
 	"streamloader/internal/persist"
 )
@@ -12,9 +10,9 @@ import (
 // find a shard over its hot-segment budget enqueue sealed segments here and
 // return immediately; the worker writes each segment file outside any shard
 // lock and only re-acquires the lock for the brief swap that replaces the
-// in-memory segment with its cold envelope. Ingest therefore never stalls
-// on a segment flush — the file write, the expensive part, runs entirely
-// off the hot path.
+// in-memory segment with its cold envelope (spillOne). Ingest therefore
+// never stalls on a segment flush — the file write, the expensive part, runs
+// entirely off the hot path.
 //
 // The pipeline is crash-idempotent at every step. Until the swap, readers
 // see the segment as hot and its WAL records stay live, so a crash before
@@ -24,22 +22,10 @@ import (
 // retention compactor trims or drops while its file write is in flight
 // fails the swap validation; the stale file is deleted and the segment
 // (if it survived) is re-enqueued by a later append.
-type spiller struct {
-	w *Warehouse
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []spillReq
-	inFlight int
-	closed   bool
-
-	// aborted is the crash switch: the worker stops at its next checkpoint
-	// without draining, leaving whatever on-disk state the "crash" produced
-	// for recovery to sort out. CloseHard sets it.
-	aborted atomic.Bool
-
-	wg sync.WaitGroup
-}
+//
+// A producer enqueues under the owning shard's lock, having marked the
+// segment spilling, so no segment is ever queued twice.
+type spiller = worker[spillReq]
 
 // spillReq names one sealed segment to flush.
 type spillReq struct {
@@ -48,108 +34,17 @@ type spillReq struct {
 }
 
 // backlogPerShard sizes the spill queue bound: appends start throttling
-// (off-lock, via throttle) once more than this many segments per shard sit
-// queued. It caps the memory the pipeline can hold beyond the hot budget —
-// at most backlogPerShard×shards sealed segments await their file — while
+// (off-lock, via throttleSpill) once more than this many segments per shard
+// sit queued. It caps the memory the pipeline can hold beyond the hot budget
+// — at most backlogPerShard×shards sealed segments await their file — while
 // staying deep enough that a bursty shard never waits on a healthy disk.
 const backlogPerShard = 4
 
-func newSpiller(w *Warehouse) *spiller {
-	sp := &spiller{w: w}
-	sp.cond = sync.NewCond(&sp.mu)
-	return sp
-}
-
-// start launches the worker. Separate from construction so Open can
-// enqueue recovery backlog before the shards are shared with a goroutine.
-func (sp *spiller) start() {
-	sp.wg.Add(1)
-	go sp.loop()
-}
-
-// enqueue queues one segment for spilling. Caller holds the owning shard's
-// lock and has marked the segment spilling.
-func (sp *spiller) enqueue(s *shard, seg *segment) {
-	sp.mu.Lock()
-	sp.queue = append(sp.queue, spillReq{s: s, seg: seg})
-	sp.cond.Broadcast()
-	sp.mu.Unlock()
-}
-
-func (sp *spiller) loop() {
-	defer sp.wg.Done()
-	for {
-		sp.mu.Lock()
-		for len(sp.queue) == 0 && !sp.closed && !sp.aborted.Load() {
-			sp.cond.Wait()
-		}
-		if sp.aborted.Load() || (sp.closed && len(sp.queue) == 0) {
-			sp.mu.Unlock()
-			return
-		}
-		req := sp.queue[0]
-		sp.queue[0] = spillReq{}
-		sp.queue = sp.queue[1:]
-		sp.inFlight++
-		sp.cond.Broadcast() // the queue shrank: wake throttled appenders
-		sp.mu.Unlock()
-
-		sp.w.spillOne(req)
-
-		sp.mu.Lock()
-		sp.inFlight--
-		sp.cond.Broadcast() // wake DrainSpills waiters
-		sp.mu.Unlock()
-	}
-}
-
-// close drains the queue — every pending segment is spilled — and stops the
-// worker. Idempotent.
-func (sp *spiller) close() {
-	sp.mu.Lock()
-	sp.closed = true
-	sp.cond.Broadcast()
-	sp.mu.Unlock()
-	sp.wg.Wait()
-}
-
-// abort stops the worker as a crash would: pending requests are dropped
-// and an in-flight file write completes without its swap, exactly the disk
-// state a kill between rename and swap leaves behind. It waits for the
-// worker to exit so the data directory is quiescent before recovery reads
-// it. Idempotent.
-func (sp *spiller) abort() {
-	sp.aborted.Store(true)
-	sp.mu.Lock()
-	sp.cond.Broadcast()
-	sp.mu.Unlock()
-	sp.wg.Wait()
-}
-
-// drain blocks until the queue is empty and no spill is in flight.
-func (sp *spiller) drain() {
-	sp.mu.Lock()
-	for (len(sp.queue) > 0 || sp.inFlight > 0) && !sp.aborted.Load() {
-		sp.cond.Wait()
-	}
-	sp.mu.Unlock()
-}
-
-// throttle blocks while the queue is over its bound, holding no shard
-// lock: when ingest outruns the disk, appends slow to the spill worker's
-// pace instead of queueing sealed segments without limit. Readers and
-// other shards are unaffected — only the producing goroutine waits.
-func (sp *spiller) throttle(maxQueue int) {
-	sp.mu.Lock()
-	for len(sp.queue) > maxQueue && !sp.closed && !sp.aborted.Load() {
-		sp.cond.Wait()
-	}
-	sp.mu.Unlock()
-}
-
-// throttleSpill applies spill backpressure to an append path; a no-op for
-// in-memory warehouses and whenever the queue is shallow. Called after the
-// shard lock is released.
+// throttleSpill applies spill backpressure to an append path, holding no
+// shard lock: when ingest outruns the disk, appends slow to the spill
+// worker's pace instead of queueing sealed segments without limit. Readers
+// and other shards are unaffected — only the producing goroutine waits. A
+// no-op for in-memory warehouses and whenever the queue is shallow.
 func (w *Warehouse) throttleSpill() {
 	if w.spill != nil {
 		w.spill.throttle(backlogPerShard * len(w.shards))

@@ -39,11 +39,7 @@ func TestSpillThrottleBounds(t *testing.T) {
 				return
 			default:
 			}
-			w.spill.mu.Lock()
-			if d := len(w.spill.queue); d > depth {
-				depth = d
-			}
-			w.spill.mu.Unlock()
+			depth = max(depth, w.spill.depth())
 		}
 	}()
 	for i := 0; i < 5000; i++ {

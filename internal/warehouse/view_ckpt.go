@@ -21,9 +21,8 @@ import (
 // folds only the WAL-tail events committed after it, instead of
 // re-scanning all of history.
 //
-// Files live at <dataDir>/views/<fnv64(key)>.ckpt, written with the same
-// write→validate→swap discipline as every other durable artifact: full
-// serialization to a temp file, fsync, atomic rename, directory sync.
+// Files live at <dataDir>/views/<fnv64(key)>.ckpt, published like every
+// other durable artifact, by persist.PublishFile.
 // The file embeds the canonical view key (hash-collision check) and a
 // fingerprint of the manifest's cut frontier plus the lifetime eviction
 // counter. Any eviction since the checkpoint changes the fingerprint and
@@ -224,35 +223,7 @@ func writeViewCkptFile(dir, key string, ck *viewCkpt) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(d, viewCkptFileName(key))
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if df, err := os.Open(d); err == nil {
-		df.Sync()
-		df.Close()
-	}
-	return nil
+	return persist.PublishFile(filepath.Join(d, viewCkptFileName(key)), data)
 }
 
 // readViewCkpt loads the checkpoint for key; (nil, nil) when none exists
@@ -364,7 +335,9 @@ func (w *Warehouse) recordViewDef(v *View) {
 	w.retMu.Lock()
 	changed, evicted := w.pers.manifest.AddView(rec)
 	if changed {
-		_ = persist.SaveManifest(w.pers.dir, w.pers.manifest)
+		// The record only describes the directory; the view works without
+		// it, and saveManifest has counted the failure.
+		_ = w.saveManifest()
 	}
 	w.retMu.Unlock()
 	for _, old := range evicted {

@@ -1,11 +1,9 @@
 package warehouse
 
 import (
-	"cmp"
 	"container/heap"
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -80,9 +78,8 @@ type Config struct {
 	// CompactBelow is the live-event threshold under which a cold segment
 	// file counts as small enough to merge with its time-adjacent
 	// neighbors: the background compactor rewrites runs of small or
-	// time-overlapping cold files into one well-pruning file, and any file
-	// in an older format into the current one. 0 means SegmentEvents/2;
-	// negative disables compaction.
+	// time-overlapping cold files into one well-pruning file. 0 means
+	// SegmentEvents/2; negative disables compaction.
 	CompactBelow int
 
 	// ViewCheckpointEvery is how many view state mutations may accumulate
@@ -104,13 +101,9 @@ type Config struct {
 // view checkpoints; Config.ViewCheckpointEvery overrides it.
 const DefaultViewCheckpointEvery = 4096
 
-// Event is one stored STT event.
-type Event struct {
-	// Seq is the warehouse-assigned insertion sequence.
-	Seq uint64
-	// Tuple is the stored event.
-	Tuple *stt.Tuple
-}
+// Event is one stored STT event: the warehouse-assigned insertion sequence
+// and the tuple. The durable layer moves the same pair, so there is one type.
+type Event = persist.Event
 
 // Query selects stored events. Zero-valued constraints match everything.
 type Query struct {
@@ -188,10 +181,12 @@ type Warehouse struct {
 	segTrims atomic.Uint64
 
 	// Durable-mode counters; pers is nil for an in-memory warehouse.
-	pers        *persistState
-	segsSpilled atomic.Uint64
-	coldBytes   atomic.Int64
-	recovered   atomic.Uint64
+	// manifestSaveErrors counts failed manifest saves (saveManifest).
+	pers               *persistState
+	segsSpilled        atomic.Uint64
+	coldBytes          atomic.Int64
+	recovered          atomic.Uint64
+	manifestSaveErrors atomic.Uint64
 
 	// chunkStatsHits counts the cold chunks aggregate queries answered from
 	// per-chunk stats; columnsSkipped the column sections projected reads
@@ -316,19 +311,14 @@ func (w *Warehouse) Append(t *stt.Tuple) error {
 	defer w.met.append.Since(t0)
 	s := w.shardFor(t.Source)
 	s.mu.Lock()
-	ev := Event{Seq: w.nextID.Add(1) - 1, Tuple: t}
-	if s.wal != nil {
-		if err := s.wal.Append([]persist.Event{{Seq: ev.Seq, Tuple: t}}); err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("warehouse: wal: %w", err)
-		}
-	}
-	s.appendLocked(ev)
-	w.count.Add(1)
-	s.tapScratch[0] = ev
-	s.dispatchTapLocked(w, s.tapScratch[:1])
-	s.tapScratch[0] = Event{}
+	one := s.oneScratch[:1]
+	one[0] = Event{Seq: w.nextID.Add(1) - 1, Tuple: t}
+	err := w.commitLocked(s, one)
+	one[0] = Event{}
 	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	w.throttleSpill()
 	w.maybeCompact()
 	return nil
@@ -383,18 +373,19 @@ func tuplesToEvents(tuples []*stt.Tuple, base uint64) []Event {
 	return evs
 }
 
-// appendShardBatch stores one shard's slice of a batch under its lock,
-// logging it first in durable mode. A WAL failure drops the whole
-// sub-batch before any of it becomes visible.
+// appendShardBatch stores one shard's slice of a batch under its lock.
 func (w *Warehouse) appendShardBatch(s *shard, evs []Event) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return w.commitLocked(s, evs)
+}
+
+// commitLocked is the one commit sequence: log the events in durable mode,
+// then make them visible and hand them to the taps. A WAL failure drops them
+// all before any becomes visible. Caller holds the shard's write lock.
+func (w *Warehouse) commitLocked(s *shard, evs []Event) error {
 	if s.wal != nil {
-		pes := make([]persist.Event, len(evs))
-		for i, ev := range evs {
-			pes[i] = persist.Event{Seq: ev.Seq, Tuple: ev.Tuple}
-		}
-		if err := s.wal.Append(pes); err != nil {
+		if err := s.wal.Append(evs); err != nil {
 			return fmt.Errorf("warehouse: wal: %w", err)
 		}
 	}
@@ -437,10 +428,8 @@ func (w *Warehouse) maybeCompact() {
 	w.compactAll(int(max))
 	// Retention trims shrink cold files logically; nudge the file compactor
 	// to fold the newly-small ones into their neighbors.
-	if w.compact != nil {
-		for _, s := range w.shards {
-			w.compact.enqueue(s)
-		}
+	for _, s := range w.shards {
+		w.maybeCompactCold(s)
 	}
 }
 
@@ -599,14 +588,14 @@ func (w *Warehouse) compactAll(maxEvents int) {
 		}
 		// Even a degraded (anyDead) eviction deletes cold files, so the
 		// seq high-water mark must go durable regardless of whether a cut
-		// was recorded. A failed manifest write is tolerable: eviction
-		// proceeds, and the worst case after a crash is re-ingesting
-		// events the next compaction re-evicts. The eviction counter bumps
-		// on every eviction — cut or degraded — so view checkpoints taken
-		// before it can never pass their fingerprint check.
+		// was recorded. A failed manifest write is tolerable (and counted by
+		// saveManifest): eviction proceeds, and the worst case after a crash
+		// is re-ingesting events the next compaction re-evicts. The eviction
+		// counter bumps on every eviction — cut or degraded — so view
+		// checkpoints taken before it can never pass their fingerprint
+		// check.
 		w.pers.manifest.Evictions++
-		w.stampMaxSeq()
-		_ = persist.SaveManifest(w.pers.dir, w.pers.manifest)
+		_ = w.saveManifest()
 	}
 
 	// Patch the standing views before the drops are applied below, while
@@ -795,7 +784,7 @@ func (v *selectVisitor) event(ev Event) error {
 }
 
 func (v *selectVisitor) done() int {
-	slices.SortStableFunc(v.out, eventCompare)
+	persist.SortEvents(v.out)
 	// The globally-earliest Limit events are contained in the union of each
 	// shard's earliest Limit matches, so capping here is safe and keeps the
 	// merge cost bounded.
@@ -847,16 +836,7 @@ func mergeEvents(parts [][]Event, limit int) []Event {
 	return out
 }
 
-// eventCompare orders events by (time, seq), the order every select and
-// merge returns them in.
-func eventCompare(a, b Event) int {
-	if c := a.Tuple.Time.Compare(b.Tuple.Time); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Seq, b.Seq)
-}
-
-func eventLess(a, b Event) bool { return eventCompare(a, b) < 0 }
+func eventLess(a, b Event) bool { return persist.CompareEvents(a, b) < 0 }
 
 // Count returns the number of matching events — at most q.Limit when set —
 // without materializing or sorting them, with the same telemetry, tracing
@@ -940,6 +920,10 @@ type Stats struct {
 	WALBytes        int64  `json:"wal_bytes"`
 	DiskBytes       int64  `json:"disk_bytes"`
 	RecoveredEvents uint64 `json:"recovered_events"`
+	// ManifestSaveErrors counts manifest saves that failed after Open. The
+	// callers that carry on regardless (a retention cut, a finished
+	// compaction's record, a view definition) would otherwise fail silently.
+	ManifestSaveErrors uint64 `json:"manifest_save_errors"`
 
 	// Cold-read chunk cache counters: cumulative hits and misses, and the
 	// decoded chunks currently resident (in encoded bytes). All zero for an
@@ -984,6 +968,7 @@ func (w *Warehouse) Stats() Stats {
 	st.SegmentsSpilled = w.segsSpilled.Load()
 	st.DiskBytes = st.WALBytes + w.coldBytes.Load()
 	st.RecoveredEvents = w.recovered.Load()
+	st.ManifestSaveErrors = w.manifestSaveErrors.Load()
 	cc := w.coldCache.Stats()
 	st.ColdCacheHits = cc.Hits
 	st.ColdCacheMisses = cc.Misses
