@@ -86,13 +86,17 @@ type Config struct {
 	// fixes the batch size; negative disables sink buffering.
 	SinkBatch int
 	// SinkMaxAge bounds how long a tuple may sit in a sink buffer before
-	// an age-based flush (default 50ms).
+	// an age-based flush (default 50ms). It is an upper bound, not the
+	// usual wait: a stream whose watermarks are within SinkMaxAge of Clock
+	// is live, and its sink flushes as soon as its input edge is empty
+	// (see bufferedSink).
 	SinkMaxAge time.Duration
 }
 
 // Executor deploys dataflows.
 type Executor struct {
 	cfg Config
+	met sinkMetrics // see RegisterMetrics
 }
 
 // New validates the configuration.

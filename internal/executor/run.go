@@ -177,34 +177,89 @@ done:
 	out.Close()
 }
 
-// runSink drains the sink's inputs into its destination. A Close failure is
-// returned: for buffered sinks it means the final drain (or an asynchronous
-// age flush) lost tuples, which must surface as a run error.
+// runSink drains the sink's inputs into its destination, all of them at
+// once: each input after the first gets a goroutine of its own, so a full
+// edge on one input never holds up a source the coordinator keeps in
+// lockstep with the others. Accept is then serialised here, because a
+// factory sink need not lock. (A compiled sink has at least one input.) A
+// Close failure is returned: for buffered sinks it means the final drain (or
+// an asynchronous age flush) lost tuples, which must surface as a run error.
 func (d *Deployment) runSink(pn *dataflow.PlanNode, sink Sink, ins []*stream.Stream) error {
-	ctr := d.sinkCtrs[pn.ID]
-	for _, in := range ins {
-		for item := range in.C {
-			if item.Kind != stream.ItemTuple {
-				continue
-			}
-			if ctr != nil {
-				ctr.In.Add(1)
-			}
-			if err := sink.Accept(item.Tuple); err != nil {
-				if ctr != nil {
-					ctr.Dropped.Add(1)
-				}
-				continue
-			}
-			if ctr != nil {
-				ctr.Out.Add(1)
-			}
-		}
+	var accept *sync.Mutex // nil with one input: nothing to serialise
+	if len(ins) > 1 {
+		accept = &sync.Mutex{}
 	}
+	var wg sync.WaitGroup
+	for _, in := range ins[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d.drainInto(pn, sink, in, accept)
+		}()
+	}
+	d.drainInto(pn, sink, ins[0], accept)
+	wg.Wait()
 	if err := sink.Close(); err != nil {
 		return fmt.Errorf("executor: sink %s: %w", pn.ID, err)
 	}
 	return nil
+}
+
+// drainInto feeds one input edge to the sink until the edge closes.
+//
+// Tuples are accepted; a watermark ends a buffered sink's batch when the
+// stream is live — the live rule of bufferedSink: the watermark is within
+// SinkMaxAge of the clock and nothing is queued on the edge behind it, so
+// there is nothing to coalesce the buffered tuples with and waiting for the
+// age tick would only make them stale. staleBefore remembers the last
+// clock reading minus SinkMaxAge: a watermark at or before it cannot be
+// live, so a replay (watermarks years behind the clock) pays one comparison
+// per watermark, not one clock read, and never flushes this way.
+//
+// A run on a *stream.VirtualClock is a replay whatever its watermarks say:
+// that clock is moved by the sources' own Sleep, so every watermark has
+// "caught up" with it, the rule would fire on every empty edge, and a
+// full-speed replay would land tuple by tuple. It keeps its batches.
+func (d *Deployment) drainInto(pn *dataflow.PlanNode, sink Sink, in *stream.Stream, accept *sync.Mutex) {
+	ctr := d.sinkCtrs[pn.ID]
+	cfg, met := &d.exec.cfg, &d.exec.met
+	buffered, _ := sink.(*bufferedSink)
+	if _, replay := cfg.Clock.(*stream.VirtualClock); replay {
+		buffered = nil
+	}
+	var staleBefore time.Time
+	for item := range in.C {
+		switch item.Kind {
+		case stream.ItemTuple:
+			if ctr != nil {
+				ctr.In.Add(1)
+			}
+			if accept != nil {
+				accept.Lock()
+			}
+			err := sink.Accept(item.Tuple)
+			if accept != nil {
+				accept.Unlock()
+			}
+			if ctr != nil {
+				if err != nil {
+					ctr.Dropped.Add(1)
+				} else {
+					ctr.Out.Add(1)
+				}
+			}
+		case stream.ItemWatermark:
+			if buffered == nil || !item.Watermark.After(staleBefore) || len(in.C) > 0 {
+				continue
+			}
+			now := cfg.Clock.Now()
+			staleBefore = now.Add(-cfg.SinkMaxAge)
+			met.lag.Observe(min(now.Sub(item.Watermark), time.Hour))
+			if item.Watermark.After(staleBefore) {
+				_ = buffered.flush(flushLive) // failure is re-buffered and recorded, not a loss
+			}
+		}
+	}
 }
 
 // buildSink realizes a sink node's destination.
@@ -236,7 +291,7 @@ func (d *Deployment) buildSink(pn *dataflow.PlanNode, nodeID string) (Sink, erro
 		// the batches adaptively from the sink's observed arrival rate.
 		if batch := d.exec.cfg.SinkBatch; batch >= 0 {
 			if bs, ok := sink.(BatchSink); ok {
-				return newBufferedSink(bs, batch, d.exec.cfg.SinkMaxAge), nil
+				return newBufferedSink(bs, batch, d.exec.cfg.SinkMaxAge, d.exec.met), nil
 			}
 		}
 		return sink, nil

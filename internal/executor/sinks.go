@@ -54,27 +54,41 @@ type BatchSink interface {
 	AcceptBatch([]*stt.Tuple) error
 }
 
-// bufferedSink batches tuples in front of a BatchSink. It flushes when the
-// buffer reaches the batch size or on an age tick (so a stalled stream
-// still lands within ~2×maxAge of wall time), and drains on Close, so a
-// completed run always observes its full output downstream.
+// bufferedSink batches tuples in front of a BatchSink. A batch ends — is
+// handed to the destination in one AcceptBatch — for one of four reasons,
+// counted in streamloader_sink_flushes_total{reason}:
+//
+//   - size: the buffer reached the batch size. This is what ends a batch
+//     under load (a replay, a burst): each flush amortizes the
+//     destination's lock round-trip over up to thousands of tuples.
+//   - live: the sink's process (Deployment.runSink) saw a watermark that is
+//     within maxAge of the clock on an input edge with nothing queued behind
+//     it. The stream is live and there is nothing left to coalesce with, so
+//     the event lands now: sink latency is the path, not a timer. A replay
+//     never flushes this way (its watermarks are far behind the clock), nor
+//     does a live stream that is falling behind (its edge is not empty, or
+//     its watermarks lag by maxAge or more): both keep their batches.
+//   - age: the maxAge tick. It bounds what the two rules above leave
+//     behind — the tail of a burst on a stream that then stalls, a batch
+//     whose flush failed — to ~2×maxAge of wall time.
+//   - close: Close drains, so a completed run always observes its full
+//     output downstream.
 //
 // The batch size is either fixed (a positive size at construction) or
-// adaptive: sized from the observed arrival rate, as an EWMA of tuples
-// accepted per age interval, clamped to [minAdaptiveBatch,
-// maxAdaptiveBatch]. A trickle stream then flushes in small, low-latency
-// batches instead of waiting out the age tick at a fixed 256, while a
-// heavy stream grows its batches until each flush amortizes the
-// destination's lock round-trip over thousands of tuples.
+// adaptive: an EWMA of tuples accepted per age interval, clamped to
+// [minAdaptiveBatch, maxAdaptiveBatch], so a heavy stream grows its batches
+// towards one per age tick. It is only the size rule's threshold; how soon a
+// slow stream's events land is the live rule's business, not the floor's.
 //
-// A failed flush loses nothing: the batch is re-buffered and retried on the
-// next size trigger, age tick or Close, so a transient destination error is
-// invisible once the tuples eventually land. Only when the destination
-// keeps failing does the sink shed load — Accept rejects new tuples once
-// the backlog reaches maxBacklog flushes' worth — and Close reports the
-// failure rather than success.
+// A failed flush loses nothing, whatever ended the batch: it is re-buffered
+// and retried on the next size trigger, live watermark, age tick or Close,
+// so a transient destination error is invisible once the tuples eventually
+// land. Only when the destination keeps failing does the sink shed load —
+// Accept rejects new tuples once the backlog reaches maxBacklog flushes'
+// worth — and Close reports the failure rather than success.
 type bufferedSink struct {
 	dst      BatchSink
+	met      sinkMetrics
 	ticker   *time.Ticker
 	done     chan struct{}
 	loopDone chan struct{}
@@ -120,10 +134,11 @@ const (
 
 // newBufferedSink wraps dst; maxAge must be positive. A positive size fixes
 // the flush threshold; size <= 0 selects adaptive sizing from the observed
-// arrival rate.
-func newBufferedSink(dst BatchSink, size int, maxAge time.Duration) *bufferedSink {
+// arrival rate. Flushes are counted in met (the zero value counts nothing).
+func newBufferedSink(dst BatchSink, size int, maxAge time.Duration, met sinkMetrics) *bufferedSink {
 	b := &bufferedSink{
 		dst:      dst,
+		met:      met,
 		size:     size,
 		ticker:   time.NewTicker(maxAge),
 		done:     make(chan struct{}),
@@ -150,7 +165,7 @@ func (b *bufferedSink) ageLoop() {
 			return
 		case <-b.ticker.C:
 			b.adapt()
-			_ = b.flush()
+			_ = b.flush(flushAge)
 		}
 	}
 }
@@ -198,7 +213,7 @@ func (b *bufferedSink) Accept(t *stt.Tuple) error {
 		}
 		err := b.flushErr
 		b.mu.Unlock()
-		if retry && b.flush() == nil {
+		if retry && b.flush(flushSize) == nil {
 			if full {
 				// The backlog just drained: room for the shed tuple after all.
 				b.mu.Lock()
@@ -227,16 +242,16 @@ func (b *bufferedSink) Accept(t *stt.Tuple) error {
 	ripe := len(b.buf) >= b.size
 	b.mu.Unlock()
 	if ripe {
-		_ = b.flush() // failure is re-buffered and recorded, not a loss
+		_ = b.flush(flushSize) // failure is re-buffered and recorded, not a loss
 	}
 	return nil
 }
 
-// flush hands the buffered tuples to the destination. On failure the batch
-// is put back at the front of the buffer — preserving accept order — and
-// the error is recorded for Close; on success any recorded error is
-// cleared, because the tuples it covered have now landed.
-func (b *bufferedSink) flush() error {
+// flush hands the buffered tuples to the destination, for the given reason.
+// On failure the batch is put back at the front of the buffer — preserving
+// accept order — and the error is recorded for Close; on success any
+// recorded error is cleared, because the tuples it covered have now landed.
+func (b *bufferedSink) flush(why flushReason) error {
 	b.flushMu.Lock()
 	defer b.flushMu.Unlock()
 	b.mu.Lock()
@@ -246,6 +261,7 @@ func (b *bufferedSink) flush() error {
 	if len(batch) == 0 {
 		return nil
 	}
+	b.met.flushes[why].Inc()
 	if err := b.dst.AcceptBatch(batch); err != nil {
 		b.mu.Lock()
 		b.buf = append(batch, b.buf...)
@@ -268,7 +284,7 @@ func (b *bufferedSink) Close() error {
 	b.ticker.Stop()
 	close(b.done)
 	<-b.loopDone
-	err := b.flush()
+	err := b.flush(flushClose)
 	b.mu.Lock()
 	if err == nil {
 		err = b.flushErr

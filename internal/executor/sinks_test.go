@@ -62,7 +62,7 @@ func (r *recordingBatchSink) total() int {
 
 func TestBufferedSinkSizeFlush(t *testing.T) {
 	rec := &recordingBatchSink{}
-	b := newBufferedSink(rec, 4, time.Hour)
+	b := newBufferedSink(rec, 4, time.Hour, sinkMetrics{})
 	for i := 0; i < 10; i++ {
 		if err := b.Accept(sinkTuple(i)); err != nil {
 			t.Fatal(err)
@@ -99,7 +99,7 @@ func TestBufferedSinkSizeFlush(t *testing.T) {
 
 func TestBufferedSinkAgeFlush(t *testing.T) {
 	rec := &recordingBatchSink{}
-	b := newBufferedSink(rec, 1000, 5*time.Millisecond)
+	b := newBufferedSink(rec, 1000, 5*time.Millisecond, sinkMetrics{})
 	if err := b.Accept(sinkTuple(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestBufferedSinkAgeFlush(t *testing.T) {
 
 func TestBufferedSinkFlushError(t *testing.T) {
 	fail := &failingBatchSink{}
-	b := newBufferedSink(fail, 1000, time.Hour)
+	b := newBufferedSink(fail, 1000, time.Hour, sinkMetrics{})
 	if err := b.Accept(sinkTuple(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func (f *flakyBatchSink) AcceptBatch(ts []*stt.Tuple) error {
 // retried until it lands, with nothing lost, duplicated or reordered.
 func TestBufferedSinkFlushRetry(t *testing.T) {
 	flaky := &flakyBatchSink{failN: 2}
-	b := newBufferedSink(flaky, 4, time.Hour)
+	b := newBufferedSink(flaky, 4, time.Hour, sinkMetrics{})
 	for i := 0; i < 10; i++ {
 		if err := b.Accept(sinkTuple(i)); err != nil {
 			t.Fatalf("accept %d: %v (mid-run flush failures must not surface per tuple)", i, err)
@@ -191,7 +191,7 @@ func TestBufferedSinkFlushRetry(t *testing.T) {
 // retried by the age ticker, not parked until Close.
 func TestBufferedSinkAgeFlushRetries(t *testing.T) {
 	flaky := &flakyBatchSink{failN: 1}
-	b := newBufferedSink(flaky, 2, 5*time.Millisecond)
+	b := newBufferedSink(flaky, 2, 5*time.Millisecond, sinkMetrics{})
 	for i := 0; i < 2; i++ {
 		if err := b.Accept(sinkTuple(i)); err != nil { // first flush fails
 			t.Fatal(err)
@@ -216,7 +216,7 @@ func TestBufferedSinkAgeFlushRetries(t *testing.T) {
 // with an error — never silently lost.
 func TestBufferedSinkRecoveryAfterBacklogFull(t *testing.T) {
 	flaky := &flakyBatchSink{failN: 6}
-	b := newBufferedSink(flaky, 2, time.Hour) // age ticks never fire in-test
+	b := newBufferedSink(flaky, 2, time.Hour, sinkMetrics{}) // age ticks never fire in-test
 	shed := 0
 	for i := 0; i < 14; i++ {
 		if err := b.Accept(sinkTuple(i)); err != nil {
@@ -244,7 +244,7 @@ func TestBufferedSinkRecoveryAfterBacklogFull(t *testing.T) {
 // the sink must shed (surfacing the error per Accept once the backlog is
 // full) and Close must report the failure, never success.
 func TestBufferedSinkPersistentFailure(t *testing.T) {
-	b := newBufferedSink(failingBatchSink{}, 2, time.Hour)
+	b := newBufferedSink(failingBatchSink{}, 2, time.Hour, sinkMetrics{})
 	var shed int
 	for i := 0; i < 20; i++ {
 		if err := b.Accept(sinkTuple(i)); err != nil {
@@ -268,7 +268,7 @@ func TestBufferedSinkPersistentFailure(t *testing.T) {
 // down, and the clamp bounds always hold.
 func TestBufferedSinkAdaptiveSizing(t *testing.T) {
 	rec := &recordingBatchSink{}
-	b := newBufferedSink(rec, 0, time.Hour) // ticks driven manually via adapt()
+	b := newBufferedSink(rec, 0, time.Hour, sinkMetrics{}) // ticks driven manually via adapt()
 	if !b.adaptive || b.size != adaptiveStart {
 		t.Fatalf("adaptive sink starts size=%d adaptive=%v, want %d/true", b.size, b.adaptive, adaptiveStart)
 	}
@@ -330,7 +330,7 @@ func TestBufferedSinkAdaptiveSizing(t *testing.T) {
 // retuned by the age loop.
 func TestBufferedSinkFixedSizeStaysFixed(t *testing.T) {
 	rec := &recordingBatchSink{}
-	b := newBufferedSink(rec, 7, time.Hour)
+	b := newBufferedSink(rec, 7, time.Hour, sinkMetrics{})
 	for i := 0; i < 100; i++ {
 		if err := b.Accept(sinkTuple(i)); err != nil {
 			t.Fatal(err)

@@ -25,6 +25,13 @@
 //	streamloader_view_rebuild_seconds       one standing-view backfill/rebuild scan
 //	streamloader_view_publish_seconds       one view snapshot broadcast to subscribers
 //	streamloader_http_request_seconds{route} one HTTP request, labeled by mux pattern
+//	streamloader_sink_watermark_lag_seconds clock minus watermark, observed where a sink decides whether its stream is live (executor.Deployment.runSink): the least a subscriber lags that stream; a replay reads the clock once per run and its lag is capped at one hour
+//
+// Sink counters (executor.Executor.RegisterMetrics):
+//
+//	streamloader_sink_flushes_total{reason}  batches a buffered sink handed to its destination, by what ended them:
+//	                                         size (buffer full), live (watermark caught up with the clock on an
+//	                                         empty edge), age (the SinkMaxAge tick), close (end of run)
 //
 // HTTP counters:
 //
@@ -42,7 +49,9 @@
 //	_recovered_events_total, _manifest_save_errors_total (manifest
 //	saves that failed since Open), _cold_cache_hits_total,
 //	_cold_cache_misses_total, _cold_chunk_stats_hits_total,
-//	_compactions_total, _segments_compacted_total
+//	_compactions_total, _segments_compacted_total, _view_encodes_total
+//	(view snapshots rendered to JSON: one per update, whatever the
+//	subscriber count; updates are streamloader_view_publish_seconds_count)
 //
 // Monitor (collector "monitor"; the paper's Figure-3 facility, labeled
 // {op,node}):

@@ -33,6 +33,8 @@ var requiredFamilies = []string{
 	"streamloader_view_publish_seconds",
 	"streamloader_warehouse_events",
 	"streamloader_warehouse_segments",
+	"streamloader_sink_flushes_total",
+	"streamloader_sink_watermark_lag_seconds",
 }
 
 func scrapeMetrics(t *testing.T, base string) []obs.Series {

@@ -68,7 +68,8 @@ type Server struct {
 // New assembles a server over existing subsystems. The metrics registry is
 // adopted from the warehouse when it has one (so its histograms and the
 // HTTP series expose together) and created fresh otherwise; the monitor's
-// Figure-3 rates register into the same registry.
+// Figure-3 rates and the executor's sink series register into the same
+// registry.
 func New(net *network.Network, broker *pubsub.Broker, exec *executor.Executor,
 	mon *monitor.Monitor, wh *warehouse.Warehouse, board *viz.Board,
 	sensors map[string]*sensor.Sensor) *Server {
@@ -86,6 +87,7 @@ func New(net *network.Network, broker *pubsub.Broker, exec *executor.Executor,
 		s.Obs = obs.NewRegistry()
 	}
 	mon.RegisterMetrics(s.Obs)
+	exec.RegisterMetrics(s.Obs)
 	return s
 }
 
@@ -832,30 +834,27 @@ func warehouseErrStatus(err error) int {
 	}
 }
 
-// aggRowView is the wire form of one warehouse.AggRow.
-type aggRowView struct {
-	Bucket string  `json:"bucket,omitempty"`
-	Source string  `json:"source,omitempty"`
-	Theme  string  `json:"theme,omitempty"`
-	Count  int64   `json:"count"`
-	Value  float64 `json:"value"`
+// aggRows is an aggregate result as the endpoint returns it: under
+// encoding/json the rows array, and line by line for NDJSON, both written
+// by warehouse.AggRow.AppendJSON — the rendering a subscription's frames
+// carry, so a pushed snapshot reads exactly like a pulled one. The bucket
+// field appears only for bucketed queries.
+type aggRows struct {
+	rows     []warehouse.AggRow
+	bucketed bool
 }
 
-// aggRowViews renders aggregate rows to their wire form; the bucket field
-// appears only for bucketed queries. Shared by the one-shot aggregate
-// endpoint and the subscribe stream, so a pushed snapshot is rendered
-// exactly like a pulled one.
-func aggRowViews(rows []warehouse.AggRow, bucketed bool) []aggRowView {
-	views := make([]aggRowView, 0, len(rows))
-	for _, row := range rows {
-		v := aggRowView{Source: row.Source, Theme: row.Theme, Count: row.Count, Value: row.Value}
-		if bucketed {
-			v.Bucket = row.Bucket.UTC().Format(time.RFC3339Nano)
-		}
-		views = append(views, v)
-	}
-	return views
+func (a aggRows) MarshalJSON() ([]byte, error) {
+	return warehouse.AppendAggRowsJSON(nil, a.rows, a.bucketed), nil
 }
+
+// aggRowLine is one row of an aggRows as an NDJSON line.
+type aggRowLine struct {
+	row      *warehouse.AggRow
+	bucketed bool
+}
+
+func (l aggRowLine) AppendJSON(dst []byte) []byte { return l.row.AppendJSON(dst, l.bucketed) }
 
 // handleWarehouseAggregate pushes an aggregation down into the warehouse:
 // the parseWarehouseFilter params plus &func= (count, sum, avg, min, max),
@@ -898,7 +897,7 @@ func (s *Server) handleWarehouseAggregate(w http.ResponseWriter, r *http.Request
 		return
 	}
 	s.noteSlow(r, tr, start)
-	views := aggRowViews(rows, aq.Bucket > 0)
+	bucketed := aq.Bucket > 0
 	summary := map[string]any{
 		"func": string(fn), "field": aq.Field, "segments": qs,
 	}
@@ -906,10 +905,10 @@ func (s *Server) handleWarehouseAggregate(w http.ResponseWriter, r *http.Request
 		summary["trace"] = tr.Report()
 	}
 	if format == "ndjson" {
-		summary["rows"] = len(views)
+		summary["rows"] = len(rows)
 		writeNDJSON(w, func(yield func(v any) bool) {
-			for _, v := range views {
-				if !yield(v) {
+			for i := range rows {
+				if !yield(aggRowLine{&rows[i], bucketed}) {
 					return
 				}
 			}
@@ -917,7 +916,7 @@ func (s *Server) handleWarehouseAggregate(w http.ResponseWriter, r *http.Request
 		})
 		return
 	}
-	summary["rows"] = views
+	summary["rows"] = aggRows{rows, bucketed}
 	writeJSON(w, http.StatusOK, summary)
 }
 

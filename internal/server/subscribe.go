@@ -1,9 +1,7 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 
 	"streamloader/internal/ops"
@@ -21,15 +19,6 @@ const DefaultMaxSubscribers = 10_000
 // full snapshots (latest-wins), so a shallow buffer costs a slow client
 // freshness, never correctness.
 const subscriberBuffer = 16
-
-// viewUpdateView is the wire form of one warehouse.ViewUpdate.
-type viewUpdateView struct {
-	Version    uint64       `json:"version"`
-	Rows       []aggRowView `json:"rows"`
-	Resnapshot bool         `json:"resnapshot,omitempty"`
-	Shed       uint64       `json:"shed,omitempty"`
-	Error      string       `json:"error,omitempty"`
-}
 
 // handleWarehouseSubscribe registers (or shares) a standing aggregate view
 // and streams its snapshots: the aggregate endpoint's params (func, field,
@@ -98,8 +87,7 @@ func (s *Server) handleWarehouseSubscribe(w http.ResponseWriter, r *http.Request
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush() // commit headers before the first update arrives
 
-	enc := json.NewEncoder(w)
-	bucketed := aq.Bucket > 0
+	var frame []byte // reused: one write per update
 	for {
 		select {
 		case <-r.Context().Done():
@@ -108,31 +96,8 @@ func (s *Server) handleWarehouseSubscribe(w http.ResponseWriter, r *http.Request
 			if !ok {
 				return // view closed (warehouse shutdown)
 			}
-			uv := viewUpdateView{
-				Version:    u.Version,
-				Rows:       aggRowViews(u.Rows, bucketed),
-				Resnapshot: u.Resnapshot,
-				Shed:       u.Shed,
-			}
-			if u.Err != nil {
-				uv.Error = u.Err.Error()
-			}
-			if sse {
-				event := "update"
-				switch {
-				case u.Err != nil:
-					event = "error"
-				case u.Resnapshot:
-					event = "snapshot"
-				}
-				data, err := json.Marshal(uv)
-				if err != nil {
-					return
-				}
-				if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
-					return
-				}
-			} else if err := enc.Encode(uv); err != nil {
+			frame = appendSubscribeFrame(frame[:0], &u, sse)
+			if _, err := w.Write(frame); err != nil {
 				return
 			}
 			flusher.Flush()
@@ -141,4 +106,28 @@ func (s *Server) handleWarehouseSubscribe(w http.ResponseWriter, r *http.Request
 			}
 		}
 	}
+}
+
+// appendSubscribeFrame appends one update as the client reads it: the
+// update's JSON object (warehouse.ViewUpdate.AppendJSON) on a line of its
+// own for ndjson, or as the data of an SSE "update", "snapshot" or "error"
+// event. The rows inside were encoded once by the view's publisher; what is
+// done here, per subscriber, is a copy and the few members that differ
+// between subscribers (shed, resnapshot).
+func appendSubscribeFrame(dst []byte, u *warehouse.ViewUpdate, sse bool) []byte {
+	if !sse {
+		return append(u.AppendJSON(dst), '\n')
+	}
+	event := "update"
+	switch {
+	case u.Err != nil:
+		event = "error"
+	case u.Resnapshot:
+		event = "snapshot"
+	}
+	dst = append(dst, "event: "...)
+	dst = append(dst, event...)
+	dst = append(dst, "\ndata: "...)
+	dst = u.AppendJSON(dst)
+	return append(dst, "\n\n"...)
 }

@@ -14,7 +14,11 @@
 //   - Tuple items: the STT events themselves;
 //   - Watermark items: a promise that no tuple with an earlier event time
 //     will follow, which is what lets blocking operators (aggregation, join,
-//     trigger) flush their window caches deterministically;
+//     trigger) flush their window caches deterministically. At a sink a
+//     watermark also ends the batch being buffered for the destination, when
+//     it is within the sink's maximum age of the clock and the edge behind
+//     it is empty: the stream is live and has nothing more to add to the
+//     batch (executor.Deployment.runSink);
 //   - a final EOS item, after which the channel is closed.
 //
 // Watermarks make replay runs (tests, benchmarks, sample debugging) produce

@@ -56,7 +56,7 @@ func wireKeys(fields []Field, index map[string]int) []wireKey {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].name < keys[j].name })
 	for i := range keys {
-		keys[i].quoted = string(append(appendJSONString(nil, keys[i].name), ':'))
+		keys[i].quoted = string(append(AppendJSONString(nil, keys[i].name), ':'))
 	}
 	return keys
 }
@@ -89,15 +89,15 @@ func (t *Tuple) AppendJSON(dst []byte) []byte {
 		case metaNone:
 			dst = t.Values[k.field].AppendJSON(dst)
 		case metaLat:
-			dst = appendJSONFloat(dst, t.Lat)
+			dst = AppendJSONFloat(dst, t.Lat)
 		case metaLon:
-			dst = appendJSONFloat(dst, t.Lon)
+			dst = AppendJSONFloat(dst, t.Lon)
 		case metaSource:
-			dst = appendJSONString(dst, t.Source)
+			dst = AppendJSONString(dst, t.Source)
 		case metaTheme:
-			dst = appendJSONString(dst, t.Theme)
+			dst = AppendJSONString(dst, t.Theme)
 		case metaTime:
-			dst = appendJSONTime(dst, t.Time)
+			dst = AppendJSONTime(dst, t.Time)
 		}
 	}
 	return append(dst, '}')
@@ -117,17 +117,19 @@ func (v Value) AppendJSON(dst []byte) []byte {
 	case KindInt:
 		return strconv.AppendInt(dst, v.i, 10)
 	case KindFloat:
-		return appendJSONFloat(dst, v.f)
+		return AppendJSONFloat(dst, v.f)
 	case KindString:
-		return appendJSONString(dst, v.s)
+		return AppendJSONString(dst, v.s)
 	case KindTime:
-		return appendJSONTime(dst, v.t)
+		return AppendJSONTime(dst, v.t)
 	default:
 		return append(dst, "null"...)
 	}
 }
 
-func appendJSONTime(dst []byte, t time.Time) []byte {
+// AppendJSONTime appends t as encoding/json writes a time.Time in UTC: a
+// quoted RFC3339Nano string.
+func AppendJSONTime(dst []byte, t time.Time) []byte {
 	// The layout yields only digits, '-', ':', '.', 'T', 'Z' and '+':
 	// nothing to escape.
 	dst = append(dst, '"')
@@ -135,10 +137,11 @@ func appendJSONTime(dst []byte, t time.Time) []byte {
 	return append(dst, '"')
 }
 
-// appendJSONFloat follows encoding/json's float64 encoder: the shortest
+// AppendJSONFloat follows encoding/json's float64 encoder: the shortest
 // decimal that round-trips, exponent form below 1e-6 and from 1e21, and a
-// one-digit negative exponent written without its leading zero.
-func appendJSONFloat(dst []byte, f float64) []byte {
+// one-digit negative exponent written without its leading zero. NaN and
+// ±Inf, which encoding/json refuses, are written as null.
+func AppendJSONFloat(dst []byte, f float64) []byte {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return append(dst, "null"...)
 	}
@@ -158,11 +161,11 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 
 const hexDigits = "0123456789abcdef"
 
-// appendJSONString follows encoding/json's string encoder with HTML
+// AppendJSONString follows encoding/json's string encoder with HTML
 // escaping on, as Marshal and a default Encoder have it: quotes,
 // backslashes, control bytes, '<', '>' and '&' are escaped, invalid UTF-8
 // becomes \ufffd, and U+2028/U+2029 are written as escapes.
-func appendJSONString(dst []byte, s string) []byte {
+func AppendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {

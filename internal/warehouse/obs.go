@@ -71,6 +71,7 @@ func (w *Warehouse) registerStatsCollector(reg *obs.Registry) {
 		e.Counter("streamloader_warehouse_cold_columns_skipped_total", "", float64(st.ColdColumnsSkipped))
 		e.Counter("streamloader_warehouse_compactions_total", "", float64(st.Compactions))
 		e.Counter("streamloader_warehouse_segments_compacted_total", "", float64(st.SegmentsCompacted))
+		e.Counter("streamloader_warehouse_view_encodes_total", "", float64(st.ViewEncodes))
 	})
 	for _, d := range [][2]string{
 		{"streamloader_warehouse_events", "Live events stored across all shards."},
@@ -93,6 +94,7 @@ func (w *Warehouse) registerStatsCollector(reg *obs.Registry) {
 		{"streamloader_warehouse_cold_columns_skipped_total", "Column sections skipped by projected v3 cold reads."},
 		{"streamloader_warehouse_compactions_total", "Background cold-file compaction rounds."},
 		{"streamloader_warehouse_segments_compacted_total", "Cold files merged away by compaction."},
+		{"streamloader_warehouse_view_encodes_total", "View snapshots rendered to their wire form (one per update, shared by its subscribers)."},
 	} {
 		reg.Describe(d[0], d[1])
 	}

@@ -70,6 +70,10 @@ type ViewUpdate struct {
 	Version uint64
 	// Rows is the complete current result.
 	Rows []AggRow
+	// RowsJSON is Rows in wire form (AppendAggRowsJSON), encoded once per
+	// snapshot by the view's publisher and shared by every subscriber's
+	// copy of the update: read-only. Empty on the terminal error update.
+	RowsJSON []byte
 	// Resnapshot marks a snapshot that may not extend the previous one
 	// monotonically: the first update, a post-rebuild update (retention
 	// cut), a window expiry, or the first update after this subscriber had
@@ -435,6 +439,7 @@ func (v *View) Subscribe(buffer int) (*Subscription, error) {
 	reg.mu.Unlock()
 
 	sub := &Subscription{v: v, ch: make(chan ViewUpdate, buffer)}
+	rowsJSON := v.encodeRows(rows)
 	v.mu.Lock()
 	if v.err != nil {
 		err := v.err
@@ -447,7 +452,7 @@ func (v *View) Subscribe(buffer int) (*Subscription, error) {
 	// Folds between the Rows call above and this attach are not lost:
 	// they bumped mutations, so the publisher rebroadcasts a fresher full
 	// snapshot to everyone, this subscriber included.
-	sub.sendLocked(ViewUpdate{Version: v.version, Rows: rows, Resnapshot: true})
+	sub.sendLocked(ViewUpdate{Version: v.version, Rows: rows, RowsJSON: rowsJSON, Resnapshot: true})
 	v.mu.Unlock()
 	return sub, nil
 }
@@ -718,7 +723,10 @@ func (v *View) run() {
 	}
 }
 
-// broadcast fans one snapshot out to every subscriber.
+// broadcast fans one snapshot out to every subscriber. The rows are encoded
+// here, once, in the publisher's goroutine: with the sink flushing per live
+// event an event-policy view publishes per event, and what would be one
+// encode per subscriber per event is one per event.
 func (v *View) broadcast(rows []AggRow, resnap bool) {
 	t0 := v.w.met.viewPublish.Start()
 	defer v.w.met.viewPublish.Since(t0)
@@ -728,9 +736,21 @@ func (v *View) broadcast(rows []AggRow, resnap bool) {
 		return
 	}
 	v.version++
-	for _, sub := range v.subs {
-		sub.sendLocked(ViewUpdate{Version: v.version, Rows: rows, Resnapshot: resnap})
+	if len(v.subs) == 0 {
+		return
 	}
+	u := ViewUpdate{Version: v.version, Rows: rows, RowsJSON: v.encodeRows(rows), Resnapshot: resnap}
+	for _, sub := range v.subs {
+		sub.sendLocked(u)
+	}
+}
+
+// encodeRows renders one snapshot's rows to their wire form, into a buffer
+// sized for a typical row (~100 bytes with a bucket and both group values)
+// so that a snapshot is one allocation, not a doubling series.
+func (v *View) encodeRows(rows []AggRow) []byte {
+	v.w.viewEncodes.Add(1)
+	return AppendAggRowsJSON(make([]byte, 0, 2+128*len(rows)), rows, v.plan.Bucket > 0)
 }
 
 // teardown stops the view: publisher signalled, taps detached, registry

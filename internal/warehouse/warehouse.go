@@ -215,13 +215,15 @@ type Warehouse struct {
 
 	// Standing-view maintenance counters: frames dropped whole (retention
 	// cuts and window expiry), exact boundary subtractions, one-bucket
-	// boundary rescans, checkpoints written, and registrations that
-	// resumed from a checkpoint instead of backfilling.
+	// boundary rescans, checkpoints written, registrations that resumed
+	// from a checkpoint instead of backfilling, and snapshots rendered to
+	// their wire form (one per update, however many subscribers).
 	viewFrameDrops      atomic.Uint64
 	viewSubtractions    atomic.Uint64
 	viewBoundaryRescans atomic.Uint64
 	viewCheckpoints     atomic.Uint64
 	viewResumes         atomic.Uint64
+	viewEncodes         atomic.Uint64
 
 	// nowFn is the clock windowed views and window-bounded aggregates read;
 	// it is time.Now outside tests. The model checker pins it so window
@@ -949,13 +951,15 @@ type Stats struct {
 
 	// Standing-view maintenance counters: partial frames dropped whole
 	// (retention cuts and window expiry), exact boundary subtractions,
-	// one-bucket boundary rescans, checkpoints written, and registrations
-	// that resumed from a checkpoint instead of backfilling.
+	// one-bucket boundary rescans, checkpoints written, registrations
+	// that resumed from a checkpoint instead of backfilling, and snapshots
+	// rendered to their wire form (one per update, not per subscriber).
 	ViewFrameDrops      uint64 `json:"view_frame_drops"`
 	ViewSubtractions    uint64 `json:"view_subtractions"`
 	ViewBoundaryRescans uint64 `json:"view_boundary_rescans"`
 	ViewCheckpoints     uint64 `json:"view_checkpoints"`
 	ViewResumes         uint64 `json:"view_resumes"`
+	ViewEncodes         uint64 `json:"view_encodes"`
 }
 
 // Stats computes the summary, folding every shard's contribution.
@@ -984,6 +988,7 @@ func (w *Warehouse) Stats() Stats {
 	st.ViewBoundaryRescans = w.viewBoundaryRescans.Load()
 	st.ViewCheckpoints = w.viewCheckpoints.Load()
 	st.ViewResumes = w.viewResumes.Load()
+	st.ViewEncodes = w.viewEncodes.Load()
 	return st
 }
 
