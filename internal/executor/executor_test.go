@@ -2,6 +2,7 @@ package executor
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"streamloader/internal/pubsub"
 	"streamloader/internal/sensor"
 	"streamloader/internal/stream"
+	"streamloader/internal/stt"
 )
 
 var t0 = time.Date(2016, 3, 15, 9, 0, 0, 0, time.UTC)
@@ -358,21 +360,49 @@ func TestReconfigureSwapsOperator(t *testing.T) {
 	}
 }
 
+// gateSink holds a run open: its first Accept announces itself on entered,
+// and every Accept waits for release to be closed.
+type gateSink struct {
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (g *gateSink) Accept(*stt.Tuple) error {
+	g.once.Do(func() { close(g.entered) })
+	<-g.release
+	return nil
+}
+
+func (g *gateSink) Close() error { return nil }
+
+// TestReconfigureWhileRunningFails reconfigures a deployment whose run
+// cannot have ended: a tuple is parked in the sink, which the test holds
+// until after the call. (A bare one-hour replay finishes in milliseconds and
+// used to win the race against the test about one run in a hundred.)
 func TestReconfigureWhileRunningFails(t *testing.T) {
 	r := newRig(t, 2, []sensor.Spec{tempSpec("temp-1")})
-	d, err := r.exec.Deploy(simpleFlow())
+	gate := &gateSink{entered: make(chan struct{}), release: make(chan struct{})}
+	cfg := r.exec.cfg
+	cfg.Sinks = func(string, string, *stt.Schema) (Sink, error) { return gate, nil }
+	exec, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := simpleFlow()
+	spec.Nodes[2].Sink = "viz"
+	d, err := exec.Deploy(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Undeploy()
 	done := make(chan error, 1)
 	go func() { done <- d.Run(t0, t0.Add(time.Hour)) }()
-	for len(d.Collected("out")) == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	<-gate.entered
 	if err := d.Reconfigure(simpleFlow()); err == nil {
 		t.Error("reconfigure while running must fail")
 	}
+	close(gate.release)
 	d.Stop()
 	if err := <-done; err != nil {
 		t.Fatal(err)

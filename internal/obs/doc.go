@@ -43,6 +43,8 @@
 //
 //	streamloader_warehouse_events, _sources, _segments, _segments_cold,
 //	_views, _view_subscribers, _wal_bytes, _disk_bytes, _cold_cache_bytes
+//	(encoded bytes cached: what -cold-cache-bytes bounds),
+//	_cold_cache_held_bytes (what those chunks hold in memory, decoded)
 //
 //	counters: streamloader_warehouse_evicted_total,
 //	_segments_dropped_total, _segments_spilled_total,

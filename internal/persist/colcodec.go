@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"streamloader/internal/stt"
 )
@@ -340,11 +340,13 @@ func appendValueColumn(col []byte, events []Event, p int) []byte {
 }
 
 // colChunk is one decoded chunk — what a read works on and the chunk cache
-// stores. Usually it holds the columns some projection decoded: slices for
-// undecoded columns are nil, valsDone marks which value positions hold
-// decoded payloads. A chunk decoded straight into rows (decodeChunk says
-// when) has only rows set, under a mask and allVals that claim everything.
-// A colChunk is immutable once built; merging projections builds a new one.
+// stores — in exactly one of two forms. A full-projection read decodes
+// straight to rows (decodeChunk): only rows is set, under a mask and allVals
+// that claim everything, and it serves every later read of the chunk,
+// whatever its projection or sub-range. A narrow projection decodes columns:
+// slices for undecoded columns are nil, valsDone marks which value positions
+// hold decoded payloads, and each read builds the rows it returns. A colChunk
+// is immutable once built; merging projections builds a new one.
 type colChunk struct {
 	n        int
 	mask     ColumnMask
@@ -361,15 +363,46 @@ type colChunk struct {
 	valsDone []bool
 	allVals  bool
 
-	// rows holds every event of the chunk in full: decoded directly, or
-	// memoized by the first full-projection materialization so repeated full
-	// reads of a cached chunk pay the tuple construction once.
-	rows atomic.Pointer[[]Event]
+	// rows holds every event of the chunk in full, and then nothing above
+	// but n, mask and allVals is set.
+	rows []Event
 }
 
-// covers reports whether the decoded columns satisfy proj.
+// What one decoded event, payload value and time cost in memory.
+const (
+	rowBytes   = int64(unsafe.Sizeof(Event{}) + unsafe.Sizeof(stt.Tuple{}))
+	valueBytes = int64(unsafe.Sizeof(stt.Value{}))
+	timeBytes  = int64(unsafe.Sizeof(time.Time{}))
+)
+
+// heldBytes is what the chunk holds in memory, whichever form it is in: an
+// Event and a Tuple per row plus the flat Values array, and the sum of the
+// column slices. String bytes are not counted — they are dictionary entries
+// shared by the events of a chunk, a few dozen bytes against its kilobytes.
+// The cache asks once, when it stores the chunk.
+func (cc *colChunk) heldBytes() int64 {
+	held := int64(len(cc.rows))*rowBytes +
+		int64(len(cc.times))*timeBytes +
+		8*int64(len(cc.seqs)+len(cc.tseqs)+len(cc.lats)+len(cc.lons)+len(cc.schemas)+len(cc.nvals)) +
+		16*int64(len(cc.themes)+len(cc.sources))
+	for _, ev := range cc.rows {
+		held += int64(len(ev.Tuple.Values)) * valueBytes
+	}
+	for _, col := range cc.vals {
+		held += int64(len(col)) * valueBytes
+	}
+	return held
+}
+
+// covers reports whether the chunk satisfies proj. Rows satisfy everything;
+// columns satisfy the narrow projections they were decoded under, and never
+// the full one — a full read that finds columns decodes the rows and replaces
+// them (merge), so an entry never holds both.
 func (cc *colChunk) covers(proj Projection, si *SegmentInfo) bool {
-	if proj.Mask&^cc.mask != 0 {
+	if cc.rows != nil {
+		return true
+	}
+	if proj.full() || proj.Mask&^cc.mask != 0 {
 		return false
 	}
 	if proj.Mask&ColValues != 0 || proj.Field == "" {
@@ -387,8 +420,12 @@ func (cc *colChunk) covers(proj Projection, si *SegmentInfo) bool {
 }
 
 // merge folds another decode of the same chunk into this one, returning a
-// new colChunk carrying the union of their columns.
+// new colChunk carrying the union of their columns — or o itself when o is
+// in rows, which has everything cc has and replaces it.
 func (cc *colChunk) merge(o *colChunk) *colChunk {
+	if o.rows != nil {
+		return o
+	}
 	out := &colChunk{n: cc.n, mask: cc.mask | o.mask, allVals: cc.allVals || o.allVals}
 	pick := func(a, b []time.Time) []time.Time {
 		if a != nil {
@@ -446,19 +483,14 @@ func (cc *colChunk) merge(o *colChunk) *colChunk {
 	return out
 }
 
-// materialize returns events [a, b) of the chunk (chunk-local ordinals):
-// the whole rows when the chunk has them, whatever the projection, else
-// built from the decoded columns, with columns outside the chunk's mask
-// zero. A full whole-chunk build is memoized on the chunk.
-func (cc *colChunk) materialize(a, b int, full bool) []Event {
-	if rows := cc.rows.Load(); rows != nil {
-		return (*rows)[a:b]
+// materialize returns events [a, b) of the chunk (chunk-local ordinals): a
+// window on the rows when the chunk has them, whatever the projection, else
+// built from the decoded columns, with columns outside the chunk's mask zero.
+func (cc *colChunk) materialize(a, b int) []Event {
+	if cc.rows != nil {
+		return cc.rows[a:b]
 	}
-	rows := cc.buildRows(a, b)
-	if full && a == 0 && b == cc.n {
-		cc.rows.Store(&rows)
-	}
-	return rows
+	return cc.buildRows(a, b)
 }
 
 func (cc *colChunk) buildRows(a, b int) []Event {

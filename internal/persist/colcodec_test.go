@@ -87,9 +87,9 @@ func TestProjectedDecodeV3(t *testing.T) {
 	}
 }
 
-// TestProjectedCacheWidening: a cached narrow projection is widened by a
-// following broader read (columns merged, entry replaced), and the final
-// full read is byte-identical to an uncached one.
+// TestProjectedCacheWidening: a cached narrow projection gives way to a
+// following full read (a miss; cacheform_test.go pins what the entry becomes),
+// and the final full read is byte-identical to an uncached one.
 func TestProjectedCacheWidening(t *testing.T) {
 	dir := t.TempDir()
 	events, info := writeV3Corpus(t, filepath.Join(dir, SegmentFileName(1)))
@@ -106,8 +106,7 @@ func TestProjectedCacheWidening(t *testing.T) {
 	} else if rs.CacheHits != info.NumChunks() || rs.BytesDecoded != 0 {
 		t.Fatalf("repeat narrow read: %+v, want all hits", rs)
 	}
-	// Broader read: counted as misses (columns must come off disk), merged
-	// into the cached entries.
+	// Full read: counted as misses (the rows must come off disk).
 	full, rs, err := info.ReadRangeProjected(cache, 0, info.Count, FullProjection)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +115,7 @@ func TestProjectedCacheWidening(t *testing.T) {
 		t.Fatalf("widening read: %+v, want all misses", rs)
 	}
 	sameEvents(t, full, events)
-	// And now the widened entries serve the full read from RAM.
+	// And now the entries serve the full read from RAM.
 	if _, rs, err := info.ReadRangeProjected(cache, 0, info.Count, FullProjection); err != nil {
 		t.Fatal(err)
 	} else if rs.CacheHits != info.NumChunks() || rs.BytesDecoded != 0 {
@@ -186,7 +185,7 @@ func TestV3TruncatedSections(t *testing.T) {
 	if err != nil {
 		t.Fatalf("intact chunk: %v", err)
 	}
-	if got := cc.materialize(0, n, true); len(got) != n || !got[0].Tuple.Time.Equal(events[0].Tuple.Time) {
+	if got := cc.materialize(0, n); len(got) != n || !got[0].Tuple.Time.Equal(events[0].Tuple.Time) {
 		t.Fatalf("intact chunk materialized %d events", len(got))
 	}
 }

@@ -247,7 +247,8 @@ func appendBytes(t *testing.T, path string, data []byte) {
 
 // FuzzSegmentRoundTrip writes fuzz-derived events as a segment file,
 // reopens it, and requires a bit-exact event round-trip — NaN payloads and
-// empty dictionaries included. It then truncates the file at arbitrary
+// empty dictionaries included — and the same events from the rows decoder
+// (cached or not) and the column decoder. It then truncates the file at arbitrary
 // points, one of them fuzz-chosen: opening or reading a truncated segment
 // must error cleanly, never panic and never fabricate events.
 func FuzzSegmentRoundTrip(f *testing.F) {
@@ -321,6 +322,10 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 				}
 			}
 		}
+
+		// The cached full read goes through the rows decoder, narrow reads
+		// through the column decoder: both must tell the same story.
+		requireDecodersAgree(t, info)
 
 		raw, err := os.ReadFile(path)
 		if err != nil {

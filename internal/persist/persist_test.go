@@ -788,3 +788,23 @@ func TestOpenSegmentRejectsOldFormats(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroTimeValueEncoding: a time Value holding the zero time is still
+// written as (seconds 0, nanoseconds -1) — not as year 1's Unix seconds —
+// and reads back as the zero time, whatever stt.Value keeps in memory.
+func TestZeroTimeValueEncoding(t *testing.T) {
+	got := appendValue(nil, stt.Time(time.Time{}))
+	want := appendVarint(appendVarint([]byte{byte(stt.KindTime)}, 0), -1)
+	if string(got) != string(want) {
+		t.Fatalf("zero time encodes as %x, want %x", got, want)
+	}
+	d := &decoder{data: got}
+	if v := d.value(); d.err != nil || v.Kind() != stt.KindTime || !v.AsTime().IsZero() {
+		t.Fatalf("zero time decodes as %v (%v)", v, d.err)
+	}
+	epoch := appendValue(nil, stt.Time(time.Unix(0, 0)))
+	d = &decoder{data: epoch}
+	if v := d.value(); d.err != nil || v.AsTime().IsZero() || !v.AsTime().Equal(time.Unix(0, 0)) {
+		t.Fatalf("1970-01-01 decodes as %v (%v)", v, d.err)
+	}
+}

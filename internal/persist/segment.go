@@ -559,12 +559,13 @@ func (si *SegmentInfo) chunkBounds(k int) (posStart, posEnd int, offStart, offEn
 // ReadRangeProjected is the one read of a segment's event block: it returns
 // the events with ordinals [lo, hi), carrying at least the columns proj
 // names (unprojected columns may come back zero). Per chunk spanning the
-// range it consults the cache for decoded columns covering the projection;
+// range it consults the cache for a decoded chunk covering the projection;
 // the chunks that miss are read back — each contiguous run of them with one
-// pread into a pooled buffer — checksummed, decoded (only the projected
-// sections), merged into whatever columns the cache already held for the
-// chunk and stored back. A nil cache reads everything. The returned events
-// may be shared with other readers and must not be mutated.
+// pread into a pooled buffer — checksummed, decoded (decodeChunk: a narrow
+// projection to its columns, the full one to rows), merged into whatever
+// columns the cache already held for the chunk — rows replace them — and
+// stored back. A nil cache reads everything. The returned events may be
+// shared with other readers and must not be mutated.
 func (si *SegmentInfo) ReadRangeProjected(cache *ChunkCache, lo, hi int, proj Projection) ([]Event, ReadStats, error) {
 	var rs ReadStats
 	if lo < 0 || hi > si.Count || lo >= hi {
@@ -627,7 +628,7 @@ func (si *SegmentInfo) ReadRangeProjected(cache *ChunkCache, lo, hi int, proj Pr
 			if checksum(chunk) != si.Sparse[c].CRC {
 				return nil, rs, fmt.Errorf("persist: %s: chunk %d checksum mismatch", si.Path, c)
 			}
-			cc, err := si.decodeChunk(chunk, posEnd-posStart, proj, cache != nil, &rs)
+			cc, err := si.decodeChunk(chunk, posEnd-posStart, proj, &rs)
 			if err != nil {
 				return nil, rs, fmt.Errorf("persist: %s: decoding chunk %d: %w", si.Path, c, err)
 			}
@@ -643,25 +644,23 @@ func (si *SegmentInfo) ReadRangeProjected(cache *ChunkCache, lo, hi int, proj Pr
 	}
 
 	out := make([]Event, 0, hi-lo)
-	full := proj.full()
 	for idx, cc := range chunks {
 		posStart, posEnd, _, _ := si.chunkBounds(first + idx)
 		a, b := max(lo, posStart), min(hi, posEnd)
 		if a < b {
-			out = append(out, cc.materialize(a-posStart, b-posStart, full)...)
+			out = append(out, cc.materialize(a-posStart, b-posStart)...)
 		}
 	}
 	return out, rs, nil
 }
 
-// decodeChunk decodes one checksummed chunk of n events. A chunk headed for
-// the cache, or read under a narrow projection, decodes its projected
-// columns. Otherwise the columns would be garbage the moment the rows
-// materialize, so an uncached full read (compaction loads, disabled caches)
-// decodes straight into rows, held in a colChunk that has nothing else and
-// covers every projection.
-func (si *SegmentInfo) decodeChunk(data []byte, n int, proj Projection, cached bool, rs *ReadStats) (*colChunk, error) {
-	if cached || !proj.full() {
+// decodeChunk decodes one checksummed chunk of n events into the one form
+// its projection calls for: a narrow projection decodes its columns, and a
+// full one decodes straight into rows — the columns would cost as much again
+// and be garbage the moment the rows exist — held in a colChunk that has
+// nothing else and covers every projection, cached or not.
+func (si *SegmentInfo) decodeChunk(data []byte, n int, proj Projection, rs *ReadStats) (*colChunk, error) {
+	if !proj.full() {
 		cc, cd, err := si.decodeChunkV3(data, n, proj)
 		rs.ColumnsSkipped += cd.skipped
 		rs.BytesDecoded += cd.decoded
@@ -672,9 +671,7 @@ func (si *SegmentInfo) decodeChunk(data []byte, n int, proj Projection, cached b
 	if err != nil {
 		return nil, err
 	}
-	cc := &colChunk{n: n, mask: ColAll, allVals: true}
-	cc.rows.Store(&rows)
-	return cc, nil
+	return &colChunk{n: n, mask: ColAll, allVals: true, rows: rows}, nil
 }
 
 // ReadRangeCached is ReadRangeProjected with the full projection. Nothing

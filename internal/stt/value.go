@@ -8,6 +8,16 @@
 // sensors and impose consistency constraints when streams produced by
 // heterogeneous devices are composed.
 //
+// # Values in memory
+//
+// A payload value is a Value: a kind tag and one 32-byte slot in which
+// every kind that is a number shares one word and a string has its own (see
+// Value). Each stored event holds one per field, hot or in the cold cache,
+// so the slot's size is a large part of what an event costs. A time value
+// is an instant: built from any time.Time, it keeps the Unix second and the
+// nanosecond, and AsTime, String, GoValue and the wire form all give it back
+// in UTC — in memory what it is in the WAL and in a segment file.
+//
 // # Wire form
 //
 // An event has one JSON rendering, written by Tuple.AppendJSON (and, through
@@ -21,6 +31,7 @@
 package stt
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -81,32 +92,47 @@ func (k Kind) Comparable() bool {
 // Value is a tagged union holding one STT payload value. The zero Value is
 // the null value. Values are small and copied by value; they never share
 // mutable state, so tuples can flow between operator goroutines freely.
+//
+// A Value is 32 bytes with one pointer word: the payloads that are numbers
+// share num — a bool as 0/1, an int as its two's complement, a float as its
+// IEEE bits, a time as Unix seconds with the nanoseconds in nsec — and a
+// string has s. A time Value is therefore an instant, not a wall clock: the
+// location and the monotonic reading of the time.Time it was built from are
+// dropped, AsTime returns it in UTC, and the zero time stays the zero time.
+// That is the form persist logs and spills, so a value reads back from disk
+// exactly as it sat in memory. TestValueSize pins the size.
 type Value struct {
 	kind Kind
-	b    bool
-	i    int64
-	f    float64
+	nsec uint32 // KindTime: nanoseconds within the second
+	num  uint64 // bool, int, float bits, or Unix seconds, by kind
 	s    string
-	t    time.Time
 }
 
 // Null returns the null value.
 func Null() Value { return Value{} }
 
 // Bool wraps a boolean.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	v := Value{kind: KindBool}
+	if b {
+		v.num = 1
+	}
+	return v
+}
 
 // Int wraps a 64-bit integer.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, num: uint64(i)} }
 
 // Float wraps a float64.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, num: math.Float64bits(f)} }
 
 // String wraps a string.
 func String(s string) Value { return Value{kind: KindString, s: s} }
 
-// Time wraps a timestamp.
-func Time(t time.Time) Value { return Value{kind: KindTime, t: t} }
+// Time wraps a timestamp: the instant t names, to the nanosecond.
+func Time(t time.Time) Value {
+	return Value{kind: KindTime, num: uint64(t.Unix()), nsec: uint32(t.Nanosecond())}
+}
 
 // Kind returns the dynamic kind of the value.
 func (v Value) Kind() Kind { return v.kind }
@@ -115,44 +141,58 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // AsBool returns the boolean payload; it is false unless Kind is KindBool.
-func (v Value) AsBool() bool { return v.b }
+func (v Value) AsBool() bool { return v.kind == KindBool && v.num != 0 }
 
-// AsInt returns the value as an int64, converting from float if necessary.
+// AsInt returns the value as an int64, converting from float if necessary;
+// it is 0 unless Kind is numeric.
 func (v Value) AsInt() int64 {
-	if v.kind == KindFloat {
-		return int64(v.f)
+	switch v.kind {
+	case KindInt:
+		return int64(v.num)
+	case KindFloat:
+		return int64(math.Float64frombits(v.num))
+	default:
+		return 0
 	}
-	return v.i
 }
 
-// AsFloat returns the value as a float64, converting from int if necessary.
+// AsFloat returns the value as a float64, converting from int if necessary;
+// it is 0 unless Kind is numeric.
 func (v Value) AsFloat() float64 {
-	if v.kind == KindInt {
-		return float64(v.i)
+	switch v.kind {
+	case KindFloat:
+		return math.Float64frombits(v.num)
+	case KindInt:
+		return float64(int64(v.num))
+	default:
+		return 0
 	}
-	return v.f
 }
 
 // AsString returns the string payload; it is empty unless Kind is KindString.
 func (v Value) AsString() string { return v.s }
 
-// AsTime returns the time payload; it is the zero time unless Kind is KindTime.
-func (v Value) AsTime() time.Time { return v.t }
+// AsTime returns the time payload, in UTC; it is the zero time unless Kind
+// is KindTime.
+func (v Value) AsTime() time.Time {
+	if v.kind != KindTime {
+		return time.Time{}
+	}
+	return time.Unix(int64(v.num), int64(v.nsec)).UTC()
+}
 
 // Truthy reports whether the value is "true" in a condition context:
 // a true bool, a non-zero number, a non-empty string, a non-zero time.
 func (v Value) Truthy() bool {
 	switch v.kind {
-	case KindBool:
-		return v.b
-	case KindInt:
-		return v.i != 0
+	case KindBool, KindInt:
+		return v.num != 0
 	case KindFloat:
-		return v.f != 0
+		return math.Float64frombits(v.num) != 0
 	case KindString:
 		return v.s != ""
 	case KindTime:
-		return !v.t.IsZero()
+		return !v.AsTime().IsZero()
 	default:
 		return false
 	}
@@ -164,15 +204,15 @@ func (v Value) String() string {
 	case KindNull:
 		return "null"
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.AsBool())
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.AsInt(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindTime:
-		return v.t.UTC().Format(time.RFC3339Nano)
+		return v.AsTime().Format(time.RFC3339Nano)
 	default:
 		return "?"
 	}
@@ -182,15 +222,15 @@ func (v Value) String() string {
 func (v Value) GoValue() any {
 	switch v.kind {
 	case KindBool:
-		return v.b
+		return v.AsBool()
 	case KindInt:
-		return v.i
+		return v.AsInt()
 	case KindFloat:
-		return v.f
+		return v.AsFloat()
 	case KindString:
 		return v.s
 	case KindTime:
-		return v.t.UTC().Format(time.RFC3339Nano)
+		return v.AsTime().Format(time.RFC3339Nano)
 	default:
 		return nil
 	}
@@ -233,11 +273,11 @@ func (v Value) Equal(o Value) bool {
 	case KindNull:
 		return true
 	case KindBool:
-		return v.b == o.b
+		return v.num == o.num
 	case KindString:
 		return v.s == o.s
 	case KindTime:
-		return v.t.Equal(o.t)
+		return v.num == o.num && v.nsec == o.nsec
 	default:
 		return false
 	}
@@ -262,32 +302,14 @@ func (v Value) Compare(o Value) (int, error) {
 	}
 	switch v.kind {
 	case KindString:
-		switch {
-		case v.s < o.s:
-			return -1, nil
-		case v.s > o.s:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+		return cmp.Compare(v.s, o.s), nil
 	case KindTime:
-		switch {
-		case v.t.Before(o.t):
-			return -1, nil
-		case v.t.After(o.t):
-			return 1, nil
-		default:
-			return 0, nil
+		if c := cmp.Compare(int64(v.num), int64(o.num)); c != 0 {
+			return c, nil
 		}
+		return cmp.Compare(v.nsec, o.nsec), nil
 	case KindBool:
-		switch {
-		case !v.b && o.b:
-			return -1, nil
-		case v.b && !o.b:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+		return cmp.Compare(v.num, o.num), nil
 	default:
 		return 0, fmt.Errorf("stt: kind %s is not comparable", v.kind)
 	}
@@ -300,7 +322,7 @@ func (v Value) Add(o Value) (Value, error) {
 		return String(v.s + o.s), nil
 	}
 	if v.kind == KindInt && o.kind == KindInt {
-		return Int(v.i + o.i), nil
+		return Int(v.AsInt() + o.AsInt()), nil
 	}
 	if v.kind.Numeric() && o.kind.Numeric() {
 		return Float(v.AsFloat() + o.AsFloat()), nil
@@ -311,7 +333,7 @@ func (v Value) Add(o Value) (Value, error) {
 // Sub returns v - o for numeric values.
 func (v Value) Sub(o Value) (Value, error) {
 	if v.kind == KindInt && o.kind == KindInt {
-		return Int(v.i - o.i), nil
+		return Int(v.AsInt() - o.AsInt()), nil
 	}
 	if v.kind.Numeric() && o.kind.Numeric() {
 		return Float(v.AsFloat() - o.AsFloat()), nil
@@ -322,7 +344,7 @@ func (v Value) Sub(o Value) (Value, error) {
 // Mul returns v * o for numeric values.
 func (v Value) Mul(o Value) (Value, error) {
 	if v.kind == KindInt && o.kind == KindInt {
-		return Int(v.i * o.i), nil
+		return Int(v.AsInt() * o.AsInt()), nil
 	}
 	if v.kind.Numeric() && o.kind.Numeric() {
 		return Float(v.AsFloat() * o.AsFloat()), nil
@@ -335,10 +357,10 @@ func (v Value) Mul(o Value) (Value, error) {
 // and yields ±Inf/NaN for floats, matching IEEE semantics sensors rely on.
 func (v Value) Div(o Value) (Value, error) {
 	if v.kind == KindInt && o.kind == KindInt {
-		if o.i == 0 {
+		if o.num == 0 {
 			return Null(), fmt.Errorf("stt: integer division by zero")
 		}
-		return Int(v.i / o.i), nil
+		return Int(v.AsInt() / o.AsInt()), nil
 	}
 	if v.kind.Numeric() && o.kind.Numeric() {
 		return Float(v.AsFloat() / o.AsFloat()), nil
@@ -349,10 +371,10 @@ func (v Value) Div(o Value) (Value, error) {
 // Mod returns v % o. Ints use Go's %, floats use math.Mod.
 func (v Value) Mod(o Value) (Value, error) {
 	if v.kind == KindInt && o.kind == KindInt {
-		if o.i == 0 {
+		if o.num == 0 {
 			return Null(), fmt.Errorf("stt: integer modulo by zero")
 		}
-		return Int(v.i % o.i), nil
+		return Int(v.AsInt() % o.AsInt()), nil
 	}
 	if v.kind.Numeric() && o.kind.Numeric() {
 		return Float(math.Mod(v.AsFloat(), o.AsFloat())), nil
@@ -364,9 +386,9 @@ func (v Value) Mod(o Value) (Value, error) {
 func (v Value) Neg() (Value, error) {
 	switch v.kind {
 	case KindInt:
-		return Int(-v.i), nil
+		return Int(-v.AsInt()), nil
 	case KindFloat:
-		return Float(-v.f), nil
+		return Float(-v.AsFloat()), nil
 	default:
 		return Null(), fmt.Errorf("stt: cannot negate %s", v.kind)
 	}

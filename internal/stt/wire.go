@@ -113,15 +113,15 @@ func (t *Tuple) MarshalJSON() ([]byte, error) {
 func (v Value) AppendJSON(dst []byte) []byte {
 	switch v.kind {
 	case KindBool:
-		return strconv.AppendBool(dst, v.b)
+		return strconv.AppendBool(dst, v.AsBool())
 	case KindInt:
-		return strconv.AppendInt(dst, v.i, 10)
+		return strconv.AppendInt(dst, v.AsInt(), 10)
 	case KindFloat:
-		return AppendJSONFloat(dst, v.f)
+		return AppendJSONFloat(dst, v.AsFloat())
 	case KindString:
 		return AppendJSONString(dst, v.s)
 	case KindTime:
-		return AppendJSONTime(dst, v.t)
+		return AppendJSONTime(dst, v.AsTime())
 	default:
 		return append(dst, "null"...)
 	}

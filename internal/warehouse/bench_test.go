@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"streamloader/internal/geo"
 	"streamloader/internal/obs"
@@ -754,16 +755,17 @@ func BenchmarkViewFanout(b *testing.B) {
 	})
 }
 
-// benchColdStore spills n events cold into a fresh store with the cold
-// cache disabled, so every decode pays its real cost, and compaction off,
-// so the file layout is the spiller's. The caller closes it.
-func benchColdStore(b *testing.B, n int) (*Warehouse, string) {
+// benchColdStore spills n events cold into a fresh store with compaction
+// off, so the file layout is the spiller's, and a cold cache of cacheBytes:
+// negative disables it, so every decode pays its real cost. The caller
+// closes the store.
+func benchColdStore(b *testing.B, n int, cacheBytes int64) (*Warehouse, string) {
 	b.Helper()
 	dir := b.TempDir()
 	w, err := Open(Config{
 		Shards: 4, SegmentEvents: 4 * persist.IndexEvery, SegmentSpan: 24 * time.Hour,
 		DataDir: dir, HotSegments: 1, Sync: persist.SyncNever,
-		ColdCacheBytes: -1, CompactBelow: -1,
+		ColdCacheBytes: cacheBytes, CompactBelow: -1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -821,7 +823,7 @@ func benchColdAggregate(b *testing.B, w *Warehouse, q AggQuery) (decodes, statsC
 // at most one chunk per window edge that falls inside its envelope — and
 // against the same query with the shortcut made illegal (>= 5x fewer).
 func BenchmarkAggregatePartialCover(b *testing.B) {
-	w, dir := benchColdStore(b, 100_000)
+	w, dir := benchColdStore(b, 100_000, -1)
 	defer w.Close()
 	q := benchPartialCoverQuery(false)
 	infos, _, _ := coldSegInfos(b, dir)
@@ -978,7 +980,7 @@ func coldSegInfos(b *testing.B, dir string) ([]*persist.SegmentInfo, int64, int)
 // end, by select_ms_p50 and agg_ms_p50 on bench/'s passthrough-durable
 // workload.
 func BenchmarkColdDecodeV3(b *testing.B) {
-	w, dir := benchColdStore(b, 100_000)
+	w, dir := benchColdStore(b, 100_000, -1)
 	if err := w.Close(); err != nil {
 		b.Fatal(err)
 	}
@@ -1030,7 +1032,7 @@ func BenchmarkColdDecodeV3(b *testing.B) {
 // the full projection (which also decodes more chunks, hence per chunk).
 // The counters are deterministic; on this corpus the ratio is 3.1.
 func BenchmarkSelectProjected(b *testing.B) {
-	w, _ := benchColdStore(b, 100_000)
+	w, _ := benchColdStore(b, 100_000, -1)
 	defer w.Close()
 	var projected float64
 	b.Run("projected", func(b *testing.B) {
@@ -1048,6 +1050,77 @@ func BenchmarkSelectProjected(b *testing.B) {
 			b.Fatalf("projected decode parses %.0f B/chunk vs %.0f in full — under the 3x bar", projected, full)
 		}
 	})
+}
+
+// BenchmarkColdCacheFootprint gates what the cold cache holds per event. It
+// spills a corpus under a budget that fits all of it and sweeps it three
+// times, in windows: a projected aggregate (the boundary chunks land as
+// columns), selects (every chunk read in full) and the aggregate again. The
+// cache must then hold one form per chunk — ColdCacheHeldBytes per cached
+// event at most 1.25x what the same events cost as rows, counted from the
+// files; a second representation beside the rows, as the cache kept until
+// rows became its only full-read form, reads ~2x — and the timed repeat of
+// all three sweeps must be served from it without decoding a byte.
+func BenchmarkColdCacheFootprint(b *testing.B) {
+	w, dir := benchColdStore(b, 100_000, 256<<20)
+	defer w.Close()
+	infos, _, events := coldSegInfos(b, dir)
+	rowsOnly := int64(events) * int64(unsafe.Sizeof(persist.Event{})+unsafe.Sizeof(stt.Tuple{}))
+	for _, info := range infos {
+		evs, _, err := info.ReadRangeProjected(nil, 0, info.Count, persist.FullProjection)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ev := range evs {
+			rowsOnly += int64(len(ev.Tuple.Values)) * int64(unsafe.Sizeof(stt.Value{}))
+		}
+	}
+
+	// ~28h of second-spaced events in windows that cut through chunks.
+	const window = 100 * time.Minute
+	sweep := func(selects bool) (decoded int64, misses int) {
+		for from := t0; from.Before(t0.Add(28 * time.Hour)); from = from.Add(window) {
+			q := Query{From: from, To: from.Add(window)}
+			var qs QueryStats
+			var err error
+			if selects {
+				_, qs, err = w.Select(context.Background(), q)
+			} else {
+				_, qs, err = w.Aggregate(context.Background(), AggQuery{Func: ops.AggSum, Field: "temperature", Query: q})
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			decoded += qs.ColdBytesDecoded
+			misses += qs.ColdCacheMisses
+		}
+		return decoded, misses
+	}
+	order := []bool{false, true, false} // aggregate, select, aggregate
+	for _, selects := range order {
+		sweep(selects)
+	}
+	held := w.Stats().ColdCacheHeldBytes
+	if float64(held) > 1.25*float64(rowsOnly) || held < rowsOnly {
+		b.Fatalf("the cache holds %d B for %d events (%.0f B/event); the same events as rows are %d B (%.0f B/event), and every chunk was read in full",
+			held, events, float64(held)/float64(events), rowsOnly, float64(rowsOnly)/float64(events))
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, selects := range order {
+			if decoded, misses := sweep(selects); decoded != 0 || misses != 0 {
+				b.Fatalf("repeat sweep (selects=%v) decoded %d bytes over %d cache misses; want none", selects, decoded, misses)
+			}
+		}
+	}
+	b.StopTimer()
+	if again := w.Stats().ColdCacheHeldBytes; again != held {
+		b.Fatalf("cache hits changed what the cache holds: %d B, was %d", again, held)
+	}
+	b.ReportMetric(float64(held)/float64(events), "held-B/event")
+	b.ReportMetric(float64(held)/float64(w.Stats().ColdCacheBytes), "held/encoded")
 }
 
 // BenchmarkViewRetentionCut prices what per-bucket partial frames buy a

@@ -347,9 +347,29 @@
 // never reused, so entries cannot go stale; deleting a cold file
 // invalidates its chunks eagerly. Misses read each contiguous run of
 // missing chunks with a single pread into pooled buffers, so even the
-// uncached path allocates O(1) beyond the decoded events. Cache telemetry
-// flows as cold_cache_hits/misses/bytes in Stats and per-query in
-// QueryStats (the "segments" object of GET /api/warehouse/query).
+// uncached path allocates O(1) beyond the decoded events.
+//
+// An entry holds its chunk in one decoded form. A read under the full
+// projection (every select, and any query with a Cond) decodes straight to
+// rows, and the rows are the entry: later reads of the chunk — full or
+// projected, the whole chunk or a few events at a window's edge — are
+// slices of them, never rebuilt. A chunk that only projected reads
+// (aggregates, counts) have touched is held as the columns they decoded,
+// widened by merging when another projection needs more, and replaced by
+// rows the first time a full read arrives. The budget counts encoded
+// bytes, which are known before anything is decoded; what the entries
+// hold is reported beside it. Rows are 128 B an event plus 32 B a payload
+// value (stt.Value), about 4.8x the encoded bytes on the default fleet
+// (215 B against 44.5 B an event): a full 64 MiB budget holds roughly
+// 310 MiB of rows, and the collector's headroom comes on top (see README,
+// "Build and run").
+// BenchmarkColdCacheFootprint fails CI if an entry holds a second form
+// again or a repeat sweep decodes a byte.
+//
+// Cache telemetry flows as cold_cache_hits/misses/bytes/held_bytes in
+// Stats (streamloader_warehouse_cold_cache_bytes and
+// _cold_cache_held_bytes on /metrics) and per-query in QueryStats (the
+// "segments" object of GET /api/warehouse/query).
 //
 // Open recovers a previous incarnation from its directory: spilled
 // segments are re-registered from their headers, the WAL tail is replayed

@@ -60,6 +60,7 @@ func (w *Warehouse) registerStatsCollector(reg *obs.Registry) {
 		e.Gauge("streamloader_warehouse_wal_bytes", "", float64(st.WALBytes))
 		e.Gauge("streamloader_warehouse_disk_bytes", "", float64(st.DiskBytes))
 		e.Gauge("streamloader_warehouse_cold_cache_bytes", "", float64(st.ColdCacheBytes))
+		e.Gauge("streamloader_warehouse_cold_cache_held_bytes", "", float64(st.ColdCacheHeldBytes))
 		e.Counter("streamloader_warehouse_evicted_total", "", float64(w.Evicted()))
 		e.Counter("streamloader_warehouse_segments_dropped_total", "", float64(st.SegmentsDropped))
 		e.Counter("streamloader_warehouse_segments_spilled_total", "", float64(st.SegmentsSpilled))
@@ -83,6 +84,7 @@ func (w *Warehouse) registerStatsCollector(reg *obs.Registry) {
 		{"streamloader_warehouse_wal_bytes", "Bytes held by live WAL files."},
 		{"streamloader_warehouse_disk_bytes", "Total on-disk footprint (WAL + cold files)."},
 		{"streamloader_warehouse_cold_cache_bytes", "Encoded bytes of decoded chunks resident in the cold chunk cache."},
+		{"streamloader_warehouse_cold_cache_held_bytes", "Bytes the decoded chunks resident in the cold chunk cache hold in memory."},
 		{"streamloader_warehouse_evicted_total", "Events dropped by retention."},
 		{"streamloader_warehouse_segments_dropped_total", "Whole segments dropped by retention."},
 		{"streamloader_warehouse_segments_spilled_total", "Segments spilled to disk."},

@@ -928,11 +928,14 @@ type Stats struct {
 	ManifestSaveErrors uint64 `json:"manifest_save_errors"`
 
 	// Cold-read chunk cache counters: cumulative hits and misses, and the
-	// decoded chunks currently resident (in encoded bytes). All zero for an
-	// in-memory warehouse or when the cache is disabled.
-	ColdCacheHits   uint64 `json:"cold_cache_hits"`
-	ColdCacheMisses uint64 `json:"cold_cache_misses"`
-	ColdCacheBytes  int64  `json:"cold_cache_bytes"`
+	// decoded chunks currently resident — in encoded bytes, which is what
+	// the budget bounds, and in the bytes their decoded form holds in
+	// memory. All zero for an in-memory warehouse or when the cache is
+	// disabled.
+	ColdCacheHits      uint64 `json:"cold_cache_hits"`
+	ColdCacheMisses    uint64 `json:"cold_cache_misses"`
+	ColdCacheBytes     int64  `json:"cold_cache_bytes"`
+	ColdCacheHeldBytes int64  `json:"cold_cache_held_bytes"`
 
 	// ColdChunkStatsHits counts the cold chunks aggregate queries answered
 	// from per-chunk sparse-index stats instead of decoding them.
@@ -977,6 +980,7 @@ func (w *Warehouse) Stats() Stats {
 	st.ColdCacheHits = cc.Hits
 	st.ColdCacheMisses = cc.Misses
 	st.ColdCacheBytes = cc.Bytes
+	st.ColdCacheHeldBytes = cc.HeldBytes
 	st.ColdChunkStatsHits = w.chunkStatsHits.Load()
 	st.ColdColumnsSkipped = w.columnsSkipped.Load()
 	st.Compactions = w.compactions.Load()
