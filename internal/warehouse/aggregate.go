@@ -627,7 +627,7 @@ func (w *Warehouse) Aggregate(ctx context.Context, q AggQuery) ([]AggRow, QueryS
 	now := w.now()
 	p.windowFrom(now)
 	pl := p.scanPlan()
-	vs, qs, err := scanShards(ctx, w, &pl, func() *aggVisitor {
+	vs, _, qs, err := scanShards(ctx, w, &pl, func() *aggVisitor {
 		return &aggVisitor{p: &p, flat: map[partial.Key]*partial.State{}}
 	})
 	if err != nil {

@@ -56,11 +56,13 @@
 // no event — and otherwise counts matches one by one (Cond included)
 // without materializing, sorting or merging anything. Aggregate's folds
 // matches into per-group partials and answers cold files and chunks from
-// their stats under the rules of the next section. View backfill, the
-// one-bucket boundary rescan and the checkpoint tail fold (the seq floor:
-// only events a checkpoint has not seen, files it covers skipped whole,
-// no statistics trusted) run the same kernel with the aggregate visitor
-// under the write lock they already hold. QueryStats reports the walk:
+// their stats under the rules of the next section. View backfill and the
+// one-bucket boundary rescan are Aggregate's fan-out, under read locks,
+// that also returns each shard's seq cut; the view handoff then folds the
+// tail above that cut — or above a checkpoint's — under the shard's write
+// lock: the same kernel and visitor with a seq floor, so files and
+// segments wholly below it are skipped and no statistics are trusted.
+// QueryStats reports the walk:
 // segments scanned and pruned, cache hits and misses, files and chunks
 // answered from stats, columns skipped and bytes decoded.
 //
@@ -157,10 +159,20 @@
 // crash, or miss one a concurrent query already returned.
 //
 // RegisterView turns an AggQuery into a standing, incrementally-maintained
-// view: registration backfills per-shard partial aggregates from cold and
-// hot history via the same scan Aggregate uses, then a per-shard tap folds
-// every later matching event into those partials as it commits — O(1) per
-// event, independent of history size and of subscriber count. Reads
+// view: a per-shard tap, attached at registration and detached at
+// teardown, folds every matching event into per-shard partial aggregates
+// as it commits — O(1) per event, independent of history size and of
+// subscriber count. History reaches those partials through one handoff.
+// Append and AppendBatch reserve seqs under the shard lock they commit
+// under, so a shard's seqHi is a commit cut: every seq at or below it that
+// routes to the shard has committed. A scan — Aggregate's, under read
+// locks — records each shard's cut; then, under the shard's write lock,
+// which holds the tap still, the handoff folds the events above the cut
+// into the scanned partials and installs them. The registration backfill,
+// the rebuild after an eviction the trims below cannot patch, and the
+// one-bucket rescan are this handoff, and a checkpoint resume is the same
+// handoff fed a checkpoint instead of a scan. No history is scanned under a
+// write lock, and teardown cancels a scan in flight. Reads
 // (View.Rows) merge the per-shard partials with the pushdown's exact merge
 // arithmetic, so a view's state is byte-identical to running Aggregate at
 // the same instant; the model checker's Subscribe op asserts exactly that
@@ -198,20 +210,22 @@
 //
 // A durable warehouse also checkpoints view state (view_ckpt.go): every
 // Config.ViewCheckpointEvery mutations, and on clean close/release, the
-// per-shard frames plus the seq high-water mark they cover are published
-// at <dataDir>/views/<hash>.ckpt by persist.PublishFile, like every other
-// artifact. Re-registering the same (query,
-// policy) — a restart, an SSE client reconnecting — seeds from the
-// checkpoint and folds only the WAL-tail events above its seq mark,
-// skipping cold files the checkpoint already covers, instead of scanning
-// history. A fingerprint of the manifest's cut frontier and eviction
-// counter gates the resume: any eviction since the checkpoint was taken
-// changes it and the resume is rejected (the frames would still carry
-// evicted events), falling back to the ordinary backfill — rejection is
-// always safe, acceptance requires the exact manifest state. The write
-// itself re-checks the dirty flag and the rescan queue after
-// snapshotting, so a cut racing the checkpoint can only force that safe
-// rejection, never a wrong accept. Stats counts view_checkpoints and
+// per-shard frames plus each shard's seq cut are published at
+// <dataDir>/views/<hash>.ckpt by persist.PublishFile, like every other
+// artifact. Re-registering the same (query, policy) — a restart, an SSE
+// client reconnecting — hands the checkpoint to the handoff in place of a
+// scan: only the events above its cuts are folded, and cold files and
+// segments it covers are skipped unread. A fingerprint of the manifest's
+// cut frontier and eviction counter gates the resume: any eviction since
+// the checkpoint was taken changes it and the resume is rejected (the
+// frames would still carry evicted events), falling back to the ordinary
+// backfill — rejection is always safe, acceptance requires the exact
+// manifest state. The eviction count is read with the fingerprint, so a
+// cut landing mid-resume makes the handoff refuse too. The write itself
+// re-checks the dirty flag and the rescan queue after snapshotting, so a
+// cut racing the checkpoint can only force that safe rejection, never a
+// wrong accept; and a torn-down view writes none, since without its taps
+// its frames would fall behind its cuts. Stats counts view_checkpoints and
 // view_resumes; the view test suite proves a trimmed view equals a full
 // rebuild and a resumed view equals a cold backfill, and the model
 // checker replays all of it against a naive reference, crashes included.

@@ -15,9 +15,9 @@ type scanPlan struct {
 	// event; nothing else is decoded.
 	proj persist.Projection
 	// minSeq restricts the scan to events with Seq >= minSeq — the view
-	// checkpoint's tail fold; set it through after. Header, chunk and index
-	// statistics know nothing of seqs, so a positive floor also makes every
-	// shortcut illegal.
+	// handoff's tail fold; set it through after. Files and segments wholly
+	// below it are skipped. Header, chunk and index statistics know nothing
+	// of seqs, so a positive floor also makes every shortcut illegal.
 	minSeq uint64
 }
 
@@ -83,8 +83,8 @@ type scanner struct {
 	qs    QueryStats
 }
 
-// scan is the one walk every query, view backfill and checkpoint tail fold
-// takes through a shard: segments whose time envelope misses the window are
+// scan is the one walk every query, view scan and view tail fold takes
+// through a shard: segments whose time envelope misses the window are
 // pruned without touching an index or opening a file; a surviving cold file
 // is offered to the visitor whole, then chunk by chunk, and only the runs
 // of chunks left unanswered are read back, with the plan's projection, and
@@ -112,7 +112,7 @@ func (s *shard) scan(ctx context.Context, pl *scanPlan, v visitor) (QueryStats, 
 		if err := ctx.Err(); err != nil {
 			return sc.qs, err
 		}
-		if seg.prunedBy(pl.From, pl.To) {
+		if seg.prunedBy(pl.From, pl.To) || seg.maxSeq < pl.minSeq {
 			sc.qs.SegmentsPruned++
 			continue
 		}
@@ -287,14 +287,25 @@ func (qs *QueryStats) add(o QueryStats) {
 	qs.ColdBytesDecoded += o.ColdBytesDecoded
 }
 
-// scanShards is the fan-out the three query entry points share: one fresh
-// visitor per shard the query routes to, scanned concurrently under each
-// shard's read lock, with a "shard" span each when ctx carries a trace. The
-// visitors come back in shard order, so merges are deterministic.
-func scanShards[V visitor](ctx context.Context, w *Warehouse, pl *scanPlan, newVisitor func() V) ([]V, QueryStats, error) {
+// shardCut is what one shard's scan saw of it: the shard, its seqHi (a
+// commit cut, so the scan holds exactly the events at or below it) and the
+// warehouse eviction count, which only moves under every shard lock — a
+// different count later means a retention cut landed since.
+type shardCut struct {
+	shard      int
+	seqHi, gen uint64
+}
+
+// scanShards is the fan-out the three query entry points and the view scans
+// share: one fresh visitor per shard the query routes to, scanned
+// concurrently under each shard's read lock, with a "shard" span each when
+// ctx carries a trace. The visitors and the cuts their scans ran at come
+// back in shard order, so merges are deterministic.
+func scanShards[V visitor](ctx context.Context, w *Warehouse, pl *scanPlan, newVisitor func() V) ([]V, []shardCut, QueryStats, error) {
 	tr := obs.TraceFrom(ctx)
 	shards := w.routedShards(pl.Query)
 	vs := make([]V, len(shards))
+	cuts := make([]shardCut, len(shards))
 	stats := make([]QueryStats, len(shards))
 	errs := make([]error, len(shards))
 	forEachShard(shards, func(i int, s *shard) {
@@ -302,6 +313,7 @@ func scanShards[V visitor](ctx context.Context, w *Warehouse, pl *scanPlan, newV
 		sp.SetInt("shard", int64(s.idx))
 		vs[i] = newVisitor()
 		s.mu.RLock()
+		cuts[i] = shardCut{shard: s.idx, seqHi: s.seqHi, gen: w.evicted.Load()}
 		stats[i], errs[i] = s.scan(ctx, pl, vs[i])
 		s.mu.RUnlock()
 		events := 0
@@ -318,10 +330,10 @@ func scanShards[V visitor](ctx context.Context, w *Warehouse, pl *scanPlan, newV
 	w.columnsSkipped.Add(uint64(qs.ColdColumnsSkipped))
 	for _, err := range errs {
 		if err != nil {
-			return nil, qs, err
+			return nil, nil, qs, err
 		}
 	}
-	return vs, qs, nil
+	return vs, cuts, qs, nil
 }
 
 // endShardSpan closes a per-shard span with the shard's scan telemetry.

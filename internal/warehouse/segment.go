@@ -31,8 +31,9 @@ type segment struct {
 
 	// minSeq is the smallest warehouse sequence stored here; WAL
 	// checkpointing deletes log files whose every record is below the
-	// shard-wide minimum.
-	minSeq uint64
+	// shard-wide minimum. maxSeq bounds the sequences from above (a trim
+	// leaves it high), so a view's tail fold skips a segment it covers.
+	minSeq, maxSeq uint64
 
 	// spilling marks a sealed segment that sits in the background spill
 	// queue (or is being written), so it is neither counted against the
@@ -84,6 +85,7 @@ func (g *segment) append(ev Event) {
 	if ord == 0 || ev.Seq < g.minSeq {
 		g.minSeq = ev.Seq
 	}
+	g.maxSeq = max(g.maxSeq, ev.Seq)
 	g.index(t, ord)
 }
 

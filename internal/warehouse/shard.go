@@ -43,8 +43,10 @@ type shard struct {
 	// count is the live event total across segments, cold included.
 	count int
 	// seqHi is the highest warehouse seq ever appended to (or recovered
-	// into) this shard; view checkpoints record it so a resume can fold
-	// only the events a checkpoint has not seen.
+	// into) this shard. It is a commit cut: seqs are reserved under this
+	// lock and committed before it is released, so every seq ≤ seqHi that
+	// routes here has committed. A view scan or checkpoint records it, and
+	// the handoff folds only the events above it (View.install).
 	seqHi uint64
 	// sources tracks live events per source, so Stats can count distinct
 	// sources without unioning per-segment indexes.

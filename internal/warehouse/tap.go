@@ -12,8 +12,9 @@ package warehouse
 //
 // Running under the shard lock is what gives consumers their ordering
 // guarantee: taps for one shard fire serially, in commit order, and a
-// consumer that folds the events it sees plus a scan it performs under the
-// same lock (view backfill) observes each event exactly once. The flip side
+// consumer that replaces its state under the same lock with a scan taken
+// at the shard's seq cut plus the tail above it (the view handoff,
+// View.install) observes each event exactly once. The flip side
 // is the contract below: onCommit must be brief and must never take another
 // shard's lock, the views registry lock, or block on I/O.
 

@@ -18,17 +18,19 @@ import (
 // so a dashboard refresh costs a channel receive instead of a history
 // re-scan.
 //
-// A view is backfilled at registration by the same per-shard scan that
-// answers a one-shot Aggregate — run under each shard's write lock in the
-// same critical section that attaches the view's tap, so the scan and the
-// event stream compose without a gap or an overlap: every event is either
-// in the scanned history or delivered to the tap, never both, never
-// neither. From then on each committed event folds into the owning
-// shard's partial store (partial.State merges are order-insensitive for
-// the integral case and identical to Aggregate's arithmetic in general),
-// and a snapshot is the same shard-ordered merge Aggregate performs. A
-// view's rows therefore equal a fresh Aggregate of the same query at
-// every quiescent point.
+// A view's taps go on at registration and come off at teardown; in between
+// each committed event folds into the owning shard's partial store
+// (partial.State merges are order-insensitive for the integral case and
+// identical to Aggregate's arithmetic in general). History enters a store
+// through one handoff, View.install: a scan under the shard's read lock —
+// the one that answers a one-shot Aggregate — or a durable warehouse's
+// checkpoint (view_ckpt.go, what a re-registration resumes from instead of
+// re-scanning history) is taken at the shard's seqHi, a commit cut; under
+// the write lock, which holds the tap still, install folds the tail above
+// the cut and swaps the store in. Every event is in exactly one of the
+// scan, the tail and the tap. A snapshot is the same shard-ordered merge
+// Aggregate performs, so a view's rows equal a fresh Aggregate of the same
+// query at every quiescent point.
 //
 // Partials live in a partial.Store: per-time-bucket frames keyed by the
 // aligned bucket start (one zero frame when the query has no bucket).
@@ -42,17 +44,12 @@ import (
 // rescans either. Only an unbucketed MIN/MAX view, or a cut whose evicted
 // events are not in memory to subtract, still pays a full rebuild.
 //
-// Durable warehouses checkpoint view state: the publisher periodically
-// persists each shard's frames plus its seq high-water mark
-// (view_ckpt.go), and a re-registration of the same (query, policy) seeds
-// from the checkpoint and folds only the WAL-tail events committed after
-// it, instead of re-scanning all of history.
-//
-// Lock order, strictly: shard.mu → viewPart.mu, shard.mu → View.mu, and
-// viewRegistry.mu → View.mu. The registry lock is taken while all shard
-// locks are held (compactAll → trimViews), so nothing may acquire a
-// shard lock — or block — while holding it: registration backfills after
-// releasing it, teardown detaches its taps before taking it, and
+// Lock order, strictly: View.refreshMu → shard.mu → viewPart.mu,
+// shard.mu → View.mu, and viewRegistry.mu → View.mu. The registry lock is
+// taken while all shard locks are held (compactAll → trimViews), so nothing
+// may acquire a shard lock — or block — while holding it: registration
+// backfills after releasing it (the unpublished view's refreshMu, locked
+// under it, cannot block), teardown detaches its taps before taking it, and
 // trimViews snapshots the view list and does its patching after release.
 
 // ErrViewClosed reports use of a view after Release/Close tore it down.
@@ -224,14 +221,17 @@ type View struct {
 	foldErr atomic.Pointer[viewErr]
 
 	notify chan struct{} // cap 1: wake the publisher
-	stopc  chan struct{} // closed by teardown
 	done   chan struct{} // closed when the publisher exits
 
+	// ctx is the view's lifetime. Teardown cancels it: the publisher exits,
+	// a scan in flight stops, and install and writeCheckpoint refuse.
+	ctx      context.Context
+	cancel   context.CancelFunc
 	stopOnce sync.Once
-	// refreshMu serializes rebuilds (registration backfill included),
-	// boundary rescans and Rows reads, so a reader never merges a
-	// half-rebuilt accumulator set. Order: refreshMu → shard.mu →
-	// viewPart.mu.
+	// refreshMu serializes installs, checkpoint writes, Rows reads and
+	// teardown's detach, so a reader never merges a half-rebuilt
+	// accumulator set and a checkpoint never sees a detached shard.
+	// Order: refreshMu → shard.mu → viewPart.mu.
 	refreshMu sync.Mutex
 
 	// trimMu guards rescan, the set of boundary-frame starts a retention
@@ -354,6 +354,7 @@ func (w *Warehouse) RegisterView(q AggQuery, policy ops.UpdatePolicy) (*View, er
 		reg.mu.Unlock()
 		return v, nil
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	v := &View{
 		w:      w,
 		plan:   p,
@@ -362,8 +363,9 @@ func (w *Warehouse) RegisterView(q AggQuery, policy ops.UpdatePolicy) (*View, er
 		parts:  make([]*viewPart, len(w.shards)),
 		refs:   1,
 		notify: make(chan struct{}, 1),
-		stopc:  make(chan struct{}),
 		done:   make(chan struct{}),
+		ctx:    ctx,
+		cancel: cancel,
 	}
 	for i := range v.parts {
 		v.parts[i] = &viewPart{
@@ -373,17 +375,23 @@ func (w *Warehouse) RegisterView(q AggQuery, policy ops.UpdatePolicy) (*View, er
 		}
 	}
 	v.dirty.Store(true)
+	// Held until the backfill is in: a same-key registrant's first Rows
+	// waits for a seeded state, and teardown cannot detach before the attach.
+	v.refreshMu.Lock()
 	reg.m[key] = v
 	reg.mu.Unlock()
 
-	// Seed and backfill outside the registry lock (they take shard locks).
-	// A concurrent same-key RegisterView may already hold a reference; its
-	// first snapshot waits on refreshMu, so it still sees a seeded state
-	// or this teardown's ErrViewClosed. tryResume clears the dirty flag
-	// and attaches the taps itself on success; on any validation failure
-	// it leaves the flag set and the full backfill below runs instead.
-	v.tryResume()
-	if err := v.refreshIfDirty(); err != nil {
+	// Backfill outside the registry lock (it takes shard locks): taps on,
+	// then a checkpoint resume, or else the rebuild of a still-dirty view.
+	for i, s := range w.shards {
+		s.mu.Lock()
+		s.attachTapLocked(v.parts[i])
+		s.mu.Unlock()
+	}
+	v.resumeLocked()
+	err = v.refreshLocked()
+	v.refreshMu.Unlock()
+	if err != nil {
 		v.teardown(err)
 		return nil, err
 	}
@@ -494,7 +502,7 @@ func (v *View) Err() error {
 // frames out of the merge by the warehouse clock, so its rows never show
 // a bucket older than the window even before the publisher physically
 // prunes it. The whole read holds refreshMu: a rebuild clears the dirty
-// flag before it re-scans shard by shard, so a concurrent reader that
+// flag before it installs shard by shard, so a concurrent reader that
 // merely checked the flag could merge a torn mix of rebuilt and stale
 // per-shard accumulators.
 func (v *View) Rows() ([]AggRow, error) {
@@ -517,14 +525,6 @@ func (v *View) Rows() ([]AggRow, error) {
 		}
 	}
 	return v.plan.rowsFromPartials(merged), nil
-}
-
-// refreshIfDirty rebuilds while the dirty flag is set and drains queued
-// boundary rescans.
-func (v *View) refreshIfDirty() error {
-	v.refreshMu.Lock()
-	defer v.refreshMu.Unlock()
-	return v.refreshLocked()
 }
 
 // refreshLocked rebuilds while the dirty flag is set, then re-derives any
@@ -557,12 +557,13 @@ func (v *View) refreshLocked() error {
 
 // rebuildLocked re-derives every shard's partials from a fresh scan; the
 // caller holds refreshMu. The dirty flag clears before scanning: a cut
-// racing the rebuild re-marks it and the caller's loop goes again.
+// racing the rebuild re-marks it or refuses an install, and the caller's
+// loop goes again.
 func (v *View) rebuildLocked() error {
 	v.dirty.Store(false)
-	return v.rescanLocked(&v.plan, func(p *viewPart, acc map[partial.Key]*partial.State) {
-		p.store = partial.FromFlat(v.plan.Bucket, acc)
-	})
+	return v.rescanLocked(&v.plan, func(p *viewPart, fold *aggVisitor) {
+		p.store = partial.FromFlat(v.plan.Bucket, fold.flat)
+	}, func() { v.dirty.Store(true) })
 }
 
 // rescanFrameLocked re-derives one frame — the bucket a retention cut
@@ -579,45 +580,68 @@ func (v *View) rescanFrameLocked(start time.Time) error {
 	if !v.plan.To.IsZero() && v.plan.To.Before(q.To) {
 		q.To = v.plan.To
 	}
-	return v.rescanLocked(&q, func(p *viewPart, acc map[partial.Key]*partial.State) {
-		p.store.ReplaceFrame(start, acc)
-	})
+	return v.rescanLocked(&q, func(p *viewPart, fold *aggVisitor) {
+		p.store.ReplaceFrame(start, fold.flat)
+	}, func() { v.queueRescan(start) })
 }
 
-// rescanLocked scans every shard with ap — the view's plan, or that plan
-// narrowed to one bucket — and hands each shard's groups to install (under
-// the part's lock). Per shard, one write-lock critical section detaches the
-// tap, scans, installs and re-attaches — so no commit lands in both the
-// scan and the tap, and none lands in neither. The scan is not
-// interruptible: stopping a backfill on teardown comes with moving it off
-// the lock. The caller holds refreshMu.
-func (v *View) rescanLocked(ap *aggPlan, install func(*viewPart, map[partial.Key]*partial.State)) error {
+// rescanLocked scans every shard ap routes to — ap is the view's plan, or
+// that plan narrowed to one bucket — with scanShards (read locks, stopped
+// with the view) and installs each shard's groups with put. When a
+// retention cut refuses an install it calls again, which re-queues the
+// work. The caller holds refreshMu.
+func (v *View) rescanLocked(ap *aggPlan, put func(*viewPart, *aggVisitor), again func()) error {
 	t0 := v.w.met.viewRebuild.Start()
 	defer v.w.met.viewRebuild.Since(t0)
 	pl := ap.scanPlan()
-	for i, s := range v.w.shards {
-		p := v.parts[i]
-		s.mu.Lock()
-		s.detachTapLocked(p)
-		select {
-		case <-v.stopc:
-			// Teardown won the race; do not re-attach behind its back.
-			s.mu.Unlock()
-			return ErrViewClosed
-		default:
-		}
-		fold := aggVisitor{p: ap, flat: map[partial.Key]*partial.State{}}
-		if _, err := s.scan(context.Background(), &pl, &fold); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		p.mu.Lock()
-		install(p, fold.flat)
-		p.mu.Unlock()
-		s.attachTapLocked(p)
-		s.mu.Unlock()
+	folds, cuts, _, err := scanShards(v.ctx, v.w, &pl, func() *aggVisitor {
+		return &aggVisitor{p: ap, flat: map[partial.Key]*partial.State{}}
+	})
+	for k := 0; err == nil && k < len(folds); k++ {
+		err = v.install(&pl, cuts[k], folds[k], put)
 	}
-	v.mutations.Add(1)
+	switch {
+	case v.ctx.Err() != nil:
+		return ErrViewClosed
+	case errors.Is(err, errCutMoved):
+		again()
+	case err != nil:
+		return err
+	default:
+		v.mutations.Add(1)
+	}
+	return nil
+}
+
+// errCutMoved is install's refusal of a fold the shard has moved past.
+var errCutMoved = errors.New("warehouse: view fold predates a retention cut")
+
+// install is the one handoff from history to the live tap. fold holds shard
+// cut.shard's groups at the cut, from a scan with pl or from a checkpoint.
+// Under the shard's write lock, which holds the tap still, install folds the
+// tail above the cut into fold and has put swap it in, so every event is in
+// exactly one of the fold, the tail and the tap. It refuses once the view
+// has stopped (ErrViewClosed), and with errCutMoved when a retention cut
+// moved the eviction count past cut.gen (the fold may hold evicted events)
+// or the shard never reached the cut (a stale checkpoint). The caller holds
+// refreshMu.
+func (v *View) install(pl *scanPlan, cut shardCut, fold *aggVisitor, put func(*viewPart, *aggVisitor)) error {
+	s, p := v.w.shards[cut.shard], v.parts[cut.shard]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if v.ctx.Err() != nil {
+		return ErrViewClosed
+	}
+	if v.w.evicted.Load() != cut.gen || cut.seqHi > s.seqHi {
+		return errCutMoved
+	}
+	tail := pl.after(cut.seqHi)
+	if _, err := s.scan(v.ctx, &tail, fold); err != nil {
+		return err
+	}
+	p.mu.Lock()
+	put(p, fold)
+	p.mu.Unlock()
 	return nil
 }
 
@@ -669,7 +693,7 @@ func (v *View) run() {
 	for {
 		fromTick, expired := false, false
 		select {
-		case <-v.stopc:
+		case <-v.ctx.Done():
 			return
 		case <-v.notify:
 		case <-tick:
@@ -753,18 +777,22 @@ func (v *View) encodeRows(rows []AggRow) []byte {
 	return AppendAggRowsJSON(make([]byte, 0, 2+128*len(rows)), rows, v.plan.Bucket > 0)
 }
 
-// teardown stops the view: publisher signalled, taps detached, registry
-// entry removed, subscribers failed (terminal update when err != nil) and
-// their channels closed. Idempotent; never waits for the publisher, so
-// the publisher itself may call it.
+// teardown stops the view: publisher signalled, scans stopped, taps
+// detached, registry entry removed, subscribers failed (terminal update
+// when err != nil) and their channels closed. Idempotent; never waits for
+// the publisher, so the publisher itself may call it, without refreshMu.
 func (v *View) teardown(err error) {
 	v.stopOnce.Do(func() {
-		close(v.stopc)
+		// Cancel first, so a scan holding refreshMu stops; none starts after,
+		// and the detach under refreshMu waits out an install or checkpoint.
+		v.cancel()
+		v.refreshMu.Lock()
 		for i, s := range v.w.shards {
 			s.mu.Lock()
 			s.detachTapLocked(v.parts[i])
 			s.mu.Unlock()
 		}
+		v.refreshMu.Unlock()
 		reg := &v.w.views
 		reg.mu.Lock()
 		if reg.m[v.key] == v {

@@ -1,7 +1,6 @@
 package warehouse
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -15,11 +14,11 @@ import (
 )
 
 // View checkpoints: a durable warehouse periodically persists each view's
-// bucketed partial frames plus the per-shard seq high-water mark they
-// cover, so a re-registration of the same (query, policy) — a server
-// restart, an SSE client reconnecting — seeds from the checkpoint and
-// folds only the WAL-tail events committed after it, instead of
-// re-scanning all of history.
+// bucketed partial frames plus each shard's seqHi, a commit cut: the frames
+// hold exactly the shard's matching events at or below it. A
+// re-registration of the same (query, policy) — a server restart, an SSE
+// client reconnecting — hands them to the view handoff (View.install) in
+// place of a scan, which folds only the events committed after the cut.
 //
 // Files live at <dataDir>/views/<fnv64(key)>.ckpt, published like every
 // other durable artifact, by persist.PublishFile.
@@ -28,17 +27,19 @@ import (
 // counter. Any eviction since the checkpoint changes the fingerprint and
 // the resume is rejected — the persisted frames would still contain the
 // evicted events, and their exact contribution is no longer recoverable.
-// Rejection is always safe: the registration falls back to the ordinary
-// backfill scan.
+// The eviction count read with the fingerprint makes install refuse a cut
+// that lands mid-resume, and install also refuses a shard below the
+// checkpoint's seqHi (a stale or foreign file, or a WAL that lost its tail
+// in a crash). Rejection is always safe: the registration rebuilds.
 //
-// Resume validation, per shard: the checkpoint's SeqHi must not exceed
-// the shard's current high-water mark (a stale or foreign file fails
-// here, as does a WAL that lost its tail in a crash — the backfill then
-// rebuilds the truth). Sources route to shards by a stable hash, so a
-// shard's event set is append-only across restarts and "fold everything
-// with seq > SeqHi" reconstructs exactly the events the checkpoint has
-// not seen. Cold files whose seqHi the checkpoint already covers are
-// skipped without a read — that skip is what makes a resume cheap.
+// Sources route to shards by a stable hash, so a shard's event set is
+// append-only across restarts and "fold everything with seq > SeqHi"
+// reconstructs exactly the events the checkpoint has not seen; cold files
+// and segments it covers are skipped unread, which makes a resume cheap. A
+// view writes checkpoints only while its taps are attached: teardown
+// cancels it before detaching them, and writeCheckpoint gives up once the
+// view is cancelled, so a late publisher cannot persist frames that stopped
+// at the detach beside a SeqHi that kept advancing.
 
 const viewCkptDir = "views"
 
@@ -159,22 +160,23 @@ func decodeCkptShard(width time.Duration, sh viewCkptShard) (*partial.Store, err
 }
 
 // writeCheckpoint persists the view's current state when it is clean: a
-// durable warehouse, checkpoints enabled, no terminal error, no pending
-// rebuild or boundary rescan. Failures are silent — a checkpoint is an
-// optimization, never a correctness dependency — and a skipped write just
-// means the next registration backfills.
+// durable warehouse, checkpoints enabled, the view not stopped, no
+// terminal error, no pending rebuild or boundary rescan. Failures are
+// silent — a checkpoint is an optimization, never a correctness
+// dependency — and a skipped write just means the next registration
+// backfills.
 func (v *View) writeCheckpoint() {
 	w := v.w
 	if w.pers == nil || w.viewCkptEvery <= 0 {
 		return
 	}
-	// refreshMu excludes rebuilds and boundary-rescan drains for the whole
-	// write. Without it a concurrent refreshLocked could empty the rescan
-	// queue (takeRescans) and be mid-drain — pendingRescans false, frames
-	// still stale — while we snapshot.
+	// refreshMu excludes installs, boundary-rescan drains and teardown's
+	// detach for the whole write. Without it a concurrent refreshLocked
+	// could empty the rescan queue (takeRescans) and be mid-drain —
+	// pendingRescans false, frames still stale — while we snapshot.
 	v.refreshMu.Lock()
 	defer v.refreshMu.Unlock()
-	if v.takeErr() != nil || v.dirty.Load() || v.pendingRescans() {
+	if v.ctx.Err() != nil || v.takeErr() != nil || v.dirty.Load() || v.pendingRescans() {
 		return
 	}
 	ck := viewCkpt{Key: v.key}
@@ -188,7 +190,8 @@ func (v *View) writeCheckpoint() {
 	for i, s := range w.shards {
 		p := v.parts[i]
 		// The read lock excludes commits (the tap fires under the write
-		// lock), so seqHi and the frames are one consistent snapshot.
+		// lock), and seqHi is a commit cut, so the frames hold exactly the
+		// events at or below it.
 		s.mu.RLock()
 		hi := s.seqHi
 		p.mu.Lock()
@@ -246,12 +249,12 @@ func readViewCkpt(dir, key string) (*viewCkpt, error) {
 	return &ck, nil
 }
 
-// tryResume seeds the view from a persisted checkpoint plus a tail fold
-// of the events committed after it. On success the dirty flag is cleared
-// and every shard's tap is attached — the view is live without a history
-// scan. Any validation failure leaves the view dirty for the ordinary
-// backfill; resume is strictly an optimization.
-func (v *View) tryResume() {
+// resumeLocked seeds the view from its checkpoint when one is still valid:
+// each shard's frames go to install at the checkpoint's SeqHi. Anything
+// short of a full seed — no readable checkpoint, an eviction since it, a
+// refused install — leaves the view dirty, and the rebuild replaces every
+// store; a resume is strictly an optimization. The caller holds refreshMu.
+func (v *View) resumeLocked() {
 	w := v.w
 	if w.pers == nil || w.viewCkptEvery <= 0 {
 		return
@@ -262,60 +265,28 @@ func (v *View) tryResume() {
 	}
 	w.retMu.Lock()
 	fpOK := ck.CutsFP == cutsFingerprint(&w.pers.manifest)
+	gen := w.evicted.Load()
 	w.retMu.Unlock()
 	if !fpOK {
 		return
 	}
-	stores := make([]*partial.Store, len(ck.Shards))
+	// Cleared before the installs, like a rebuild's: a cut that marks the
+	// view dirty meanwhile keeps its mark.
+	v.dirty.Store(false)
+	pl := v.plan.scanPlan()
 	for i, sh := range ck.Shards {
 		st, err := decodeCkptShard(v.plan.Bucket, sh)
+		if err == nil {
+			err = v.install(&pl, shardCut{shard: i, seqHi: sh.SeqHi, gen: gen}, &aggVisitor{p: &v.plan, store: st},
+				func(p *viewPart, fold *aggVisitor) { p.store = fold.store })
+		}
 		if err != nil {
+			v.dirty.Store(true)
 			return
 		}
-		stores[i] = st
-	}
-	v.dirty.Store(false)
-	whole := v.plan.scanPlan()
-	for i, s := range w.shards {
-		p := v.parts[i]
-		s.mu.Lock()
-		if ck.Shards[i].SeqHi > s.seqHi {
-			s.mu.Unlock()
-			v.resumeAbort(i)
-			return
-		}
-		// Fold the tail — every event the checkpoint has not seen; cold
-		// files it covers whole are skipped without a read — and attach the
-		// tap in one critical section, so no commit lands in both the fold
-		// and the tap, and none in neither: the same gap-free handoff the
-		// backfill scan uses.
-		pl := whole.after(ck.Shards[i].SeqHi)
-		fold := aggVisitor{p: &v.plan, store: stores[i]}
-		if _, err := s.scan(context.Background(), &pl, &fold); err != nil {
-			s.mu.Unlock()
-			v.resumeAbort(i)
-			return
-		}
-		p.mu.Lock()
-		p.store = stores[i]
-		p.mu.Unlock()
-		s.attachTapLocked(p)
-		s.mu.Unlock()
 	}
 	v.mutations.Add(1)
 	w.viewResumes.Add(1)
-}
-
-// resumeAbort rolls a half-done resume back: taps detached from the
-// shards already seeded, dirty set so the backfill scan takes over.
-func (v *View) resumeAbort(attached int) {
-	for j := 0; j < attached; j++ {
-		s := v.w.shards[j]
-		s.mu.Lock()
-		s.detachTapLocked(v.parts[j])
-		s.mu.Unlock()
-	}
-	v.dirty.Store(true)
 }
 
 // recordViewDef records the view's definition in the manifest, so the

@@ -328,10 +328,15 @@ func (w *Warehouse) Append(t *stt.Tuple) error {
 
 // AppendBatch stores a batch of events, taking each involved shard lock
 // once instead of once per tuple; in durable mode each shard's sub-batch
-// is one WAL record and at most one fsync. The whole batch is validated up
-// front: on a validation error nothing is stored. A WAL write failure also
-// fails the call, but sub-batches already logged to other shards remain
-// stored (and durable). Tuples are retained as-is, like Append.
+// is one WAL record and at most one fsync. The batch takes one contiguous
+// Seq block, in batch order. It is grouped by shard first, and the block is
+// reserved only once every involved shard is locked (in index order, as
+// compactAll locks them), so no shard's seqHi can pass a seq of this batch
+// that has yet to commit there: seqHi stays a commit cut (see commitLocked).
+// The whole batch is validated up front: on a validation error nothing is
+// stored. A WAL write failure also fails the call, but sub-batches already
+// logged to other shards remain stored (and durable). Tuples are retained
+// as-is, like Append.
 func (w *Warehouse) AppendBatch(tuples []*stt.Tuple) error {
 	if len(tuples) == 0 {
 		return nil
@@ -343,48 +348,47 @@ func (w *Warehouse) AppendBatch(tuples []*stt.Tuple) error {
 	}
 	t0 := w.met.append.Start()
 	defer w.met.append.Since(t0)
-	// Reserve a contiguous Seq block so batch order survives grouping.
-	base := w.nextID.Add(uint64(len(tuples))) - uint64(len(tuples))
 
-	if len(w.shards) == 1 {
-		if err := w.appendShardBatch(w.shards[0], tuplesToEvents(tuples, base)); err != nil {
-			return err
+	// Seq holds the batch position until the block is reserved.
+	groups := make([][]Event, len(w.shards))
+	for i, t := range tuples {
+		si := w.shardFor(t.Source).idx
+		groups[si] = append(groups[si], Event{Seq: uint64(i), Tuple: t})
+	}
+	for si, evs := range groups {
+		if evs != nil {
+			w.shards[si].mu.Lock()
 		}
-	} else {
-		groups := map[*shard][]Event{}
-		for i, t := range tuples {
-			s := w.shardFor(t.Source)
-			groups[s] = append(groups[s], Event{Seq: base + uint64(i), Tuple: t})
+	}
+	base := w.nextID.Add(uint64(len(tuples))) - uint64(len(tuples))
+	var err error
+	for si, evs := range groups {
+		if evs == nil {
+			continue
 		}
-		for s, evs := range groups {
-			if err := w.appendShardBatch(s, evs); err != nil {
-				return err
+		s := w.shards[si]
+		if err == nil {
+			for j := range evs {
+				evs[j].Seq += base
 			}
+			err = w.commitLocked(s, evs)
 		}
+		s.mu.Unlock()
+	}
+	if err != nil {
+		return err
 	}
 	w.throttleSpill()
 	w.maybeCompact()
 	return nil
 }
 
-func tuplesToEvents(tuples []*stt.Tuple, base uint64) []Event {
-	evs := make([]Event, len(tuples))
-	for i, t := range tuples {
-		evs[i] = Event{Seq: base + uint64(i), Tuple: t}
-	}
-	return evs
-}
-
-// appendShardBatch stores one shard's slice of a batch under its lock.
-func (w *Warehouse) appendShardBatch(s *shard, evs []Event) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return w.commitLocked(s, evs)
-}
-
 // commitLocked is the one commit sequence: log the events in durable mode,
 // then make them visible and hand them to the taps. A WAL failure drops them
-// all before any becomes visible. Caller holds the shard's write lock.
+// all before any becomes visible. Caller holds the shard's write lock, and
+// has held it since the events' seqs were reserved: that is what makes the
+// shard's seqHi a commit cut — every seq at or below it that routes here has
+// committed — which the view handoff's tail fold (seq > seqHi) relies on.
 func (w *Warehouse) commitLocked(s *shard, evs []Event) error {
 	if s.wal != nil {
 		if err := s.wal.Append(evs); err != nil {
@@ -758,7 +762,7 @@ func (w *Warehouse) Select(ctx context.Context, q Query) ([]Event, QueryStats, e
 	t0 := w.met.selectQ.Start()
 	defer w.met.selectQ.Since(t0)
 	pl := scanPlan{Query: q, proj: persist.FullProjection}
-	vs, qs, err := scanShards(ctx, w, &pl, func() *selectVisitor { return &selectVisitor{limit: q.Limit} })
+	vs, _, qs, err := scanShards(ctx, w, &pl, func() *selectVisitor { return &selectVisitor{limit: q.Limit} })
 	if err != nil {
 		return nil, qs, err
 	}
@@ -852,7 +856,7 @@ func (w *Warehouse) Count(ctx context.Context, q Query) (int, QueryStats, error)
 	defer w.met.selectQ.Since(t0)
 	pl := scanPlan{Query: q, proj: q.projection()}
 	timeOnly := q.Region == nil && len(q.Themes) == 0 && len(q.Sources) == 0 && q.Cond == ""
-	vs, qs, err := scanShards(ctx, w, &pl, func() *countVisitor { return &countVisitor{q: &pl.Query, timeOnly: timeOnly} })
+	vs, _, qs, err := scanShards(ctx, w, &pl, func() *countVisitor { return &countVisitor{q: &pl.Query, timeOnly: timeOnly} })
 	if err != nil {
 		return 0, qs, err
 	}
