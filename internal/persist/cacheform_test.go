@@ -14,7 +14,7 @@ import (
 
 // requireDecodersAgree reads the whole segment three ways — a full read
 // through a cache, a full read without one, and decodeChunkV3 under the full
-// projection followed by buildRows — and requires the same events from all
+// projection followed by appendRows — and requires the same events from all
 // three: time, seq, tuple seq, geo, theme, source, schema and every value.
 func requireDecodersAgree(t *testing.T, info *SegmentInfo) {
 	t.Helper()
@@ -38,9 +38,9 @@ func requireDecodersAgree(t *testing.T, info *SegmentInfo) {
 		if err != nil {
 			t.Fatalf("column decode of chunk %d: %v", k, err)
 		}
-		viaColumns = append(viaColumns, cc.buildRows(0, n)...)
+		viaColumns = append(viaColumns, cc.appendRows(nil, 0, n, nil)...)
 	}
-	for name, got := range map[string][]Event{"cached": cached, "columns+buildRows": viaColumns} {
+	for name, got := range map[string][]Event{"cached": cached, "columns+appendRows": viaColumns} {
 		sameEvents(t, got, bare)
 		for i := range got {
 			if got[i].Tuple.Schema != bare[i].Tuple.Schema {
@@ -325,5 +325,57 @@ func TestConcurrentReadersOneForm(t *testing.T) {
 	}
 	if st := cache.Stats(); st.HeldBytes != held || held == 0 {
 		t.Fatalf("HeldBytes = %d, entries hold %d", st.HeldBytes, held)
+	}
+}
+
+// TestReadRangeIntoReusesRows: reads into one RowBuf, over chunks cached as
+// columns, as rows and not at all, return the events fresh reads do — values
+// outside a read's projection zero, whatever an earlier read left in the
+// buffer — and a repeat read over cached columns builds its rows without
+// allocating them again.
+func TestReadRangeIntoReusesRows(t *testing.T) {
+	_, info := writeV3Corpus(t, filepath.Join(t.TempDir(), SegmentFileName(1)))
+	cache := NewChunkCache(1 << 20)
+	temp := Projection{Mask: ColTime | ColSource, Field: "temperature"}
+	if _, _, err := info.ReadRangeProjected(cache, 0, 2*IndexEvery, temp); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := info.ReadRangeProjected(cache, IndexEvery, IndexEvery+1, FullProjection); err != nil {
+		t.Fatal(err)
+	}
+	var buf RowBuf
+	reads := []struct {
+		lo, hi int
+		proj   Projection
+	}{
+		{0, info.Count, temp},
+		{5, IndexEvery - 5, Projection{Mask: ColTime, Field: "station"}},
+		{2 * IndexEvery, info.Count, temp}, // over the stations the last read left
+		{IndexEvery - 3, IndexEvery + 3, temp},
+		{0, info.Count, FullProjection},
+		{10, 20, Projection{Mask: ColTime}},
+	}
+	for _, r := range reads {
+		got, _, err := info.ReadRangeInto(cache, r.lo, r.hi, r.proj, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := info.ReadRangeProjected(cache, r.lo, r.hi, r.proj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameEvents(t, got, want)
+	}
+
+	read := func(b *RowBuf) func() {
+		return func() {
+			if _, _, err := info.ReadRangeInto(cache, 0, IndexEvery, temp, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	read(&buf)()
+	if fresh, reused := testing.AllocsPerRun(20, read(nil)), testing.AllocsPerRun(20, read(&buf)); reused >= fresh {
+		t.Fatalf("a read into a warm RowBuf made %.0f allocations, a fresh read %.0f", reused, fresh)
 	}
 }

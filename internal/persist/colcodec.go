@@ -483,33 +483,31 @@ func (cc *colChunk) merge(o *colChunk) *colChunk {
 	return out
 }
 
-// materialize returns events [a, b) of the chunk (chunk-local ordinals): a
-// window on the rows when the chunk has them, whatever the projection, else
-// built from the decoded columns, with columns outside the chunk's mask zero.
-func (cc *colChunk) materialize(a, b int) []Event {
+// appendRows appends events [a, b) of the chunk (chunk-local ordinals) to
+// dst: the rows themselves when the chunk has them, whatever the projection,
+// else events built from the decoded columns, with columns outside the
+// chunk's mask zero — in buf's storage when buf is set, fresh otherwise.
+func (cc *colChunk) appendRows(dst []Event, a, b int, buf *RowBuf) []Event {
 	if cc.rows != nil {
-		return cc.rows[a:b]
+		return append(dst, cc.rows[a:b]...)
 	}
-	return cc.buildRows(a, b)
-}
-
-func (cc *colChunk) buildRows(a, b int) []Event {
-	out := make([]Event, b-a)
-	tuples := make([]stt.Tuple, b-a)
-	// One flat Values allocation for the whole range, subsliced per tuple —
-	// a per-event make here is the dominant materialization cost.
+	// One flat Values array for the whole range, subsliced per tuple — a
+	// per-event make here is the dominant materialization cost.
 	total := 0
 	for i := a; i < b; i++ {
 		total += cc.nvals[i]
 	}
+	var tuples []stt.Tuple
 	var flat []stt.Value
-	if total > 0 {
-		flat = make([]stt.Value, total)
+	if buf != nil {
+		tuples, flat = buf.take(b-a, total)
+	} else {
+		tuples, flat = make([]stt.Tuple, b-a), make([]stt.Value, total)
 	}
 	off := 0
 	for i := a; i < b; i++ {
 		t := &tuples[i-a]
-		t.Schema = cc.schemas[i]
+		*t = stt.Tuple{Schema: cc.schemas[i]}
 		if cc.times != nil {
 			t.Time = cc.times[i]
 		}
@@ -538,9 +536,35 @@ func (cc *colChunk) buildRows(a, b int) []Event {
 		if cc.seqs != nil {
 			ev.Seq = cc.seqs[i]
 		}
-		out[i-a] = ev
+		dst = append(dst, ev)
 	}
-	return out
+	return dst
+}
+
+// RowBuf is storage a reader reuses for the events ReadRangeInto builds
+// from cached columns. The events of one read into a RowBuf are valid only
+// until the next read into it, so a scan whose visitors keep no event past
+// the read they came from saves building rows into fresh memory per read.
+type RowBuf struct {
+	evs    []Event
+	tuples []stt.Tuple
+	vals   []stt.Value
+}
+
+// take hands out n tuples and nv zeroed values the current read has not
+// used yet. Storage that runs short is replaced, never grown in place: the
+// events this read already built keep pointing into the old.
+func (rb *RowBuf) take(n, nv int) ([]stt.Tuple, []stt.Value) {
+	if len(rb.tuples)+n > cap(rb.tuples) {
+		rb.tuples = make([]stt.Tuple, 0, max(n, 2*cap(rb.tuples)))
+	}
+	if len(rb.vals)+nv > cap(rb.vals) {
+		rb.vals = make([]stt.Value, 0, max(nv, 2*cap(rb.vals)))
+	}
+	t, v := len(rb.tuples), len(rb.vals)
+	rb.tuples, rb.vals = rb.tuples[:t+n], rb.vals[:v+nv]
+	clear(rb.vals[v:])
+	return rb.tuples[t:], rb.vals[v:]
 }
 
 // colDecoder walks a chunk's sections, decoding the projected ones and

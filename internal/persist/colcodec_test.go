@@ -185,7 +185,7 @@ func TestV3TruncatedSections(t *testing.T) {
 	if err != nil {
 		t.Fatalf("intact chunk: %v", err)
 	}
-	if got := cc.materialize(0, n); len(got) != n || !got[0].Tuple.Time.Equal(events[0].Tuple.Time) {
+	if got := cc.appendRows(nil, 0, n, nil); len(got) != n || !got[0].Tuple.Time.Equal(events[0].Tuple.Time) {
 		t.Fatalf("intact chunk materialized %d events", len(got))
 	}
 }

@@ -567,6 +567,13 @@ func (si *SegmentInfo) chunkBounds(k int) (posStart, posEnd int, offStart, offEn
 // stored back. A nil cache reads everything. The returned events may be
 // shared with other readers and must not be mutated.
 func (si *SegmentInfo) ReadRangeProjected(cache *ChunkCache, lo, hi int, proj Projection) ([]Event, ReadStats, error) {
+	return si.ReadRangeInto(cache, lo, hi, proj, nil)
+}
+
+// ReadRangeInto is ReadRangeProjected building the events it makes from
+// cached columns in buf's storage, valid until the next read into buf; a
+// nil buf makes them fresh.
+func (si *SegmentInfo) ReadRangeInto(cache *ChunkCache, lo, hi int, proj Projection, buf *RowBuf) ([]Event, ReadStats, error) {
 	var rs ReadStats
 	if lo < 0 || hi > si.Count || lo >= hi {
 		if lo == hi {
@@ -643,13 +650,20 @@ func (si *SegmentInfo) ReadRangeProjected(cache *ChunkCache, lo, hi int, proj Pr
 		k = end
 	}
 
-	out := make([]Event, 0, hi-lo)
+	var out []Event
+	if buf != nil {
+		out, buf.tuples, buf.vals = buf.evs[:0], buf.tuples[:0], buf.vals[:0]
+	} else {
+		out = make([]Event, 0, hi-lo)
+	}
 	for idx, cc := range chunks {
 		posStart, posEnd, _, _ := si.chunkBounds(first + idx)
-		a, b := max(lo, posStart), min(hi, posEnd)
-		if a < b {
-			out = append(out, cc.materialize(a-posStart, b-posStart)...)
+		if a, b := max(lo, posStart), min(hi, posEnd); a < b {
+			out = cc.appendRows(out, a-posStart, b-posStart, buf)
 		}
+	}
+	if buf != nil {
+		buf.evs = out
 	}
 	return out, rs, nil
 }

@@ -608,19 +608,21 @@ func writeNDJSON(w http.ResponseWriter, lines func(yield func(v any) bool)) bool
 // handleWarehouseQuery runs an STT query against the Event Data Warehouse
 // using the parseWarehouseFilter params plus &limit= and &offset=: a page is
 // one warehouse.Select, a bare count (limit=0) one warehouse.Count, both
-// under the request's context — a client that goes away stops the scan at
-// the next segment — with the optional ?trace=1 trace riding on it. The
-// select fans out across the warehouse shards and merges in time order.
-// Results are paged: offset skips that many matches in (time, seq) order,
-// limit caps the page, and the response's "truncated" flag says whether
-// more matches follow — so a spilled history can be walked page by page
-// instead of materialized in one response. limit=0 asks for the match count
-// alone: Count never materializes or sorts an event (time-only constraints
-// resolve on segment indexes and cold-segment envelopes without touching
-// disk; a cond= is evaluated event by event). The "segments" object
-// reports how many time-partitioned segments the query scanned versus
-// pruned by their time envelope, plus how many cold-segment chunks were
-// served from the chunk cache versus read back from disk.
+// under the request's context — a client that goes away stops the query at
+// its next chunk read or segment — with the optional ?trace=1 trace riding
+// on it. The select is one lazy (time, seq) merge over the routed shards'
+// cold files and hot segments that stops once offset+limit+1 events are out,
+// so chunks past the page are never decoded. Results are paged: offset skips
+// that many matches in (time, seq) order, limit caps the page, and the
+// response's "truncated" flag says whether more matches follow — so a
+// spilled history can be walked page by page instead of materialized in one
+// response. limit=0 asks for the match count alone: Count never materializes
+// or sorts an event (time-only constraints resolve on segment indexes and
+// cold-segment envelopes without touching disk; a cond= is evaluated event
+// by event). The "segments" object reports how many time-partitioned
+// segments the query scanned versus pruned by their time envelope, plus how
+// many cold-segment chunks were served from the chunk cache versus read back
+// from disk.
 //
 // Each event is written in the STT wire form (see package stt): sorted
 // keys, non-finite numbers as null. The page is encoded by appending into
@@ -711,7 +713,8 @@ func (s *Server) handleWarehouseQuery(w http.ResponseWriter, r *http.Request) {
 	// offset+limit bounds how many events one request materializes — the
 	// same 10000-event ceiling the limit alone used to carry. Deeper than
 	// that, page by time instead: pass the last event's _time as from=.
-	if offset+limit > 10000 {
+	// The offset is bounded on its own first, so the sum cannot overflow.
+	if offset > 10000 || offset+limit > 10000 {
 		writeError(w, http.StatusBadRequest,
 			"page too deep: offset+limit must be <= 10000; advance from= to the last seen event time instead")
 		return

@@ -490,6 +490,28 @@ func TestWarehouseQueryPagingEdges(t *testing.T) {
 	}
 }
 
+// TestWarehouseQueryOffsetOverflow: an offset near the int range must not
+// wrap offset+limit past the paging ceiling. It is refused with the same 400
+// as any page too deep, not read as an uncapped select that then slices out
+// of bounds and drops the connection.
+func TestWarehouseQueryOffsetOverflow(t *testing.T) {
+	srv, ts := newTestServer(t)
+	if err := srv.Warehouse.AppendBatch(queryTuples(8)); err != nil {
+		t.Fatal(err)
+	}
+	for _, offset := range []string{"9223372036854775807", "9223372036854775708", "10001"} {
+		var res struct {
+			Error string `json:"error"`
+		}
+		if code := getJSON(t, ts.URL+"/api/warehouse/query?limit=100&offset="+offset, &res); code != 400 {
+			t.Errorf("offset=%s: status = %d, want 400", offset, code)
+		}
+		if !strings.Contains(res.Error, "page too deep") {
+			t.Errorf("offset=%s: error = %q", offset, res.Error)
+		}
+	}
+}
+
 // TestWarehouseStatsExposesDurability checks the durable-mode counters
 // ride the stats payload.
 func TestWarehouseStatsExposesDurability(t *testing.T) {

@@ -1052,6 +1052,116 @@ func BenchmarkSelectProjected(b *testing.B) {
 	})
 }
 
+// BenchmarkSelectPage measures the bench's select page on the bench
+// server's durable store: 8 sources × 3000 events a minute, every event of a
+// minute at the same event time, appended in 256-event batches interleaved
+// across the sources, and a one-minute window cut at a 5001-event page. The
+// select merges its cursors lazily, so it reads only the chunks the page
+// reaches. chunks-decoded/op counts every chunk the query read, decoded or
+// served decoded by the cache; the gate fails when it passes the chunks 5001
+// events fill plus, per cold cursor, one chunk straddling the window start
+// and one read past the page. Decoding the whole window reads all ~94.
+func BenchmarkSelectPage(b *testing.B) {
+	const (
+		sources   = 8
+		perMinute = 3000
+		minutes   = 10
+		limit     = 5001
+	)
+	open := func(b *testing.B, cacheBytes int64) *Warehouse {
+		b.Helper()
+		sync, every, err := persist.ParseSyncPolicy("interval")
+		if err != nil {
+			b.Fatal(err)
+		}
+		w, err := Open(Config{DataDir: b.TempDir(), Sync: sync, SyncEvery: every,
+			HotSegments: 2, ColdCacheBytes: cacheBytes})
+		if err != nil {
+			b.Fatal(err)
+		}
+		batch := make([]*stt.Tuple, 0, persist.IndexEvery)
+		for m := 0; m < minutes; m++ {
+			for done := 0; done < perMinute; done += persist.IndexEvery {
+				for src := 0; src < sources; src++ {
+					batch = batch[:0]
+					for i := done; i < min(done+persist.IndexEvery, perMinute); i++ {
+						batch = append(batch, wTuple(time.Duration(m)*time.Minute, float64(i%40),
+							fmt.Sprintf("page-src-%d", src), 34.7, 135.5))
+					}
+					if err := w.AppendBatch(batch); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+		w.DrainSpills()
+		return w
+	}
+	// The minutes wholly spilled on every shard, so each page is cold.
+	coldMinutes := func(b *testing.B, w *Warehouse) []Query {
+		b.Helper()
+		var qs []Query
+		for m := 0; m < minutes; m++ {
+			q := Query{From: t0.Add(time.Duration(m) * time.Minute), To: t0.Add(time.Duration(m+1) * time.Minute), Limit: limit}
+			cold := true
+			for _, s := range w.shards {
+				s.mu.RLock()
+				for _, seg := range s.segs {
+					cold = cold && seg.prunedBy(q.From, q.To)
+				}
+				s.mu.RUnlock()
+			}
+			if cold {
+				qs = append(qs, q)
+			}
+		}
+		if len(qs) == 0 {
+			b.Fatal("no minute is wholly cold")
+		}
+		return qs
+	}
+	run := func(b *testing.B, w *Warehouse) {
+		qs := coldMinutes(b, w)
+		for _, q := range qs { // warm the cache, when there is one
+			if _, _, err := w.Select(context.Background(), q); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var chunks, worst float64
+		for i := 0; i < b.N; i++ {
+			evs, st, err := w.Select(context.Background(), qs[i%len(qs)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(evs) != limit {
+				b.Fatalf("page of %d events, want %d", len(evs), limit)
+			}
+			read := st.ColdCacheHits + st.ColdCacheMisses
+			bound := (limit+persist.IndexEvery-1)/persist.IndexEvery + 2*st.SegmentsScanned
+			if read > bound {
+				b.Fatalf("a %d-event page over %d cursors read %d chunks, bound %d", limit, st.SegmentsScanned, read, bound)
+			}
+			chunks += float64(read)
+			worst = max(worst, float64(read))
+		}
+		b.StopTimer()
+		b.ReportMetric(chunks/float64(b.N), "chunks-decoded/op")
+		b.ReportMetric(worst, "chunks-decoded-max")
+	}
+	b.Run("cached", func(b *testing.B) {
+		w := open(b, 0)
+		defer w.Close()
+		run(b, w)
+	})
+	b.Run("uncached", func(b *testing.B) {
+		w := open(b, -1)
+		defer w.Close()
+		run(b, w)
+	})
+}
+
 // BenchmarkColdCacheFootprint gates what the cold cache holds per event. It
 // spills a corpus under a budget that fits all of it and sweeps it three
 // times, in windows: a projected aggregate (the boundary chunks land as

@@ -97,6 +97,14 @@ func (c *coldSegment) coveredBy(from, to time.Time) bool {
 	return true
 }
 
+// window returns the live event ordinals [lo, hi) whose chunks can hold
+// events in the [from, to) window: the sparse index's conservative range,
+// minus the retention-skipped prefix.
+func (c *coldSegment) window(from, to time.Time) (int, int) {
+	lo, hi := c.info.WindowPositions(from, to)
+	return max(lo, c.skip), hi
+}
+
 // ensureLoaded materializes every live event, for compactions that need
 // per-event keys. Release with unload once done. The read deliberately
 // bypasses the chunk cache (nil): the result is pinned in c.loaded for the

@@ -24,47 +24,68 @@
 //
 // There are three query entry points, each (ctx, query) → (result,
 // QueryStats, error): Select returns events in (event time, Seq) order,
-// Count a number, Aggregate grouped rows. All three fan out across shards
-// concurrently — a source-constrained query only to the shards those
-// sources hash to — and walk each shard with the same kernel, shard.scan,
-// under the shard's read lock. The context cancels a query between
-// segments, and carries the optional trace (obs.WithTrace): one span per
-// shard visited plus one for the merge.
+// Count a number, Aggregate grouped rows. Each visits the routed shards —
+// all of them, or, for a source-constrained query, only the shards those
+// sources hash to — under their read locks, and the context carries the
+// optional trace (obs.WithTrace): one span per shard visited plus one for
+// Select's merge.
+//
+// Select is one lazy k-way merge, in (time, seq) order, over a cursor per
+// cold file and per hot segment the window reaches (mergeShards, beside the
+// kernel in scan.go). It takes every routed shard's read lock in shard-index
+// order — the order AppendBatch and the retention cut take their write locks
+// in — and holds them until the page is full. A cold cursor starts at the
+// file's window positions, past its retention skip, and sits in the heap at
+// a lower bound on its first match — the later of the file's live head and
+// the window start — until it reaches the top; only then does it decode one
+// chunk through the kernel's read path (chunk cache, projection, the
+// two-phase filter read, QueryStats), and once that chunk is drained it
+// waits again at a bound on the next. A hot cursor walks the segment's
+// cheapest index, sorted into (time, seq) order when the index is not the
+// time index. The merge stops at the limit, so a limit is a reason not to
+// read a chunk: a file or chunk the page never reaches is never decoded. A
+// limited Count with any filter walks the same merge for the same stop. The
+// context is checked before each chunk read.
+//
+// Everything else — Aggregate, an unlimited or time-only Count, view scans
+// — walks each shard with the scan kernel, shard.scan, concurrently across
+// shards under each shard's read lock; the context cancels it between
+// segments.
 //
 // The kernel takes a plan and a visitor. The plan is the query's window,
-// filters and Cond, the column projection cold reads decode, and an
-// optional seq floor. The walk is fixed: every segment whose time envelope
-// misses the [From, To) window is pruned outright — no index consulted, no
-// file opened — which keeps small-window queries cheap on a wide history.
-// A surviving cold file is offered to the visitor whole (can its header
-// answer?), then chunk by chunk (can this chunk's stats answer?); the runs
-// of chunks left over are read back through the chunk cache with the
-// plan's projection and each event filtered exactly. When the visitor
-// wants whole rows and a theme, source or region filter applies, a v3 file
-// is read in two phases: the filter's columns first, whole rows only for
-// the stretches that hold a match. A surviving in-memory segment is
-// offered whole, then walked over its cheapest index — theme, source,
-// spatial grid or time; an index with no entry for what the query asks
-// proves the segment empty. Cold files go oldest first, chunks in file
-// order, then segments in creation order, so float partials fold in the
+// filters and Cond, the column projection cold reads decode, and an optional
+// seq floor. The walk is fixed: every segment whose time envelope misses the
+// [From, To) window is pruned outright — no index consulted, no file opened
+// — which keeps small-window queries cheap on a wide history. A surviving
+// cold file is offered to the visitor whole (can its header answer?), then
+// chunk by chunk (can this chunk's stats answer?); the runs of chunks left
+// over are read back through the chunk cache with the plan's projection and
+// each event filtered exactly. The kernel's visitors keep no event, so the
+// rows a read builds from cached columns go into one buffer reused read
+// after read (persist.RowBuf); the merge's cursors keep theirs and read
+// fresh. When the visitor wants whole rows and a theme, source or region
+// filter applies, a v3 file is read in two phases: the filter's columns
+// first, whole rows only for the stretches that hold a match. A surviving
+// in-memory segment is offered whole, then walked over its cheapest index —
+// theme, source, spatial grid or time; an index with no entry for what the
+// query asks proves the segment empty. Cold files go oldest first, chunks in
+// file order, then segments in creation order, so float partials fold in the
 // same order run to run.
 //
-// The visitors are small. Select's collects matches, sorts them and caps
-// them at the limit, and the per-shard results k-way merge. Count's takes
-// a covered cold file's header count and a binary-searched slice of a
-// segment's time index when the window is the only constraint — touching
-// no event — and otherwise counts matches one by one (Cond included)
-// without materializing, sorting or merging anything. Aggregate's folds
+// The visitors are small. Count's takes a covered cold file's header count
+// and a binary-searched slice of a segment's time index when the window is
+// the only constraint — touching no event — and otherwise counts matches one
+// by one (Cond included) without materializing anything. Aggregate's folds
 // matches into per-group partials and answers cold files and chunks from
 // their stats under the rules of the next section. View backfill and the
-// one-bucket boundary rescan are Aggregate's fan-out, under read locks,
-// that also returns each shard's seq cut; the view handoff then folds the
-// tail at and above that cut — or a checkpoint's — under the shard's write
-// lock: the same kernel and visitor with a seq floor, so files and
-// segments wholly below it are skipped and no statistics are trusted.
-// QueryStats reports the walk:
-// segments scanned and pruned, cache hits and misses, files and chunks
-// answered from stats, columns skipped and bytes decoded.
+// one-bucket boundary rescan are Aggregate's fan-out, under read locks, that
+// also returns each shard's seq cut; the view handoff then folds the tail at
+// and above that cut — or a checkpoint's — under the shard's write lock: the
+// same kernel and visitor with a seq floor, so files and segments wholly
+// below it are skipped and no statistics are trusted. QueryStats reports the
+// walk: segments scanned (for the merge, the cursors it opened) and pruned,
+// cache hits and misses, files and chunks answered from stats, columns
+// skipped and bytes decoded.
 //
 // # Aggregate pushdown
 //

@@ -862,3 +862,5 @@ func dumpDivergence(w *Warehouse, m *refModel) string {
 	}
 	return b.String()
 }
+
+func eventLess(a, b Event) bool { return persist.CompareEvents(a, b) < 0 }

@@ -1,7 +1,11 @@
 package warehouse
 
 import (
+	"container/heap"
 	"context"
+	"slices"
+	"sort"
+	"sync"
 
 	"streamloader/internal/obs"
 	"streamloader/internal/persist"
@@ -81,7 +85,14 @@ type scanner struct {
 	v     visitor
 	conds condCache
 	qs    QueryStats
+	// rows, when set, holds the events every cold read builds from cached
+	// columns, reused read after read: only for visitors that keep no event.
+	rows *persist.RowBuf
 }
+
+// rowBufs recycles the row storage of the kernel's scans, whose visitors
+// fold or count events and keep none.
+var rowBufs = sync.Pool{New: func() any { return new(persist.RowBuf) }}
 
 // scan is the one walk every query, view scan and view tail fold takes
 // through a shard: segments whose time envelope misses the window are
@@ -94,7 +105,8 @@ type scanner struct {
 // partials fold in the same order run to run. The context is checked before
 // each file and segment. Caller holds s.mu; read suffices.
 func (s *shard) scan(ctx context.Context, pl *scanPlan, v visitor) (QueryStats, error) {
-	sc := scanner{pl: pl, v: v, conds: condCache{}}
+	sc := scanner{pl: pl, v: v, conds: condCache{}, rows: rowBufs.Get().(*persist.RowBuf)}
+	defer rowBufs.Put(sc.rows)
 	for _, cs := range s.cold {
 		if err := ctx.Err(); err != nil {
 			return sc.qs, err
@@ -120,7 +132,8 @@ func (s *shard) scan(ctx context.Context, pl *scanPlan, v visitor) (QueryStats, 
 		if pl.minSeq == 0 && v.segment(seg) {
 			continue
 		}
-		for _, ord := range seg.candidateSet(pl.Query) {
+		ords, _ := seg.candidateSet(pl.Query)
+		for _, ord := range ords {
 			if err := sc.visit(seg.events[ord]); err != nil {
 				return sc.qs, err
 			}
@@ -152,19 +165,11 @@ func (sc *scanner) cold(cs *coldSegment) error {
 		}
 		return nil
 	}
-	lo, hi := info.WindowPositions(pl.From, pl.To)
-	lo = max(lo, cs.skip)
+	lo, hi := cs.window(pl.From, pl.To)
 	if lo >= hi {
 		return nil
 	}
-	// A select wants whole rows; when a column filter can reject events on
-	// its own, decode only the filter's columns first and whole rows only
-	// where something matched.
-	read := sc.readRun
-	if pl.proj == persist.FullProjection && pl.Cond == "" &&
-		(len(pl.Themes) > 0 || len(pl.Sources) > 0 || pl.Region != nil) {
-		read = sc.readMatchingRuns
-	}
+	read := sc.reader()
 	// Chunks the visitor answers from stats split the window into runs; a
 	// run is read as one stretch, in order, so the fold order is that of
 	// decoding everything.
@@ -204,10 +209,22 @@ func (sc *scanner) cold(cs *coldSegment) error {
 	return nil
 }
 
+// reader picks how a run of a cold file is read. A select wants whole rows;
+// when a column filter can reject events on its own, it decodes only the
+// filter's columns first and whole rows only where something matched.
+func (sc *scanner) reader() func(cs *coldSegment, a, b int) error {
+	pl := sc.pl
+	if pl.proj == persist.FullProjection && pl.Cond == "" &&
+		(len(pl.Themes) > 0 || len(pl.Sources) > 0 || pl.Region != nil) {
+		return sc.readMatchingRuns
+	}
+	return sc.readRun
+}
+
 // readRun decodes the plan's projected columns of event ordinals [a, b) of
 // a cold file and visits each event.
 func (sc *scanner) readRun(cs *coldSegment, a, b int) error {
-	evs, err := sc.read(cs, a, b, sc.pl.proj)
+	evs, err := sc.read(cs, a, b, sc.pl.proj, sc.rows)
 	if err != nil {
 		return err
 	}
@@ -225,7 +242,8 @@ func (sc *scanner) readRun(cs *coldSegment, a, b int) error {
 // chunk-cache lookup, not a pread.
 func (sc *scanner) readMatchingRuns(cs *coldSegment, a, b int) error {
 	const gap = 32
-	evs, err := sc.read(cs, a, b, sc.pl.projection())
+	// Fresh rows: the runs read below reuse sc.rows while these are walked.
+	evs, err := sc.read(cs, a, b, sc.pl.projection(), nil)
 	if err != nil {
 		return err
 	}
@@ -248,13 +266,14 @@ func (sc *scanner) readMatchingRuns(cs *coldSegment, a, b int) error {
 }
 
 // read is the one place a query touches a cold file's event block, through
-// the warehouse chunk cache when one is configured.
-func (sc *scanner) read(cs *coldSegment, a, b int, proj persist.Projection) ([]Event, error) {
+// the warehouse chunk cache when one is configured; rows built from cached
+// columns go into buf when it is set.
+func (sc *scanner) read(cs *coldSegment, a, b int, proj persist.Projection, buf *persist.RowBuf) ([]Event, error) {
 	if a >= b {
 		return nil, nil
 	}
 	t0 := cs.readHist.Start()
-	evs, rs, err := cs.info.ReadRangeProjected(cs.cache, a, b, proj)
+	evs, rs, err := cs.info.ReadRangeInto(cs.cache, a, b, proj, buf)
 	cs.readHist.Since(t0)
 	sc.qs.ColdCacheHits += rs.CacheHits
 	sc.qs.ColdCacheMisses += rs.CacheMisses
@@ -359,4 +378,201 @@ func endShardSpan(sp *obs.Span, qs QueryStats, events int) {
 		sp.SetInt("cold_bytes_decoded", qs.ColdBytesDecoded)
 	}
 	sp.End()
+}
+
+// mergeShards is the walk of Select and of a limited Count: one lazy k-way
+// merge, in (time, seq) order, over a cursor per cold file and per hot
+// segment of every routed shard the window reaches. It hands each match to
+// emit in that order and stops once limit matches are out (limit <= 0: all
+// of them). A cold cursor decodes one chunk at a time, and only when it tops
+// the heap, so a file or chunk the page never reaches is never read. The
+// routed shards stay read-locked for the whole merge, taken in shard-index
+// order — the order every multi-shard locker uses. The context is checked
+// before each chunk read. When ctx carries a trace the call records a
+// "shard" span per routed shard, with the telemetry its cursors paid, and a
+// "merge" span.
+func mergeShards(ctx context.Context, w *Warehouse, pl *scanPlan, limit int, emit func(Event)) (QueryStats, error) {
+	if err := ctx.Err(); err != nil {
+		return QueryStats{}, err
+	}
+	tr := obs.TraceFrom(ctx)
+	shards := w.routedShards(pl.Query)
+	for _, s := range shards {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+	}
+	parts := make([]mergeShard, len(shards))
+	var h cursorHeap[*mergeCursor]
+	for i, s := range shards {
+		ms := &parts[i]
+		ms.sp = tr.Start("shard")
+		ms.sp.SetInt("shard", int64(s.idx))
+		ms.sc = scanner{pl: pl, conds: condCache{}}
+		h = ms.open(s, h)
+	}
+	heap.Init(&h)
+	msp := tr.Start("merge")
+	n := 0
+	var err error
+	for len(h) > 0 && (limit <= 0 || n < limit) && err == nil {
+		c := h[0]
+		if c.next < len(c.buf) {
+			emit(c.buf[c.next])
+			c.next++
+			c.ms.events++
+			n++
+		} else {
+			err = c.fill(ctx)
+		}
+		if c.advance() {
+			heap.Fix(&h, 0)
+		} else {
+			heap.Pop(&h)
+		}
+	}
+	msp.SetInt("events", int64(n))
+	msp.End()
+	var qs QueryStats
+	for i := range parts {
+		endShardSpan(parts[i].sp, parts[i].sc.qs, parts[i].events)
+		qs.add(parts[i].sc.qs)
+	}
+	w.columnsSkipped.Add(uint64(qs.ColdColumnsSkipped))
+	return qs, err
+}
+
+// mergeShard is one routed shard's part of a merge: the scanner its cursors
+// read and filter through (its stats and condition cache), its span and the
+// matches it contributed.
+type mergeShard struct {
+	sc     scanner
+	sp     *obs.Span
+	events int
+}
+
+// open pushes a cursor for every cold file and hot segment of s the window
+// reaches, counting the rest as pruned. A cold cursor starts unread at the
+// later of the file's live head and the window start, a lower bound on its
+// first match. Caller holds s.mu.
+func (ms *mergeShard) open(s *shard, h cursorHeap[*mergeCursor]) cursorHeap[*mergeCursor] {
+	pl, qs := ms.sc.pl, &ms.sc.qs
+	for _, cs := range s.cold {
+		if cs.prunedBy(pl.From, pl.To) {
+			qs.SegmentsPruned++
+			continue
+		}
+		qs.SegmentsScanned++
+		lo, hi := cs.window(pl.From, pl.To)
+		sparse := cs.info.Sparse
+		c := &mergeCursor{ms: ms, cs: cs, pos: lo, hi: hi, key: cs.head,
+			k: sort.Search(len(sparse), func(k int) bool { return sparse[k].Pos > lo }) - 1}
+		if from := (persist.Key{Time: pl.From}); c.key.Less(from) {
+			c.key = from
+		}
+		if c.advance() {
+			h = append(h, c)
+		}
+	}
+	for _, seg := range s.segs {
+		if seg.prunedBy(pl.From, pl.To) {
+			qs.SegmentsPruned++
+			continue
+		}
+		qs.SegmentsScanned++
+		ords, ordered := seg.candidateSet(pl.Query)
+		if !ordered {
+			// An index's ordinals are in append order, not event time.
+			slices.SortFunc(ords, func(a, b int) int {
+				return persist.CompareEvents(seg.events[a], seg.events[b])
+			})
+		}
+		if c := (&mergeCursor{ms: ms, seg: seg, ords: ords}); c.advance() {
+			h = append(h, c)
+		}
+	}
+	return h
+}
+
+// mergeCursor walks one cold file or one hot segment in (time, seq) order,
+// holding the matches of its last read in buf from next on. key is the next
+// match's key while buf holds one, else a lower bound on it.
+type mergeCursor struct {
+	noShortcuts
+	ms   *mergeShard
+	key  persist.Key
+	buf  []Event
+	next int
+
+	// A cold cursor reads the file's ordinals [pos, hi), chunk k holding pos.
+	cs         *coldSegment
+	k, pos, hi int
+	// A hot cursor walks ords, the segment's candidates in (time, seq)
+	// order, from pos.
+	seg  *segment
+	ords []int
+}
+
+func (c *mergeCursor) head() persist.Key { return c.key }
+
+// event takes a match of the cursor's current read; the cursor is its
+// shard scanner's visitor while it reads.
+func (c *mergeCursor) event(ev Event) error {
+	c.buf = append(c.buf, ev)
+	return nil
+}
+
+func (c *mergeCursor) done() int { return len(c.buf) }
+
+// fill reads the cursor's next stretch into buf: one chunk of a cold file,
+// or a hot segment's candidates up to its next match.
+func (c *mergeCursor) fill(ctx context.Context) error {
+	c.buf, c.next = c.buf[:0], 0
+	sc := &c.ms.sc
+	sc.v = c
+	if c.seg != nil {
+		for ; len(c.buf) == 0 && c.pos < len(c.ords); c.pos++ {
+			if err := sc.visit(c.seg.events[c.ords[c.pos]]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	_, end := c.cs.info.ChunkRange(c.k)
+	a, b := c.pos, min(end, c.hi)
+	c.pos, c.k = b, c.k+1
+	if loaded := c.cs.loaded; loaded != nil {
+		// A retention cut already paid for the full load.
+		for _, ev := range loaded[a-c.cs.skip : b-c.cs.skip] {
+			if err := sc.visit(ev); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return sc.reader()(c.cs, a, b)
+}
+
+// advance sets key for what the cursor holds next: the key of its next
+// buffered match, else of its next hot candidate, else the later of the
+// last key and the next chunk's first event time — a bound on all the
+// chunk holds, known without reading it. It reports false once the cursor
+// has nothing left.
+func (c *mergeCursor) advance() bool {
+	switch {
+	case c.next < len(c.buf):
+		c.key = eventKey(c.buf[c.next])
+	case c.seg != nil:
+		if c.pos >= len(c.ords) {
+			return false
+		}
+		c.key = eventKey(c.seg.events[c.ords[c.pos]])
+	case c.pos >= c.hi:
+		return false
+	case c.key.Time.Before(c.cs.info.Sparse[c.k].Time):
+		c.key = persist.Key{Time: c.cs.info.Sparse[c.k].Time}
+	}
+	return true
 }

@@ -140,12 +140,14 @@ func (g *segment) timeBounds(from, to time.Time) (int, int) {
 
 // candidateSet picks the cheapest index for the query and returns candidate
 // ordinals: every event when no index applies, none when an index proves
-// the segment holds no match. Caller holds the shard read lock.
-func (g *segment) candidateSet(q Query) []int {
-	best, indexed := g.byTime, false
-	consider := func(ords []int) {
+// the segment holds no match. ordered reports a stretch of the time index,
+// already in (time, seq) order; the other indexes list ordinals in append
+// order, a fresh slice the caller may sort. Caller holds the shard read lock.
+func (g *segment) candidateSet(q Query) (ords []int, ordered bool) {
+	best, indexed, ordered := g.byTime, false, true
+	consider := func(ords []int, byTime bool) {
 		if !indexed || len(ords) < len(best) {
-			best, indexed = ords, true
+			best, indexed, ordered = ords, true, byTime
 		}
 	}
 	if len(q.Themes) > 0 {
@@ -155,7 +157,7 @@ func (g *segment) candidateSet(q Query) []int {
 		}
 		sort.Ints(merged)
 		merged = dedupeInts(merged)
-		consider(merged)
+		consider(merged, false)
 	}
 	if len(q.Sources) > 0 {
 		var merged []int
@@ -164,7 +166,7 @@ func (g *segment) candidateSet(q Query) []int {
 		}
 		sort.Ints(merged)
 		merged = dedupeInts(merged)
-		consider(merged)
+		consider(merged, false)
 	}
 	if q.Region != nil {
 		minCell := geo.CellOf(q.Region.Min, gridCellDeg)
@@ -179,14 +181,14 @@ func (g *segment) candidateSet(q Query) []int {
 				}
 			}
 			sort.Ints(merged)
-			consider(merged)
+			consider(merged, false)
 		}
 	}
 	if !q.From.IsZero() || !q.To.IsZero() {
 		lo, hi := g.timeBounds(q.From, q.To)
-		consider(g.byTime[lo:hi])
+		consider(g.byTime[lo:hi], true)
 	}
-	return best
+	return best, ordered
 }
 
 // trimOldest evicts the n oldest events (by the time index) and rebuilds

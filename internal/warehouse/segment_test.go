@@ -229,11 +229,11 @@ func TestCandidateSetProvesAbsence(t *testing.T) {
 		"absent theme":            {Themes: []string{"social"}},
 		"absent source in window": {Sources: []string{"nobody"}, From: t0.Add(10 * time.Second), To: t0.Add(15 * time.Second)},
 	} {
-		if n := len(g.candidateSet(q)); n != 0 {
-			t.Errorf("%s: %d candidates, want 0", name, n)
+		if ords, _ := g.candidateSet(q); len(ords) != 0 {
+			t.Errorf("%s: %d candidates, want 0", name, len(ords))
 		}
 	}
-	if n := len(g.candidateSet(Query{})); n != 100 {
-		t.Errorf("unconstrained: %d candidates, want 100", n)
+	if ords, ordered := g.candidateSet(Query{}); len(ords) != 100 || !ordered {
+		t.Errorf("unconstrained: %d candidates (time-ordered %v), want 100 time-ordered", len(ords), ordered)
 	}
 }

@@ -123,8 +123,10 @@ type Query struct {
 }
 
 // QueryStats reports how segment pruning served one query: Scanned segments
-// had their indexes consulted, Pruned segments were skipped outright because
-// their time envelope missed the query window.
+// had their indexes consulted — for Select and a limited Count, those the
+// merge gave a cursor, whether or not the page filled before it was read —
+// Pruned segments were skipped outright because their time envelope missed
+// the query window.
 type QueryStats struct {
 	SegmentsScanned int `json:"segments_scanned"`
 	SegmentsPruned  int `json:"segments_pruned"`
@@ -481,7 +483,7 @@ func (w *Warehouse) compactAll(maxEvents int) {
 	// join the walk by their envelope keys alone; only one that is
 	// partially consumed (the boundary file) is read back from disk.
 	var cursors []*segCursor
-	h := &cursorHeap{}
+	h := &cursorHeap[*segCursor]{}
 	for _, s := range w.shards {
 		for _, seg := range s.segs {
 			c := &segCursor{sh: s, mem: seg}
@@ -701,33 +703,38 @@ func (c *segCursor) timeAt(i int) time.Time {
 	return c.cold.loaded[i].Tuple.Time
 }
 
-// cursorHeap is a min-heap of segment cursors ordered by head key.
-type cursorHeap []*segCursor
+// cursorHeap is a min-heap of cursors ordered by head key: the retention
+// cut's segment cursors and the select merge's cursors.
+type cursorHeap[C interface{ head() persist.Key }] []C
 
-func (h cursorHeap) Len() int           { return len(h) }
-func (h cursorHeap) Less(i, j int) bool { return h[i].head().Less(h[j].head()) }
-func (h cursorHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *cursorHeap) Push(x any)        { *h = append(*h, x.(*segCursor)) }
-func (h *cursorHeap) Pop() any {
+func (h cursorHeap[C]) Len() int           { return len(h) }
+func (h cursorHeap[C]) Less(i, j int) bool { return h[i].head().Less(h[j].head()) }
+func (h cursorHeap[C]) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *cursorHeap[C]) Push(x any)        { *h = append(*h, x.(C)) }
+func (h *cursorHeap[C]) Pop() any {
 	old := *h
 	n := len(old)
 	c := old[n-1]
-	old[n-1] = nil
+	var zero C
+	old[n-1] = zero
 	*h = old[:n-1]
 	return c
 }
 
-// routedShards returns the shards a query must visit: all of them, unless a
-// source constraint pins it to the shards those sources hash to.
+// routedShards returns the shards a query must visit, in shard-index order:
+// all of them, unless a source constraint pins it to the shards those
+// sources hash to.
 func (w *Warehouse) routedShards(q Query) []*shard {
 	if len(q.Sources) == 0 || len(w.shards) == 1 {
 		return w.shards
 	}
-	seen := make(map[*shard]bool, len(q.Sources))
-	routed := make([]*shard, 0, len(q.Sources))
+	hit := make([]bool, len(w.shards))
 	for _, src := range q.Sources {
-		if s := w.shardFor(src); !seen[s] {
-			seen[s] = true
+		hit[w.shardFor(src).idx] = true
+	}
+	var routed []*shard
+	for i, s := range w.shards {
+		if hit[i] {
 			routed = append(routed, s)
 		}
 	}
@@ -753,109 +760,49 @@ func forEachShard(shards []*shard, fn func(i int, s *shard)) {
 
 // Select returns the events matching the query in (event time, Seq) order,
 // capped at q.Limit when set, plus how pruning and the cold cache served it.
-// Shards are scanned concurrently and their sorted results merged; a
-// source-constrained query visits only the shards those sources hash to.
-// When ctx carries a trace (obs.WithTrace) the call records one span per
-// shard visited and a merge span — the ?trace=1 explain path. A cancelled
-// ctx stops the scan at the next segment and returns ctx.Err().
+// It is one lazy merge (mergeShards) over the cold files and hot segments of
+// the routed shards — all of them, unless a source constraint pins the query
+// to the shards those sources hash to — that stops once the page is full: a
+// limit is a reason not to read a chunk, and a cold chunk the page never
+// reaches is never decoded. The routed shards are read-locked, in shard-index
+// order, for the whole merge. When ctx carries a trace (obs.WithTrace) the
+// call records one span per shard visited and a merge span — the ?trace=1
+// explain path. A cancelled ctx stops the merge before its next chunk read
+// and returns ctx.Err().
 func (w *Warehouse) Select(ctx context.Context, q Query) ([]Event, QueryStats, error) {
 	t0 := w.met.selectQ.Start()
 	defer w.met.selectQ.Since(t0)
 	pl := scanPlan{Query: q, proj: persist.FullProjection}
-	vs, _, qs, err := scanShards(ctx, w, &pl, func() *selectVisitor { return &selectVisitor{limit: q.Limit} })
+	var out []Event
+	if q.Limit > 0 {
+		out = make([]Event, 0, min(q.Limit, 1<<16))
+	}
+	qs, err := mergeShards(ctx, w, &pl, q.Limit, func(ev Event) { out = append(out, ev) })
 	if err != nil {
 		return nil, qs, err
 	}
-	msp := obs.TraceFrom(ctx).Start("merge")
-	parts := make([][]Event, len(vs))
-	for i, v := range vs {
-		parts[i] = v.out
-	}
-	out := mergeEvents(parts, q.Limit)
-	msp.SetInt("events", int64(len(out)))
-	msp.End()
 	return out, qs, nil
 }
 
-// selectVisitor collects a shard's matches and sorts them.
-type selectVisitor struct {
-	noShortcuts
-	limit int
-	out   []Event
-}
-
-func (v *selectVisitor) event(ev Event) error {
-	v.out = append(v.out, ev)
-	return nil
-}
-
-func (v *selectVisitor) done() int {
-	persist.SortEvents(v.out)
-	// The globally-earliest Limit events are contained in the union of each
-	// shard's earliest Limit matches, so capping here is safe and keeps the
-	// merge cost bounded.
-	if v.limit > 0 && len(v.out) > v.limit {
-		v.out = v.out[:v.limit]
-	}
-	return len(v.out)
-}
-
-// mergeEvents k-way merges per-shard results already sorted by
-// (time, Seq), honoring the limit.
-func mergeEvents(parts [][]Event, limit int) []Event {
-	nonEmpty := parts[:0]
-	total := 0
-	for _, p := range parts {
-		if len(p) > 0 {
-			nonEmpty = append(nonEmpty, p)
-			total += len(p)
-		}
-	}
-	switch len(nonEmpty) {
-	case 0:
-		return nil
-	case 1:
-		out := nonEmpty[0]
-		if limit > 0 && len(out) > limit {
-			out = out[:limit]
-		}
-		return out
-	}
-	if limit > 0 && total > limit {
-		total = limit
-	}
-	out := make([]Event, 0, total)
-	pos := make([]int, len(nonEmpty))
-	for len(out) < total {
-		best := -1
-		for i, p := range nonEmpty {
-			if pos[i] >= len(p) {
-				continue
-			}
-			if best < 0 || eventLess(p[pos[i]], nonEmpty[best][pos[best]]) {
-				best = i
-			}
-		}
-		out = append(out, nonEmpty[best][pos[best]])
-		pos[best]++
-	}
-	return out
-}
-
-func eventLess(a, b Event) bool { return persist.CompareEvents(a, b) < 0 }
-
 // Count returns the number of matching events — at most q.Limit when set —
-// without materializing or sorting them, with the same telemetry, tracing
-// and cancellation as Select. A query constrained by time alone touches no
+// without materializing them, with the same telemetry, tracing and
+// cancellation as Select. A query constrained by time alone touches no
 // event: covered cold files contribute their header count, in-memory
 // segments a binary-searched slice of their time index, and only a
 // partially covered cold file reads its boundary chunks back. Anything else
-// decodes the filter's columns (everything, under a Cond) and counts.
+// decodes the filter's columns (everything, under a Cond) and counts; with a
+// limit it walks Select's merge and stops at the limit-th match.
 func (w *Warehouse) Count(ctx context.Context, q Query) (int, QueryStats, error) {
 	t0 := w.met.selectQ.Start()
 	defer w.met.selectQ.Since(t0)
 	pl := scanPlan{Query: q, proj: q.projection()}
 	timeOnly := q.Region == nil && len(q.Themes) == 0 && len(q.Sources) == 0 && q.Cond == ""
+	if q.Limit > 0 && !timeOnly {
+		// Select's merge, for its stop: nothing past the limit-th match is read.
+		n := 0
+		qs, err := mergeShards(ctx, w, &pl, q.Limit, func(Event) { n++ })
+		return n, qs, err
+	}
 	vs, _, qs, err := scanShards(ctx, w, &pl, func() *countVisitor { return &countVisitor{q: &pl.Query, timeOnly: timeOnly} })
 	if err != nil {
 		return 0, qs, err

@@ -2,12 +2,14 @@ package warehouse
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"streamloader/internal/geo"
+	"streamloader/internal/persist"
 	"streamloader/internal/stt"
 )
 
@@ -309,6 +311,171 @@ func TestQuickSelectEqualsNaiveScan(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestQuickSelectDurableEqualsSortAll holds Select's merge to the obvious
+// answer over the disk path: every live event of the store gathered, then
+// filtered, sorted and truncated. The store is Opened, spills and compacts,
+// is reopened with compaction off and spills again — several overlapping
+// cold files per shard, some with a retention skip, beside hot and
+// straggler segments — and hundreds of events share each event time, so
+// seqs order most of the page. Limits of 1, a chunk and one past it, and
+// more than the window hit the merge's stop; theme, source and region
+// filters make hot segments answer from index lists kept in append order.
+func TestQuickSelectDurableEqualsSortAll(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		dir := t.TempDir()
+		cfg := Config{
+			Shards: 4, SegmentEvents: 300, SegmentSpan: 24 * time.Hour,
+			DataDir: dir, HotSegments: 1, Sync: persist.SyncNever, CompactBelow: 400,
+		}
+		if rng.Intn(2) == 0 {
+			cfg.ColdCacheBytes = -1
+		}
+		ingest := func(w *Warehouse, n int) {
+			for i := 0; i < n; i++ {
+				at := time.Duration(rng.Intn(20)) * time.Minute
+				var tup *stt.Tuple
+				if rng.Intn(4) == 0 {
+					tup = sTuple(at, "text")
+				} else {
+					tup = wTuple(at, float64(rng.Intn(40)), fmt.Sprintf("st-%d", rng.Intn(6)),
+						34.5+rng.Float64()*0.4, 135.3+rng.Float64()*0.4)
+				}
+				if err := w.Append(tup); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w.DrainSpills()
+		}
+		w, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ingest(w, 4000)
+		w.CompactNow()
+		if w.Stats().Compactions == 0 {
+			t.Errorf("seed %d: nothing compacted", seed)
+			return false
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cfg.CompactBelow = -1
+		if w, err = Open(cfg); err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		ingest(w, 4000)
+		if rng.Intn(3) == 0 {
+			w.SetRetention(5000 + rng.Intn(2500))
+		}
+		if w.Stats().SegmentsCold < 8 {
+			t.Errorf("seed %d: only %d cold files", seed, w.Stats().SegmentsCold)
+			return false
+		}
+		all := gatherLive(t, w)
+		for i := 0; i < 30; i++ {
+			q := randomPageQuery(rng, len(all))
+			got, _, err := w.Select(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sortAllThenTruncate(all, q)
+			if len(got) != len(want) {
+				t.Errorf("seed %d %s: %d events, want %d", seed, queryString(q), len(got), len(want))
+				return false
+			}
+			for j := range got {
+				if got[j].Seq != want[j].Seq {
+					t.Errorf("seed %d %s: [%d] seq %d, want %d", seed, queryString(q), j, got[j].Seq, want[j].Seq)
+					return false
+				}
+			}
+			if q.Limit > 0 {
+				n, _, err := w.Count(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != len(want) {
+					t.Errorf("seed %d %s: count %d, want %d", seed, queryString(q), n, len(want))
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 6}); err != nil {
+		t.Error(err)
+	}
+}
+
+// gatherLive reads every live event of a store the slow way: each cold file
+// whole, past its retention skip, and every in-memory segment.
+func gatherLive(t *testing.T, w *Warehouse) []Event {
+	t.Helper()
+	var all []Event
+	for _, s := range w.shards {
+		s.mu.RLock()
+		for _, cs := range s.cold {
+			evs, _, err := cs.info.ReadRangeProjected(nil, cs.skip, cs.info.Count, persist.FullProjection)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, evs...)
+		}
+		for _, seg := range s.segs {
+			all = append(all, seg.events...)
+		}
+		s.mu.RUnlock()
+	}
+	if len(all) != w.Len() {
+		t.Fatalf("gathered %d events, store holds %d", len(all), w.Len())
+	}
+	return all
+}
+
+// sortAllThenTruncate is the answer Select must give: filter everything,
+// sort by (time, seq), cut at the limit.
+func sortAllThenTruncate(all []Event, q Query) []Event {
+	var out []Event
+	conds := condCache{}
+	for _, ev := range all {
+		if ok, _ := matchEvent(ev, &q, conds); ok {
+			out = append(out, ev)
+		}
+	}
+	persist.SortEvents(out)
+	if q.Limit > 0 && len(out) > q.Limit {
+		out = out[:q.Limit]
+	}
+	return out
+}
+
+// randomPageQuery draws a window (sometimes open-ended), filters and a
+// limit: none, 1, a chunk, a chunk and one, arbitrary, or past the store.
+func randomPageQuery(rng *rand.Rand, total int) Query {
+	var q Query
+	if rng.Intn(4) > 0 {
+		a, b := rng.Intn(21), rng.Intn(21)
+		q.From, q.To = t0.Add(time.Duration(min(a, b))*time.Minute), t0.Add(time.Duration(max(a, b)+1)*time.Minute)
+	}
+	switch rng.Intn(6) {
+	case 0:
+		q.Themes = []string{"weather"}
+	case 1:
+		q.Themes = []string{"social"}
+	case 2:
+		q.Sources = []string{fmt.Sprintf("st-%d", rng.Intn(6)), "twitter-1"}[:1+rng.Intn(2)]
+	case 3:
+		q.Region = &geo.Rect{Min: geo.Point{Lat: 34.6, Lon: 135.4}, Max: geo.Point{Lat: 34.75, Lon: 135.55}}
+	case 4:
+		q.Cond = fmt.Sprintf("temperature > %d", rng.Intn(40))
+	}
+	limits := []int{0, 1, persist.IndexEvery, persist.IndexEvery + 1, 1 + rng.Intn(total), total + 100}
+	q.Limit = limits[rng.Intn(len(limits))]
+	return q
 }
 
 func TestRetention(t *testing.T) {
