@@ -19,10 +19,11 @@
 // benchmarks and demos use.
 //
 // With -data-dir the warehouse is durable: appends go through a per-shard
-// write-ahead log (fsync per -fsync: never, always, interval, or a
-// duration like 250ms), cold segments beyond -hot-segments per shard are
-// flushed to disk by a background spiller (so ingest never stalls on a
-// segment write), and a restart recovers everything that was acked.
+// write-ahead log (fsync per -fsync: never; always, before each ack; or
+// interval, by a background syncer 100ms, or a duration like 250ms, after
+// a shard's first unsynced append), cold segments beyond -hot-segments per
+// shard are flushed to disk by a background spiller (so ingest never stalls
+// on a segment write), and a restart recovers everything that was acked.
 // Queries over spilled history go through an LRU of decoded chunks sized
 // by -cold-cache-bytes, so repeated window queries over the same history
 // hit RAM instead of disk. A background compactor merges cold files
@@ -78,7 +79,7 @@ func main() {
 		segEvents = flag.Int("segment-events", warehouse.DefaultSegmentEvents, "events per warehouse segment before rotation")
 		segSpan   = flag.Duration("segment-span", warehouse.DefaultSegmentSpan, "event-time span one warehouse segment covers before rotation")
 		dataDir   = flag.String("data-dir", "", "warehouse data directory (empty: in-memory only)")
-		fsync     = flag.String("fsync", "interval", "WAL fsync policy: never, always, interval, or a duration")
+		fsync     = flag.String("fsync", "interval", "WAL fsync policy: never, always (each append, before its ack), interval (a background fsync of each shard log 100ms after its first unsynced append), or a duration (interval at that period)")
 		hotSegs   = flag.Int("hot-segments", warehouse.DefaultHotSegments, "sealed in-memory segments per shard before spilling to disk (negative: never spill)")
 		coldCache = flag.Int64("cold-cache-bytes", warehouse.DefaultColdCacheBytes, "budget for the LRU of decoded cold-segment chunks (negative: disable)")
 		compBelow = flag.Int("compact-below", 0, "merge cold segment files smaller than this many events into neighbors (0: half of -segment-events; negative: disable compaction)")

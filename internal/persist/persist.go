@@ -23,11 +23,15 @@
 // one record — a schema definition or a batch of events — as
 // [length][CRC32C][payload], buffered into a single write(2) so an acked
 // batch is in the kernel even under SyncNever. Fsync is governed by
-// SyncPolicy: SyncAlways syncs once per append (batch-coalesced), the
-// default SyncInterval syncs when the configured interval has elapsed since
-// the last sync, SyncNever leaves flushing to the OS. Files rotate at
-// SegmentBytes; each fresh file re-states every known schema definition so
-// any file can be decoded after its predecessors are checkpointed away.
+// SyncPolicy: SyncAlways syncs once per append (batch-coalesced), before it
+// returns; under the default SyncInterval an append only marks the file, and
+// the owner's SyncDirty call, a period later, syncs it, beside later appends
+// and with none of the owner's locks held; SyncNever leaves flushing to the
+// OS. A failed fsync of acked appends is sticky: the kernel may have dropped
+// their pages, so every later append fails rather than be acked past it.
+// Files rotate at SegmentBytes; each fresh file re-states every known schema
+// definition so any file can be decoded after its predecessors are
+// checkpointed away.
 //
 // Replay walks the files in order and stops a file at the first frame whose
 // length or checksum does not hold, truncating the torn tail so the next
@@ -77,8 +81,10 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncInterval (the default) fsyncs on the first append after
-	// SyncEvery has elapsed since the previous sync.
+	// SyncInterval (the default) leaves fsync off the append path: the
+	// log's owner calls WAL.SyncDirty, which syncs a file that took appends
+	// since the last sync. The warehouse calls it SyncEvery after the first
+	// such append (WAL.UnsyncedSince).
 	SyncInterval SyncPolicy = iota
 	// SyncNever leaves flushing entirely to the OS page cache.
 	SyncNever

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"streamloader/internal/obs"
@@ -34,24 +36,22 @@ const frameHeader = 8
 
 // WALOptions configure one write-ahead log.
 type WALOptions struct {
+	// Sync is the fsync policy. The log keeps no timer: under SyncInterval
+	// its owner calls SyncDirty when UnsyncedSince says a sync is due.
 	Sync         SyncPolicy
-	SyncEvery    time.Duration // SyncInterval period; 0 = DefaultSyncEvery
-	SegmentBytes int64         // rotation threshold; 0 = DefaultSegmentBytes
+	SegmentBytes int64 // rotation threshold; 0 = DefaultSegmentBytes
 	// MinFile floors the first file number OpenWAL creates. File numbers
 	// must never fall behind a recorded ShardMark — reusing a number a
 	// checkpoint freed would put fresh records "before" the mark and
 	// expose them to a watermark that never saw them.
 	MinFile int
-	// WriteHist/SyncHist time Append's buffer write and fsync syscalls;
+	// WriteHist/SyncHist time the log's buffer writes and fsync syscalls;
 	// nil handles are no-ops (obs.Histogram is nil-safe).
 	WriteHist *obs.Histogram
 	SyncHist  *obs.Histogram
 }
 
 func (o WALOptions) withDefaults() WALOptions {
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = DefaultSyncEvery
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = DefaultSegmentBytes
 	}
@@ -66,8 +66,22 @@ type WALFileInfo struct {
 	Size   int64
 }
 
-// WAL is a segmented append-only log. It is not internally synchronized:
-// the warehouse serializes all calls under the owning shard's lock.
+// fileSync is the one fsync of a log file; tests swap it to fail.
+var fileSync = (*os.File).Sync
+
+// monoClock is the origin of dirtySince: durations since it are read off
+// the monotonic clock, which a wall-clock step cannot move.
+var monoClock = time.Now()
+
+// WAL is a segmented append-only log.
+//
+// Concurrency: the caller serializes Append, DropObsolete, Bytes, Position,
+// Close and CloseHard (the warehouse calls them under the owning shard's
+// lock). SyncDirty, Sync and UnsyncedSince may run beside any of them, on
+// another goroutine and with no caller lock held: that is the SyncInterval
+// syncer. fileMu makes a sync and a file swap (rotation, close, a broken
+// rewind) exclusive, so a sync never reaches a closed file and a swap waits
+// for a sync in flight; Append's write itself takes no WAL lock.
 type WAL struct {
 	dir  string
 	opts WALOptions
@@ -81,10 +95,20 @@ type WAL struct {
 	sealed []WALFileInfo
 	bytes  int64 // total live bytes, sealed + current
 
-	dict     *schemaDict
-	buf      []byte
-	lastSync time.Time
-	closed   bool
+	dict *schemaDict
+	buf  []byte
+
+	// fileMu guards f and closed against a sync: the caller's lock covers
+	// every other access, and a write to either holds both.
+	fileMu sync.Mutex
+	closed bool
+	// dirtySince is when the first append after the last fsync began
+	// reached the current file, as monoClock's reading plus one; 0 while no
+	// append awaits an fsync. failed holds the first error of an fsync that
+	// covered acked appends: the kernel may have dropped those pages, so no
+	// later fsync vouches for them, and every later Append fails with it.
+	dirtySince atomic.Int64
+	failed     atomic.Pointer[error]
 }
 
 func walFileName(n int) string { return fmt.Sprintf("wal-%08d.log", n) }
@@ -192,10 +216,15 @@ func (w *WAL) appendSchemaRecord(id uint64, s *stt.Schema) error {
 // Append logs a batch of events: any schemas not yet defined in the current
 // file are framed first, then one event-batch frame, all flushed in a
 // single write so the batch reaches the kernel atomically with the ack.
-// Fsync follows the configured policy.
+// Under SyncAlways it fsyncs before it returns; otherwise it only marks the
+// file for the next SyncDirty. After a failed fsync of acked appends it
+// fails with that error.
 func (w *WAL) Append(events []Event) error {
 	if w.closed {
 		return fmt.Errorf("persist: WAL is closed")
+	}
+	if err := w.failed.Load(); err != nil {
+		return fmt.Errorf("persist: an earlier WAL fsync failed: %w", *err)
 	}
 	if len(events) == 0 {
 		return nil
@@ -238,7 +267,7 @@ func (w *WAL) Append(events []Event) error {
 	w.opts.WriteHist.Since(t0)
 	if w.opts.Sync == SyncAlways {
 		t0 := w.opts.SyncHist.Start()
-		if err := w.f.Sync(); err != nil {
+		if err := fileSync(w.f); err != nil {
 			// The frame is intact but the batch is about to be reported
 			// failed: take it back out, or replay would resurrect events
 			// the caller was told were not stored.
@@ -246,26 +275,14 @@ func (w *WAL) Append(events []Event) error {
 			return err
 		}
 		w.opts.SyncHist.Since(t0)
+	} else {
+		w.dirtySince.CompareAndSwap(0, int64(time.Since(monoClock))+1)
 	}
 	w.fileSize += int64(len(w.buf))
 	w.bytes += int64(len(w.buf))
 	w.fileInfo.Events += len(events)
 	w.fileInfo.MaxSeq = maxSeq
 	w.fileInfo.Size = w.fileSize
-
-	if w.opts.Sync == SyncInterval {
-		if now := time.Now(); now.Sub(w.lastSync) >= w.opts.SyncEvery {
-			w.lastSync = now
-			t0 := w.opts.SyncHist.Start()
-			defer w.opts.SyncHist.Since(t0)
-			if err := w.f.Sync(); err != nil {
-				// The batch is durable-to-kernel and will be reported
-				// stored; surfacing the sync error would double-report.
-				// Leave it for the next sync or Close to surface.
-				w.lastSync = time.Time{}
-			}
-		}
-	}
 	return nil
 }
 
@@ -274,22 +291,26 @@ func (w *WAL) Append(events []Event) error {
 // itself broken: failing future appends is strictly better than acking
 // writes placed beyond a torn frame that replay will cut.
 func (w *WAL) rewind() {
-	if err := w.f.Truncate(w.fileSize); err != nil {
-		w.closed = true
-		w.f.Close()
-		return
+	err := w.f.Truncate(w.fileSize)
+	if err == nil {
+		_, err = w.f.Seek(w.fileSize, 0)
 	}
-	if _, err := w.f.Seek(w.fileSize, 0); err != nil {
+	if err != nil {
+		w.fileMu.Lock()
 		w.closed = true
 		w.f.Close()
+		w.fileMu.Unlock()
 	}
 }
 
 // rotate seals the current file and starts the next one. The fresh file
 // re-states every known schema so it can be decoded standalone once
-// earlier files are checkpointed away.
+// earlier files are checkpointed away. The sealed file is synced first, and
+// the swap excludes a concurrent SyncDirty.
 func (w *WAL) rotate() error {
-	if err := w.f.Sync(); err != nil {
+	w.fileMu.Lock()
+	defer w.fileMu.Unlock()
+	if err := w.syncLocked(); err != nil {
 		return err
 	}
 	if err := w.f.Close(); err != nil {
@@ -345,33 +366,82 @@ func (w *WAL) Bytes() int64 { return w.bytes }
 // size. Every record logged from now on sits at or past it.
 func (w *WAL) Position() Pos { return Pos{File: w.fileNum, Off: w.fileSize} }
 
-// Sync forces an fsync of the current file regardless of policy.
+// Sync forces an fsync of the current file regardless of policy. It
+// returns the error of any failed fsync before it too: from then on the log
+// cannot vouch for what it acked.
 func (w *WAL) Sync() error {
-	if w.closed {
-		return nil
-	}
-	t0 := w.opts.SyncHist.Start()
-	defer w.opts.SyncHist.Since(t0)
-	return w.f.Sync()
+	w.fileMu.Lock()
+	defer w.fileMu.Unlock()
+	return w.syncLocked()
 }
 
-// Close syncs and closes the log. Further appends fail.
-func (w *WAL) Close() error {
+// SyncDirty fsyncs the current file if an append reached it since the last
+// fsync: the SyncInterval policy's one sync, which its owner calls once
+// UnsyncedSince says one is due. A failed fsync is returned by the call that
+// met it, and from then on fails every Append; later calls find nothing to
+// sync.
+func (w *WAL) SyncDirty() error {
+	if w.dirtySince.Load() == 0 {
+		return nil
+	}
+	w.fileMu.Lock()
+	defer w.fileMu.Unlock()
+	if w.dirtySince.Load() == 0 || w.failed.Load() != nil {
+		return nil // a failure is reported by the call that met it
+	}
+	return w.syncLocked()
+}
+
+// UnsyncedSince reports when the oldest append that no fsync has covered
+// yet reached the file, and false when every append is covered.
+func (w *WAL) UnsyncedSince() (time.Time, bool) {
+	d := w.dirtySince.Load()
+	return monoClock.Add(time.Duration(d - 1)), d != 0
+}
+
+// syncLocked fsyncs the current file and records a failure. Caller holds
+// fileMu.
+func (w *WAL) syncLocked() error {
 	if w.closed {
 		return nil
 	}
-	w.closed = true
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return err
+	if err := w.failed.Load(); err != nil {
+		return *err
 	}
-	return w.f.Close()
+	// Cleared before the fsync: an append that lands during it marks the
+	// file again, and the next sync covers it.
+	w.dirtySince.Store(0)
+	t0 := w.opts.SyncHist.Start()
+	err := fileSync(w.f)
+	w.opts.SyncHist.Since(t0)
+	if err != nil {
+		w.failed.Store(&err)
+	}
+	return err
+}
+
+// Close syncs and closes the log. Further appends fail. It reports a failed
+// fsync, this one's or an earlier one's, before a failed close.
+func (w *WAL) Close() error {
+	w.fileMu.Lock()
+	defer w.fileMu.Unlock()
+	if w.closed {
+		return nil
+	}
+	err := w.syncLocked()
+	w.closed = true
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // CloseHard closes the log without syncing, simulating a crash: whatever
 // the OS has not flushed is at the kernel's mercy, exactly as after a
 // process kill. For recovery tests.
 func (w *WAL) CloseHard() {
+	w.fileMu.Lock()
+	defer w.fileMu.Unlock()
 	if w.closed {
 		return
 	}

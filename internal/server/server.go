@@ -628,7 +628,11 @@ func writeNDJSON(w http.ResponseWriter, lines func(yield func(v any) bool)) bool
 // keys, non-finite numbers as null. The page is encoded by appending into
 // one buffer that is handed to the connection every pageFlushBytes — no
 // per-event map, no reflection — and is byte for byte the document
-// encoding/json produced from maps.
+// encoding/json produced from maps. The page's events go through one
+// stt.PageEncoder, on the JSON and the NDJSON path alike: a page of one
+// minute from a few sensors repeats its _time, _lat, _lon, _source and
+// _theme from event to event, and a repeat is copied, not formatted again.
+// All of it runs after Select has returned, with no shard lock held.
 //
 // &format=ndjson streams the page as newline-delimited JSON instead of one
 // buffered array: one {"seq","event"} object per line, flushed
@@ -744,9 +748,10 @@ func (s *Server) handleWarehouseQuery(w http.ResponseWriter, r *http.Request) {
 		if wantTrace {
 			summary["trace"] = tr.Report()
 		}
+		line := new(pageLine)
 		writeNDJSON(w, func(yield func(v any) bool) {
 			for i := range evs {
-				if !yield((*pageEvent)(&evs[i])) {
+				if line.ev = &evs[i]; !yield(line) {
 					return
 				}
 			}
@@ -779,11 +784,12 @@ func (s *Server) handleWarehouseQuery(w http.ResponseWriter, r *http.Request) {
 	buf = append(buf, `{"count":`...)
 	buf = strconv.AppendInt(buf, int64(len(evs)), 10)
 	buf = append(buf, `,"events":[`...)
+	var enc stt.PageEncoder
 	for i := range evs {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = (*pageEvent)(&evs[i]).AppendJSON(buf)
+		buf = appendPageEvent(buf, &enc, &evs[i])
 		if len(buf) >= pageFlushBytes {
 			if _, err := w.Write(buf); err != nil {
 				return // client gone
@@ -803,17 +809,27 @@ func (s *Server) handleWarehouseQuery(w http.ResponseWriter, r *http.Request) {
 // allocation beside the events it renders.
 const pageFlushBytes = 64 << 10
 
-// pageEvent is the wire form of one query match: {"seq":N,"event":{…}},
-// the same on a JSON page and on an NDJSON line.
-type pageEvent warehouse.Event
-
-func (ev *pageEvent) AppendJSON(dst []byte) []byte {
+// appendPageEvent appends the wire form of one query match,
+// {"seq":N,"event":{…}}, the same on a JSON page and on an NDJSON line. A
+// page's matches go through one encoder, which writes a coordinate that
+// repeats the previous match's as a copy of its bytes.
+func appendPageEvent(dst []byte, enc *stt.PageEncoder, ev *warehouse.Event) []byte {
 	dst = append(dst, `{"seq":`...)
 	dst = strconv.AppendUint(dst, ev.Seq, 10)
 	dst = append(dst, `,"event":`...)
-	dst = ev.Tuple.AppendJSON(dst)
+	dst = enc.AppendJSON(dst, ev.Tuple)
 	return append(dst, '}')
 }
+
+// pageLine is the NDJSON line of a page's current match. One pageLine is
+// yielded for every match in turn: boxing the same pointer costs no
+// allocation, and its encoder keeps its memory from line to line.
+type pageLine struct {
+	enc stt.PageEncoder
+	ev  *warehouse.Event
+}
+
+func (l *pageLine) AppendJSON(dst []byte) []byte { return appendPageEvent(dst, &l.enc, l.ev) }
 
 // statusClientClosedRequest is nginx's code for a request whose client left
 // before the answer: nobody reads it, and it stays out of the 5xx count.

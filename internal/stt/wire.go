@@ -67,8 +67,40 @@ func wireKeys(fields []Field, index map[string]int) []wireKey {
 // order. The bytes are exactly what encoding/json writes for the equivalent
 // map[string]any (sorted keys, its float format, its string escaping), with
 // one deliberate difference: a NaN or ±Inf payload value, which
-// encoding/json refuses, is written as null.
+// encoding/json refuses, is written as null. It is a PageEncoder with no
+// memory.
 func (t *Tuple) AppendJSON(dst []byte) []byte {
+	return (*PageEncoder)(nil).AppendJSON(dst, t)
+}
+
+// PageEncoder writes the wire forms of a run of events — one query page —
+// and remembers the STT coordinates (_time, _lat, _lon, _source, _theme) it
+// last wrote, with their bytes. Tuples are aligned to their schema's
+// granularity and a sensor does not move, so a page repeats its
+// coordinates from event to event; a repeat is copied instead of formatted
+// again. The output is byte for byte Tuple.AppendJSON's.
+//
+// A coordinate is a repeat when its key equals the remembered one: a time
+// by time.Equal (one instant, whatever its Location, is one UTC string), a
+// float by its bits (so 0 and -0 stay distinct), a string by equality. The
+// memory covers the coordinates only, never a payload field that shares a
+// meta key's name.
+//
+// The zero value is ready to use, and a nil *PageEncoder remembers nothing.
+// A PageEncoder is not safe for concurrent use.
+type PageEncoder struct {
+	// The keys of the coordinates last written. The zero value is a key
+	// like any other: time.Time{}, +0, "".
+	time          time.Time // without a monotonic reading
+	lat, lon      uint64    // math.Float64bits
+	source, theme string
+	// out holds the bytes of each key, empty until the key repeats: a
+	// coordinate's wire form is never empty.
+	out [metaTime + 1][]byte
+}
+
+// AppendJSON appends t's wire form to dst.
+func (e *PageEncoder) AppendJSON(dst []byte, t *Tuple) []byte {
 	dst = append(dst, '{')
 	open := len(dst)
 	for _, k := range t.Schema.wire {
@@ -85,22 +117,74 @@ func (t *Tuple) AppendJSON(dst []byte) []byte {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, k.quoted...)
-		switch meta {
-		case metaNone:
+		if meta == metaNone {
 			dst = t.Values[k.field].AppendJSON(dst)
-		case metaLat:
-			dst = AppendJSONFloat(dst, t.Lat)
-		case metaLon:
-			dst = AppendJSONFloat(dst, t.Lon)
-		case metaSource:
-			dst = AppendJSONString(dst, t.Source)
-		case metaTheme:
-			dst = AppendJSONString(dst, t.Theme)
-		case metaTime:
-			dst = AppendJSONTime(dst, t.Time)
+		} else {
+			dst = e.appendMeta(dst, meta, t)
 		}
 	}
 	return append(dst, '}')
+}
+
+// appendMeta appends t's coordinate m, copied when it repeats the last one
+// written. A new key is only remembered; its bytes are kept once it
+// repeats, so a coordinate that changes with every event costs one
+// comparison more than formatting, and a run of one value formats it twice.
+func (e *PageEncoder) appendMeta(dst []byte, m metaKey, t *Tuple) []byte {
+	if e == nil {
+		return formatMeta(dst, m, t)
+	}
+	switch m {
+	case metaLat:
+		if bits := math.Float64bits(t.Lat); bits != e.lat {
+			e.lat, e.out[m] = bits, e.out[m][:0]
+			return AppendJSONFloat(dst, t.Lat)
+		}
+	case metaLon:
+		if bits := math.Float64bits(t.Lon); bits != e.lon {
+			e.lon, e.out[m] = bits, e.out[m][:0]
+			return AppendJSONFloat(dst, t.Lon)
+		}
+	case metaSource:
+		if t.Source != e.source {
+			e.source, e.out[m] = t.Source, e.out[m][:0]
+			return AppendJSONString(dst, t.Source)
+		}
+	case metaTheme:
+		if t.Theme != e.theme {
+			e.theme, e.out[m] = t.Theme, e.out[m][:0]
+			return AppendJSONString(dst, t.Theme)
+		}
+	default:
+		// e.time carries no monotonic reading, so Equal compares instants.
+		if !t.Time.Equal(e.time) {
+			e.time, e.out[m] = t.Time.Round(0), e.out[m][:0]
+			return AppendJSONTime(dst, t.Time)
+		}
+	}
+	if len(e.out[m]) > 0 {
+		return append(dst, e.out[m]...)
+	}
+	start := len(dst)
+	dst = formatMeta(dst, m, t)
+	e.out[m] = append(e.out[m], dst[start:]...)
+	return dst
+}
+
+// formatMeta appends t's coordinate m, formatted.
+func formatMeta(dst []byte, m metaKey, t *Tuple) []byte {
+	switch m {
+	case metaLat:
+		return AppendJSONFloat(dst, t.Lat)
+	case metaLon:
+		return AppendJSONFloat(dst, t.Lon)
+	case metaSource:
+		return AppendJSONString(dst, t.Source)
+	case metaTheme:
+		return AppendJSONString(dst, t.Theme)
+	default:
+		return AppendJSONTime(dst, t.Time)
+	}
 }
 
 // MarshalJSON makes the wire form what encoding/json writes for a tuple.

@@ -3,6 +3,7 @@ package stt
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -184,4 +185,194 @@ func FuzzTupleAppendJSON(f *testing.F) {
 			Time: when, Lat: lat, Lon: lon, Theme: theme, Source: source,
 		})
 	})
+}
+
+// checkPage asserts that one PageEncoder writes tups, back to back, as the
+// concatenation of their memoryless AppendJSON forms — twice over, so the
+// second page starts from the first one's memory.
+func checkPage(t *testing.T, tups []*Tuple) {
+	t.Helper()
+	var want []byte
+	for _, tup := range tups {
+		want = tup.AppendJSON(want)
+	}
+	var e PageEncoder
+	for pass := 0; pass < 2; pass++ {
+		got := []byte("prefix")
+		for _, tup := range tups {
+			got = e.AppendJSON(got, tup)
+		}
+		if !bytes.Equal(got[len("prefix"):], want) {
+			t.Fatalf("pass %d: PageEncoder differs from AppendJSON per tuple:\n got %s\nwant %s", pass, got[len("prefix"):], want)
+		}
+	}
+}
+
+func TestPageEncoderMatchesAppendJSON(t *testing.T) {
+	plain := MustSchema([]Field{NewField("v", KindFloat, "")}, GranSecond, SpatPoint)
+	shadow := MustSchema([]Field{
+		NewField("_source", KindString, ""),
+		NewField("_theme", KindString, ""),
+		NewField("_time", KindString, ""),
+		NewField("v", KindFloat, ""),
+	}, GranSecond, SpatPoint)
+	when := time.Date(2016, 3, 15, 9, 41, 0, 0, time.UTC)
+	at := func(lat, lon float64, tm time.Time, source, theme string) *Tuple {
+		return &Tuple{Schema: plain, Values: []Value{Float(lat)}, Time: tm, Lat: lat, Lon: lon, Source: source, Theme: theme}
+	}
+	negZero := math.Copysign(0, -1)
+	nan := math.NaN()
+	// Two readings of the same instant: time.Now() carries a monotonic
+	// reading, its Round(0) copy does not; Add keeps the reading.
+	now := time.Now()
+	shadowed := func(source, theme, fs, fth, ft string) *Tuple {
+		return &Tuple{Schema: shadow, Values: []Value{String(fs), String(fth), String(ft), Float(1)},
+			Time: when, Source: source, Theme: theme}
+	}
+
+	cases := map[string][]*Tuple{
+		"lat 0 then -0": {at(0, 1, when, "s", "t"), at(negZero, 1, when, "s", "t"), at(0, 1, when, "s", "t")},
+		"lon -0 then 0": {at(1, negZero, when, "s", "t"), at(1, 0, when, "s", "t")},
+		"non-finite": {
+			at(nan, math.Inf(1), when, "s", "t"), at(nan, math.Inf(1), when, "s", "t"),
+			at(math.Inf(-1), nan, when, "s", "t"), at(math.Inf(1), math.Inf(-1), when, "s", "t"),
+			at(1, 2, when, "s", "t"),
+		},
+		"one instant in different locations": {
+			at(1, 2, when, "s", "t"),
+			at(1, 2, when.In(time.FixedZone("JST", 9*3600)), "s", "t"),
+			at(1, 2, when.In(time.FixedZone("", -3*3600-1800)), "s", "t"),
+			at(1, 2, when.Add(time.Nanosecond).In(time.FixedZone("JST", 9*3600)), "s", "t"),
+		},
+		"monotonic readings": {
+			at(1, 2, now, "s", "t"), at(1, 2, now.Round(0), "s", "t"),
+			at(1, 2, now.Add(time.Millisecond), "s", "t"), at(1, 2, now.Add(time.Millisecond).Round(0), "s", "t"),
+			at(1, 2, now, "s", "t"),
+		},
+		"zero time": {at(1, 2, time.Time{}, "s", "t"), at(1, 2, time.Time{}, "s", "t"), at(1, 2, when, "s", "t")},
+		"sources and themes change": {
+			at(1, 2, when, "a", "x"), at(1, 2, when, "a", "x"), at(1, 2, when, "b", "x"),
+			at(1, 2, when, "b", "y"), at(1, 2, when, "", ""), at(1, 2, when, "a", "x"),
+			at(1, 2, when, "<&>", " "), at(1, 2, when, "<&>", " "),
+		},
+		// An empty coordinate hands the key to the payload field of that
+		// name; the field's value must never be taken for the coordinate's,
+		// nor the other way round.
+		"empty source and theme beside fields named like them": {
+			shadowed("src", "th", "f1", "g1", "h1"),
+			shadowed("", "", "f1", "g1", "h1"),
+			shadowed("", "", "f2", "g2", "h2"),
+			shadowed("f2", "g2", "f2", "g2", "h2"),
+			shadowed("", "", "src", "th", "h3"),
+			shadowed("src", "th", "src", "th", "h3"),
+			shadowed("", "th", "x", "y", "z"),
+			shadowed("src", "", "x", "y", "z"),
+		},
+		// _time always has its coordinate, so the field of that name never
+		// shows; a changing field value must not disturb the memory.
+		"payload field named _time": {
+			shadowed("s", "t", "a", "b", "2016-03-15T09:41:00Z"),
+			shadowed("s", "t", "a", "b", "other"),
+			{Schema: shadow, Values: []Value{String("a"), String("b"), String("c"), Float(2)},
+				Time: when.Add(time.Minute), Source: "s", Theme: "t"},
+		},
+		"short tuple beside meta-named fields": {
+			{Schema: shadow, Values: []Value{String("only")}, Time: when},
+			{Schema: shadow, Values: []Value{String("only")}, Time: when, Source: "s"},
+			shadowed("", "", "f", "g", "h"),
+		},
+		"mixed schemas": {
+			at(1, 2, when, "s", "t"), shadowed("s", "t", "a", "b", "c"),
+			at(1, 2, when, "s", "t"), shadowed("", "", "s", "t", "c"),
+		},
+	}
+	for name, tups := range cases {
+		t.Run(name, func(t *testing.T) { checkPage(t, tups) })
+	}
+}
+
+// FuzzPageEncoder drives a run of tuples whose coordinates, by the bits of
+// pick, repeat or change from event to event, through one PageEncoder and
+// through AppendJSON tuple by tuple. A fuzzed field name can shadow any
+// meta key; the coordinates may be non-finite, -0, empty or in any zone.
+func FuzzPageEncoder(f *testing.F) {
+	f.Add("v", 34.7, 135.5, int64(1458034860), int64(0), int32(0), "osaka-1", "osaka-2", "weather", uint64(0x5a5a))
+	f.Add("_source", 0.0, math.Copysign(0, -1), int64(-1), int64(999999999), int32(9*3600), "", "s", "", uint64(0xf0f0))
+	f.Add("_theme", math.NaN(), math.Inf(-1), int64(0), int64(1), int32(-12345), "<&>", "", " ", uint64(0x1234))
+	f.Add("_time", 1e-7, 1e21, int64(253402300799), int64(5), int32(1), "a\xffb", "a\xffb", "t", ^uint64(0))
+	f.Fuzz(func(t *testing.T, name string, lat, lon float64, sec, nsec int64, zone int32,
+		src1, src2, theme string, pick uint64) {
+		s, err := NewSchema([]Field{NewField("f", KindFloat, ""), NewField(name, KindString, "")}, GranSecond, SpatPoint)
+		if err != nil {
+			t.Skip("fuzzed field name is empty or taken")
+		}
+		base := time.Unix(sec, nsec)
+		tups := make([]*Tuple, 16)
+		for i := range tups {
+			b := pick >> (4 * (i % 16))
+			tup := &Tuple{Schema: s, Values: []Value{Float(lat), String(src2)},
+				Time: base, Lat: lat, Lon: lon, Source: src1, Theme: theme}
+			if b&1 != 0 {
+				tup.Lat, tup.Lon = lon, lat
+			}
+			if b&2 != 0 {
+				tup.Source, tup.Values[1] = src2, String(src1)
+			}
+			if b&4 != 0 {
+				tup.Time = base.In(time.FixedZone("", int(zone%(18*3600))))
+			}
+			if b&8 != 0 {
+				tup.Time, tup.Theme = base.Add(time.Duration(i)), ""
+			}
+			tups[i] = tup
+		}
+		checkPage(t, tups)
+	})
+}
+
+// BenchmarkPageEncoder encodes a 5000-event page with one float payload per
+// event, without and with the encoder's memory. "repeats" is bench-shaped:
+// one minute from 8 sources in 256-event runs. "distinct" changes every
+// coordinate from one event to the next, so the memory never pays.
+func BenchmarkPageEncoder(b *testing.B) {
+	for _, page := range []struct {
+		name string
+		tups []*Tuple
+	}{{"repeats", benchPage(256)}, {"distinct", benchPage(1)}} {
+		for _, tc := range []struct {
+			name string
+			enc  *PageEncoder
+		}{{"memoryless", nil}, {"page", new(PageEncoder)}} {
+			b.Run(page.name+"/"+tc.name, func(b *testing.B) {
+				buf := make([]byte, 0, 1<<20)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					buf = buf[:0]
+					for _, tup := range page.tups {
+						buf = tc.enc.AppendJSON(buf, tup)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(page.tups)), "ns/event")
+			})
+		}
+	}
+}
+
+// benchPage builds 5000 events from 8 sources taking turns in runs of the
+// given length. Runs of one also advance the time by a second per event.
+func benchPage(run int) []*Tuple {
+	s := MustSchema([]Field{NewField("temperature", KindFloat, "celsius")}, GranSecond, SpatPoint, "temperature")
+	minute := time.Date(2016, 3, 15, 9, 41, 0, 0, time.UTC)
+	tups := make([]*Tuple, 5000)
+	for i := range tups {
+		src := i / run % 8
+		when := minute
+		if run == 1 {
+			when = minute.Add(time.Duration(i) * time.Second)
+		}
+		tups[i] = &Tuple{Schema: s, Values: []Value{Float(15 + float64(i%97)/8)},
+			Time: when, Lat: 34.6 + float64(src)/100, Lon: 135.4 + float64(src)/100,
+			Theme: fmt.Sprintf("theme-%d", src%2), Source: fmt.Sprintf("temperature-%d", src+1)}
+	}
+	return tups
 }

@@ -274,9 +274,19 @@
 // Ingest durability comes from a per-shard write-ahead log: Append and
 // AppendBatch frame each shard sub-batch as one CRC-checked record and
 // write it before the events become visible, so a nil return means the
-// batch survives a process crash. Config.Sync picks the fsync policy —
-// SyncAlways (one sync per call), the default SyncInterval (coalesced to
-// one per Config.SyncEvery), or SyncNever (OS page cache only).
+// batch survives a process crash. Config.Sync picks the fsync policy that
+// makes it survive a machine crash too:
+//
+//   - SyncAlways fsyncs each shard sub-batch before the ack, under the
+//     shard write lock.
+//   - SyncInterval, the default, leaves the commit path alone: one
+//     background goroutine fsyncs each shard WAL Config.SyncEvery after the
+//     first append since its last fsync, holding no shard lock
+//     (walsync.go). An acked batch is on disk within about one period,
+//     whether or not more ingest follows it. A failed fsync is logged once,
+//     and that shard's appends fail from then on: the kernel may have
+//     dropped the pages, so nothing is acked past it.
+//   - SyncNever leaves the log to the OS page cache.
 //
 // Capacity beyond RAM comes from spilling: once a shard holds more than
 // Config.HotSegments sealed in-memory segments, the oldest are flushed to

@@ -101,7 +101,6 @@ func Open(cfg Config) (*Warehouse, error) {
 	}
 	walOpts := persist.WALOptions{
 		Sync:         cfg.Sync,
-		SyncEvery:    cfg.SyncEvery,
 		SegmentBytes: cfg.WALBytes,
 		WriteHist:    w.met.walWrite,
 		SyncHist:     w.met.walSync,
@@ -177,6 +176,13 @@ func Open(cfg Config) (*Warehouse, error) {
 		}
 	}
 	w.count.Store(int64(total))
+	if cfg.Sync == persist.SyncInterval {
+		every := cfg.SyncEvery
+		if every <= 0 {
+			every = persist.DefaultSyncEvery
+		}
+		w.startWALSyncer(every)
+	}
 	w.spill.start()
 	if w.compact != nil {
 		w.compact.start()
@@ -448,6 +454,7 @@ func (w *Warehouse) Close() error {
 		// never touch the WAL.
 		w.compact.close()
 	}
+	w.stopWALSyncer()
 	var first error
 	for _, s := range w.shards {
 		s.mu.Lock()
@@ -485,6 +492,7 @@ func (w *Warehouse) CloseHard() {
 		// an in-flight compaction may need a shard lock to finish its step.
 		w.compact.abort()
 	}
+	w.stopWALSyncer()
 	for _, s := range w.shards {
 		s.mu.Lock()
 		if s.wal != nil {

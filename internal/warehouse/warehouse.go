@@ -59,8 +59,9 @@ type Config struct {
 	// the warehouse purely in-memory. Only Open honors it; NewWithConfig
 	// always builds an in-memory store.
 	DataDir string
-	// Sync is the WAL fsync policy (default: persist.SyncInterval, which
-	// coalesces syncs to at most one per SyncEvery).
+	// Sync is the WAL fsync policy (default: persist.SyncInterval, under
+	// which a background goroutine fsyncs a shard's WAL SyncEvery after its
+	// first unsynced append, off the commit path; see doc.go).
 	Sync persist.SyncPolicy
 	// SyncEvery is the SyncInterval period (default 100ms).
 	SyncEvery time.Duration
@@ -206,6 +207,8 @@ type Warehouse struct {
 	spill     *spiller
 	compact   *compactor
 	coldCache *persist.ChunkCache
+	// walSync fsyncs the WALs under SyncInterval; nil otherwise.
+	walSync *walSyncer
 
 	// retMu serializes retention changes and global compactions, which
 	// need every shard lock (always taken in shard order).
@@ -304,9 +307,9 @@ func (w *Warehouse) shardFor(source string) *shard {
 
 // Append stores one event. The tuple is retained as-is and must not be
 // mutated afterwards (executor tuples are never mutated downstream). In
-// durable mode the event is logged — and synced, per the fsync policy —
-// before it becomes visible, so a returned nil means the event survives a
-// crash.
+// durable mode the event is logged before it becomes visible — and, under
+// SyncAlways, synced — so a returned nil means the event survives a process
+// crash, and a machine crash per the fsync policy.
 func (w *Warehouse) Append(t *stt.Tuple) error {
 	if t == nil || t.Schema == nil {
 		return fmt.Errorf("warehouse: nil tuple")
