@@ -207,7 +207,7 @@ func WriteSegment(path string, events []Event) (*SegmentInfo, error) {
 		block = appendChunkV3(block, chunk, dict, &scratch)
 		info.Sparse = append(info.Sparse, SparseEntry{
 			Pos: start, Time: chunk[0].Tuple.Time, Off: int64(off),
-			CRC: checksum(block[off:]), Stats: chunkStatsFor(chunk),
+			CRC: checksum(block[off:]), Stats: ChunkStatsFor(chunk),
 		})
 	}
 	for _, ev := range events {
@@ -285,9 +285,11 @@ func WriteSegment(path string, events []Event) (*SegmentInfo, error) {
 	return info, nil
 }
 
-// chunkStatsFor summarizes one chunk's events (already in (time, seq)
-// order) for the sparse index.
-func chunkStatsFor(events []Event) *ChunkStats {
+// ChunkStatsFor summarizes one chunk's events for the sparse index. The
+// events must be in time order (MaxTime is the last one's time). It is the
+// one definition of chunk stats: the segment writer calls it per file chunk,
+// and the warehouse per chunk of a sealed in-memory segment.
+func ChunkStatsFor(events []Event) *ChunkStats {
 	cs := &ChunkStats{
 		MaxTime:            events[len(events)-1].Tuple.Time,
 		SourceCounts:       map[string]int{},

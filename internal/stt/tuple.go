@@ -63,13 +63,23 @@ func (t *Tuple) MustGet(name string) Value {
 	return v
 }
 
-// Validate checks that every value matches its declared field kind
-// (null is allowed for any field) and that STT metadata respects the
-// schema's granularities.
-func (t *Tuple) Validate() error {
+// CheckArity reports a tuple whose value count differs from its schema's
+// field count: Get and every slot-resolved read index Values by the
+// schema's field positions, so such a tuple must never be stored.
+func (t *Tuple) CheckArity() error {
 	if len(t.Values) != t.Schema.NumFields() {
 		return fmt.Errorf("stt: arity mismatch: %d values vs %d fields",
 			len(t.Values), t.Schema.NumFields())
+	}
+	return nil
+}
+
+// Validate checks the arity (CheckArity), that every value matches its
+// declared field kind (null is allowed for any field) and that STT
+// metadata respects the schema's granularities.
+func (t *Tuple) Validate() error {
+	if err := t.CheckArity(); err != nil {
+		return err
 	}
 	for i, v := range t.Values {
 		f := t.Schema.Field(i)

@@ -180,47 +180,34 @@ func (p *aggPlan) scanPlan() scanPlan {
 	return scanPlan{Query: p.Query, proj: proj}
 }
 
-// contribution resolves whether one event contributes and with what value.
-func (p *aggPlan) contribution(t *stt.Tuple) (float64, bool) {
-	if p.bareCount {
-		return 0, true
-	}
-	v, ok := t.Get(p.Field)
-	if p.Func == ops.AggCount {
-		return 0, ok && !v.IsNull()
-	}
-	if !ok || !v.Kind().Numeric() {
-		return 0, false
-	}
-	return v.AsFloat(), true
-}
-
-// keyOf builds the group key (and bucket start) for one event.
-func (p *aggPlan) keyOf(t *stt.Tuple) (partial.Key, time.Time) {
-	var bs time.Time
-	if p.Bucket > 0 {
-		bs = t.Time.Truncate(p.Bucket)
-	}
-	source, theme := "", ""
-	if p.groupSource {
-		source = t.Source
-	}
-	if p.groupTheme {
-		theme = t.Theme
-	}
-	return partial.BucketKey(bs, source, theme), bs
-}
-
 // aggVisitor folds matching events into per-group partial states: into the
 // flat group map of one scan, or — for a standing view's tap and checkpoint
 // tail fold — into the bucketed store, where each event files under the
 // frame of its own bucket so retention cuts and window expiry can drop whole
 // frames later.
+//
+// A visitor lives for one fold (a shard's scan, a tap's onCommit) and
+// memoizes what consecutive events repeat: the aggregated field's slot in
+// the last schema seen, and the last group an event landed in with the
+// coordinates that pick it, so a run of events in one group pays one group
+// lookup, not one per event. Groups are never removed while a visitor
+// folds, so the remembered state stays the group's.
 type aggVisitor struct {
 	noShortcuts
 	p     *aggPlan
 	flat  map[partial.Key]*partial.State
 	store *partial.Store
+
+	// schema is the last event schema seen, slot the field's index in it
+	// (-1: the schema lacks the field).
+	schema *stt.Schema
+	slot   int
+	// last is the group the last folded event landed in: the events of
+	// source lastSource and theme lastTheme (the grouped-on values, empty
+	// otherwise) in the bucket [lastFrom, lastTo) — any time, unbucketed.
+	last                  *partial.State
+	lastFrom, lastTo      time.Time
+	lastSource, lastTheme string
 }
 
 // group returns the state of one group, nil when creating it would exceed
@@ -240,17 +227,65 @@ func (v *aggVisitor) group(key partial.Key, bs time.Time) *partial.State {
 	return st
 }
 
-// event folds one matching event.
-func (v *aggVisitor) event(ev Event) error {
-	f, ok := v.p.contribution(ev.Tuple)
-	if !ok {
-		return nil
+// groupOf returns the state of the group t falls in: the remembered one
+// while t's grouped-on values match it and its time stays in its bucket,
+// else the group looked up afresh, which is then remembered. Nil when
+// creating the group would exceed the cardinality bound.
+func (v *aggVisitor) groupOf(t *stt.Tuple) *partial.State {
+	p := v.p
+	source, theme := "", ""
+	if p.groupSource {
+		source = t.Source
 	}
-	st := v.group(v.p.keyOf(ev.Tuple))
+	if p.groupTheme {
+		theme = t.Theme
+	}
+	if v.last != nil && source == v.lastSource && theme == v.lastTheme &&
+		(p.Bucket <= 0 || !t.Time.Before(v.lastFrom) && t.Time.Before(v.lastTo)) {
+		return v.last
+	}
+	var bs time.Time
+	if p.Bucket > 0 {
+		bs = t.Time.Truncate(p.Bucket)
+	}
+	st := v.group(partial.BucketKey(bs, source, theme), bs)
+	if st != nil {
+		v.last, v.lastSource, v.lastTheme = st, source, theme
+		v.lastFrom, v.lastTo = bs, bs.Add(p.Bucket)
+	}
+	return st
+}
+
+// event folds one matching event. Only events carrying the field
+// contribute to a field aggregate: with a non-null value for COUNT, a
+// numeric one for the others; a bare COUNT takes every event.
+func (v *aggVisitor) event(ev Event) error {
+	t, p := ev.Tuple, v.p
+	var f float64
+	if !p.bareCount {
+		if t.Schema != v.schema {
+			v.schema, v.slot = t.Schema, t.Schema.IndexOf(p.Field)
+		}
+		if v.slot < 0 {
+			return nil
+		}
+		val := t.Values[v.slot]
+		if p.Func == ops.AggCount {
+			if val.IsNull() {
+				return nil
+			}
+		} else {
+			if !val.Kind().Numeric() {
+				return nil
+			}
+			f = val.AsFloat()
+		}
+	}
+	st := v.groupOf(t)
 	if st == nil {
 		return errAggGroups
 	}
-	if v.p.Func == ops.AggCount {
+	if p.Func == ops.AggCount {
 		st.ObserveCount(1)
 	} else {
 		st.Observe(f)
@@ -388,25 +423,27 @@ func (v *aggVisitor) addStats(bs time.Time, source, theme string, fs persist.Fie
 	return nil
 }
 
-// chunk extends the header fast path one level down: it folds chunk k of a
-// cold file (event ordinals [start, end)) from its sparse-index stats
-// alone, without a decode. A chunk is stats-answerable when it is wholly
-// live (no retention skip inside it), its [min, max] time envelope lands
-// inside the query window and — under bucketing — in one bucket, there is no
-// Region or Cond, and the filter and grouping resolve from the chunk's count
-// maps: a bare COUNT folds per-source or per-theme counts exactly like the
-// header path; a field aggregate needs every chunk event to pass the filter
-// and a uniform group key, and then folds the chunk's per-field
-// Num/Sum/Min/Max frame. A chunk the filter provably rejects outright (no
-// matching source or theme present) is answered too — with nothing. The
-// error is only ever group-cardinality overflow.
-func (v *aggVisitor) chunk(cs *coldSegment, k, start, end int) (bool, error) {
+// hotChunks reports whether chunk can answer anything of this plan: it
+// cannot under a Region or Cond, which no chunk stats describe.
+func (v *aggVisitor) hotChunks() bool { return v.p.Region == nil && v.p.Cond == "" }
+
+// chunk extends the header fast path one level down: it folds a chunk of n
+// events — of a cold file or of a sealed in-memory segment — from its stats
+// alone, without a decode or a per-event fold. A chunk is stats-answerable
+// when its [minTime, MaxTime] envelope lands inside the query window and —
+// under bucketing — in one bucket, there is no Region or Cond, and the
+// filter and grouping resolve from the chunk's count maps: a bare COUNT
+// folds per-source or per-theme counts exactly like the header path; a
+// field aggregate needs every chunk event to pass the filter and a uniform
+// group key, and then folds the chunk's per-field Num/Sum/Min/Max frame. A
+// chunk the filter provably rejects outright (no matching source or theme
+// present) is answered too — with nothing. The error is only ever
+// group-cardinality overflow.
+func (v *aggVisitor) chunk(st *persist.ChunkStats, minTime time.Time, n int) (bool, error) {
 	p := v.p
-	st := cs.info.Sparse[k].Stats
-	if st == nil || start < cs.skip || p.Region != nil || p.Cond != "" {
+	if !v.hotChunks() {
 		return false, nil
 	}
-	minTime := cs.info.Sparse[k].Time
 	if !p.From.IsZero() && minTime.Before(p.From) {
 		return false, nil
 	}
@@ -421,7 +458,6 @@ func (v *aggVisitor) chunk(cs *coldSegment, k, start, end int) (bool, error) {
 		}
 		bs = hb
 	}
-	n := end - start
 
 	// Resolve the source filter against the chunk: srcMatched is the exact
 	// number of chunk events passing it (always computable — per-source

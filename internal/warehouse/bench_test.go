@@ -15,7 +15,9 @@ import (
 	"streamloader/internal/geo"
 	"streamloader/internal/obs"
 	"streamloader/internal/ops"
+	"streamloader/internal/partial"
 	"streamloader/internal/persist"
+	"streamloader/internal/sensor"
 	"streamloader/internal/stt"
 )
 
@@ -1555,4 +1557,130 @@ func BenchmarkViewRetentionCut(b *testing.B) {
 				speedup, rounds, ratios)
 		}
 	})
+}
+
+// foldCounter counts the events an aggregate folds one by one, beside the
+// fold itself.
+type foldCounter struct {
+	*aggVisitor
+	folded int
+}
+
+func (c *foldCounter) event(ev Event) error {
+	c.folded++
+	return c.aggVisitor.event(ev)
+}
+
+// BenchmarkAggregateBenchShaped runs the bench's aggregate shape — a
+// two-minute AVG(temperature) by source in one-minute buckets — over the
+// bench's in-memory store: its fleet (three temperature stations, two
+// humidity, one rain, one river and one traffic sensor at 50 Hz, made with
+// sensor.New), 16 shards and default segments, 17 minutes of history
+// appended in 256-event batches per source. It reports the events folded
+// one by one and the sealed-segment chunks answered from their chunk index
+// per query, both averaged over every window position, and gates the first
+// at its value with the chunk index: counts, which repeat on any machine.
+// Without the index, each query folds every event of its window.
+func BenchmarkAggregateBenchShaped(b *testing.B) {
+	const (
+		hz       = 50
+		minutes  = 17
+		window   = 2
+		maxFolds = 4640 // the count with sealed-segment chunk stats; a change that folds fewer lowers it
+	)
+	type member struct {
+		typ      sensor.Type
+		n        int
+		variants []int
+	}
+	fleet := []member{
+		{sensor.TypeTemperature, 3, []int{0, 1, 2}},
+		{sensor.TypeHumidity, 2, []int{0, 0}},
+		{sensor.TypeRain, 1, []int{0}},
+		{sensor.TypeRiverLevel, 1, []int{1}},
+		{sensor.TypeTraffic, 1, []int{0}},
+	}
+	var sensors []*sensor.Sensor
+	for _, m := range fleet {
+		for i := 0; i < m.n; i++ {
+			s, err := sensor.New(sensor.Spec{
+				ID: fmt.Sprintf("%s-%d", m.typ, i+1), Type: m.typ,
+				Location:    geo.Point{Lat: 34.6 + 0.01*float64(len(sensors)), Lon: 135.45},
+				Seed:        1 + int64(len(sensors))*7919,
+				UnitVariant: m.variants[i], FrequencyHz: hz,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sensors = append(sensors, s)
+		}
+	}
+	w := NewWithConfig(Config{Shards: 16})
+	period := time.Second / hz
+	batch := make([]*stt.Tuple, 0, persist.IndexEvery)
+	for from := t0; from.Before(t0.Add(minutes * time.Minute)); from = from.Add(persist.IndexEvery * period) {
+		to := from.Add(persist.IndexEvery * period)
+		for _, s := range sensors {
+			batch = batch[:0]
+			s.Emit(from, to, func(t *stt.Tuple) bool {
+				batch = append(batch, t)
+				return true
+			})
+			if err := w.AppendBatch(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	queries := make([]AggQuery, 0, minutes-window+1)
+	for m := 0; m+window <= minutes; m++ {
+		from := t0.Add(time.Duration(m) * time.Minute)
+		queries = append(queries, AggQuery{
+			Query: Query{From: from, To: from.Add(window * time.Minute)},
+			Func:  ops.AggAvg, Field: "temperature", GroupBy: []string{"source"}, Bucket: time.Minute,
+		})
+	}
+
+	// The counts, once per window position: the fold through a counting
+	// visitor, the answered chunks off the query itself.
+	var folded, answered int
+	for _, q := range queries {
+		p, err := q.plan()
+		if err != nil {
+			b.Fatal(err)
+		}
+		pl := p.scanPlan()
+		vs, _, _, err := scanShards(context.Background(), w, &pl, func() *foldCounter {
+			return &foldCounter{aggVisitor: &aggVisitor{p: &p, flat: map[partial.Key]*partial.State{}}}
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, v := range vs {
+			folded += v.folded
+		}
+		_, qs, err := w.Aggregate(context.Background(), q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		answered += qs.HotChunkStats
+	}
+	perQuery := float64(folded) / float64(len(queries))
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, _, err := w.Aggregate(context.Background(), queries[i%len(queries)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rows) == 0 {
+			b.Fatal("empty aggregate")
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(perQuery, "events-folded/op")
+	b.ReportMetric(float64(answered)/float64(len(queries)), "hot-chunks-answered/op")
+	if perQuery > maxFolds {
+		b.Fatalf("a query folds %.1f events one by one, gate %d", perQuery, maxFolds)
+	}
 }

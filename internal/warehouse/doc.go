@@ -68,9 +68,18 @@
 // first, whole rows only for the stretches that hold a match. A surviving
 // in-memory segment is offered whole, then walked over its cheapest index —
 // theme, source, spatial grid or time; an index with no entry for what the
-// query asks proves the segment empty. Cold files go oldest first, chunks in
-// file order, then segments in creation order, so float partials fold in the
-// same order run to run.
+// query asks proves the segment empty. When that index is the time index and
+// the segment is sealed, its chunks go through the same chunk walk as a
+// file's (see the hot-segment paragraph of the next section). Cold files go
+// oldest first, chunks in file order, then segments in creation order, so
+// float partials fold in the same order run to run.
+//
+// The chunk walk is one function for both kinds of unit. visitor.chunk is
+// handed a chunk's stats, its earliest event time and its event count —
+// never the unit — and answers true when the stats settle the chunk. The
+// kernel owns the preconditions: a cold chunk is offered only when it has
+// stats and lies wholly past the file's retention skip, a hot chunk only
+// from a sealed segment's chunk index, and neither under a seq floor.
 //
 // The visitors are small. Count's takes a covered cold file's header count
 // and a binary-searched slice of a segment's time index when the window is
@@ -141,6 +150,35 @@
 // BenchmarkAggregatePartialCover holds a partially-covering SUM to
 // decoding its boundary chunks only.
 //
+// Sealed in-memory segments answer chunks from the same stats. A sealed
+// segment no longer changes until a retention trim rebuilds it, so the first
+// aggregate that walks one over its time index builds a chunk index, the
+// in-memory twin of a file's sparse index: one entry per persist.IndexEvery
+// events of the time index, with the stats persist.ChunkStatsFor computes
+// for a file chunk — one definition for both. The build is lazy and paid
+// once per segment: it runs under the shard read lock and publishes through
+// an atomic pointer, so two racing builders only duplicate work. It never runs on the ingest path, never for select or
+// count, never for the active hot or out-of-order segment (appends still
+// reorder its time index), and never under a Region or Cond, which no chunk
+// stats describe; such a segment keeps its cheapest index, so no
+// index-served query shape folds more events than it did. trimOldest, under
+// the write lock, clears the index with the rows it rebuilds; the next
+// aggregate builds it afresh. The chunk rules are the cold ones, and the
+// unanswered runs fold event by event in time-index order.
+// QueryStats.HotChunkStats counts the chunks answered per query; it stays off
+// the wire (json "-"), so query replies keep their members.
+// BenchmarkAggregateBenchShaped gates the events the bench's aggregate shape
+// folds one by one per query.
+//
+// The fold of the events that remain memoizes what consecutive events
+// repeat. An aggregate visitor lives for one fold — a shard's scan, or a
+// view tap's onCommit — and keeps the aggregated field's slot in the last
+// schema it saw (schemas compare by pointer) and the last group an event
+// landed in, with that group's source, theme and bucket bounds: the next
+// event of the same group reuses it without truncating its time or hashing
+// a group key. Groups are only ever added while a visitor folds, so the
+// remembered state stays valid.
+//
 // A chunk is encoded column-wise: timestamps as delta-of-delta varints,
 // sequence numbers as deltas, schema/theme/source as chunk-local
 // dictionary-coded runs, and payload values as per-position typed columns.
@@ -197,8 +235,10 @@
 // handoff fed a checkpoint instead of a scan. No history is scanned under a
 // write lock, and teardown cancels a scan in flight. Reads
 // (View.Rows) merge the per-shard partials with the pushdown's exact merge
-// arithmetic, so a view's state is byte-identical to running Aggregate at
-// the same instant; the model checker's Subscribe op asserts exactly that
+// arithmetic, so a view's state equals running Aggregate at the same
+// instant — byte-identical up to float addition order, which differs where
+// chunk stats settled events on one side and the tap folded them one by one
+// on the other; the model checker's Subscribe op asserts exactly that
 // at every quiescent point. Identical (query, policy) registrations share
 // one view via a refcounted registry.
 //

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"streamloader/internal/obs"
 	"streamloader/internal/persist"
@@ -54,15 +55,22 @@ func (q *Query) projection() persist.Projection {
 }
 
 // visitor is what a scan feeds: select collects, count counts, aggregate
-// folds. The three shortcuts let a visitor answer a whole unit from
-// statistics instead of its events — true means answered, and the kernel
-// moves on without reading the unit.
+// folds. The shortcuts let a visitor answer a whole unit, or one chunk of
+// it, from statistics instead of its events — true means answered, and the
+// kernel moves on without reading what was answered.
 type visitor interface {
 	// file may answer a whole cold file from its envelope and header counts.
 	file(cs *coldSegment) (bool, error)
-	// chunk may answer chunk k of a cold file, event ordinals [start, end),
-	// from its sparse-index stats.
-	chunk(cs *coldSegment, k, start, end int) (bool, error)
+	// chunk may answer one chunk of n events, the earliest at minTime, from
+	// its stats. The kernel offers a chunk only when its stats describe
+	// exactly the events the visitor would otherwise see: a cold file's
+	// chunks wholly past the retention skip, and the chunks of a sealed
+	// in-memory segment's chunk index. The chunk may straddle the query
+	// window; answering it is the visitor's call.
+	chunk(st *persist.ChunkStats, minTime time.Time, n int) (bool, error)
+	// hotChunks reports whether chunk could answer anything of this plan, so
+	// a sealed in-memory segment's chunk index is worth building.
+	hotChunks() bool
 	// segment may answer an in-memory segment from its indexes.
 	segment(g *segment) bool
 	// event takes one matching event.
@@ -75,9 +83,10 @@ type visitor interface {
 // noShortcuts is embedded by visitors that lack some or all shortcuts.
 type noShortcuts struct{}
 
-func (noShortcuts) file(*coldSegment) (bool, error)                 { return false, nil }
-func (noShortcuts) chunk(*coldSegment, int, int, int) (bool, error) { return false, nil }
-func (noShortcuts) segment(*segment) bool                           { return false }
+func (noShortcuts) file(*coldSegment) (bool, error)                         { return false, nil }
+func (noShortcuts) chunk(*persist.ChunkStats, time.Time, int) (bool, error) { return false, nil }
+func (noShortcuts) hotChunks() bool                                         { return false }
+func (noShortcuts) segment(*segment) bool                                   { return false }
 
 // scanner is the state of one shard-local scan.
 type scanner struct {
@@ -100,10 +109,13 @@ var rowBufs = sync.Pool{New: func() any { return new(persist.RowBuf) }}
 // is offered to the visitor whole, then chunk by chunk, and only the runs
 // of chunks left unanswered are read back, with the plan's projection, and
 // filtered exactly; a surviving in-memory segment is offered whole, then
-// walked over its cheapest index. Visit order is fixed — cold files oldest
-// first, chunks in file order, then segments in creation order — so float
-// partials fold in the same order run to run. The context is checked before
-// each file and segment. Caller holds s.mu; read suffices.
+// walked over its cheapest index. When that index is the time index, a
+// sealed segment's chunks are offered too, through the same chunk walk as a
+// file's, and only the unanswered runs are filtered. Visit order is fixed —
+// cold files oldest first, chunks in file order, then segments in creation
+// order — so float partials fold in the same order run to run. The context
+// is checked before each file and segment. Caller holds s.mu; read
+// suffices.
 func (s *shard) scan(ctx context.Context, pl *scanPlan, v visitor) (QueryStats, error) {
 	sc := scanner{pl: pl, v: v, conds: condCache{}, rows: rowBufs.Get().(*persist.RowBuf)}
 	defer rowBufs.Put(sc.rows)
@@ -132,7 +144,23 @@ func (s *shard) scan(ctx context.Context, pl *scanPlan, v visitor) (QueryStats, 
 		if pl.minSeq == 0 && v.segment(seg) {
 			continue
 		}
-		ords, _ := seg.candidateSet(pl.Query)
+		ords, ordered := seg.candidateSet(pl.Query)
+		if ordered && pl.minSeq == 0 && seg != s.hot && seg != s.ooo && v.hotChunks() {
+			// ords is byTime[lo:hi]: walk it chunk by chunk.
+			lo, hi := seg.timeBounds(pl.From, pl.To)
+			err := sc.chunks(seg.chunkIndex(), seg.len(), 0, lo, hi, &sc.qs.HotChunkStats, func(a, b int) error {
+				for _, ord := range seg.byTime[a:b] {
+					if err := sc.visit(seg.events[ord]); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				return sc.qs, err
+			}
+			continue
+		}
 		for _, ord := range ords {
 			if err := sc.visit(seg.events[ord]); err != nil {
 				return sc.qs, err
@@ -144,9 +172,8 @@ func (s *shard) scan(ctx context.Context, pl *scanPlan, v visitor) (QueryStats, 
 
 // cold walks one cold file that survived envelope pruning.
 func (sc *scanner) cold(cs *coldSegment) error {
-	pl, info := sc.pl, cs.info
-	shortcuts := pl.minSeq == 0
-	if shortcuts {
+	pl := sc.pl
+	if pl.minSeq == 0 {
 		answered, err := sc.v.file(cs)
 		if err != nil {
 			return err
@@ -170,12 +197,26 @@ func (sc *scanner) cold(cs *coldSegment) error {
 		return nil
 	}
 	read := sc.reader()
-	// Chunks the visitor answers from stats split the window into runs; a
-	// run is read as one stretch, in order, so the fold order is that of
-	// decoding everything.
+	return sc.chunks(cs.info.Sparse, cs.info.Count, cs.skip, lo, hi, &sc.qs.ColdChunkStats, func(a, b int) error {
+		return read(cs, a, b)
+	})
+}
+
+// chunks is the one chunk walk, over a cold file's sparse index or a sealed
+// segment's chunk index alike: chunk k holds ordinals [sparse[k].Pos,
+// sparse[k+1].Pos), the last one up to n. Each chunk overlapping [lo, hi)
+// is offered to the visitor — unless it has no stats, reaches below skip
+// (a retention cut evicted part of it) or the plan has a seq floor, which no
+// stats know of — and answered chunks count in hits. The chunks left
+// unanswered split the window into runs; each run goes to read as one
+// stretch, in order, so the fold order is that of reading everything.
+func (sc *scanner) chunks(sparse []persist.SparseEntry, n, skip, lo, hi int, hits *int, read func(a, b int) error) error {
 	runStart := -1
-	for k := 0; k < info.NumChunks(); k++ {
-		start, end := info.ChunkRange(k)
+	for k, e := range sparse {
+		start, end := e.Pos, n
+		if k+1 < len(sparse) {
+			end = sparse[k+1].Pos
+		}
 		if end <= lo {
 			continue
 		}
@@ -183,9 +224,9 @@ func (sc *scanner) cold(cs *coldSegment) error {
 			break
 		}
 		answered := false
-		if shortcuts {
+		if e.Stats != nil && start >= skip && sc.pl.minSeq == 0 {
 			var err error
-			if answered, err = sc.v.chunk(cs, k, start, end); err != nil {
+			if answered, err = sc.v.chunk(e.Stats, e.Time, end-start); err != nil {
 				return err
 			}
 		}
@@ -195,16 +236,16 @@ func (sc *scanner) cold(cs *coldSegment) error {
 			}
 			continue
 		}
-		sc.qs.ColdChunkStats++
+		*hits++
 		if runStart >= 0 {
-			if err := read(cs, runStart, start); err != nil {
+			if err := read(runStart, start); err != nil {
 				return err
 			}
 			runStart = -1
 		}
 	}
 	if runStart >= 0 {
-		return read(cs, runStart, hi)
+		return read(runStart, hi)
 	}
 	return nil
 }
@@ -304,6 +345,7 @@ func (qs *QueryStats) add(o QueryStats) {
 	qs.ColdChunkStats += o.ColdChunkStats
 	qs.ColdColumnsSkipped += o.ColdColumnsSkipped
 	qs.ColdBytesDecoded += o.ColdBytesDecoded
+	qs.HotChunkStats += o.HotChunkStats
 }
 
 // shardCut is what one shard's scan saw of it: the shard, its seqNext (an

@@ -2,9 +2,11 @@ package warehouse
 
 import (
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"streamloader/internal/geo"
+	"streamloader/internal/persist"
 	"streamloader/internal/stt"
 )
 
@@ -34,6 +36,15 @@ type segment struct {
 	// shard-wide minimum. maxSeq bounds the sequences from above (a trim
 	// leaves it high), so a view's tail fold skips a segment it covers.
 	minSeq, maxSeq uint64
+
+	// chunks is a sealed segment's chunk index, the in-memory twin of a
+	// cold file's sparse index: one entry per persist.IndexEvery run of
+	// byTime, Pos a byTime ordinal, Stats persist's own chunk stats. The
+	// first aggregate that scans the sealed segment builds it (chunkIndex)
+	// and publishes it under the shard read lock, so two racing builders
+	// only duplicate work; trimOldest clears it under the write lock. It
+	// stays nil on an active segment, which appends still reorder.
+	chunks atomic.Pointer[[]persist.SparseEntry]
 
 	// spilling marks a sealed segment that sits in the background spill
 	// queue (or is being written), so it is neither counted against the
@@ -104,6 +115,26 @@ func (g *segment) index(t *stt.Tuple, ord int) {
 	if t.Source != "" {
 		g.bySource[t.Source] = append(g.bySource[t.Source], ord)
 	}
+}
+
+// chunkIndex returns the segment's chunk index, building and publishing it
+// on first use. Caller holds the shard lock, read suffices, and has made
+// sure the segment is sealed: no append may reorder byTime under the index.
+func (g *segment) chunkIndex() []persist.SparseEntry {
+	if idx := g.chunks.Load(); idx != nil {
+		return *idx
+	}
+	idx := make([]persist.SparseEntry, 0, (len(g.byTime)+persist.IndexEvery-1)/persist.IndexEvery)
+	buf := make([]Event, 0, persist.IndexEvery)
+	for pos := 0; pos < len(g.byTime); pos += persist.IndexEvery {
+		buf = buf[:0]
+		for _, ord := range g.byTime[pos:min(pos+persist.IndexEvery, len(g.byTime))] {
+			buf = append(buf, g.events[ord])
+		}
+		idx = append(idx, persist.SparseEntry{Pos: pos, Time: buf[0].Tuple.Time, Stats: persist.ChunkStatsFor(buf)})
+	}
+	g.chunks.Store(&idx)
+	return idx
 }
 
 // prunedBy reports whether the [from, to) query window cannot intersect the
@@ -206,6 +237,7 @@ func (g *segment) trimOldest(n int) []Event {
 		survivors = append(survivors, g.events[ord])
 	}
 	g.events = survivors
+	g.chunks.Store(nil)
 	g.byTime = g.byTime[:0]
 	g.byCell = map[geo.Cell][]int{}
 	g.byTheme = map[string][]int{}

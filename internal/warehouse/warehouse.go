@@ -150,6 +150,12 @@ type QueryStats struct {
 	// reads actually parsed: the projected sections only; cache hits
 	// contribute nothing.
 	ColdBytesDecoded int64 `json:"cold_bytes_decoded"`
+	// HotChunkStats counts the chunks of sealed in-memory segments an
+	// aggregate answered from their chunk index (the in-memory twin of
+	// ColdChunkStats): each one a chunk that overlapped the query window
+	// yet had none of its events folded. It stays off the wire, so query
+	// replies keep their members.
+	HotChunkStats int `json:"-"`
 }
 
 // sourceHash routes a source name to a shard. It is FNV-1a rather than a
@@ -305,7 +311,9 @@ func (w *Warehouse) shardFor(source string) *shard {
 	return w.shards[sourceHash(source)&w.mask]
 }
 
-// Append stores one event. The tuple is retained as-is and must not be
+// Append stores one event. A tuple whose value count differs from its
+// schema's field count is refused before any lock or WAL write: reads index
+// values by field position. The tuple is retained as-is and must not be
 // mutated afterwards (executor tuples are never mutated downstream). In
 // durable mode the event is logged before it becomes visible — and, under
 // SyncAlways, synced — so a returned nil means the event survives a process
@@ -313,6 +321,9 @@ func (w *Warehouse) shardFor(source string) *shard {
 func (w *Warehouse) Append(t *stt.Tuple) error {
 	if t == nil || t.Schema == nil {
 		return fmt.Errorf("warehouse: nil tuple")
+	}
+	if err := t.CheckArity(); err != nil {
+		return fmt.Errorf("warehouse: %w", err)
 	}
 	t0 := w.met.append.Start()
 	defer w.met.append.Since(t0)
@@ -338,8 +349,8 @@ func (w *Warehouse) Append(t *stt.Tuple) error {
 // reserved only once every involved shard is locked (in index order, as
 // compactAll locks them), so no shard's seqNext can pass a seq of this batch
 // that has yet to commit there: seqNext stays a commit cut (see commitLocked).
-// The whole batch is validated up front: on a validation error nothing is
-// stored. A WAL write failure also fails the call, but sub-batches already
+// The whole batch is validated up front — no nil tuple, each tuple's arity
+// its schema's — and on a validation error nothing is stored. A WAL write failure also fails the call, but sub-batches already
 // logged to other shards remain stored (and durable). Tuples are retained
 // as-is, like Append.
 func (w *Warehouse) AppendBatch(tuples []*stt.Tuple) error {
@@ -349,6 +360,9 @@ func (w *Warehouse) AppendBatch(tuples []*stt.Tuple) error {
 	for _, t := range tuples {
 		if t == nil || t.Schema == nil {
 			return fmt.Errorf("warehouse: nil tuple in batch")
+		}
+		if err := t.CheckArity(); err != nil {
+			return fmt.Errorf("warehouse: batch: %w", err)
 		}
 	}
 	t0 := w.met.append.Start()
