@@ -7,6 +7,7 @@ package streamloader
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -511,5 +512,61 @@ func TestIntegrationReplaySensor(t *testing.T) {
 	}
 	if got[0].Source != "replayed-1" {
 		t.Error("source tag lost in replay")
+	}
+}
+
+// TestIntegrationNullReadingDoesNotStopTheRun replays a river gauge whose
+// trace misses a reading, behind the condition "-level < 0": the level is
+// above zero. A missing field replays as null, and an operation on null gives
+// null, which a condition reads as false: the filter drops that one reading
+// and the run goes on. Negating null used to fail the filter's Map, which
+// ends the deployment.
+func TestIntegrationNullReadingDoesNotStopTheRun(t *testing.T) {
+	schema := stt.MustSchema([]stt.Field{
+		stt.NewField("level", stt.KindFloat, "m"),
+		stt.NewField("gauge", stt.KindString, ""),
+	}, stt.GranMinute, stt.SpatCellDistrict, "hydrology")
+	var trace strings.Builder
+	for i := 0; i < 10; i++ {
+		level := fmt.Sprintf(`,"level":%d.5`, i)
+		if i == 3 {
+			level = "" // the gauge missed this reading
+		}
+		fmt.Fprintf(&trace, `{"_time":"%s","gauge":"g-1"%s}`+"\n",
+			itStart.Add(time.Duration(i)*time.Minute).Format(time.RFC3339), level)
+	}
+	rep, err := sensor.NewReplay("gauge-1", schema, "node-00", strings.NewReader(trace.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := newITRig(t, nil)
+	if err := rig.broker.Publish(rep.Meta()); err != nil {
+		t.Fatal(err)
+	}
+	rig.extra["gauge-1"] = rep
+	d, err := rig.exec.Deploy(&dataflow.Spec{
+		Name: "null-reading",
+		Nodes: []dataflow.NodeSpec{
+			{ID: "src", Kind: "source", Sensor: "gauge-1"},
+			{ID: "rising", Kind: "filter", Cond: "-level < 0"},
+			{ID: "out", Kind: "sink", Sink: "collect"},
+		},
+		Edges: []dataflow.EdgeSpec{{From: "src", To: "rising"}, {From: "rising", To: "out"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Undeploy()
+	if err := d.Run(itStart, itStart.Add(10*time.Minute)); err != nil {
+		t.Fatalf("a null reading stopped the run: %v", err)
+	}
+	got := d.Collected("out")
+	if len(got) != 9 {
+		t.Fatalf("delivered %d readings, want the 9 that were measured", len(got))
+	}
+	for _, tup := range got {
+		if tup.MustGet("level").IsNull() {
+			t.Errorf("the missing reading passed the filter: %v", tup)
+		}
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"streamloader/internal/dataflow"
+	"streamloader/internal/geo"
+	"streamloader/internal/ops"
 	"streamloader/internal/sensor"
 )
 
@@ -183,5 +185,62 @@ func TestMapErrorFailsRun(t *testing.T) {
 				t.Error("run after the failed one delivered nothing")
 			}
 		})
+	}
+}
+
+// A source that fans out hands the same tuple to every branch. A transform
+// branch writes only its own copy, so a filter branch beside it, and the
+// sink behind that filter, see the source's readings as generated, and the
+// transform branch sees them converted.
+func TestFanOutBranchesSeeTheSourcesValues(t *testing.T) {
+	spec := &dataflow.Spec{
+		Name: "fanout",
+		Nodes: []dataflow.NodeSpec{
+			{ID: "src", Kind: "source", Sensor: "temp-1"},
+			{ID: "conv", Kind: "transform", Steps: []ops.TransformStep{
+				{Op: "convert_unit", Field: "temperature", ToUnit: "fahrenheit"},
+				{Op: "rename", Field: "station", NewName: "site"},
+				{Op: "coarsen", SGran: "city"},
+			}},
+			{ID: "keep", Kind: "filter", Cond: "temperature > -100"},
+			{ID: "wc", Kind: "sink", Sink: "collect"},
+			{ID: "wk", Kind: "sink", Sink: "collect"},
+		},
+		Edges: []dataflow.EdgeSpec{
+			{From: "src", To: "conv"}, {From: "src", To: "keep"},
+			{From: "conv", To: "wc"}, {From: "keep", To: "wk"},
+		},
+	}
+	r := newRig(t, 2, []sensor.Spec{minuteSpec("temp-1", 7)})
+	d, err := r.exec.Deploy(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Undeploy()
+	end := t0.Add(2 * time.Hour)
+	if err := d.Run(t0, end); err != nil {
+		t.Fatal(err)
+	}
+	twin, err := sensor.New(minuteSpec("temp-1", 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, converted := d.Collected("wk"), d.Collected("wc")
+	if len(kept) != 120 || len(converted) != 120 {
+		t.Fatalf("branches delivered %d and %d tuples, want 120 each", len(kept), len(converted))
+	}
+	for i := range kept {
+		want := twin.At(t0.Add(time.Duration(i) * time.Minute))
+		if got := kept[i]; got.Schema.String() != want.Schema.String() || got.String() != want.String() {
+			t.Fatalf("filter branch tuple %d = %v over %v, the source emitted %v over %v",
+				i, got, got.Schema, want, want.Schema)
+		}
+		f, err := geo.ConvertUnit(want.Values[0].AsFloat(), "celsius", "fahrenheit")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := converted[i].MustGet("temperature").AsFloat(); got != f {
+			t.Fatalf("transform branch tuple %d temperature = %v, want %v", i, got, f)
+		}
 	}
 }

@@ -45,36 +45,33 @@ func BenchmarkParse(b *testing.B) {
 	}
 }
 
-func BenchmarkEvalComparison(b *testing.B) {
-	c := benchCompile(b, "temperature > 25")
+// benchEval times one compiled expression over the bench tuple, and fails
+// when an evaluation allocates: the closures allocate nothing of their own.
+// (lower of the all-lowercase station returns its argument.)
+func benchEval(b *testing.B, src string) {
+	c := benchCompile(b, src)
 	tup := benchTuple(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	eval := func() {
 		if _, err := c.EvalTuple(tup); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eval()
+	}
+	if allocs := testing.AllocsPerRun(100, eval); allocs > 0 {
+		b.Fatalf("%s: %.1f allocations per evaluation, want 0", src, allocs)
 	}
 }
 
+func BenchmarkEvalComparison(b *testing.B) { benchEval(b, "temperature > 25") }
+
 func BenchmarkEvalArithmetic(b *testing.B) {
-	c := benchCompile(b,
-		"temperature + 0.33*(humidity/100*6.105*exp(17.27*temperature/(237.7+temperature))) - 4")
-	tup := benchTuple(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.EvalTuple(tup); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchEval(b, "temperature + 0.33*(humidity/100*6.105*exp(17.27*temperature/(237.7+temperature))) - 4")
 }
 
 func BenchmarkEvalStringFuncs(b *testing.B) {
-	c := benchCompile(b, `contains(lower(station), "ume") && startswith(station, "u")`)
-	tup := benchTuple(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.EvalTuple(tup); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchEval(b, `contains(lower(station), "ume") && startswith(station, "u")`)
 }

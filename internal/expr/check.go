@@ -16,14 +16,17 @@ type Env struct {
 	Right  *stt.Schema
 }
 
-// Meta field kinds addressable in every environment.
-var metaKinds = map[string]stt.Kind{
-	"_time":   stt.KindTime,
-	"_lat":    stt.KindFloat,
-	"_lon":    stt.KindFloat,
-	"_theme":  stt.KindString,
-	"_source": stt.KindString,
-	"_seq":    stt.KindInt,
+// metas are the STT metadata fields addressable in every environment.
+var metas = map[string]struct {
+	kind stt.Kind
+	get  func(*stt.Tuple) stt.Value
+}{
+	"_time":   {stt.KindTime, func(t *stt.Tuple) stt.Value { return stt.Time(t.Time) }},
+	"_lat":    {stt.KindFloat, func(t *stt.Tuple) stt.Value { return stt.Float(t.Lat) }},
+	"_lon":    {stt.KindFloat, func(t *stt.Tuple) stt.Value { return stt.Float(t.Lon) }},
+	"_theme":  {stt.KindString, func(t *stt.Tuple) stt.Value { return stt.String(t.Theme) }},
+	"_source": {stt.KindString, func(t *stt.Tuple) stt.Value { return stt.String(t.Source) }},
+	"_seq":    {stt.KindInt, func(t *stt.Tuple) stt.Value { return stt.Int(int64(t.Seq)) }},
 }
 
 // CheckError is a typing diagnostic.
@@ -87,48 +90,41 @@ func Check(n Node, env Env) (stt.Kind, error) {
 }
 
 func checkIdent(t *Ident, env Env) (stt.Kind, error) {
-	if k, ok := metaKinds[t.Name]; ok {
+	if m, ok := metas[t.Name]; ok {
 		// Metadata resolves in any environment; qualifiers select the side
 		// in join predicates but do not change the kind.
-		return k, nil
+		return m.kind, nil
 	}
-	switch t.Qualifier {
-	case "":
-		if env.Schema == nil {
-			if env.Left != nil || env.Right != nil {
-				return stt.KindNull, checkErrf(t,
-					"unqualified field %q in a two-input predicate; use left.%s or right.%s",
-					t.Name, t.Name, t.Name)
-			}
-			return stt.KindNull, checkErrf(t, "no schema to resolve %q against", t.Name)
-		}
-		f, ok := env.Schema.Lookup(t.Name)
-		if !ok {
-			return stt.KindNull, checkErrf(t, "unknown field %q in schema %s", t.Name, env.Schema)
-		}
-		return f.Kind, nil
-	case "left":
-		if env.Left == nil {
-			return stt.KindNull, checkErrf(t, "no left input in this context")
-		}
-		f, ok := env.Left.Lookup(t.Name)
-		if !ok {
-			return stt.KindNull, checkErrf(t, "unknown field %q in left schema %s", t.Name, env.Left)
-		}
-		return f.Kind, nil
-	case "right":
-		if env.Right == nil {
-			return stt.KindNull, checkErrf(t, "no right input in this context")
-		}
-		f, ok := env.Right.Lookup(t.Name)
-		if !ok {
-			return stt.KindNull, checkErrf(t, "unknown field %q in right schema %s", t.Name, env.Right)
-		}
-		return f.Kind, nil
-	default:
+	side, ok := sides[t.Qualifier]
+	if !ok {
 		return stt.KindNull, checkErrf(t, "unknown qualifier %q (want left/right)", t.Qualifier)
 	}
+	schema, where := env.schema(side), ""
+	switch {
+	case side != 0:
+		where = t.Qualifier + " "
+		if schema == nil {
+			return stt.KindNull, checkErrf(t, "no %s input in this context", t.Qualifier)
+		}
+	case schema != nil:
+	case env.Left != nil || env.Right != nil:
+		return stt.KindNull, checkErrf(t,
+			"unqualified field %q in a two-input predicate; use left.%s or right.%s",
+			t.Name, t.Name, t.Name)
+	default:
+		return stt.KindNull, checkErrf(t, "no schema to resolve %q against", t.Name)
+	}
+	f, ok := schema.Lookup(t.Name)
+	if !ok {
+		return stt.KindNull, checkErrf(t, "unknown field %q in %sschema %s", t.Name, where, schema)
+	}
+	return f.Kind, nil
 }
+
+// sides numbers the tuples an identifier can address, by qualifier.
+var sides = map[string]int{"": 0, "left": 1, "right": 2}
+
+func (e Env) schema(side int) *stt.Schema { return [...]*stt.Schema{e.Schema, e.Left, e.Right}[side] }
 
 func checkBinary(t *Binary, lk, rk stt.Kind) (stt.Kind, error) {
 	anyNull := lk == stt.KindNull || rk == stt.KindNull
@@ -186,11 +182,13 @@ func checkCall(t *Call, env Env) (stt.Kind, error) {
 		return stt.KindNull, checkErrf(t, "%s needs %d arguments, got %d",
 			t.Func, len(fn.params), len(t.Args))
 	}
+	kinds := make([]stt.Kind, len(t.Args))
 	for i, a := range t.Args {
 		ak, err := Check(a, env)
 		if err != nil {
 			return stt.KindNull, err
 		}
+		kinds[i] = ak
 		want := fn.params[min(i, len(fn.params)-1)]
 		if want == kindAny || ak == stt.KindNull {
 			continue
@@ -206,15 +204,16 @@ func checkCall(t *Call, env Env) (stt.Kind, error) {
 				t.Func, i+1, stt.Kind(want), ak)
 		}
 	}
-	return fn.result(t, env)
+	return fn.result(kinds), nil
 }
 
-// Compiled is a parsed and type-checked expression ready for evaluation.
+// Compiled is a parsed and type-checked expression, compiled to closures
+// over env's field slots. It is immutable and safe for concurrent use.
 type Compiled struct {
 	Source string
 	Root   Node
 	Kind   stt.Kind
-	env    Env
+	fn     evalFn
 }
 
 // Compile parses src and type-checks it under env.
@@ -227,7 +226,7 @@ func Compile(src string, env Env) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Compiled{Source: src, Root: root, Kind: k, env: env}, nil
+	return &Compiled{Source: src, Root: root, Kind: k, fn: compile(root, env)}, nil
 }
 
 // CompileBool is Compile plus a check that the expression is usable as a

@@ -210,6 +210,63 @@ func TestNullSemantics(t *testing.T) {
 	}
 }
 
+// TestNullInNullOut is the null table of the package doc. A missing
+// reading is null; an operation on it must give null (or false, in a
+// condition), never fail and never invent a value: a Map error stops a
+// deployment, and a made-up 0 or ±Inf is stored as if measured.
+func TestNullInNullOut(t *testing.T) {
+	schema := stt.MustSchema([]stt.Field{
+		stt.NewField("x", stt.KindFloat, ""),
+		stt.NewField("s", stt.KindString, ""),
+		stt.NewField("t", stt.KindTime, ""),
+	}, stt.GranSecond, stt.SpatPoint)
+	tup, _ := stt.NewTuple(schema, []stt.Value{stt.Null(), stt.Null(), stt.Null()})
+	env := Env{Schema: schema}
+	for _, c := range []struct {
+		src  string
+		want stt.Value
+	}{
+		{"-x", stt.Null()},
+		{"-x > 0", stt.Bool(false)},
+		{"-(x + 1) * 2", stt.Null()},
+		{"x % 2", stt.Null()},
+		{"min(x, x)", stt.Null()},
+		{"max(x, x, x)", stt.Null()},
+		{"min(x, 3, x)", stt.Float(3)},
+		{"max(x, -2)", stt.Float(-2)},
+		{"hour(t)", stt.Null()},
+		{"minute(t)", stt.Null()},
+		{"weekday(t)", stt.Null()},
+		{"distance_m(x, 135.5, 34.7, 135.5)", stt.Null()},
+		{"distance_m(34.7, 135.5, 34.7, x)", stt.Null()},
+		{"abs(x)", stt.Null()},
+		{"sqrt(x)", stt.Null()},
+		{"pow(2, x)", stt.Null()},
+		{"len(s)", stt.Null()},
+		{"lower(s)", stt.Null()},
+		{`contains(s, "a")`, stt.Null()},
+		{`matches_date(s, "YYYY")`, stt.Null()},
+		{"coalesce(x, 2)", stt.Int(2)},
+		{"coalesce(x, x)", stt.Null()},
+		{"if(x, 1, 2)", stt.Int(2)},
+		{"if(true, x, 2)", stt.Null()},
+		{"x == null", stt.Bool(true)},
+		{"x != 1", stt.Bool(true)},
+		{"!x", stt.Bool(true)},
+		{"x && true", stt.Bool(false)},
+		{"x || true", stt.Bool(true)},
+	} {
+		got, err := compileOn(t, c.src, env).EvalTuple(tup)
+		if err != nil {
+			t.Errorf("%s: %v", c.src, err)
+			continue
+		}
+		if got != c.want {
+			t.Errorf("%s = %v (%s), want %v (%s)", c.src, got, got.Kind(), c.want, c.want.Kind())
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"", "1 +", "(1", "1)", "foo(", `"unterminated`, "@x", "1 ? 2",

@@ -1,7 +1,10 @@
 package expr
 
 import (
+	"fmt"
 	"strconv"
+
+	"streamloader/internal/stt"
 )
 
 // Parse compiles source text into an expression tree. It performs no type
@@ -39,7 +42,7 @@ func (p *parser) advance() token {
 }
 
 func (p *parser) errorf(pos int, format string, args ...any) error {
-	return &SyntaxError{Pos: pos, Msg: sprintf(format, args...), Expr: p.src}
+	return &SyntaxError{Pos: pos, Msg: fmt.Sprintf(format, args...), Expr: p.src}
 }
 
 // parseBinary implements precedence climbing from minPrec upward.
@@ -106,15 +109,15 @@ func (p *parser) parsePrimary() (Node, error) {
 		if err != nil {
 			return nil, p.errorf(t.pos, "bad integer %q: %v", t.text, err)
 		}
-		return &Lit{Value: intValue(v)}, nil
+		return &Lit{Value: stt.Int(v)}, nil
 	case tokFloat:
 		v, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
 			return nil, p.errorf(t.pos, "bad number %q: %v", t.text, err)
 		}
-		return &Lit{Value: floatValue(v)}, nil
+		return &Lit{Value: stt.Float(v)}, nil
 	case tokString:
-		return &Lit{Value: stringValue(t.text)}, nil
+		return &Lit{Value: stt.String(t.text)}, nil
 	case tokLParen:
 		n, err := p.parseBinary(1)
 		if err != nil {
@@ -127,11 +130,11 @@ func (p *parser) parsePrimary() (Node, error) {
 	case tokIdent:
 		switch t.text {
 		case "true":
-			return &Lit{Value: boolValue(true)}, nil
+			return &Lit{Value: stt.Bool(true)}, nil
 		case "false":
-			return &Lit{Value: boolValue(false)}, nil
+			return &Lit{Value: stt.Bool(false)}, nil
 		case "null":
-			return &Lit{Value: nullValue()}, nil
+			return &Lit{Value: stt.Null()}, nil
 		}
 		// Function call?
 		if p.peek().kind == tokLParen {

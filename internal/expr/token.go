@@ -13,6 +13,21 @@
 //
 // Besides schema fields, the STT metadata of the tuple is addressable via
 // the reserved identifiers _time, _lat, _lon, _theme, _source and _seq.
+//
+// Compile checks an expression against its Env, then turns the tree into
+// closures with fields resolved to schema slots (a tuple of another schema
+// is read by name): evaluating walks no tree and allocates nothing. A
+// Compiled is immutable and safe for concurrent use.
+//
+// A missing sensor reading is null, and null propagates:
+//
+//	-x, x + y, x - y, x * y, x / y, x % y   null
+//	x < y, x <= y, x > y, x >= y            false
+//	x == y, x != y                          null equals null only
+//	!x, x && y, x || y, if(x, a, b)         null is false
+//	coalesce(a, b, ...)                     the first non-null argument
+//	min(a, b, ...), max(a, b, ...)          nulls skipped; null if all are
+//	every other builtin                     null
 package expr
 
 import (

@@ -90,23 +90,48 @@ func Units() []string {
 // dimension. It returns an error for unknown units or dimension mismatches
 // ("yards to celsius").
 func ConvertUnit(value float64, from, to string) (float64, error) {
+	c, err := NewUnitConversion(from, to)
+	if err != nil {
+		return 0, err
+	}
+	return c.Apply(value), nil
+}
+
+// UnitConversion is a conversion between two units resolved once, for
+// callers that convert many values: Apply is ConvertUnit's arithmetic, bit
+// for bit, without the registry lookups.
+type UnitConversion struct {
+	from, to unitDef
+	identity bool
+}
+
+// NewUnitConversion resolves a conversion, with ConvertUnit's errors.
+func NewUnitConversion(from, to string) (UnitConversion, error) {
 	if from == to {
-		return value, nil
+		return UnitConversion{identity: true}, nil
 	}
 	uf, ok := units[from]
 	if !ok {
-		return 0, fmt.Errorf("geo: unknown source unit %q", from)
+		return UnitConversion{}, fmt.Errorf("geo: unknown source unit %q", from)
 	}
 	ut, ok := units[to]
 	if !ok {
-		return 0, fmt.Errorf("geo: unknown target unit %q", to)
+		return UnitConversion{}, fmt.Errorf("geo: unknown target unit %q", to)
 	}
 	if uf.dim != ut.dim {
-		return 0, fmt.Errorf("geo: cannot convert %s (%s) to %s (%s)",
+		return UnitConversion{}, fmt.Errorf("geo: cannot convert %s (%s) to %s (%s)",
 			from, uf.dim, to, ut.dim)
 	}
-	base := value*uf.factor + uf.offset
-	return (base - ut.offset) / ut.factor, nil
+	return UnitConversion{from: uf, to: ut}, nil
+}
+
+// Apply converts one value.
+func (c UnitConversion) Apply(value float64) float64 {
+	if c.identity {
+		return value
+	}
+	base := value*c.from.factor + c.from.offset
+	return (base - c.to.offset) / c.to.factor
 }
 
 // CoordSystem names a geodetic datum supported by coordinate conversion.

@@ -73,9 +73,12 @@ func (o *VirtualProperty) apply(t *stt.Tuple) (*stt.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	ext := t.Clone()
-	ext.Schema = o.out
-	ext.Values = append(ext.Values, v)
+	vals := make([]stt.Value, len(t.Values)+1)
+	copy(vals, t.Values)
+	vals[len(t.Values)] = v
+	ext := new(stt.Tuple)
+	*ext = *t
+	ext.Schema, ext.Values = o.out, vals
 	return ext, nil
 }
 

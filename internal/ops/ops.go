@@ -12,6 +12,11 @@
 // to an Emitter, so what follows it — a channel into the next process, or the
 // next per-tuple function — is the engine's choice, not the operation's.
 //
+// Map returns its input unchanged or exactly one fresh tuple, and never
+// mutates its input: an engine that fans one tuple out to several
+// operations hands every one of them the same tuple. A fresh tuple shares no
+// Values backing array with its input.
+//
 // Every Operator also has a Run that drives it from input streams; for a
 // Mapper it is a thin adapter over Map, used by tests and benchmarks that
 // time one operation alone.

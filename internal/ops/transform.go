@@ -38,14 +38,22 @@ type TransformStep struct {
 	SGran string `json:"sgran,omitempty"`
 }
 
-// stepFunc transforms one tuple; returning nil drops it.
-type stepFunc func(*stt.Tuple) (*stt.Tuple, error)
+// step is one compiled step. A validate step checks the tuple (keep); every
+// other step rewrites it (write). Rewrites go to the transform's one copy of
+// its input, made before the first of them, and write that copy in place.
+type step struct {
+	keep  func(*stt.Tuple) (bool, error)
+	write func(*stt.Tuple) error
+	// fresh marks a write that replaces Values rather than writing them,
+	// so a copy made for it need not copy them.
+	fresh bool
+}
 
 // Transform implements ◇trans s: the transformation function trans — a
 // pipeline of reconciliation steps — applied to every tuple of s.
 type Transform struct {
 	mapOp
-	steps []stepFunc
+	steps []step
 }
 
 // NewTransform compiles the steps against the input schema, propagating the
@@ -58,18 +66,18 @@ func NewTransform(name string, steps []TransformStep, in *stt.Schema) (*Transfor
 	t.mapOp = mapOp{base: base{name: name, kind: KindTransform}, fn: t.apply}
 	schema := in
 	for i, s := range steps {
-		fn, next, err := compileStep(s, schema)
+		st, next, err := compileStep(s, schema)
 		if err != nil {
 			return nil, fmt.Errorf("transform %s step %d (%s): %w", name, i+1, s.Op, err)
 		}
-		t.steps = append(t.steps, fn)
+		t.steps = append(t.steps, st)
 		schema = next
 	}
 	t.out = schema
 	return t, nil
 }
 
-func compileStep(s TransformStep, in *stt.Schema) (stepFunc, *stt.Schema, error) {
+func compileStep(s TransformStep, in *stt.Schema) (step, *stt.Schema, error) {
 	switch s.Op {
 	case "convert_unit":
 		return compileConvertUnit(s, in)
@@ -84,177 +92,171 @@ func compileStep(s TransformStep, in *stt.Schema) (stepFunc, *stt.Schema, error)
 	case "coarsen":
 		return compileCoarsen(s, in)
 	default:
-		return nil, nil, fmt.Errorf("unknown transform op %q", s.Op)
+		return step{}, nil, fmt.Errorf("unknown transform op %q", s.Op)
 	}
 }
 
-func compileConvertUnit(s TransformStep, in *stt.Schema) (stepFunc, *stt.Schema, error) {
+func compileConvertUnit(s TransformStep, in *stt.Schema) (step, *stt.Schema, error) {
 	idx := in.IndexOf(s.Field)
 	if idx < 0 {
-		return nil, nil, fmt.Errorf("unknown field %q", s.Field)
+		return step{}, nil, fmt.Errorf("unknown field %q", s.Field)
 	}
 	f := in.Field(idx)
 	if !f.Kind.Numeric() {
-		return nil, nil, fmt.Errorf("field %q is %s, unit conversion needs a numeric field", s.Field, f.Kind)
+		return step{}, nil, fmt.Errorf("field %q is %s, unit conversion needs a numeric field", s.Field, f.Kind)
 	}
 	if f.Unit == "" {
-		return nil, nil, fmt.Errorf("field %q carries no source unit", s.Field)
+		return step{}, nil, fmt.Errorf("field %q carries no source unit", s.Field)
 	}
-	// Validate the conversion once at plan time.
-	if _, err := geo.ConvertUnit(0, f.Unit, s.ToUnit); err != nil {
-		return nil, nil, err
+	conv, err := geo.NewUnitConversion(f.Unit, s.ToUnit)
+	if err != nil {
+		return step{}, nil, err
 	}
 	fields := in.Fields()
 	fields[idx] = stt.NewField(f.Name, stt.KindFloat, s.ToUnit)
 	out, err := stt.NewSchema(fields, in.TGran, in.SGran, in.Themes...)
 	if err != nil {
-		return nil, nil, err
+		return step{}, nil, err
 	}
-	from, to := f.Unit, s.ToUnit
-	fn := func(t *stt.Tuple) (*stt.Tuple, error) {
-		c := t.Clone()
+	return step{write: func(c *stt.Tuple) error {
 		c.Schema = out
-		v := c.Values[idx]
-		if !v.IsNull() {
-			converted, err := geo.ConvertUnit(v.AsFloat(), from, to)
-			if err != nil {
-				return nil, err
-			}
-			c.Values[idx] = stt.Float(converted)
+		if v := c.Values[idx]; !v.IsNull() {
+			c.Values[idx] = stt.Float(conv.Apply(v.AsFloat()))
 		}
-		return c, nil
-	}
-	return fn, out, nil
+		return nil
+	}}, out, nil
 }
 
-func compileConvertCoord(s TransformStep, in *stt.Schema) (stepFunc, *stt.Schema, error) {
+func compileConvertCoord(s TransformStep, in *stt.Schema) (step, *stt.Schema, error) {
 	from, err := geo.ParseCoordSystem(s.FromSystem)
 	if err != nil {
-		return nil, nil, err
+		return step{}, nil, err
 	}
 	to, err := geo.ParseCoordSystem(s.ToSystem)
 	if err != nil {
-		return nil, nil, err
+		return step{}, nil, err
 	}
 	if _, err := geo.ConvertCoord(geo.Point{}, from, to); err != nil {
-		return nil, nil, err
+		return step{}, nil, err
 	}
-	fn := func(t *stt.Tuple) (*stt.Tuple, error) {
-		c := t.Clone()
+	return step{write: func(c *stt.Tuple) error {
 		p, err := geo.ConvertCoord(geo.Point{Lat: c.Lat, Lon: c.Lon}, from, to)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c.Lat, c.Lon = p.Lat, p.Lon
 		c.AlignSTT()
-		return c, nil
-	}
-	return fn, in, nil
+		return nil
+	}}, in, nil
 }
 
-func compileRename(s TransformStep, in *stt.Schema) (stepFunc, *stt.Schema, error) {
+func compileRename(s TransformStep, in *stt.Schema) (step, *stt.Schema, error) {
 	idx := in.IndexOf(s.Field)
 	if idx < 0 {
-		return nil, nil, fmt.Errorf("unknown field %q", s.Field)
+		return step{}, nil, fmt.Errorf("unknown field %q", s.Field)
 	}
 	if s.NewName == "" {
-		return nil, nil, fmt.Errorf("rename of %q needs new_name", s.Field)
+		return step{}, nil, fmt.Errorf("rename of %q needs new_name", s.Field)
 	}
 	fields := in.Fields()
 	fields[idx] = stt.NewField(s.NewName, fields[idx].Kind, fields[idx].Unit)
 	out, err := stt.NewSchema(fields, in.TGran, in.SGran, in.Themes...)
 	if err != nil {
-		return nil, nil, err
+		return step{}, nil, err
 	}
-	fn := func(t *stt.Tuple) (*stt.Tuple, error) {
-		c := t.Clone()
+	return step{write: func(c *stt.Tuple) error {
 		c.Schema = out
-		return c, nil
-	}
-	return fn, out, nil
+		return nil
+	}}, out, nil
 }
 
-func compileProject(s TransformStep, in *stt.Schema) (stepFunc, *stt.Schema, error) {
+// compileProject's write builds the projected values in a slice of their
+// own: the copy's are the source they are read from.
+func compileProject(s TransformStep, in *stt.Schema) (step, *stt.Schema, error) {
 	if len(s.Fields) == 0 {
-		return nil, nil, fmt.Errorf("project needs fields")
+		return step{}, nil, fmt.Errorf("project needs fields")
 	}
 	out, mapping, err := in.Project(s.Fields)
 	if err != nil {
-		return nil, nil, err
+		return step{}, nil, err
 	}
-	fn := func(t *stt.Tuple) (*stt.Tuple, error) {
+	return step{write: func(c *stt.Tuple) error {
 		vals := make([]stt.Value, len(mapping))
 		for i, src := range mapping {
-			vals[i] = t.Values[src]
+			vals[i] = c.Values[src]
 		}
-		c := *t
-		c.Schema = out
-		c.Values = vals
-		return &c, nil
-	}
-	return fn, out, nil
+		c.Schema, c.Values = out, vals
+		return nil
+	}, fresh: true}, out, nil
 }
 
-func compileValidate(s TransformStep, in *stt.Schema) (stepFunc, *stt.Schema, error) {
+func compileValidate(s TransformStep, in *stt.Schema) (step, *stt.Schema, error) {
 	rule, err := expr.CompileBool(s.Rule, expr.Env{Schema: in})
 	if err != nil {
-		return nil, nil, err
+		return step{}, nil, err
 	}
-	fn := func(t *stt.Tuple) (*stt.Tuple, error) {
-		ok, err := rule.EvalBool(expr.Scope{Tuple: t})
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, nil // non-conforming tuples are dropped
-		}
-		return t, nil
-	}
-	return fn, in, nil
+	// Non-conforming tuples are dropped.
+	return step{keep: func(t *stt.Tuple) (bool, error) {
+		return rule.EvalBool(expr.Scope{Tuple: t})
+	}}, in, nil
 }
 
-func compileCoarsen(s TransformStep, in *stt.Schema) (stepFunc, *stt.Schema, error) {
+// compileCoarsen refuses a refinement once, at compile time; the write only
+// re-aligns the copy to the coarser schema.
+func compileCoarsen(s TransformStep, in *stt.Schema) (step, *stt.Schema, error) {
 	tg := in.TGran
 	sg := in.SGran
 	if s.TGran != "" {
 		parsed, err := stt.ParseTemporalGranularity(s.TGran)
 		if err != nil {
-			return nil, nil, err
+			return step{}, nil, err
 		}
 		tg = parsed
 	}
 	if s.SGran != "" {
 		parsed, err := stt.ParseSpatialGranularity(s.SGran)
 		if err != nil {
-			return nil, nil, err
+			return step{}, nil, err
 		}
 		sg = parsed
 	}
 	if tg.FinerThan(in.TGran) {
-		return nil, nil, fmt.Errorf("cannot refine temporal granularity %s to %s", in.TGran, tg)
+		return step{}, nil, fmt.Errorf("cannot refine temporal granularity %s to %s", in.TGran, tg)
 	}
 	if in.SGran.CoarserThan(sg) {
-		return nil, nil, fmt.Errorf("cannot refine spatial granularity %s to %s", in.SGran, sg)
+		return step{}, nil, fmt.Errorf("cannot refine spatial granularity %s to %s", in.SGran, sg)
 	}
 	out := in.WithGranularities(tg, sg)
-	fn := func(t *stt.Tuple) (*stt.Tuple, error) {
-		return t.Coarsen(out)
-	}
-	return fn, out, nil
+	return step{write: func(c *stt.Tuple) error {
+		c.Schema = out
+		c.AlignSTT()
+		return nil
+	}}, out, nil
 }
 
-// apply runs the step pipeline on one tuple.
+// apply runs the steps on one tuple. The input is copied at most once,
+// before the first rewriting step, and not at all when no step rewrites.
 func (o *Transform) apply(t *stt.Tuple) (*stt.Tuple, error) {
-	cur := t
-	for _, step := range o.steps {
-		next, err := step(cur)
-		if err != nil {
+	cur, owned := t, false
+	for _, st := range o.steps {
+		if st.keep != nil {
+			if ok, err := st.keep(cur); err != nil || !ok {
+				return nil, err
+			}
+			continue
+		}
+		if !owned {
+			if st.fresh {
+				c := *cur
+				cur = &c
+			} else {
+				cur = cur.Clone()
+			}
+			owned = true
+		}
+		if err := st.write(cur); err != nil {
 			return nil, err
 		}
-		if next == nil {
-			return nil, nil
-		}
-		cur = next
 	}
 	return cur, nil
 }

@@ -39,6 +39,9 @@ type Sensor struct {
 	rng     *rand.Rand
 	seq     uint64
 
+	// segments are a traffic sensor's road segment labels, formatted once.
+	segments []string
+
 	// weather-model state shared by the physical generators
 	wet         bool    // rain Markov state
 	rainRate    float64 // current rain intensity, mm/h
@@ -64,13 +67,19 @@ func New(spec Spec) (*Sensor, error) {
 	if spec.FrequencyHz <= 0 {
 		return nil, fmt.Errorf("sensor %s: frequency must be positive", spec.ID)
 	}
-	return &Sensor{
+	s := &Sensor{
 		spec:        spec,
 		profile:     p,
 		schema:      p.schema(spec.UnitVariant),
 		rng:         rand.New(rand.NewSource(spec.Seed)),
 		pressureHPa: 1013,
-	}, nil
+	}
+	if spec.Type == TypeTraffic {
+		for i := range 8 {
+			s.segments = append(s.segments, fmt.Sprintf("seg-%s-%02d", spec.ID, i))
+		}
+	}
+	return s, nil
 }
 
 // ID returns the sensor identifier.
@@ -294,7 +303,7 @@ func (s *Sensor) trafficAt(ts time.Time) []stt.Value {
 	if s.schema.Field(1).Unit == "mph" {
 		speed *= 0.621371
 	}
-	segment := fmt.Sprintf("seg-%s-%02d", s.spec.ID, s.rng.Intn(8))
+	segment := s.segments[s.rng.Intn(len(s.segments))]
 	return []stt.Value{stt.Float(round2(congestion)), stt.Float(round1(speed)), stt.String(segment)}
 }
 

@@ -295,42 +295,6 @@ func TestAlignSTT(t *testing.T) {
 	}
 }
 
-func TestCoarsen(t *testing.T) {
-	s := weatherSchema(t) // minute / district
-	tup, _ := NewTuple(s, []Value{Float(1), Float(2), String("a")})
-	tup.Time = time.Date(2016, 3, 15, 9, 41, 0, 0, time.UTC)
-	tup.Lat, tup.Lon = 34.69, 135.5
-
-	coarse := s.WithGranularities(GranHour, SpatCellCity)
-	c, err := tup.Coarsen(coarse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Time.Equal(time.Date(2016, 3, 15, 9, 0, 0, 0, time.UTC)) {
-		t.Errorf("coarsened time = %v", c.Time)
-	}
-	if c.Lat != 34.6 || c.Lon != 135.5 {
-		t.Errorf("coarsened coords = %v,%v", c.Lat, c.Lon)
-	}
-	if tup.Time.Minute() != 41 {
-		t.Error("Coarsen must not mutate the source tuple")
-	}
-
-	// Refinement must fail in both dimensions.
-	fineT := s.WithGranularities(GranSecond, SpatCellDistrict)
-	if _, err := tup.Coarsen(fineT); err == nil {
-		t.Error("temporal refinement must fail")
-	}
-	fineS := s.WithGranularities(GranHour, SpatCellStreet)
-	if _, err := tup.Coarsen(fineS); err == nil {
-		t.Error("spatial refinement must fail")
-	}
-	other := MustSchema([]Field{NewField("x", KindInt, "")}, GranHour, SpatCellCity)
-	if _, err := tup.Coarsen(other); err == nil {
-		t.Error("incompatible schema must fail")
-	}
-}
-
 func TestTupleMapAndString(t *testing.T) {
 	s := weatherSchema(t)
 	tup, _ := NewTuple(s, []Value{Float(25.5), Float(60), String("osaka-1")})

@@ -118,28 +118,6 @@ func (t *Tuple) AlignSTT() *Tuple {
 	return t
 }
 
-// Coarsen re-represents the tuple at coarser granularities, producing a new
-// tuple bound to the given schema (which must be the same shape at coarser
-// TGran/SGran). It is the basis of the consistency-preserving composition
-// of heterogeneous streams.
-func (t *Tuple) Coarsen(target *Schema) (*Tuple, error) {
-	if !t.Schema.Compatible(target) {
-		return nil, fmt.Errorf("stt: coarsen: incompatible schemas %s vs %s", t.Schema, target)
-	}
-	if target.TGran.FinerThan(t.Schema.TGran) {
-		return nil, fmt.Errorf("stt: cannot refine temporal granularity %s to %s",
-			t.Schema.TGran, target.TGran)
-	}
-	if t.Schema.SGran.CoarserThan(target.SGran) {
-		return nil, fmt.Errorf("stt: cannot refine spatial granularity %s to %s",
-			t.Schema.SGran, target.SGran)
-	}
-	c := t.Clone()
-	c.Schema = target
-	c.AlignSTT()
-	return c, nil
-}
-
 // String renders the tuple compactly for logs and sample windows.
 func (t *Tuple) String() string {
 	var b strings.Builder
