@@ -1571,23 +1571,12 @@ func (c *foldCounter) event(ev Event) error {
 	return c.aggVisitor.event(ev)
 }
 
-// BenchmarkAggregateBenchShaped runs the bench's aggregate shape — a
-// two-minute AVG(temperature) by source in one-minute buckets — over the
-// bench's in-memory store: its fleet (three temperature stations, two
-// humidity, one rain, one river and one traffic sensor at 50 Hz, made with
-// sensor.New), 16 shards and default segments, 17 minutes of history
-// appended in 256-event batches per source. It reports the events folded
-// one by one and the sealed-segment chunks answered from their chunk index
-// per query, both averaged over every window position, and gates the first
-// at its value with the chunk index: counts, which repeat on any machine.
-// Without the index, each query folds every event of its window.
-func BenchmarkAggregateBenchShaped(b *testing.B) {
-	const (
-		hz       = 50
-		minutes  = 17
-		window   = 2
-		maxFolds = 4640 // the count with sealed-segment chunk stats; a change that folds fewer lowers it
-	)
+// appendBenchShaped appends the bench's fleet to w: three temperature
+// stations, two humidity, one rain, one river and one traffic sensor at hz,
+// made with sensor.New, emitting minutes of history from t0 in per-source
+// persist.IndexEvery-event windows, each appended as one AppendBatch.
+func appendBenchShaped(tb testing.TB, w *Warehouse, hz, minutes int) {
+	tb.Helper()
 	type member struct {
 		typ      sensor.Type
 		n        int
@@ -1607,18 +1596,18 @@ func BenchmarkAggregateBenchShaped(b *testing.B) {
 				ID: fmt.Sprintf("%s-%d", m.typ, i+1), Type: m.typ,
 				Location:    geo.Point{Lat: 34.6 + 0.01*float64(len(sensors)), Lon: 135.45},
 				Seed:        1 + int64(len(sensors))*7919,
-				UnitVariant: m.variants[i], FrequencyHz: hz,
+				UnitVariant: m.variants[i], FrequencyHz: float64(hz),
 			})
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			sensors = append(sensors, s)
 		}
 	}
-	w := NewWithConfig(Config{Shards: 16})
-	period := time.Second / hz
+	period := time.Second / time.Duration(hz)
+	end := t0.Add(time.Duration(minutes) * time.Minute)
 	batch := make([]*stt.Tuple, 0, persist.IndexEvery)
-	for from := t0; from.Before(t0.Add(minutes * time.Minute)); from = from.Add(persist.IndexEvery * period) {
+	for from := t0; from.Before(end); from = from.Add(persist.IndexEvery * period) {
 		to := from.Add(persist.IndexEvery * period)
 		for _, s := range sensors {
 			batch = batch[:0]
@@ -1627,10 +1616,29 @@ func BenchmarkAggregateBenchShaped(b *testing.B) {
 				return true
 			})
 			if err := w.AppendBatch(batch); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}
+}
+
+// BenchmarkAggregateBenchShaped runs the bench's aggregate shape — a
+// two-minute AVG(temperature) by source in one-minute buckets — over the
+// bench's in-memory store: its fleet at 50 Hz (appendBenchShaped), 16
+// shards and default segments, 17 minutes of history. It reports the events folded
+// one by one and the sealed-segment chunks answered from their chunk index
+// per query, both averaged over every window position, and gates the first
+// at its value with the chunk index: counts, which repeat on any machine.
+// Without the index, each query folds every event of its window.
+func BenchmarkAggregateBenchShaped(b *testing.B) {
+	const (
+		hz       = 50
+		minutes  = 17
+		window   = 2
+		maxFolds = 4640 // the count with sealed-segment chunk stats; a change that folds fewer lowers it
+	)
+	w := NewWithConfig(Config{Shards: 16})
+	appendBenchShaped(b, w, hz, minutes)
 	queries := make([]AggQuery, 0, minutes-window+1)
 	for m := 0; m+window <= minutes; m++ {
 		from := t0.Add(time.Duration(m) * time.Minute)

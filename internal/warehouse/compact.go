@@ -8,13 +8,15 @@ import (
 )
 
 // compactor is the per-warehouse background cold-file compactor. Retention
-// trims and out-of-order side-segment spills leave behind small,
-// time-overlapping cold files that prune poorly and multiply per-query
-// header checks; the compactor merges runs of such time-adjacent files into
-// one well-pruning neighbor, using the spiller's discipline — select and
-// validate under the shard lock, do the file I/O with no lock held, swap
-// briefly under the lock — so queries see identical results before, during
-// and after a compaction.
+// trims leave behind small cold files, and out-of-order side-segment spills
+// leave files that overlap a neighbour; both prune poorly and multiply
+// per-query header checks. The compactor merges runs of files that are
+// small or overlapping by (time, seq) key into one well-pruning neighbor;
+// full-size files in order are never rewritten, even where neighbours
+// share a boundary event time. It uses the spiller's discipline — select
+// and validate under the shard lock, do the file I/O with no lock held,
+// swap briefly under the lock — so queries see identical results before,
+// during and after a compaction.
 //
 // Crash safety leans on one manifest record per rewrite. Until the merged
 // file is published, nothing has changed on disk. Once it is published but
@@ -86,11 +88,13 @@ type compactSnap struct {
 }
 
 // pickCompactionLocked selects the next run of cold segments worth
-// rewriting: time-adjacent segments (ordered by live head key) where each
-// join is justified — one side is small, or the next segment's envelope
-// overlaps the previous one's (an out-of-order side spill) — capped at
-// maxCompactFiles files and maxOut merged events. A run is at least two
-// segments. Caller holds the shard lock.
+// rewriting: neighbours in live head key order where each join is
+// justified — one side is small, or the two overlap by (time, seq) key
+// (the previous tail is not below the next head: an out-of-order side
+// spill) — capped at maxCompactFiles files and maxOut merged events.
+// Full-size files in order are never rewritten: two that only share a
+// boundary event time do not join. A run is at least two segments. Caller
+// holds the shard lock.
 func (s *shard) pickCompactionLocked(below, maxOut int) []compactSnap {
 	order := make([]*coldSegment, len(s.cold))
 	copy(order, s.cold)
@@ -109,7 +113,7 @@ func (s *shard) pickCompactionLocked(below, maxOut int) []compactSnap {
 			if !eligible(cs) || total+cs.count > maxOut {
 				break
 			}
-			if !small(prev) && !small(cs) && cs.head.Time.After(prev.tail.Time) {
+			if !small(prev) && !small(cs) && prev.tail.Less(cs.head) {
 				break
 			}
 			run = append(run, cs)
@@ -194,16 +198,23 @@ func (w *Warehouse) compactShardOnce(s *shard) bool {
 	return w.installCompaction(s, snaps, info, gen, oldGens)
 }
 
-// installCompaction swaps the merged file in for its victims: validate the
-// victims unchanged, record the rewrite in the manifest, replace them in
-// the cold list and delete their files, then clear the record. retMu
-// serializes this against retention compactions, which take every shard
-// lock under it.
+// installCompaction swaps the merged file in for its victims. It holds
+// retMu throughout: retMu excludes retention, the only code besides the
+// compactor itself that trims or drops a cold file, and it serializes
+// manifest writes. The shard lock is taken only to read and to swap the
+// cold list, never across I/O:
+//  1. validate the victims unchanged, under the read lock;
+//  2. record the rewrite in the manifest, holding no shard lock;
+//  3. swap the merged file in for the victims, under the write lock;
+//  4. delete the victims' files and retire the record, with no shard lock.
+//
+// No reader can reach a victim once step 3 releases the lock, and the
+// record is on disk before the first victim is deleted.
 func (w *Warehouse) installCompaction(s *shard, snaps []compactSnap, info *persist.SegmentInfo, gen int, oldGens []int) bool {
 	w.retMu.Lock()
 	defer w.retMu.Unlock()
-	s.mu.Lock()
 
+	s.mu.RLock()
 	valid := true
 	for _, sn := range snaps {
 		if sn.cs.skip != sn.skip || sn.cs.count != sn.count || !s.containsColdLocked(sn.cs) {
@@ -211,16 +222,21 @@ func (w *Warehouse) installCompaction(s *shard, snaps []compactSnap, info *persi
 			break
 		}
 	}
-	abandon := func() {
+	s.mu.RUnlock()
+	abandon := func() bool {
+		s.mu.Lock()
 		for _, sn := range snaps {
 			sn.cs.compacting = false
 		}
 		s.mu.Unlock()
+		// A failed delete is reaped at the next Open: no record names the
+		// merged file, and every live event it holds is still in a
+		// registered victim, so the duplicate pass drops it.
 		_ = info.Remove()
+		return false
 	}
 	if !valid {
-		abandon()
-		return false
+		return abandon()
 	}
 
 	// Record the rewrite before deleting anything: once victims start
@@ -230,20 +246,18 @@ func (w *Warehouse) installCompaction(s *shard, snaps []compactSnap, info *persi
 	w.pers.manifest.Compactions = append(w.pers.manifest.Compactions, rec)
 	if err := w.saveManifest(); err != nil {
 		w.pers.manifest.Compactions = w.pers.manifest.Compactions[:len(w.pers.manifest.Compactions)-1]
-		abandon()
-		return false
+		return abandon()
 	}
 
 	newCS := w.newColdSegment(info)
-	for _, sn := range snaps {
-		if sn.cs.seqHi > newCS.seqHi {
-			newCS.seqHi = sn.cs.seqHi
-		}
-	}
 	isVictim := make(map[*coldSegment]bool, len(snaps))
+	var oldBytes int64
 	for _, sn := range snaps {
+		newCS.seqHi = max(newCS.seqHi, sn.cs.seqHi)
 		isVictim[sn.cs] = true
+		oldBytes += sn.cs.info.Bytes
 	}
+	s.mu.Lock()
 	kept := make([]*coldSegment, 0, len(s.cold)-len(snaps)+1)
 	placed := false
 	for _, cs := range s.cold {
@@ -257,16 +271,15 @@ func (w *Warehouse) installCompaction(s *shard, snaps []compactSnap, info *persi
 		kept = append(kept, cs)
 	}
 	s.cold = kept
-	var oldBytes int64
+	s.mu.Unlock()
+
 	for _, sn := range snaps {
-		oldBytes += sn.cs.info.Bytes
 		_ = sn.cs.info.Remove() // a failed delete is finished at next Open via the record
 		sn.cs.cache.Invalidate(sn.cs.info.Path)
 	}
 	w.coldBytes.Add(info.Bytes - oldBytes)
 	w.compactions.Add(1)
 	w.segsCompacted.Add(uint64(len(snaps)))
-	s.mu.Unlock()
 
 	// Victims are gone; retire the record. A failed save (counted by
 	// saveManifest) just means the next Open re-runs the (idempotent)

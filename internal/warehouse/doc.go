@@ -398,19 +398,26 @@
 // # Background compaction
 //
 // Side spills of straggler segments and retention trims leave shards with
-// small or time-overlapping cold files, which tax every query's pruning
-// pass and defeat envelope-based fast paths. A per-warehouse background
-// compactor (Config.CompactBelow — the file size in events below which a
-// file wants merging; 0 means SegmentEvents/2, negative disables) watches
-// each shard after spills and retention cuts. It picks runs of
-// time-adjacent cold files where every neighbor join is justified — one
-// side under the threshold, or envelopes overlapping — capped at 8 input
-// files and 2x SegmentEvents output events, and merges each run into one
-// sorted file under the spiller's write→validate→swap discipline: live
-// events only (logical skips are dropped for good) are read and written
-// off-lock under a freshly reserved generation, then the shard lock is
-// retaken to revalidate every victim (retention touched one in flight →
-// the merged file is deleted and the merge abandoned) before the swap.
+// small cold files, or files overlapping by (time, seq) key, which tax
+// every query's pruning pass and defeat envelope-based fast paths. A
+// per-warehouse background compactor (Config.CompactBelow — the file size
+// in events below which a file wants merging; 0 means SegmentEvents/2,
+// negative disables) watches each shard after spills and retention cuts.
+// It picks runs of adjacent cold files, in head key order, where every
+// neighbor join is justified — one side under the threshold, or the two
+// overlapping by (time, seq) key — capped at 8 input files and 2x
+// SegmentEvents output events. Full-size files in order are never
+// rewritten: two neighbours that only share a boundary event time (every
+// file of a minute-granularity stream does) stay as they are. Each run
+// merges into one sorted file under the spiller's write→validate→swap
+// discipline: live events only (logical skips are dropped for good) are
+// read and written off-lock under a freshly reserved generation. The
+// install holds retMu, which keeps retention out, and takes the shard lock
+// only briefly: a read lock to revalidate every victim (retention touched
+// one in flight → the merged file is deleted and the merge abandoned),
+// then, after the record is saved with no shard lock held, the write lock
+// for the swap. The victims' files are deleted after the swap, again
+// off-lock.
 // Crash safety hinges on a manifest CompactionRecord written before the
 // victim files are deleted and retired after: recovery finding a record
 // with the merged file on disk deletes whatever victims survive

@@ -77,10 +77,11 @@ type Config struct {
 	// negative disables the cache.
 	ColdCacheBytes int64
 	// CompactBelow is the live-event threshold under which a cold segment
-	// file counts as small enough to merge with its time-adjacent
-	// neighbors: the background compactor rewrites runs of small or
-	// time-overlapping cold files into one well-pruning file. 0 means
-	// SegmentEvents/2; negative disables compaction.
+	// file counts as small enough to merge with its adjacent neighbors:
+	// the background compactor rewrites runs of cold files that are small
+	// or overlapping by (time, seq) key into one well-pruning file;
+	// full-size files in order are never rewritten. 0 means SegmentEvents/2; negative
+	// disables compaction.
 	CompactBelow int
 
 	// ViewCheckpointEvery is how many view state mutations may accumulate
