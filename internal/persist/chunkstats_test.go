@@ -170,8 +170,10 @@ func statsChunk(data []byte) []Event {
 	}
 	n := int(next())<<8 | int(next())
 	n = n%300 + 1
-	themes := []string{"", "weather", "traffic", "env", "other"}
-	sources := []string{"", "s1", "s2", "s3"}
+	// More than countTableScan distinct sources and themes, so the count
+	// tables outgrow their scan.
+	themes := []string{"", "weather", "traffic", "env", "t4", "t5", "t6", "t7", "t8", "t9"}
+	sources := []string{"", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11"}
 	events := make([]Event, 0, n)
 	ts := t0
 	for k := 0; k < n; k++ {
@@ -217,6 +219,11 @@ func FuzzChunkStatsEqualsReference(f *testing.F) {
 	f.Add([]byte{0, 40, 0x13, 2, 2, 3, 3, 2, 4, 1})
 	f.Add([]byte{1, 0, 0xff, 4, 2, 3, 2, 4, 2, 3, 1, 0, 0, 5, 1})
 	f.Add([]byte{0, 9, 0x40, 2, 3, 3, 3, 4, 0x41, 2, 2, 3, 2, 3, 3, 3}) // +Inf and MaxFloat64
+	many := []byte{0, 199} // every source and theme, interleaved
+	for k := range 200 {
+		many = append(many, byte(k*37), 0, 2, byte(k), 4, byte(k), 3, byte(k*7))
+	}
+	f.Add(many)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events := statsChunk(data)
 		if d := chunkStatsDiff(ChunkStatsFor(events), chunkStatsRef(events)); d != "" {
@@ -342,4 +349,39 @@ func BenchmarkChunkStatsFor(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
+}
+
+// TestSegmentWriterAllocs gates the allocations of one WriteSegment on a
+// 4 096-event bench-shaped segment, file publication included, and of one
+// ChunkStatsFor on a 256-event chunk. The writer's scratch is pooled, so
+// what remains is the SegmentInfo, each chunk's stats maps, the header's
+// JSON encoding (most of the rest) and the file calls. Before the fold went
+// by schema slot with pooled scratch the counts were 555, 637 and 9. Each
+// bound sits at today's count; a change that lowers one lowers its bound.
+func TestSegmentWriterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under the race detector; the counts are exact only without it")
+	}
+	for _, c := range []struct {
+		typ             sensor.Type
+		write, chunkFor float64
+	}{
+		{sensor.TypeTemperature, 372, 7},
+		{sensor.TypeTraffic, 405, 7},
+	} {
+		events := benchSegmentEvents(t, c.typ, 0, benchSegmentLen)
+		path := filepath.Join(t.TempDir(), SegmentFileName(1))
+		write := testing.AllocsPerRun(20, func() {
+			if _, err := WriteSegment(path, events); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if write > c.write {
+			t.Errorf("%s: WriteSegment made %.0f allocations, want at most %.0f", c.typ, write, c.write)
+		}
+		chunk := events[:IndexEvery]
+		if stats := testing.AllocsPerRun(50, func() { ChunkStatsFor(chunk) }); stats > c.chunkFor {
+			t.Errorf("%s: ChunkStatsFor made %.0f allocations on a %d-event chunk, want at most %.0f", c.typ, stats, IndexEvery, c.chunkFor)
+		}
+	}
 }

@@ -98,11 +98,53 @@ func appendSection(b, payload []byte) []byte {
 	return append(b, payload...)
 }
 
+// colScratch is the column encoder's working memory, reused from column to
+// column and chunk to chunk: the column buffer, one string column's values,
+// and the string dictionary with what it resolves.
+type colScratch struct {
+	col   []byte
+	strs  []string          // a theme or source column, in event order
+	ids   map[string]uint64 // string → dictionary id
+	order []string          // the dictionary, in first-use order
+	refs  []uint64          // dictionary ids in use order, or (id, run) pairs
+	kinds []uint64          // a value column's (kind, run) pairs
+}
+
+// resetDict empties the string dictionary for the next column.
+func (sc *colScratch) resetDict() {
+	if sc.ids == nil {
+		sc.ids = map[string]uint64{}
+	}
+	clear(sc.ids)
+	clear(sc.order)
+	sc.order, sc.refs = sc.order[:0], sc.refs[:0]
+}
+
+// idOf returns s's dictionary id, defining it on first use.
+func (sc *colScratch) idOf(s string) uint64 {
+	if id, ok := sc.ids[s]; ok {
+		return id
+	}
+	id := uint64(len(sc.order))
+	sc.ids[s] = id
+	sc.order = append(sc.order, s)
+	return id
+}
+
+// appendDict appends the dictionary: its size, then its strings.
+func (sc *colScratch) appendDict(col []byte) []byte {
+	col = appendUvarint(col, uint64(len(sc.order)))
+	for _, s := range sc.order {
+		col = appendString(col, s)
+	}
+	return col
+}
+
 // appendChunkV3 encodes one chunk of events (already (time, seq)-sorted)
-// column-wise. scratch is reused across chunks to keep the write path from
-// reallocating per column.
-func appendChunkV3(b []byte, events []Event, dict *schemaDict, scratch *[]byte) []byte {
-	col := (*scratch)[:0]
+// column-wise into b, assigning schema ids from dict. sc is reused across
+// columns and chunks, so the steady-state encode does not allocate.
+func appendChunkV3(b []byte, events []Event, dict *schemaDict, sc *colScratch) []byte {
+	col := sc.col[:0]
 
 	// sec: first raw, then delta-of-delta.
 	var prevSec, prevDelta int64
@@ -147,19 +189,21 @@ func appendChunkV3(b []byte, events []Event, dict *schemaDict, scratch *[]byte) 
 	}
 	b = appendSection(b, col)
 
-	// schema ids, RLE.
+	// schema ids, RLE; a schema repeating its predecessor is a run, not a
+	// dictionary lookup.
 	col = col[:0]
-	runID, _ := dict.id(events[0].Tuple.Schema)
+	runSchema := events[0].Tuple.Schema
+	runID, _ := dict.id(runSchema)
 	run := 0
 	for _, ev := range events {
-		id, _ := dict.id(ev.Tuple.Schema)
-		if id == runID {
+		if ev.Tuple.Schema == runSchema {
 			run++
 			continue
 		}
 		col = appendUvarint(col, runID)
 		col = appendUvarint(col, uint64(run))
-		runID, run = id, 1
+		runSchema, run = ev.Tuple.Schema, 1
+		runID, _ = dict.id(runSchema)
 	}
 	col = appendUvarint(col, runID)
 	col = appendUvarint(col, uint64(run))
@@ -178,9 +222,17 @@ func appendChunkV3(b []byte, events []Event, dict *schemaDict, scratch *[]byte) 
 	b = appendSection(b, col)
 
 	// theme / source: chunk-local dictionary + RLE indices.
-	col = appendStringColumn(col[:0], events, func(ev Event) string { return ev.Tuple.Theme })
+	sc.strs = sc.strs[:0]
+	for _, ev := range events {
+		sc.strs = append(sc.strs, ev.Tuple.Theme)
+	}
+	col = appendStringColumn(col[:0], sc.strs, sc)
 	b = appendSection(b, col)
-	col = appendStringColumn(col[:0], events, func(ev Event) string { return ev.Tuple.Source })
+	sc.strs = sc.strs[:0]
+	for _, ev := range events {
+		sc.strs = append(sc.strs, ev.Tuple.Source)
+	}
+	col = appendStringColumn(col[:0], sc.strs, sc)
 	b = appendSection(b, col)
 
 	// tuple seqs.
@@ -219,49 +271,37 @@ func appendChunkV3(b []byte, events []Event, dict *schemaDict, scratch *[]byte) 
 
 	// One typed value column per payload position.
 	for p := 0; p < maxVals; p++ {
-		col = appendValueColumn(col[:0], events, p)
+		col = appendValueColumn(col[:0], events, p, sc)
 		b = appendSection(b, col)
 	}
 
-	*scratch = col[:0]
+	sc.col = col[:0]
 	return b
 }
 
 // appendStringColumn encodes one string column: a chunk-local dictionary of
 // the distinct strings (first-use order) followed by RLE (index, run) pairs.
-func appendStringColumn(col []byte, events []Event, get func(Event) string) []byte {
-	ids := map[string]uint64{}
-	var order []string
-	idOf := func(s string) uint64 {
-		if id, ok := ids[s]; ok {
-			return id
-		}
-		id := uint64(len(order))
-		ids[s] = id
-		order = append(order, s)
-		return id
-	}
-	// Resolve ids first so the dictionary can be written before the runs.
-	idxs := make([]uint64, len(events))
-	for i, ev := range events {
-		idxs[i] = idOf(get(ev))
-	}
-	col = appendUvarint(col, uint64(len(order)))
-	for _, s := range order {
-		col = appendString(col, s)
-	}
-	runID, run := idxs[0], 0
-	for _, id := range idxs {
-		if id == runID {
+// Equal strings have equal ids, so the runs are runs of equal strings, and a
+// string's id is looked up once per run.
+func appendStringColumn(col []byte, strs []string, sc *colScratch) []byte {
+	sc.resetDict()
+	runs := sc.refs
+	prev, run := strs[0], 0
+	for _, s := range strs {
+		if s == prev {
 			run++
 			continue
 		}
-		col = appendUvarint(col, runID)
-		col = appendUvarint(col, uint64(run))
-		runID, run = id, 1
+		runs = append(runs, sc.idOf(prev), uint64(run))
+		prev, run = s, 1
 	}
-	col = appendUvarint(col, runID)
-	col = appendUvarint(col, uint64(run))
+	runs = append(runs, sc.idOf(prev), uint64(run))
+	sc.refs = runs
+	// The dictionary goes before the runs that index it.
+	col = sc.appendDict(col)
+	for _, r := range runs {
+		col = appendUvarint(col, r)
+	}
 	return col
 }
 
@@ -269,50 +309,47 @@ func appendStringColumn(col []byte, events []Event, get func(Event) string) []by
 // dictionary (possibly empty), RLE (kind, run) pairs over the events that
 // carry at least p+1 values, then the payloads in event order. Strings are
 // dictionary indices; every other kind uses the row codec's representation.
-func appendValueColumn(col []byte, events []Event, p int) []byte {
-	ids := map[string]uint64{}
-	var order []string
-	for _, ev := range events {
-		if p >= len(ev.Tuple.Values) {
-			continue
-		}
-		if v := ev.Tuple.Values[p]; v.Kind() == stt.KindString {
-			s := v.AsString()
-			if _, ok := ids[s]; !ok {
-				ids[s] = uint64(len(order))
-				order = append(order, s)
-			}
-		}
-	}
-	col = appendUvarint(col, uint64(len(order)))
-	for _, s := range order {
-		col = appendString(col, s)
-	}
-
-	// Kinds, RLE over the carrying events.
+// One pass resolves the strings — once per run of an equal string — and the
+// kind runs, so the payload pass looks nothing up.
+func appendValueColumn(col []byte, events []Event, p int, sc *colScratch) []byte {
+	sc.resetDict()
+	refs, kinds := sc.refs, sc.kinds[:0]
+	var prev string
+	var prevID uint64
+	haveStr := false
 	runKind, run := stt.KindNull, 0
-	started := false
-	flush := func() {
-		if run > 0 {
-			col = append(col, byte(runKind))
-			col = appendUvarint(col, uint64(run))
-		}
-	}
 	for _, ev := range events {
 		if p >= len(ev.Tuple.Values) {
 			continue
 		}
-		k := ev.Tuple.Values[p].Kind()
-		if started && k == runKind {
+		v := ev.Tuple.Values[p]
+		if k := v.Kind(); k != runKind || run == 0 {
+			if run > 0 {
+				kinds = append(kinds, uint64(runKind), uint64(run))
+			}
+			runKind, run = k, 1
+		} else {
 			run++
-			continue
 		}
-		flush()
-		runKind, run, started = k, 1, true
+		if v.Kind() == stt.KindString {
+			if s := v.AsString(); !haveStr || s != prev {
+				prev, prevID, haveStr = s, sc.idOf(s), true
+			}
+			refs = append(refs, prevID)
+		}
 	}
-	flush()
+	if run > 0 {
+		kinds = append(kinds, uint64(runKind), uint64(run))
+	}
+	sc.refs, sc.kinds = refs, kinds
 
-	// Payloads in event order.
+	col = sc.appendDict(col)
+	for i := 0; i < len(kinds); i += 2 {
+		col = append(col, byte(kinds[i]))
+		col = appendUvarint(col, kinds[i+1])
+	}
+
+	// Payloads in event order; strings take their ids in the same order.
 	for _, ev := range events {
 		if p >= len(ev.Tuple.Values) {
 			continue
@@ -331,7 +368,8 @@ func appendValueColumn(col []byte, events []Event, p int) []byte {
 		case stt.KindFloat:
 			col = appendFloat(col, v.AsFloat())
 		case stt.KindString:
-			col = appendUvarint(col, ids[v.AsString()])
+			col = appendUvarint(col, refs[0])
+			refs = refs[1:]
 		case stt.KindTime:
 			col = appendTime(col, v.AsTime())
 		}

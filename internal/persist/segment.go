@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -32,7 +33,8 @@ import (
 // Each sparse-index entry also carries its chunk's stats — max event time,
 // per-source / per-theme / primary-theme counts and per-field numeric
 // summaries — so aggregate pushdown can answer individual chunks without
-// decoding them.
+// decoding them. ChunkStatsFor folds them per schema slot in event order,
+// and the header's source and theme counts are the sums of its chunks'.
 //
 // A chunk is encoded column-wise: a fixed order of length-prefixed column
 // sections — delta-of-delta times, delta seqs, RLE schema ids, raw float
@@ -71,25 +73,28 @@ type SparseEntry struct {
 // the COUNT(field) contribution (value present and non-null), and the
 // Num/Sum/Min/Max frame folds the chunk's numeric values so SUM/AVG/MIN/MAX
 // can absorb the whole chunk without decoding it. Min/Max are meaningful
-// only when Num > 0.
+// only when Num > 0. The JSON tags are its form in a file's sparse index.
 type FieldStats struct {
-	NonNull int
-	Num     int
-	Sum     float64
-	Min     float64
-	Max     float64
+	NonNull int     `json:"nn"`
+	Num     int     `json:"n,omitempty"`
+	Sum     float64 `json:"sum,omitempty"`
+	Min     float64 `json:"min,omitempty"`
+	Max     float64 `json:"max,omitempty"`
 	// NonFinite counts numeric values excluded from the Num/Sum/Min/Max
 	// frame because they are NaN or ±Inf (JSON cannot carry them and no
 	// finite frame can absorb them). When NonFinite > 0 the frame is a
 	// partial view and SUM/AVG/MIN/MAX pushdown must decode the chunk;
 	// NonNull stays exact regardless.
-	NonFinite int
+	NonFinite int `json:"nf,omitempty"`
 }
 
 // ChunkStats is the per-chunk aggregate summary a sparse-index entry
 // carries. Together with the entry's Time (the chunk's minimum event time)
 // it gives the chunk a full time envelope plus the same count maps the file
-// header carries for the whole segment, one level down.
+// header carries for the whole segment, one level down. Its maps are
+// read-only once built: an empty one may be nil, and ThemeCounts may be the
+// very map PrimaryThemeCounts is (when no event matches a theme beyond its
+// primary tag, the two hold the same counts).
 type ChunkStats struct {
 	// MaxTime is the chunk's maximum event time (events are (time, seq)
 	// sorted, so this is the last event's time).
@@ -102,17 +107,8 @@ type ChunkStats struct {
 	ThemeCounts map[string]int
 	// PrimaryThemeCounts counts events by primary Theme tag alone.
 	PrimaryThemeCounts map[string]int
-	// Fields summarizes each payload field seen in the chunk.
+	// Fields summarizes each payload field seen non-null in the chunk.
 	Fields map[string]FieldStats
-}
-
-type fieldStatsJSON struct {
-	NonNull   int     `json:"nn"`
-	Num       int     `json:"n,omitempty"`
-	Sum       float64 `json:"sum,omitempty"`
-	Min       float64 `json:"min,omitempty"`
-	Max       float64 `json:"max,omitempty"`
-	NonFinite int     `json:"nf,omitempty"`
 }
 
 type sparseJSON struct {
@@ -123,12 +119,12 @@ type sparseJSON struct {
 	CRC     uint32 `json:"crc"`
 
 	// Chunk stats; a chunk with empty maps still gets a non-nil ChunkStats.
-	MaxSec   int64                     `json:"max_sec,omitempty"`
-	MaxNanos int                       `json:"max_nanos,omitempty"`
-	Sources  map[string]int            `json:"sources,omitempty"`
-	Themes   map[string]int            `json:"themes,omitempty"`
-	Primary  map[string]int            `json:"primary,omitempty"`
-	Fields   map[string]fieldStatsJSON `json:"fields,omitempty"`
+	MaxSec   int64                 `json:"max_sec,omitempty"`
+	MaxNanos int                   `json:"max_nanos,omitempty"`
+	Sources  map[string]int        `json:"sources,omitempty"`
+	Themes   map[string]int        `json:"themes,omitempty"`
+	Primary  map[string]int        `json:"primary,omitempty"`
+	Fields   map[string]FieldStats `json:"fields,omitempty"`
 }
 
 type segHeaderJSON struct {
@@ -184,11 +180,21 @@ func keyFromJSON(j keyJSON) Key {
 // WriteSegment encodes events — which must already be in (time, seq) order
 // and non-empty — and publishes the file at path with PublishFile. It is the
 // one segment writer: the spiller and the compactor both call it.
+//
+// It walks the events once per chunk: appendChunkV3 encodes the chunk and
+// ChunkStatsFor's fold summarizes it. The header's SourceCounts, ThemeCounts
+// and PrimaryThemeCounts are the sums of the chunks' count maps, which count
+// the same events the same way. The working memory — column and dictionary
+// scratch, the stats fold, the event block and the file image — comes from
+// segWriterPool, so a writer reuses it across segments without two
+// goroutines (the spiller's and the compactor's) ever sharing it.
 func WriteSegment(path string, events []Event) (*SegmentInfo, error) {
 	if len(events) == 0 {
 		return nil, fmt.Errorf("persist: refusing to write empty segment")
 	}
-	dict := newSchemaDict()
+	sw := segWriterPool.Get().(*segWriter)
+	defer sw.release()
+	nChunks := (len(events) + IndexEvery - 1) / IndexEvery
 	info := &SegmentInfo{
 		Path:               path,
 		Count:              len(events),
@@ -197,35 +203,26 @@ func WriteSegment(path string, events []Event) (*SegmentInfo, error) {
 		SourceCounts:       map[string]int{},
 		ThemeCounts:        map[string]int{},
 		PrimaryThemeCounts: map[string]int{},
+		Sparse:             make([]SparseEntry, 0, nChunks),
 	}
 
 	// Event block: one columnar chunk, with its stats, per IndexEvery events.
-	var block, scratch []byte
+	block := sw.block[:0]
 	for start := 0; start < len(events); start += IndexEvery {
 		chunk := events[start:min(start+IndexEvery, len(events))]
 		off := len(block)
-		block = appendChunkV3(block, chunk, dict, &scratch)
+		block = appendChunkV3(block, chunk, &sw.dict, &sw.col)
+		st := sw.stats.chunkStats(chunk)
+		addCounts(info.SourceCounts, st.SourceCounts)
+		addCounts(info.ThemeCounts, st.ThemeCounts)
+		addCounts(info.PrimaryThemeCounts, st.PrimaryThemeCounts)
 		info.Sparse = append(info.Sparse, SparseEntry{
 			Pos: start, Time: chunk[0].Tuple.Time, Off: int64(off),
-			CRC: checksum(block[off:]), Stats: ChunkStatsFor(chunk),
+			CRC: checksum(block[off:]), Stats: st,
 		})
 	}
-	for _, ev := range events {
-		t := ev.Tuple
-		if t.Source != "" {
-			info.SourceCounts[t.Source]++
-		}
-		if t.Theme != "" {
-			info.ThemeCounts[t.Theme]++
-			info.PrimaryThemeCounts[t.Theme]++
-		}
-		for _, theme := range t.Schema.Themes {
-			if theme != t.Theme {
-				info.ThemeCounts[theme]++
-			}
-		}
-	}
-	info.schemas = dict.order
+	sw.block = block
+	info.schemas = slices.Clone(sw.dict.order)
 
 	hdr := segHeaderJSON{
 		Count:              info.Count,
@@ -234,50 +231,41 @@ func WriteSegment(path string, events []Event) (*SegmentInfo, error) {
 		SourceCounts:       info.SourceCounts,
 		ThemeCounts:        info.ThemeCounts,
 		PrimaryThemeCounts: info.PrimaryThemeCounts,
+		Schemas:            make([]schemaJSON, 0, len(info.schemas)),
+		Sparse:             make([]sparseJSON, 0, nChunks),
 		EventBytes:         int64(len(block)),
 	}
-	for _, s := range dict.order {
+	for _, s := range info.schemas {
 		hdr.Schemas = append(hdr.Schemas, encodeSchema(s))
 	}
 	for _, e := range info.Sparse {
-		sj := sparseJSON{
+		st := e.Stats
+		hdr.Sparse = append(hdr.Sparse, sparseJSON{
 			Pos: e.Pos, UnixSec: e.Time.Unix(), Nanos: e.Time.Nanosecond(),
 			Off: e.Off, CRC: e.CRC,
-		}
-		if st := e.Stats; st != nil {
-			sj.MaxSec, sj.MaxNanos = st.MaxTime.Unix(), st.MaxTime.Nanosecond()
-			sj.Sources = st.SourceCounts
-			sj.Themes = st.ThemeCounts
-			sj.Primary = st.PrimaryThemeCounts
-			if len(st.Fields) > 0 {
-				sj.Fields = make(map[string]fieldStatsJSON, len(st.Fields))
-				for name, fs := range st.Fields {
-					sj.Fields[name] = fieldStatsJSON{
-						NonNull: fs.NonNull, Num: fs.Num,
-						Sum: fs.Sum, Min: fs.Min, Max: fs.Max,
-						NonFinite: fs.NonFinite,
-					}
-				}
-			}
-		}
-		hdr.Sparse = append(hdr.Sparse, sj)
+			MaxSec: st.MaxTime.Unix(), MaxNanos: st.MaxTime.Nanosecond(),
+			Sources: st.SourceCounts, Themes: st.ThemeCounts, Primary: st.PrimaryThemeCounts,
+			Fields: st.Fields,
+		})
 	}
 	hdrBytes, err := json.Marshal(hdr)
 	if err != nil {
 		return nil, err
 	}
 
-	buf := make([]byte, 0, len(segMagic)+8+len(hdrBytes)+8*len(events)+len(block))
+	buf := sw.file[:0]
 	buf = append(buf, segMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hdrBytes)))
 	buf = binary.LittleEndian.AppendUint32(buf, checksum(hdrBytes))
 	buf = append(buf, hdrBytes...)
+	buf = slices.Grow(buf, 8*len(events)+len(block))
 	for _, ev := range events {
 		buf = binary.LittleEndian.AppendUint64(buf, ev.Seq)
 	}
 	info.eventOff = int64(len(buf))
 	buf = append(buf, block...)
 	info.Bytes = int64(len(buf))
+	sw.file = buf
 
 	if err := PublishFile(path, buf); err != nil {
 		return nil, err
@@ -285,69 +273,280 @@ func WriteSegment(path string, events []Event) (*SegmentInfo, error) {
 	return info, nil
 }
 
+// addCounts adds the counts of src into dst.
+func addCounts(dst, src map[string]int) {
+	for k, n := range src {
+		dst[k] += n
+	}
+}
+
+// segWriter is WriteSegment's working memory. Nothing in it outlives the
+// call that holds it: the schema dictionary's order is cloned into the
+// SegmentInfo, the chunk stats are fresh maps, and the file image is
+// written out before the writer goes back to the pool.
+type segWriter struct {
+	dict  schemaDict
+	col   colScratch
+	stats statsFold
+	block []byte // the event block being encoded
+	file  []byte // the whole file image handed to PublishFile
+}
+
+// maxPooledFile bounds the buffers a segWriter keeps between segments; a
+// rare outsized compaction output is left to the collector instead of
+// pinning its memory in the pool.
+const maxPooledFile = 8 << 20
+
+var segWriterPool = sync.Pool{New: func() any {
+	return &segWriter{dict: schemaDict{ids: map[*stt.Schema]uint64{}}}
+}}
+
+// release resets the writer and returns it to the pool.
+func (sw *segWriter) release() {
+	clear(sw.dict.ids)
+	clear(sw.dict.order)
+	sw.dict.order = sw.dict.order[:0]
+	if cap(sw.file) > maxPooledFile {
+		sw.block, sw.file = nil, nil
+	}
+	segWriterPool.Put(sw)
+}
+
 // ChunkStatsFor summarizes one chunk's events for the sparse index. The
 // events must be in time order (MaxTime is the last one's time). It is the
-// one definition of chunk stats: the segment writer calls it per file chunk,
-// and the warehouse per chunk of a sealed in-memory segment.
+// one definition of chunk stats: the segment writer folds every file chunk
+// with it, and the warehouse every chunk of a sealed in-memory segment.
+//
+// The fold resolves each schema's field slots to chunk-local field indexes
+// once per chunk (a field name shared by two schemas is one index), and
+// folds every value into its index's FieldStats in event order, so float
+// sums come out exactly as a per-name fold would make them. Sources and
+// themes are counted one run of equal values at a time, and each map is
+// built once, at the end, at its final size.
 func ChunkStatsFor(events []Event) *ChunkStats {
-	cs := &ChunkStats{
-		MaxTime:            events[len(events)-1].Tuple.Time,
-		SourceCounts:       map[string]int{},
-		ThemeCounts:        map[string]int{},
-		PrimaryThemeCounts: map[string]int{},
-		Fields:             map[string]FieldStats{},
+	f := statsFoldPool.Get().(*statsFold)
+	cs := f.chunkStats(events)
+	statsFoldPool.Put(f)
+	return cs
+}
+
+var statsFoldPool = sync.Pool{New: func() any { return new(statsFold) }}
+
+// statsFold is ChunkStatsFor's working memory, reset per chunk.
+type statsFold struct {
+	schemas []*stt.Schema  // the chunk's distinct schemas, first-use order
+	slots   [][]int        // per schemas entry: field slot → field index
+	slotBuf []int          // backing store of slots
+	byName  map[string]int // field name → field index
+	names   []string       // field index → field name
+	fields  []FieldStats   // field index → the fold so far
+
+	sources, themes, primary countTable
+	// extraThemes is set once some event matches a schema theme other
+	// than its primary tag; until then themes and primary hold the same
+	// counts.
+	extraThemes bool
+}
+
+func (f *statsFold) reset() {
+	f.schemas, f.slots, f.slotBuf = f.schemas[:0], f.slots[:0], f.slotBuf[:0]
+	clear(f.byName)
+	f.names, f.fields = f.names[:0], f.fields[:0]
+	f.sources.reset()
+	f.themes.reset()
+	f.primary.reset()
+	f.extraThemes = false
+}
+
+// slotsOf returns schema's field slots resolved to field indexes, adding
+// indexes for the field names the chunk has not seen yet.
+func (f *statsFold) slotsOf(schema *stt.Schema) []int {
+	for i, s := range f.schemas {
+		if s == schema {
+			return f.slots[i]
+		}
 	}
+	if f.byName == nil {
+		f.byName = map[string]int{}
+	}
+	start := len(f.slotBuf)
+	for i, n := 0, schema.NumFields(); i < n; i++ {
+		name := schema.Field(i).Name
+		idx, ok := f.byName[name]
+		if !ok {
+			idx = len(f.names)
+			f.byName[name] = idx
+			f.names = append(f.names, name)
+			f.fields = append(f.fields, FieldStats{})
+		}
+		f.slotBuf = append(f.slotBuf, idx)
+	}
+	slots := f.slotBuf[start:len(f.slotBuf):len(f.slotBuf)]
+	f.schemas = append(f.schemas, schema)
+	f.slots = append(f.slots, slots)
+	return slots
+}
+
+// countThemes credits a run of n events tagged theme under schema: the
+// primary tag, and every schema theme besides it.
+func (f *statsFold) countThemes(theme string, schema *stt.Schema, n int) {
+	if theme != "" {
+		f.themes.add(theme, n)
+		f.primary.add(theme, n)
+	}
+	for _, th := range schema.Themes {
+		if th != theme {
+			f.themes.add(th, n)
+			f.extraThemes = true
+		}
+	}
+}
+
+func (f *statsFold) chunkStats(events []Event) *ChunkStats {
+	f.reset()
+	first := events[0].Tuple
+	src, srcRun := first.Source, 0
+	theme, themeSchema, themeRun := first.Theme, first.Schema, 0
+	var schema *stt.Schema
+	var slots []int
 	for _, ev := range events {
 		t := ev.Tuple
-		if t.Source != "" {
-			cs.SourceCounts[t.Source]++
-		}
-		if t.Theme != "" {
-			cs.ThemeCounts[t.Theme]++
-			cs.PrimaryThemeCounts[t.Theme]++
-		}
-		for _, theme := range t.Schema.Themes {
-			if theme != t.Theme {
-				cs.ThemeCounts[theme]++
+		if t.Source != src {
+			if src != "" {
+				f.sources.add(src, srcRun)
 			}
+			src, srcRun = t.Source, 0
 		}
-		for i, n := 0, t.Schema.NumFields(); i < n && i < len(t.Values); i++ {
-			v := t.Values[i]
+		srcRun++
+		if t.Theme != theme || t.Schema != themeSchema {
+			f.countThemes(theme, themeSchema, themeRun)
+			theme, themeSchema, themeRun = t.Theme, t.Schema, 0
+		}
+		themeRun++
+
+		if t.Schema != schema {
+			schema, slots = t.Schema, f.slotsOf(t.Schema)
+		}
+		vals := t.Values
+		if len(vals) > len(slots) {
+			vals = vals[:len(slots)]
+		}
+		for i, v := range vals {
 			if v.IsNull() {
 				continue
 			}
-			name := t.Schema.Field(i).Name
-			fs := cs.Fields[name]
+			fs := &f.fields[slots[i]]
 			fs.NonNull++
-			if v.Kind().Numeric() {
-				f := v.AsFloat()
-				if math.IsNaN(f) || math.IsInf(f, 0) {
-					// NaN/Inf cannot ride in the JSON frame; count it so
-					// pushdown knows the frame is partial.
-					fs.NonFinite++
-				} else {
-					if fs.Num == 0 {
-						fs.Min, fs.Max = f, f
-					} else {
-						fs.Min = math.Min(fs.Min, f)
-						fs.Max = math.Max(fs.Max, f)
-					}
-					fs.Num++
-					fs.Sum += f
-				}
+			if !v.Kind().Numeric() {
+				continue
 			}
-			cs.Fields[name] = fs
+			x := v.AsFloat()
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				// NaN/Inf cannot ride in the JSON frame; count it so
+				// pushdown knows the frame is partial.
+				fs.NonFinite++
+				continue
+			}
+			if fs.Num == 0 {
+				fs.Min, fs.Max = x, x
+			} else {
+				fs.Min = math.Min(fs.Min, x)
+				fs.Max = math.Max(fs.Max, x)
+			}
+			fs.Num++
+			fs.Sum += x
 		}
 	}
-	for name, fs := range cs.Fields {
-		if math.IsInf(fs.Sum, 0) {
-			// Finite values can still overflow their sum; poison the frame.
-			fs.NonFinite += fs.Num
-			fs.Num, fs.Sum, fs.Min, fs.Max = 0, 0, 0, 0
-			cs.Fields[name] = fs
+	if src != "" {
+		f.sources.add(src, srcRun)
+	}
+	f.countThemes(theme, themeSchema, themeRun)
+
+	cs := &ChunkStats{
+		MaxTime:            events[len(events)-1].Tuple.Time,
+		SourceCounts:       f.sources.toMap(),
+		PrimaryThemeCounts: f.primary.toMap(),
+	}
+	cs.ThemeCounts = cs.PrimaryThemeCounts
+	if f.extraThemes {
+		cs.ThemeCounts = f.themes.toMap()
+	}
+	seen := 0
+	for i := range f.fields {
+		if f.fields[i].NonNull > 0 {
+			seen++
+		}
+	}
+	if seen > 0 {
+		cs.Fields = make(map[string]FieldStats, seen)
+		for i, fs := range f.fields {
+			if fs.NonNull == 0 {
+				continue
+			}
+			if math.IsInf(fs.Sum, 0) {
+				// Finite values can still overflow their sum; poison the frame.
+				fs.NonFinite += fs.Num
+				fs.Num, fs.Sum, fs.Min, fs.Max = 0, 0, 0, 0
+			}
+			cs.Fields[f.names[i]] = fs
 		}
 	}
 	return cs
+}
+
+// countTable counts strings a run at a time: a short table scanned in
+// place, indexed by a map once it outgrows countTableScan keys. It is reset
+// and reused from chunk to chunk; toMap turns it into a fresh map.
+type countTable struct {
+	keys   []string
+	counts []int
+	index  map[string]int // key → position, kept once len(keys) > countTableScan
+}
+
+const countTableScan = 8
+
+func (c *countTable) reset() {
+	c.keys, c.counts = c.keys[:0], c.counts[:0]
+	clear(c.index)
+}
+
+func (c *countTable) add(key string, n int) {
+	if len(c.keys) <= countTableScan {
+		for i, k := range c.keys {
+			if k == key {
+				c.counts[i] += n
+				return
+			}
+		}
+	} else if i, ok := c.index[key]; ok {
+		c.counts[i] += n
+		return
+	}
+	c.keys = append(c.keys, key)
+	c.counts = append(c.counts, n)
+	switch {
+	case len(c.keys) == countTableScan+1:
+		if c.index == nil {
+			c.index = map[string]int{}
+		}
+		for i, k := range c.keys {
+			c.index[k] = i
+		}
+	case len(c.keys) > countTableScan+1:
+		c.index[key] = len(c.keys) - 1
+	}
+}
+
+// toMap returns the counts as a new map, or nil when there are none.
+func (c *countTable) toMap() map[string]int {
+	if len(c.keys) == 0 {
+		return nil
+	}
+	m := make(map[string]int, len(c.keys))
+	for i, k := range c.keys {
+		m[k] = c.counts[i]
+	}
+	return m
 }
 
 // OpenSegment reads a segment file's header and seq block — but no event
@@ -441,16 +640,7 @@ func OpenSegment(path string) (*SegmentInfo, []uint64, error) {
 			SourceCounts:       e.Sources,
 			ThemeCounts:        e.Themes,
 			PrimaryThemeCounts: e.Primary,
-		}
-		if len(e.Fields) > 0 {
-			st.Fields = make(map[string]FieldStats, len(e.Fields))
-			for name, fj := range e.Fields {
-				st.Fields[name] = FieldStats{
-					NonNull: fj.NonNull, Num: fj.Num,
-					Sum: fj.Sum, Min: fj.Min, Max: fj.Max,
-					NonFinite: fj.NonFinite,
-				}
-			}
+			Fields:             e.Fields,
 		}
 		info.Sparse = append(info.Sparse, SparseEntry{
 			Pos: e.Pos, Time: time.Unix(e.UnixSec, int64(e.Nanos)).UTC(),
