@@ -219,7 +219,8 @@ func FuzzChunkStatsEqualsReference(f *testing.F) {
 	f.Add([]byte{0, 40, 0x13, 2, 2, 3, 3, 2, 4, 1})
 	f.Add([]byte{1, 0, 0xff, 4, 2, 3, 2, 4, 2, 3, 1, 0, 0, 5, 1})
 	f.Add([]byte{0, 9, 0x40, 2, 3, 3, 3, 4, 0x41, 2, 2, 3, 2, 3, 3, 3}) // +Inf and MaxFloat64
-	many := []byte{0, 199} // every source and theme, interleaved
+	// Every source and theme, interleaved.
+	many := []byte{0, 199}
 	for k := range 200 {
 		many = append(many, byte(k*37), 0, 2, byte(k), 4, byte(k), 3, byte(k*7))
 	}

@@ -182,12 +182,12 @@ func keyFromJSON(j keyJSON) Key {
 // one segment writer: the spiller and the compactor both call it.
 //
 // It walks the events once per chunk: appendChunkV3 encodes the chunk and
-// ChunkStatsFor's fold summarizes it. The header's SourceCounts, ThemeCounts
-// and PrimaryThemeCounts are the sums of the chunks' count maps, which count
-// the same events the same way. The working memory — column and dictionary
-// scratch, the stats fold, the event block and the file image — comes from
-// segWriterPool, so a writer reuses it across segments without two
-// goroutines (the spiller's and the compactor's) ever sharing it.
+// ChunkStatsFor summarizes it. The header's SourceCounts, ThemeCounts and
+// PrimaryThemeCounts are the sums of the chunks' count maps, which count the
+// same events the same way. The working memory — column and dictionary
+// scratch, the event block and the file image — comes from segWriterPool, so
+// a writer reuses it across segments without two goroutines (the spiller's
+// and the compactor's) ever sharing it.
 func WriteSegment(path string, events []Event) (*SegmentInfo, error) {
 	if len(events) == 0 {
 		return nil, fmt.Errorf("persist: refusing to write empty segment")
@@ -212,7 +212,7 @@ func WriteSegment(path string, events []Event) (*SegmentInfo, error) {
 		chunk := events[start:min(start+IndexEvery, len(events))]
 		off := len(block)
 		block = appendChunkV3(block, chunk, &sw.dict, &sw.col)
-		st := sw.stats.chunkStats(chunk)
+		st := ChunkStatsFor(chunk)
 		addCounts(info.SourceCounts, st.SourceCounts)
 		addCounts(info.ThemeCounts, st.ThemeCounts)
 		addCounts(info.PrimaryThemeCounts, st.PrimaryThemeCounts)
@@ -287,14 +287,13 @@ func addCounts(dst, src map[string]int) {
 type segWriter struct {
 	dict  schemaDict
 	col   colScratch
-	stats statsFold
 	block []byte // the event block being encoded
 	file  []byte // the whole file image handed to PublishFile
 }
 
-// maxPooledFile bounds the buffers a segWriter keeps between segments; a
-// rare outsized compaction output is left to the collector instead of
-// pinning its memory in the pool.
+// maxPooledFile bounds the buffers a segWriter keeps between segments. A
+// store configured with large segments writes files past it, and their
+// buffers go to the collector instead of staying pinned in the pool.
 const maxPooledFile = 8 << 20
 
 var segWriterPool = sync.Pool{New: func() any {
@@ -314,8 +313,9 @@ func (sw *segWriter) release() {
 
 // ChunkStatsFor summarizes one chunk's events for the sparse index. The
 // events must be in time order (MaxTime is the last one's time). It is the
-// one definition of chunk stats: the segment writer folds every file chunk
-// with it, and the warehouse every chunk of a sealed in-memory segment.
+// one definition of chunk stats: the segment writer calls it per file chunk,
+// and the warehouse per chunk of a sealed in-memory segment. Its scratch is
+// pooled, so concurrent callers each fold with their own.
 //
 // The fold resolves each schema's field slots to chunk-local field indexes
 // once per chunk (a field name shared by two schemas is one index), and
