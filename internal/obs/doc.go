@@ -22,6 +22,7 @@
 //	streamloader_cold_read_seconds          one cold-file chunk-range read (cache miss included)
 //	streamloader_spill_seconds              one segment spill (encode + write + validate + swap)
 //	streamloader_compaction_seconds         one shard compaction round (merge + write + swap)
+//	streamloader_warehouse_retention_cut_seconds one retention cut's hold of every shard's write lock (walk + manifest save + drops)
 //	streamloader_view_rebuild_seconds       one standing-view backfill/rebuild scan
 //	streamloader_view_publish_seconds       one view snapshot broadcast to subscribers
 //	streamloader_http_request_seconds{route} one HTTP request, labeled by mux pattern

@@ -54,20 +54,20 @@ func chunkStatsRef(events []Event) *ChunkStats {
 					fs.NonFinite++
 				} else {
 					if fs.Num == 0 {
-						fs.Min, fs.Max = f, f
+						fs.Min, fs.Max = StatFloat(f), StatFloat(f)
 					} else {
-						fs.Min = math.Min(fs.Min, f)
-						fs.Max = math.Max(fs.Max, f)
+						fs.Min = StatFloat(math.Min(float64(fs.Min), f))
+						fs.Max = StatFloat(math.Max(float64(fs.Max), f))
 					}
 					fs.Num++
-					fs.Sum += f
+					fs.Sum += StatFloat(f)
 				}
 			}
 			cs.Fields[name] = fs
 		}
 	}
 	for name, fs := range cs.Fields {
-		if math.IsInf(fs.Sum, 0) {
+		if math.IsInf(float64(fs.Sum), 0) {
 			// Finite values can still overflow their sum; poison the frame.
 			fs.NonFinite += fs.Num
 			fs.Num, fs.Sum, fs.Min, fs.Max = 0, 0, 0, 0
@@ -108,9 +108,9 @@ func chunkStatsDiff(got, want *ChunkStats) string {
 	for name, w := range want.Fields {
 		g, ok := got.Fields[name]
 		if !ok || g.NonNull != w.NonNull || g.Num != w.Num || g.NonFinite != w.NonFinite ||
-			math.Float64bits(g.Sum) != math.Float64bits(w.Sum) ||
-			math.Float64bits(g.Min) != math.Float64bits(w.Min) ||
-			math.Float64bits(g.Max) != math.Float64bits(w.Max) {
+			math.Float64bits(float64(g.Sum)) != math.Float64bits(float64(w.Sum)) ||
+			math.Float64bits(float64(g.Min)) != math.Float64bits(float64(w.Min)) ||
+			math.Float64bits(float64(g.Max)) != math.Float64bits(float64(w.Max)) {
 			return fmt.Sprintf("Fields[%q] = %+v (present %v), want %+v", name, g, ok, w)
 		}
 	}
@@ -312,6 +312,39 @@ func TestWrittenAndReopenedSegmentInfoAgree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNegativeZeroSurvivesReopen: a chunk whose field stats hold −0 must
+// reopen with −0, bit for bit, as the events themselves do. A JSON
+// omitempty drops −0 as empty, so the reopened stats read +0, and a MIN
+// answered from them after a restart differs from the same MIN folded over
+// the decoded events.
+func TestNegativeZeroSurvivesReopen(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, temps := range [][]float64{{negZero}, {negZero, negZero}, {0, negZero}, {negZero, 1.5}} {
+		var events []Event
+		for i, temp := range temps {
+			events = append(events, wEvent(uint64(i+1), time.Duration(i)*time.Second, temp, "st"))
+		}
+		path := filepath.Join(t.TempDir(), SegmentFileName(1))
+		live, err := WriteSegment(path, events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		open, _, err := OpenSegment(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(live.Sparse) != 1 || len(open.Sparse) != 1 {
+			t.Fatalf("%v: %d chunks live, %d reopened, want 1", temps, len(live.Sparse), len(open.Sparse))
+		}
+		if d := chunkStatsDiff(open.Sparse[0].Stats, live.Sparse[0].Stats); d != "" {
+			t.Errorf("%v: reopened vs live: %s", temps, d)
+		}
+		if d := chunkStatsDiff(live.Sparse[0].Stats, chunkStatsRef(events)); d != "" {
+			t.Errorf("%v: live vs reference: %s", temps, d)
+		}
 	}
 }
 

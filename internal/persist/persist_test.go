@@ -707,7 +707,7 @@ func TestSegmentVersionsRoundTrip(t *testing.T) {
 		if !ok || fs.NonNull != weatherN || fs.Num != weatherN {
 			t.Fatalf("chunk %d temperature stats = %+v (present %v)", k, fs, ok)
 		}
-		if fs.Min != wantMin || fs.Max != wantMax || math.Abs(fs.Sum-wantSum) > 1e-9 {
+		if float64(fs.Min) != wantMin || float64(fs.Max) != wantMax || math.Abs(float64(fs.Sum)-wantSum) > 1e-9 {
 			t.Fatalf("chunk %d temperature frame = %+v, want sum=%v min=%v max=%v",
 				k, fs, wantSum, wantMin, wantMax)
 		}

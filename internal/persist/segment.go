@@ -76,11 +76,11 @@ type SparseEntry struct {
 // can absorb the whole chunk without decoding it. Min/Max are meaningful
 // only when Num > 0. The JSON tags are its form in a file's sparse index.
 type FieldStats struct {
-	NonNull int     `json:"nn"`
-	Num     int     `json:"n,omitempty"`
-	Sum     float64 `json:"sum,omitempty"`
-	Min     float64 `json:"min,omitempty"`
-	Max     float64 `json:"max,omitempty"`
+	NonNull int       `json:"nn"`
+	Num     int       `json:"n,omitempty"`
+	Sum     StatFloat `json:"sum,omitzero"`
+	Min     StatFloat `json:"min,omitzero"`
+	Max     StatFloat `json:"max,omitzero"`
 	// NonFinite counts numeric values excluded from the Num/Sum/Min/Max
 	// frame because they are NaN or ±Inf (JSON cannot carry them and no
 	// finite frame can absorb them). When NonFinite > 0 the frame is a
@@ -88,6 +88,15 @@ type FieldStats struct {
 	// NonNull stays exact regardless.
 	NonFinite int `json:"nf,omitempty"`
 }
+
+// StatFloat is a FieldStats float. Its zero, which a file's sparse index
+// omits, is +0 alone: −0 is written and reads back −0, as the column codec
+// keeps it in the events, so a stat answers the same before and after a
+// restart.
+type StatFloat float64
+
+// IsZero reports whether f is +0, for the omitzero tag.
+func (f StatFloat) IsZero() bool { return math.Float64bits(float64(f)) == 0 }
 
 // ChunkStats is the per-chunk aggregate summary a sparse-index entry
 // carries. Together with the entry's Time (the chunk's minimum event time)
@@ -450,13 +459,13 @@ func (f *statsFold) chunkStats(events []Event) *ChunkStats {
 				continue
 			}
 			if fs.Num == 0 {
-				fs.Min, fs.Max = x, x
+				fs.Min, fs.Max = StatFloat(x), StatFloat(x)
 			} else {
-				fs.Min = math.Min(fs.Min, x)
-				fs.Max = math.Max(fs.Max, x)
+				fs.Min = StatFloat(math.Min(float64(fs.Min), x))
+				fs.Max = StatFloat(math.Max(float64(fs.Max), x))
 			}
 			fs.Num++
-			fs.Sum += x
+			fs.Sum += StatFloat(x)
 		}
 	}
 	if src != "" {
@@ -482,7 +491,7 @@ func (f *statsFold) chunkStats(events []Event) *ChunkStats {
 			if fs.NonNull == 0 {
 				continue
 			}
-			if math.IsInf(fs.Sum, 0) {
+			if math.IsInf(float64(fs.Sum), 0) {
 				// Finite values can still overflow their sum; poison the frame.
 				fs.NonFinite += fs.Num
 				fs.Num, fs.Sum, fs.Min, fs.Max = 0, 0, 0, 0
@@ -615,7 +624,8 @@ func OpenSegment(path string) (*SegmentInfo, []uint64, error) {
 // WindowPositions returns the conservative [lo, hi) event-ordinal range
 // whose chunks can hold events in the [from, to) window, resolved on the
 // sparse index alone. Callers re-filter exactly; events outside the window
-// only cost their decode.
+// only cost their decode. The window bounds time alone, so the chunks'
+// start times are all the search needs.
 func (si *SegmentInfo) WindowPositions(from, to time.Time) (int, int) {
 	lo, hi := 0, si.Count
 	if !from.IsZero() {

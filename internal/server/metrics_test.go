@@ -29,6 +29,7 @@ var requiredFamilies = []string{
 	"streamloader_cold_read_seconds",
 	"streamloader_spill_seconds",
 	"streamloader_compaction_seconds",
+	"streamloader_warehouse_retention_cut_seconds",
 	"streamloader_view_rebuild_seconds",
 	"streamloader_view_publish_seconds",
 	"streamloader_warehouse_events",

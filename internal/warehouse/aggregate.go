@@ -156,6 +156,7 @@ func (p *aggPlan) windowFrom(now time.Time) {
 		return
 	}
 	lower := now.Add(-p.Window).Truncate(p.Bucket).Add(-p.Bucket)
+	// Windows bound time alone: the later From is kept.
 	if p.From.IsZero() || p.From.Before(lower) {
 		p.From = lower
 	}
@@ -333,6 +334,7 @@ func (v *aggVisitor) file(cs *coldSegment) (bool, error) {
 	}
 	var bs time.Time
 	if p.Bucket > 0 {
+		// A bucket is a span of time, so the envelope's times place it.
 		hb, tb := cs.head.Time.Truncate(p.Bucket), cs.tail.Time.Truncate(p.Bucket)
 		if !hb.Equal(tb) {
 			return false, nil
@@ -418,7 +420,7 @@ func (v *aggVisitor) addStats(bs time.Time, source, theme string, fs persist.Fie
 	if v.p.Func == ops.AggCount {
 		st.ObserveCount(int64(fs.NonNull))
 	} else {
-		st.ObserveStats(int64(fs.Num), fs.Sum, fs.Min, fs.Max)
+		st.ObserveStats(int64(fs.Num), float64(fs.Sum), float64(fs.Min), float64(fs.Max))
 	}
 	return nil
 }
@@ -452,6 +454,7 @@ func (v *aggVisitor) chunk(st *persist.ChunkStats, minTime time.Time, n int) (bo
 	}
 	var bs time.Time
 	if p.Bucket > 0 {
+		// As for a file: the chunk's times place its bucket.
 		hb, tb := minTime.Truncate(p.Bucket), st.MaxTime.Truncate(p.Bucket)
 		if !hb.Equal(tb) {
 			return false, nil
@@ -633,6 +636,8 @@ func (p *aggPlan) rowsFromPartials(merged map[partial.Key]*partial.State) []AggR
 			Value:  st.Value(p.Func),
 		})
 	}
+	// Rows, not events: (bucket, source, theme) is unique per row, so a
+	// bucket's start is all the time they need.
 	sort.Slice(rows, func(i, j int) bool {
 		a, b := rows[i], rows[j]
 		if !a.Bucket.Equal(b.Bucket) {

@@ -246,6 +246,39 @@ func BenchmarkRetentionUnderIngest(b *testing.B) {
 			b.ReportMetric(float64(w.segTrims.Load()), "boundary-trims")
 		})
 	}
+	// The cases above space events a second apart, so no two heads of the
+	// retention walk tie. The bench fleet's do: appendBenchShaped at 50 Hz
+	// into 16 shards with default segments aligns 24 000 events to each
+	// minute's instant. Each op ingests ten minutes into a fresh store
+	// through several cuts.
+	b.Run("benchShaped", func(b *testing.B) {
+		const (
+			hz      = 50
+			minutes = 10
+			bound   = 100_000
+		)
+		var events, evicted, pops, cuts uint64
+		var held time.Duration
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w := NewWithConfig(Config{Shards: 16, Obs: obs.NewRegistry()})
+			w.SetRetention(bound)
+			appendBenchShaped(b, w, hz, minutes)
+			events += uint64(w.Len()) + w.Evicted()
+			evicted += w.Evicted()
+			pops += w.cutPops.Load()
+			sn := w.met.retentionCut.Snapshot()
+			cuts += sn.Count
+			held += sn.Sum
+		}
+		sec := b.Elapsed().Seconds()
+		b.ReportMetric(float64(events)/sec, "events/sec")
+		b.ReportMetric(float64(evicted)/sec, "evictions/sec")
+		if cuts > 0 {
+			b.ReportMetric(float64(pops)/float64(cuts), "heap-pops/cut")
+			b.ReportMetric(held.Seconds()*1e3/float64(cuts), "lock-held-ms/cut")
+		}
+	})
 }
 
 // BenchmarkSelectSegmentPruning compares a narrow time-range select, which
@@ -442,7 +475,7 @@ func BenchmarkSelectColdCached(b *testing.B) {
 	}
 
 	b.Run("uncached", func(b *testing.B) {
-		w := open(b, -1)
+		w := openSelectPageStore(b, -1)
 		defer w.Close()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -1054,76 +1087,85 @@ func BenchmarkSelectProjected(b *testing.B) {
 	})
 }
 
-// BenchmarkSelectPage measures the bench's select page on the bench
-// server's durable store: 8 sources × 3000 events a minute, every event of a
-// minute at the same event time, appended in 256-event batches interleaved
-// across the sources, and a one-minute window cut at a 5001-event page. The
-// select merges its cursors lazily, so it reads only the chunks the page
-// reaches. chunks-decoded/op counts every chunk the query read, decoded or
-// served decoded by the cache; the gate fails when it passes the chunks 5001
-// events fill plus, per cold cursor, one chunk straddling the window start
-// and one read past the page. Decoding the whole window reads all ~94.
+// The select-page store: the bench server's durable store with 8 sources ×
+// 3000 events a minute over 10 minutes, every event of a minute at the same
+// event time, appended in 256-event batches interleaved across the sources,
+// and paged a minute at a time at 5001 events.
+const (
+	selectPageSources   = 8
+	selectPagePerMinute = 3000
+	selectPageMinutes   = 10
+	selectPageLimit     = 5001
+)
+
+// openSelectPageStore builds the select-page store with the given cold-cache
+// budget and waits for its spills to land.
+func openSelectPageStore(tb testing.TB, cacheBytes int64) *Warehouse {
+	tb.Helper()
+	sync, every, err := persist.ParseSyncPolicy("interval")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w, err := Open(Config{DataDir: tb.TempDir(), Sync: sync, SyncEvery: every,
+		HotSegments: 2, ColdCacheBytes: cacheBytes})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	batch := make([]*stt.Tuple, 0, persist.IndexEvery)
+	for m := 0; m < selectPageMinutes; m++ {
+		for done := 0; done < selectPagePerMinute; done += persist.IndexEvery {
+			for src := 0; src < selectPageSources; src++ {
+				batch = batch[:0]
+				for i := done; i < min(done+persist.IndexEvery, selectPagePerMinute); i++ {
+					batch = append(batch, wTuple(time.Duration(m)*time.Minute, float64(i%40),
+						fmt.Sprintf("page-src-%d", src), 34.7, 135.5))
+				}
+				if err := w.AppendBatch(batch); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}
+	}
+	w.DrainSpills()
+	return w
+}
+
+// selectPageQueries returns a page query for each minute wholly spilled on
+// every shard, so each page is cold.
+func selectPageQueries(tb testing.TB, w *Warehouse) []Query {
+	tb.Helper()
+	var qs []Query
+	for m := 0; m < selectPageMinutes; m++ {
+		q := Query{From: t0.Add(time.Duration(m) * time.Minute), To: t0.Add(time.Duration(m+1) * time.Minute), Limit: selectPageLimit}
+		cold := true
+		for _, s := range w.shards {
+			s.mu.RLock()
+			for _, seg := range s.segs {
+				cold = cold && seg.prunedBy(q.From, q.To)
+			}
+			s.mu.RUnlock()
+		}
+		if cold {
+			qs = append(qs, q)
+		}
+	}
+	if len(qs) == 0 {
+		tb.Fatal("no minute is wholly cold")
+	}
+	return qs
+}
+
+// BenchmarkSelectPage measures the bench's select page on the select-page
+// store. The select merges its cursors lazily, so it reads only the chunks
+// the page reaches. chunks-decoded/op counts every chunk the query read,
+// decoded or served decoded by the cache; the gate fails when it passes the
+// chunks 5001 events fill plus, per cold cursor, one chunk straddling the
+// window start and one read past the page. Decoding the whole window reads
+// all ~94. TestSelectPageHeapFixes gates the same page's heap fixes.
 func BenchmarkSelectPage(b *testing.B) {
-	const (
-		sources   = 8
-		perMinute = 3000
-		minutes   = 10
-		limit     = 5001
-	)
-	open := func(b *testing.B, cacheBytes int64) *Warehouse {
-		b.Helper()
-		sync, every, err := persist.ParseSyncPolicy("interval")
-		if err != nil {
-			b.Fatal(err)
-		}
-		w, err := Open(Config{DataDir: b.TempDir(), Sync: sync, SyncEvery: every,
-			HotSegments: 2, ColdCacheBytes: cacheBytes})
-		if err != nil {
-			b.Fatal(err)
-		}
-		batch := make([]*stt.Tuple, 0, persist.IndexEvery)
-		for m := 0; m < minutes; m++ {
-			for done := 0; done < perMinute; done += persist.IndexEvery {
-				for src := 0; src < sources; src++ {
-					batch = batch[:0]
-					for i := done; i < min(done+persist.IndexEvery, perMinute); i++ {
-						batch = append(batch, wTuple(time.Duration(m)*time.Minute, float64(i%40),
-							fmt.Sprintf("page-src-%d", src), 34.7, 135.5))
-					}
-					if err := w.AppendBatch(batch); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-		w.DrainSpills()
-		return w
-	}
-	// The minutes wholly spilled on every shard, so each page is cold.
-	coldMinutes := func(b *testing.B, w *Warehouse) []Query {
-		b.Helper()
-		var qs []Query
-		for m := 0; m < minutes; m++ {
-			q := Query{From: t0.Add(time.Duration(m) * time.Minute), To: t0.Add(time.Duration(m+1) * time.Minute), Limit: limit}
-			cold := true
-			for _, s := range w.shards {
-				s.mu.RLock()
-				for _, seg := range s.segs {
-					cold = cold && seg.prunedBy(q.From, q.To)
-				}
-				s.mu.RUnlock()
-			}
-			if cold {
-				qs = append(qs, q)
-			}
-		}
-		if len(qs) == 0 {
-			b.Fatal("no minute is wholly cold")
-		}
-		return qs
-	}
+	const limit = selectPageLimit
 	run := func(b *testing.B, w *Warehouse) {
-		qs := coldMinutes(b, w)
+		qs := selectPageQueries(b, w)
 		for _, q := range qs { // warm the cache, when there is one
 			if _, _, err := w.Select(context.Background(), q); err != nil {
 				b.Fatal(err)
@@ -1153,12 +1195,12 @@ func BenchmarkSelectPage(b *testing.B) {
 		b.ReportMetric(worst, "chunks-decoded-max")
 	}
 	b.Run("cached", func(b *testing.B) {
-		w := open(b, 0)
+		w := openSelectPageStore(b, 0)
 		defer w.Close()
 		run(b, w)
 	})
 	b.Run("uncached", func(b *testing.B) {
-		w := open(b, -1)
+		w := openSelectPageStore(b, -1)
 		defer w.Close()
 		run(b, w)
 	})

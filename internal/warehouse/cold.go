@@ -74,7 +74,8 @@ func (w *Warehouse) newColdSegment(info *persist.SegmentInfo) *coldSegment {
 	}
 }
 
-// prunedBy mirrors segment.prunedBy on the live envelope.
+// prunedBy mirrors segment.prunedBy on the live envelope; the window bounds
+// time alone, so the envelope keys' times decide.
 func (c *coldSegment) prunedBy(from, to time.Time) bool {
 	if !from.IsZero() && c.tail.Time.Before(from) {
 		return true
@@ -86,7 +87,8 @@ func (c *coldSegment) prunedBy(from, to time.Time) bool {
 }
 
 // coveredBy reports whether every live event falls inside [from, to), so
-// time-only counts can use c.count without opening the file.
+// time-only counts can use c.count without opening the file. As in prunedBy,
+// times decide.
 func (c *coldSegment) coveredBy(from, to time.Time) bool {
 	if !from.IsZero() && c.head.Time.Before(from) {
 		return false

@@ -42,10 +42,15 @@
 // two-phase filter read, QueryStats), and once that chunk is drained it
 // waits again at a bound on the next. A hot cursor walks the segment's
 // cheapest index, sorted into (time, seq) order when the index is not the
-// time index. The merge stops at the limit, so a limit is a reason not to
-// read a chunk: a file or chunk the page never reaches is never decoded. A
-// limited Count with any filter walks the same merge for the same stop. The
-// context is checked before each chunk read.
+// time index. The merge emits in runs: the top cursor keeps emitting, one
+// key compare per event, while its head stays below the runner-up's (the
+// smaller of the root's two children), and the heap is fixed once per run.
+// A shard appends a batch at contiguous seqs, so where every shard's events
+// share an instant — a schema's granularity aligns thousands of events to
+// one — a run is a batch, not an event. The merge stops at the limit, so a
+// limit is a reason not to read a chunk: a file or chunk the page never
+// reaches is never decoded. A limited Count with any filter walks the same
+// merge for the same stop. The context is checked before each chunk read.
 //
 // Everything else — Aggregate, an unlimited or time-only Count, view scans
 // — walks each shard with the scan kernel, shard.scan, concurrently across
@@ -200,12 +205,17 @@
 //
 // SetRetention bounds the store; when exceeded, the globally-oldest events
 // (by event time, then insertion Seq) are evicted down to 3/4 of the bound.
-// Eviction is apportioned by walking segment time-index prefixes, and a
-// segment consumed in full is dropped whole off the cold end — an O(1)
-// unlink with no index rebuild, or a single file delete for a spilled
-// segment. Only the segments straddling the cutoff (at most a handful,
-// each bounded by SegmentEvents) pay a per-event trim: an index rebuild in
-// memory, a logical skip on disk.
+// Eviction is apportioned by walking segment time-index prefixes by (time,
+// seq) key: a heap of segment cursors, where the coldest cursor takes, by
+// binary search, its whole prefix of keys below the next head's key. Where
+// heads tie on time that prefix is an appended batch, so the walk moves by
+// runs, never by events. A segment consumed in full is dropped whole off the
+// cold end — an O(1) unlink with no index rebuild, or a single file delete
+// for a spilled segment. Only the segments straddling the cutoff (at most a
+// handful, each bounded by SegmentEvents) pay a per-event trim: an index
+// rebuild in memory, a logical skip on disk. The cut holds every shard's
+// write lock throughout; streamloader_warehouse_retention_cut_seconds
+// times each hold.
 //
 // # Ingest taps and standing views
 //

@@ -356,11 +356,25 @@ func (m *refModel) aggregate(q AggQuery, now time.Time) []AggRow {
 // path) with occasional deep stragglers (the out-of-order path), sources
 // come from a small pool so shards see interleaved streams, and retention
 // flips between off, loose and tight bounds. withReopen additionally mixes
-// in crash/reopen ops for durable configurations.
-func genOps(r *rand.Rand, n int, withReopen bool) []mop {
+// in crash/reopen ops for durable configurations. ties draws every event
+// time from three instants instead — t0 and the two minutes after it, the
+// shape a schema's granularity gives a fleet — so the (time, seq) order of
+// retention cuts and select merges rests on seq alone.
+func genOps(r *rand.Rand, n int, withReopen, ties bool) []mop {
 	sources := []string{"umeda", "namba", "kyoto", "sakai", "kobe", "nara"}
 	clock := 0 // minutes since t0
+	if ties {
+		clock = 2
+	}
 	genTuple := func() *stt.Tuple {
+		if ties {
+			off := time.Duration(r.Intn(3)) * time.Minute
+			if r.Intn(5) == 0 {
+				return sTuple(off, "msg")
+			}
+			return wTuple(off, float64(r.Intn(40)), sources[r.Intn(len(sources))],
+				34.4+r.Float64()*0.5, 135.2+r.Float64()*0.5)
+		}
 		if r.Intn(5) == 0 {
 			clock += r.Intn(4) // social tuple rides the same clock
 			return sTuple(time.Duration(clock)*time.Minute, fmt.Sprintf("msg-%d", clock))
@@ -757,42 +771,50 @@ func TestModelCheck(t *testing.T) {
 		{Shards: 2, SegmentEvents: 4, SegmentSpan: 10 * time.Minute, DataDir: durableDir,
 			HotSegments: 1, CompactBelow: 6, ViewCheckpointEvery: 2},
 	}
-	const seeds = 25
-	for ci, cfg := range configs {
-		name := fmt.Sprintf("shards=%d/segEvents=%d", cfg.Shards, cfg.SegmentEvents)
-		if cfg.DataDir != "" {
-			name += "/durable"
-		}
-		if cfg.CompactBelow != 0 {
-			name += fmt.Sprintf("/compactBelow=%d", cfg.CompactBelow)
-		}
-		t.Run(name, func(t *testing.T) {
-			seedCount := seeds
-			if cfg.DataDir != "" && testing.Short() {
-				seedCount = 5 // durable runs pay real disk I/O
+	// Each config runs today's spread of times and, with fewer seeds, the
+	// tie-heavy distribution, where every event lies on one of three
+	// instants.
+	for _, dist := range []struct {
+		name  string
+		ties  bool
+		seeds int
+	}{{"", false, 25}, {"/ties", true, 12}} {
+		for ci, cfg := range configs {
+			name := fmt.Sprintf("shards=%d/segEvents=%d", cfg.Shards, cfg.SegmentEvents)
+			if cfg.DataDir != "" {
+				name += "/durable"
 			}
-			for seed := int64(0); seed < int64(seedCount); seed++ {
-				ops := genOps(rand.New(rand.NewSource(seed+int64(ci)*1000)), 250, cfg.DataDir != "")
-				diff := runOps(cfg, ops)
-				if diff == "" {
-					continue
-				}
-				minimal := shrinkOps(ops, func(cand []mop) bool { return runOps(cfg, cand) != "" })
-				var steps []string
-				for _, op := range minimal {
-					steps = append(steps, op.String())
-				}
-				// Re-running the minimal sequence usually reproduces the
-				// diff, but a timing-dependent failure may not; fall back
-				// to the original diff rather than printing nothing.
-				minDiff := runOps(cfg, minimal)
-				if minDiff == "" {
-					minDiff = "(not reproduced on re-run) original: " + diff
-				}
-				t.Fatalf("seed %d diverges: %s\nminimal reproduction (%d ops):\n  %s",
-					seed, minDiff, len(minimal), strings.Join(steps, "\n  "))
+			if cfg.CompactBelow != 0 {
+				name += fmt.Sprintf("/compactBelow=%d", cfg.CompactBelow)
 			}
-		})
+			t.Run(name+dist.name, func(t *testing.T) {
+				seedCount := dist.seeds
+				if cfg.DataDir != "" && testing.Short() {
+					seedCount = min(seedCount, 5) // durable runs pay real disk I/O
+				}
+				for seed := int64(0); seed < int64(seedCount); seed++ {
+					ops := genOps(rand.New(rand.NewSource(seed+int64(ci)*1000)), 250, cfg.DataDir != "", dist.ties)
+					diff := runOps(cfg, ops)
+					if diff == "" {
+						continue
+					}
+					minimal := shrinkOps(ops, func(cand []mop) bool { return runOps(cfg, cand) != "" })
+					var steps []string
+					for _, op := range minimal {
+						steps = append(steps, op.String())
+					}
+					// Re-running the minimal sequence usually reproduces the
+					// diff, but a timing-dependent failure may not; fall back
+					// to the original diff rather than printing nothing.
+					minDiff := runOps(cfg, minimal)
+					if minDiff == "" {
+						minDiff = "(not reproduced on re-run) original: " + diff
+					}
+					t.Fatalf("seed %d diverges: %s\nminimal reproduction (%d ops):\n  %s",
+						seed, minDiff, len(minimal), strings.Join(steps, "\n  "))
+				}
+			})
+		}
 	}
 }
 

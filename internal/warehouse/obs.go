@@ -8,16 +8,17 @@ import (
 // when no registry is configured, and every obs method is nil-safe, so the
 // hot paths carry the instrumentation unconditionally.
 type whMetrics struct {
-	append      *obs.Histogram
-	selectQ     *obs.Histogram
-	aggregate   *obs.Histogram
-	coldRead    *obs.Histogram
-	spill       *obs.Histogram
-	compaction  *obs.Histogram
-	viewRebuild *obs.Histogram
-	viewPublish *obs.Histogram
-	walWrite    *obs.Histogram
-	walSync     *obs.Histogram
+	append       *obs.Histogram
+	selectQ      *obs.Histogram
+	aggregate    *obs.Histogram
+	coldRead     *obs.Histogram
+	spill        *obs.Histogram
+	compaction   *obs.Histogram
+	retentionCut *obs.Histogram
+	viewRebuild  *obs.Histogram
+	viewPublish  *obs.Histogram
+	walWrite     *obs.Histogram
+	walSync      *obs.Histogram
 }
 
 // newWHMetrics creates the warehouse histogram families eagerly (even with
@@ -25,16 +26,17 @@ type whMetrics struct {
 // requires). A nil registry yields all-nil no-op handles.
 func newWHMetrics(reg *obs.Registry) whMetrics {
 	return whMetrics{
-		append:      reg.Histogram("streamloader_warehouse_append_seconds", "Latency of one Append or AppendBatch call (WAL write + insert + tap dispatch)."),
-		selectQ:     reg.Histogram("streamloader_warehouse_select_seconds", "Latency of one Select/Count query (shard fan-out + merge)."),
-		aggregate:   reg.Histogram("streamloader_warehouse_aggregate_seconds", "Latency of one Aggregate query (shard fan-out + partial merge)."),
-		coldRead:    reg.Histogram("streamloader_cold_read_seconds", "Latency of one cold-file chunk-range read."),
-		spill:       reg.Histogram("streamloader_spill_seconds", "Latency of one segment spill (encode + write + validate + swap)."),
-		compaction:  reg.Histogram("streamloader_compaction_seconds", "Latency of one cold-file compaction round (merge + write + swap)."),
-		viewRebuild: reg.Histogram("streamloader_view_rebuild_seconds", "Latency of one standing-view backfill or rebuild scan."),
-		viewPublish: reg.Histogram("streamloader_view_publish_seconds", "Latency of one view snapshot broadcast to its subscribers."),
-		walWrite:    reg.Histogram("streamloader_wal_write_seconds", "Latency of one WAL buffer write syscall."),
-		walSync:     reg.Histogram("streamloader_wal_fsync_seconds", "Latency of one WAL fsync."),
+		append:       reg.Histogram("streamloader_warehouse_append_seconds", "Latency of one Append or AppendBatch call (WAL write + insert + tap dispatch)."),
+		selectQ:      reg.Histogram("streamloader_warehouse_select_seconds", "Latency of one Select/Count query (shard fan-out + merge)."),
+		aggregate:    reg.Histogram("streamloader_warehouse_aggregate_seconds", "Latency of one Aggregate query (shard fan-out + partial merge)."),
+		coldRead:     reg.Histogram("streamloader_cold_read_seconds", "Latency of one cold-file chunk-range read."),
+		spill:        reg.Histogram("streamloader_spill_seconds", "Latency of one segment spill (encode + write + validate + swap)."),
+		compaction:   reg.Histogram("streamloader_compaction_seconds", "Latency of one cold-file compaction round (merge + write + swap)."),
+		retentionCut: reg.Histogram("streamloader_warehouse_retention_cut_seconds", "How long one retention cut holds every shard's write lock (walk + manifest save + drops)."),
+		viewRebuild:  reg.Histogram("streamloader_view_rebuild_seconds", "Latency of one standing-view backfill or rebuild scan."),
+		viewPublish:  reg.Histogram("streamloader_view_publish_seconds", "Latency of one view snapshot broadcast to its subscribers."),
+		walWrite:     reg.Histogram("streamloader_wal_write_seconds", "Latency of one WAL buffer write syscall."),
+		walSync:      reg.Histogram("streamloader_wal_fsync_seconds", "Latency of one WAL fsync."),
 	}
 }
 

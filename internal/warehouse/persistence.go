@@ -351,7 +351,7 @@ func (w *Warehouse) recoverShard(s *shard, cuts []persist.Cut, shardIdx int) (ui
 		if cs.tail.Time.After(s.sealBound) {
 			// Keep straggler routing sane: events older than spilled
 			// history are out-of-order and should not stretch fresh hot
-			// segments' envelopes.
+			// segments' envelopes. The bound is a time (appendLocked).
 			s.sealBound = cs.tail.Time
 		}
 		w.coldBytes.Add(info.Bytes)

@@ -426,13 +426,15 @@ func endShardSpan(sp *obs.Span, qs QueryStats, events int) {
 // merge, in (time, seq) order, over a cursor per cold file and per hot
 // segment of every routed shard the window reaches. It hands each match to
 // emit in that order and stops once limit matches are out (limit <= 0: all
-// of them). A cold cursor decodes one chunk at a time, and only when it tops
-// the heap, so a file or chunk the page never reaches is never read. The
-// routed shards stay read-locked for the whole merge, taken in shard-index
-// order — the order every multi-shard locker uses. The context is checked
-// before each chunk read. When ctx carries a trace the call records a
-// "shard" span per routed shard, with the telemetry its cursors paid, and a
-// "merge" span.
+// of them). It emits in runs: the top cursor goes on while its head is
+// below the runner-up's, and the heap is fixed once per run. A cold cursor
+// decodes one chunk at a time, and only when it tops the heap, so a file or
+// chunk the page never reaches is never read. The routed shards stay
+// read-locked for the whole merge, taken in shard-index order — the order
+// every multi-shard locker uses. The context is checked before each chunk
+// read. When ctx carries a trace the call records a "shard" span per routed
+// shard, with the telemetry its cursors paid, and a "merge" span, which
+// counts the events emitted and the heap fixes paid.
 func mergeShards(ctx context.Context, w *Warehouse, pl *scanPlan, limit int, emit func(Event)) (QueryStats, error) {
 	if err := ctx.Err(); err != nil {
 		return QueryStats{}, err
@@ -454,25 +456,35 @@ func mergeShards(ctx context.Context, w *Warehouse, pl *scanPlan, limit int, emi
 	}
 	heap.Init(&h)
 	msp := tr.Start("merge")
-	n := 0
+	n, fixes := 0, 0
 	var err error
 	for len(h) > 0 && (limit <= 0 || n < limit) && err == nil {
+		// One run: the top cursor steps while its head is below the
+		// runner-up's, with one key compare per step.
 		c := h[0]
-		if c.next < len(c.buf) {
-			emit(c.buf[c.next])
-			c.next++
-			c.ms.events++
-			n++
-		} else {
-			err = c.fill(ctx)
-		}
-		if c.advance() {
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
+		bound, alone := h.runnerUp()
+		for {
+			if c.next < len(c.buf) {
+				emit(c.buf[c.next])
+				c.next++
+				c.ms.events++
+				n++
+			} else {
+				err = c.fill(ctx)
+			}
+			if !c.advance() {
+				heap.Pop(&h)
+				break
+			}
+			if err != nil || (limit > 0 && n >= limit) || !(alone || c.key.Less(bound)) {
+				heap.Fix(&h, 0)
+				fixes++
+				break
+			}
 		}
 	}
 	msp.SetInt("events", int64(n))
+	msp.SetInt("heap_fixes", int64(fixes))
 	msp.End()
 	var qs QueryStats
 	for i := range parts {
@@ -613,8 +625,11 @@ func (c *mergeCursor) advance() bool {
 		c.key = eventKey(c.seg.events[c.ords[c.pos]])
 	case c.pos >= c.hi:
 		return false
-	case c.key.Time.Before(c.cs.info.Sparse[c.k].Time):
-		c.key = persist.Key{Time: c.cs.info.Sparse[c.k].Time}
+	default:
+		// The chunk's first key is at least its start time's lowest key.
+		if lo := (persist.Key{Time: c.cs.info.Sparse[c.k].Time}); c.key.Less(lo) {
+			c.key = lo
+		}
 	}
 	return true
 }

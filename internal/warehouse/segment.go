@@ -72,7 +72,10 @@ func (g *segment) append(ev Event) {
 	// Insert into the time index, keeping it sorted. Appends usually come
 	// in near time order, so probe a few slots from the end; when the event
 	// is far out of order (skewed producers sharing a shard), fall back to
-	// binary search rather than scanning the whole index.
+	// binary search rather than scanning the whole index. Comparing times
+	// keeps the index in (time, seq) order: a shard appends in seq order,
+	// so the event's seq is above every seq here, and it goes after its
+	// time-equals.
 	pos := len(g.byTime)
 	for probes := 0; pos > 0 && g.events[g.byTime[pos-1]].Tuple.Time.After(t.Time); probes++ {
 		if probes == 8 {
@@ -87,6 +90,7 @@ func (g *segment) append(ev Event) {
 	copy(g.byTime[pos+1:], g.byTime[pos:])
 	g.byTime[pos] = ord
 
+	// The envelope is by time: the windows it prunes for bound time alone.
 	if ord == 0 || t.Time.Before(g.minTime) {
 		g.minTime = t.Time
 	}
@@ -138,7 +142,8 @@ func (g *segment) chunkIndex() []persist.SparseEntry {
 }
 
 // prunedBy reports whether the [from, to) query window cannot intersect the
-// segment's time envelope, so the whole segment can be skipped unscanned.
+// segment's time envelope, so the whole segment can be skipped unscanned. A
+// window bounds event time alone, so times decide it, ties included.
 func (g *segment) prunedBy(from, to time.Time) bool {
 	if !from.IsZero() && g.maxTime.Before(from) {
 		return true
@@ -150,7 +155,9 @@ func (g *segment) prunedBy(from, to time.Time) bool {
 }
 
 // timeBounds returns the [lo, hi) slice of byTime falling inside the
-// [from, to) window, by binary search.
+// [from, to) window, by binary search. A search by time is exact: byTime is
+// (time, seq)-ordered, so the events at or past a time bound are a suffix,
+// and a window never splits an instant.
 func (g *segment) timeBounds(from, to time.Time) (int, int) {
 	lo, hi := 0, len(g.byTime)
 	if !from.IsZero() {

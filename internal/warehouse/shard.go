@@ -99,6 +99,9 @@ var ErrCondEval = errors.New("warehouse: condition evaluation failed")
 // lock.
 func (s *shard) appendLocked(ev Event) {
 	t := ev.Tuple
+	// The seal bound is a time: it keeps fresh hot segments' time envelopes
+	// off sealed history. The segment an event joins does not change where
+	// its key sorts, so time is enough to pick it.
 	straggler := !s.sealBound.IsZero() && t.Time.Before(s.sealBound)
 	seg := s.hot
 	if straggler {
@@ -307,7 +310,8 @@ func (s *shard) spillSnapshotLocked(seg *segment) []Event {
 }
 
 // matchEvent applies every query constraint to one event; conds caches the
-// per-schema compilation of q.Cond across segments.
+// per-schema compilation of q.Cond across segments. The window bounds event
+// time alone.
 func matchEvent(ev Event, q *Query, conds condCache) (bool, error) {
 	t := ev.Tuple
 	if !q.From.IsZero() && t.Time.Before(q.From) {
@@ -361,6 +365,7 @@ func (s *shard) stats(st *Stats) {
 	st.Sources += len(s.sources) // sources are shard-local, so sums are exact
 	st.Segments += len(s.segs) + len(s.cold)
 	st.SegmentsCold += len(s.cold)
+	// Earliest and Latest report event times, so time picks them.
 	for _, seg := range s.segs {
 		for theme, ords := range seg.byTheme {
 			st.Themes[theme] += len(ords)

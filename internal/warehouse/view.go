@@ -574,6 +574,7 @@ func (v *View) rescanFrameLocked(start time.Time) error {
 	v.w.viewBoundaryRescans.Add(1)
 	q := v.plan
 	q.From, q.To = start, start.Add(v.plan.Bucket)
+	// Windows bound time alone: the tighter of each pair of bounds is kept.
 	if !v.plan.From.IsZero() && v.plan.From.After(q.From) {
 		q.From = v.plan.From
 	}

@@ -93,7 +93,9 @@ func (v *View) applyTrim(cut persist.Key, anyDead bool, cursors []*segCursor, sh
 	}
 
 	// Collect the evicted events that land in the boundary frame, per
-	// shard. Each cursor's dropped prefix is time-ordered, so a cursor
+	// shard. A bucket is a span of time, so an event's time alone places
+	// it, and each cursor's dropped prefix is (time, seq)-ordered, so a
+	// search by time finds its boundary events as a suffix. A cursor
 	// whose last dropped event sits below the boundary bucket is skipped
 	// in O(1) — the common case, since most of the drop is whole frames —
 	// and the cursors straddling the boundary binary-search their first

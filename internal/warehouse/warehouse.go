@@ -189,6 +189,10 @@ type Warehouse struct {
 	// off the cold end versus boundary segments trimmed per event.
 	segDrops atomic.Uint64
 	segTrims atomic.Uint64
+	// cutPops counts the retention walk's heap pops, its unit of work: one
+	// per run of a segment's keys below every other head, never one per
+	// event, however many events share an instant.
+	cutPops atomic.Uint64
 
 	// Durable-mode counters; pers is nil for an in-memory warehouse.
 	// manifestSaveErrors counts failed manifest saves (saveManifest).
@@ -471,7 +475,9 @@ func (w *Warehouse) compactAll(maxEvents int) {
 	for _, s := range w.shards {
 		s.mu.Lock()
 	}
+	held := w.met.retentionCut.Start()
 	defer func() {
+		w.met.retentionCut.Since(held)
 		for _, s := range w.shards {
 			s.mu.Unlock()
 		}
@@ -491,15 +497,18 @@ func (w *Warehouse) compactAll(maxEvents int) {
 	drop := total - keep
 
 	// The globally-oldest events form a prefix of each segment's time
-	// index: walk the segment prefixes by (time, Seq) to apportion the drop
-	// count. A min-heap orders segment cursors by their head event, and the
-	// coldest cursor is consumed in chunks — its whole remainder when that
+	// index: walk the segment prefixes by (time, Seq) key to apportion the
+	// drop count. A min-heap orders segment cursors by their head key, and
+	// the coldest cursor is consumed in runs — its whole remainder when that
 	// precedes every other head (the common case for sealed history), or
-	// the binary-searched prefix strictly before the next head — so the
-	// walk costs O(segments · log segments), not O(drop · segments), even
-	// when out-of-order segments overlap the cold end. Spilled segments
-	// join the walk by their envelope keys alone; only one that is
-	// partially consumed (the boundary file) is read back from disk.
+	// the binary-searched prefix of keys below the next head's key. A run
+	// ends only where another segment's keys interleave: on heads that tie
+	// on time, that is an appended batch, which takes contiguous seqs. So
+	// the walk costs O(runs · log segments), not O(drop · segments), even
+	// when out-of-order segments overlap the cold end or every event shares
+	// an instant. Spilled segments join the walk by their envelope keys
+	// alone; only one that is partially consumed (the boundary file) is
+	// read back from disk.
 	var cursors []*segCursor
 	h := &cursorHeap[*segCursor]{}
 	for _, s := range w.shards {
@@ -517,8 +526,10 @@ func (w *Warehouse) compactAll(maxEvents int) {
 	heap.Init(h)
 
 	remaining := drop
+	pops := 0
 	for remaining > 0 && h.Len() > 0 {
 		c := heap.Pop(h).(*segCursor)
+		pops++
 		if c.dead {
 			continue
 		}
@@ -542,9 +553,11 @@ func (w *Warehouse) compactAll(maxEvents int) {
 			remaining -= rest
 			continue
 		}
-		// Consume the prefix strictly before the next head in one chunk;
-		// when the heads tie on time, this cursor still precedes by Seq,
-		// so one event is always safe. For a cold cursor this loads the
+		// Consume the prefix of keys below the next head's key in one
+		// chunk; by time alone it would be empty whenever the heads share
+		// an instant. Keys are distinct and c was the heap's minimum, so
+		// the prefix holds at least c's head; taking at least one keeps
+		// the walk finite regardless. For a cold cursor this loads the
 		// file — it is the compaction boundary, so at most a couple of
 		// files per compaction pay the read; an unreadable file is left
 		// untouched (its events simply outlive the bound).
@@ -555,18 +568,17 @@ func (w *Warehouse) compactAll(maxEvents int) {
 			}
 		}
 		chunk := sort.Search(rest, func(i int) bool {
-			return !c.timeAt(c.pos + i).Before(next.Time)
+			k, _ := c.key(c.pos + i)
+			return !k.Less(next)
 		})
-		if chunk == 0 {
-			chunk = 1
-		}
-		take := min(chunk, remaining)
+		take := min(max(chunk, 1), remaining)
 		c.pos += take
 		remaining -= take
 		if c.pos < c.length() {
 			heap.Push(h, c)
 		}
 	}
+	w.cutPops.Add(uint64(pops))
 
 	// Actual evictions may fall short of the plan when an unreadable cold
 	// file was skipped; count what really happens.
@@ -712,15 +724,6 @@ func (c *segCursor) tail() persist.Key {
 	return k
 }
 
-// timeAt is key(i).Time for the binary-searched chunk consumption; the
-// caller has already ensured cold segments are loaded.
-func (c *segCursor) timeAt(i int) time.Time {
-	if c.mem != nil {
-		return c.mem.events[c.mem.byTime[i]].Tuple.Time
-	}
-	return c.cold.loaded[i].Tuple.Time
-}
-
 // cursorHeap is a min-heap of cursors ordered by head key: the retention
 // cut's segment cursors and the select merge's cursors.
 type cursorHeap[C interface{ head() persist.Key }] []C
@@ -737,6 +740,23 @@ func (h *cursorHeap[C]) Pop() any {
 	old[n-1] = zero
 	*h = old[:n-1]
 	return c
+}
+
+// runnerUp returns the head of the heap's second-smallest cursor, the
+// smaller of the root's children; alone reports a heap of one cursor,
+// which has no runner-up.
+func (h cursorHeap[C]) runnerUp() (k persist.Key, alone bool) {
+	switch len(h) {
+	case 1:
+		return persist.Key{}, true
+	case 2:
+		return h[1].head(), false
+	}
+	a, b := h[1].head(), h[2].head()
+	if b.Less(a) {
+		return b, false
+	}
+	return a, false
 }
 
 // routedShards returns the shards a query must visit, in shard-index order:
