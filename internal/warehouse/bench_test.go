@@ -247,23 +247,15 @@ func BenchmarkRetentionUnderIngest(b *testing.B) {
 		})
 	}
 	// The cases above space events a second apart, so no two heads of the
-	// retention walk tie. The bench fleet's do: appendBenchShaped at 50 Hz
-	// into 16 shards with default segments aligns 24 000 events to each
-	// minute's instant. Each op ingests ten minutes into a fresh store
-	// through several cuts.
+	// retention walk tie. The bench fleet's do: each op ingests the
+	// tie-heavy cut store (cutBenchShaped), whose minute granularity aligns
+	// 24 000 events to each instant, through several cuts.
 	b.Run("benchShaped", func(b *testing.B) {
-		const (
-			hz      = 50
-			minutes = 10
-			bound   = 100_000
-		)
 		var events, evicted, pops, cuts uint64
 		var held time.Duration
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			w := NewWithConfig(Config{Shards: 16, Obs: obs.NewRegistry()})
-			w.SetRetention(bound)
-			appendBenchShaped(b, w, hz, minutes)
+			w := cutBenchShaped(b)
 			events += uint64(w.Len()) + w.Evicted()
 			evicted += w.Evicted()
 			pops += w.cutPops.Load()
@@ -475,7 +467,7 @@ func BenchmarkSelectColdCached(b *testing.B) {
 	}
 
 	b.Run("uncached", func(b *testing.B) {
-		w := openSelectPageStore(b, -1)
+		w := open(b, -1)
 		defer w.Close()
 		b.ReportAllocs()
 		b.ResetTimer()

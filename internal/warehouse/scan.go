@@ -625,11 +625,9 @@ func (c *mergeCursor) advance() bool {
 		c.key = eventKey(c.seg.events[c.ords[c.pos]])
 	case c.pos >= c.hi:
 		return false
-	default:
-		// The chunk's first key is at least its start time's lowest key.
-		if lo := (persist.Key{Time: c.cs.info.Sparse[c.k].Time}); c.key.Less(lo) {
-			c.key = lo
-		}
+	case c.key.Time.Before(c.cs.info.Sparse[c.k].Time):
+		// Time is enough: Seq 0 is the lowest key at the chunk's start time.
+		c.key = persist.Key{Time: c.cs.info.Sparse[c.k].Time}
 	}
 	return true
 }

@@ -19,21 +19,27 @@ import (
 // per heap operation there. Each gate counts heap operations, which repeat
 // on any machine.
 
-// TestRetentionCutHeapPops gates the retention walk's heap pops on the
-// bench's in-memory store: its fleet at 50 Hz (appendBenchShaped), 16
-// shards, default segments and a retention bound that cuts several times. A
-// cut pops a segment's cursor once per run of its keys below every other
-// head: about once per appended batch it evicts and once per segment it
-// walks, never once per event.
-func TestRetentionCutHeapPops(t *testing.T) {
-	const (
-		hz      = 50
-		minutes = 10
-		bound   = 100_000
-	)
+// cutBoundBenchShaped is cutBenchShaped's retention bound.
+const cutBoundBenchShaped = 100_000
+
+// cutBenchShaped returns the tie-heavy cut store: the bench's in-memory
+// store, 16 shards with default segments, bounded at cutBoundBenchShaped
+// events and fed ten minutes of its fleet at 50 Hz (appendBenchShaped),
+// so it cuts several times on the way.
+func cutBenchShaped(tb testing.TB) *Warehouse {
+	tb.Helper()
 	w := NewWithConfig(Config{Shards: 16, Obs: obs.NewRegistry()})
-	w.SetRetention(bound)
-	appendBenchShaped(t, w, hz, minutes)
+	w.SetRetention(cutBoundBenchShaped)
+	appendBenchShaped(tb, w, 50, 10)
+	return w
+}
+
+// TestRetentionCutHeapPops gates the retention walk's heap pops on the
+// tie-heavy cut store. A cut pops a segment's cursor once per run of its
+// keys below every other head: about once per appended batch it evicts and
+// once per segment it walks, never once per event.
+func TestRetentionCutHeapPops(t *testing.T) {
+	w := cutBenchShaped(t)
 
 	cuts := w.met.retentionCut.Snapshot().Count
 	evicted, pops := w.Evicted(), w.cutPops.Load()
@@ -42,7 +48,7 @@ func TestRetentionCutHeapPops(t *testing.T) {
 	}
 	// A cut walks the full segments the bound holds plus up to two part-full
 	// ones a shard, and a batch of contiguous seqs is one run.
-	segs := uint64(bound/DefaultSegmentEvents + 2*w.NumShards())
+	segs := uint64(cutBoundBenchShaped/DefaultSegmentEvents + 2*w.NumShards())
 	limit := evicted/persist.IndexEvery + cuts*segs
 	t.Logf("%d cuts evicted %d events in %d heap pops (%d per cut), limit %d", cuts, evicted, pops, pops/cuts, limit)
 	if pops > limit {
