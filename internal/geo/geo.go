@@ -67,17 +67,6 @@ func (r Rect) Contains(p Point) bool {
 		p.Lon >= r.Min.Lon && p.Lon <= r.Max.Lon
 }
 
-// Intersects reports whether two rectangles overlap (touching counts).
-func (r Rect) Intersects(o Rect) bool {
-	return r.Min.Lat <= o.Max.Lat && r.Max.Lat >= o.Min.Lat &&
-		r.Min.Lon <= o.Max.Lon && r.Max.Lon >= o.Min.Lon
-}
-
-// Center returns the midpoint of the rectangle.
-func (r Rect) Center() Point {
-	return Point{Lat: (r.Min.Lat + r.Max.Lat) / 2, Lon: (r.Min.Lon + r.Max.Lon) / 2}
-}
-
 // Expand grows the rectangle by d degrees on every side.
 func (r Rect) Expand(d float64) Rect {
 	return Rect{
@@ -91,7 +80,7 @@ func (r Rect) String() string { return r.Min.String() + ".." + r.Max.String() }
 
 // Cell identifies a grid cell: integer coordinates at a given cell size in
 // degrees. Cells are the spatial-granularity objects of the STT model and
-// the bucketing unit of the warehouse spatial index and the viz heatmaps.
+// the unit pubsub groups sensors by region in.
 type Cell struct {
 	X, Y int64 // lon index, lat index
 }

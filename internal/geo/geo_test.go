@@ -75,28 +75,8 @@ func TestRectContains(t *testing.T) {
 	}
 }
 
-func TestRectIntersects(t *testing.T) {
-	a := NewRect(Point{Lat: 0, Lon: 0}, Point{Lat: 2, Lon: 2})
-	b := NewRect(Point{Lat: 1, Lon: 1}, Point{Lat: 3, Lon: 3})
-	c := NewRect(Point{Lat: 5, Lon: 5}, Point{Lat: 6, Lon: 6})
-	touch := NewRect(Point{Lat: 2, Lon: 2}, Point{Lat: 4, Lon: 4})
-	if !a.Intersects(b) || !b.Intersects(a) {
-		t.Error("a and b overlap")
-	}
-	if a.Intersects(c) {
-		t.Error("a and c are disjoint")
-	}
-	if !a.Intersects(touch) {
-		t.Error("touching rectangles intersect")
-	}
-}
-
-func TestRectCenterExpand(t *testing.T) {
+func TestRectExpand(t *testing.T) {
 	r := NewRect(Point{Lat: 0, Lon: 0}, Point{Lat: 2, Lon: 4})
-	c := r.Center()
-	if c.Lat != 1 || c.Lon != 2 {
-		t.Errorf("center = %v", c)
-	}
 	e := r.Expand(1)
 	if e.Min.Lat != -1 || e.Max.Lon != 5 {
 		t.Errorf("expand = %v", e)
@@ -187,28 +167,6 @@ func TestConvertUnitErrors(t *testing.T) {
 	}
 	if _, err := ConvertUnit(1, "yard", "celsius"); err == nil {
 		t.Error("cross-dimension conversion must fail")
-	}
-}
-
-func TestUnitRegistry(t *testing.T) {
-	if !KnownUnit("celsius") || KnownUnit("cubit") {
-		t.Error("KnownUnit")
-	}
-	d, err := UnitDimension("mph")
-	if err != nil || d != DimSpeed {
-		t.Error("UnitDimension(mph)")
-	}
-	if _, err := UnitDimension("cubit"); err == nil {
-		t.Error("UnitDimension(cubit) must fail")
-	}
-	names := Units()
-	if len(names) < 15 {
-		t.Errorf("registry too small: %d units", len(names))
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Error("Units() must be sorted and unique")
-		}
 	}
 }
 

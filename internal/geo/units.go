@@ -1,9 +1,6 @@
 package geo
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // The unit registry backs Transform's unit-of-measure conversions. Units are
 // grouped into dimensions; within a dimension conversion is affine
@@ -59,31 +56,6 @@ var units = map[string]unitDef{
 	// ratio
 	"fraction": {DimRatio, 1, 0},
 	"percent":  {DimRatio, 0.01, 0},
-}
-
-// KnownUnit reports whether the unit name is registered.
-func KnownUnit(name string) bool {
-	_, ok := units[name]
-	return ok
-}
-
-// UnitDimension returns the dimension of a registered unit.
-func UnitDimension(name string) (UnitDim, error) {
-	u, ok := units[name]
-	if !ok {
-		return "", fmt.Errorf("geo: unknown unit %q", name)
-	}
-	return u.dim, nil
-}
-
-// Units returns the sorted names of all registered units (for diagnostics).
-func Units() []string {
-	out := make([]string, 0, len(units))
-	for name := range units {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ConvertUnit converts value from one unit to another within the same

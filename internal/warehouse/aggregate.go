@@ -320,8 +320,8 @@ var errAggGroups = fmt.Errorf("%w (narrow the filter, coarsen the bucket, or rai
 //     (the header has per-source and per-theme counts, never the cross);
 //   - a theme group-by needs the primary-theme header stats (files written
 //     before that field fall back to reads), with no theme filter on top;
-//     a theme filter alone must name exactly one theme, whose ThemeCounts
-//     entry is precisely the matchTheme cardinality.
+//     a theme filter alone must name exactly one theme, not the empty one,
+//     whose ThemeCounts entry is precisely the matchTheme cardinality.
 //
 // The error is only ever group-cardinality overflow.
 func (v *aggVisitor) file(cs *coldSegment) (bool, error) {
@@ -363,7 +363,7 @@ func (v *aggVisitor) file(cs *coldSegment) (bool, error) {
 			}
 		}
 	case needTheme:
-		if len(p.Themes) != 1 {
+		if len(p.Themes) != 1 || p.Themes[0] == "" {
 			return false, nil
 		}
 		if n := cs.themeCounts[p.Themes[0]]; n > 0 {
@@ -488,6 +488,9 @@ func (v *aggVisitor) chunk(st *persist.ChunkStats, minTime time.Time, n int) (bo
 	// (matchTheme counts overlap, so a partial union is unknowable).
 	thMatched := n
 	if len(p.Themes) > 0 {
+		if containsString(p.Themes, "") {
+			return false, nil // no count holds the events without a theme
+		}
 		allZero, full := true, false
 		for _, th := range p.Themes {
 			c := st.ThemeCounts[th]

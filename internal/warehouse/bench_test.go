@@ -127,14 +127,15 @@ func BenchmarkIngestBatchConcurrent(b *testing.B) {
 	}
 }
 
-// benchLoadedSharded fills a warehouse with n events over 16 sources.
-func benchLoadedSharded(b *testing.B, shards, n int) *Warehouse {
+// benchLoadedSharded fills a warehouse with n events over the given number
+// of sources.
+func benchLoadedSharded(b *testing.B, shards, sources, n int) *Warehouse {
 	b.Helper()
 	w := NewWithConfig(Config{Shards: shards})
 	batch := make([]*stt.Tuple, 0, 1024)
 	for i := 0; i < n; i++ {
 		batch = append(batch, wTuple(time.Duration(i)*time.Second, float64(10+i%25),
-			fmt.Sprintf("src-%d", i%16), 34.4+float64(i%50)*0.01, 135.2+float64(i%50)*0.01))
+			fmt.Sprintf("src-%d", i%sources), 34.4+float64(i%50)*0.01, 135.2+float64(i%50)*0.01))
 		if len(batch) == cap(batch) {
 			if err := w.AppendBatch(batch); err != nil {
 				b.Fatal(err)
@@ -154,7 +155,7 @@ func BenchmarkSelectFanout(b *testing.B) {
 	for _, shards := range []int{1, 16} {
 		for _, readers := range []int{4, 16} {
 			b.Run(fmt.Sprintf("shards=%d/readers=%d", shards, readers), func(b *testing.B) {
-				w := benchLoadedSharded(b, shards, 200_000)
+				w := benchLoadedSharded(b, shards, 16, 200_000)
 				q := Query{From: t0.Add(6 * time.Hour), To: t0.Add(7 * time.Hour)}
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -201,6 +202,34 @@ func BenchmarkSelectRegion(b *testing.B) {
 		if _, _, err := w.Select(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSelectFiltered selects by source and by theme over 200 000
+// events in 16 shards. A segment skips a query only by its time envelope
+// and its source and theme counts, so one source of 16 walks every segment
+// of its shard, one source of 256 walks segments where it is one of about
+// 16, and a theme no event has skips every segment unread.
+func BenchmarkSelectFiltered(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		sources int
+		q       Query
+	}{
+		{"source-of-16", 16, Query{Sources: []string{"src-3"}}},
+		{"source-of-256", 256, Query{Sources: []string{"src-3"}}},
+		{"absent-theme", 16, Query{Themes: []string{"social"}}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			w := benchLoadedSharded(b, 16, c.sources, 200_000)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := w.Select(context.Background(), c.q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

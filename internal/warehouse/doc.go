@@ -1,7 +1,8 @@
 // Package warehouse is StreamLoader's stand-in for the NICT Event Data
 // Warehouse [6] the paper's dataflows load into: an in-memory event store
-// indexed along the three STT dimensions — time, space and theme — with a
-// query API suited to the "further analysis" the paper delegates to it.
+// queried along the three STT dimensions — time, space and theme — and by
+// source, with a query API suited to the "further analysis" the paper
+// delegates to it.
 //
 // # Layout: shards of time-partitioned segments
 //
@@ -18,7 +19,8 @@
 // older than the sealed history are diverted to a side out-of-order
 // segment (rotating on the same bounds), so a late event never stretches a
 // sealed segment's [minTime, maxTime] envelope. Each segment carries its
-// own time index plus spatial-grid, theme and source inverted indexes.
+// own time index plus per-source and per-theme counts, the same counts a
+// cold file's header carries.
 //
 // # Query path
 //
@@ -40,9 +42,8 @@
 // the window start — until it reaches the top; only then does it decode one
 // chunk through the kernel's read path (chunk cache, projection, the
 // two-phase filter read, QueryStats), and once that chunk is drained it
-// waits again at a bound on the next. A hot cursor walks the segment's
-// cheapest index, sorted into (time, seq) order when the index is not the
-// time index. The merge emits in runs: the top cursor keeps emitting, one
+// waits again at a bound on the next. A hot cursor walks the window's
+// stretch of the segment's time index. The merge emits in runs: the top cursor keeps emitting, one
 // key compare per event, while its head stays below the runner-up's (the
 // smaller of the root's two children), and the heap is fixed once per run.
 // A shard appends a batch at contiguous seqs, so where every shard's events
@@ -61,7 +62,12 @@
 // filters and Cond, the column projection cold reads decode, and an optional
 // seq floor. The walk is fixed: every segment whose time envelope misses the
 // [From, To) window is pruned outright — no index consulted, no file opened
-// — which keeps small-window queries cheap on a wide history. A surviving
+// — which keeps small-window queries cheap on a wide history. So is every
+// segment or cold file whose source and theme counts name none of the
+// sources, or none of the themes, the filter asks for (countsExclude, the
+// one check for both forms); no count holds the empty name, so a filter
+// naming it prunes nothing. Select's merge opens its cursors by the same
+// two checks. A surviving
 // cold file is offered to the visitor whole (can its header answer?), then
 // chunk by chunk (can this chunk's stats answer?); the runs of chunks left
 // over are read back through the chunk cache with the plan's projection and
@@ -71,11 +77,10 @@
 // fresh. When the visitor wants whole rows and a theme, source or region
 // filter applies, a v3 file is read in two phases: the filter's columns
 // first, whole rows only for the stretches that hold a match. A surviving
-// in-memory segment is offered whole, then walked over its cheapest index —
-// theme, source, spatial grid or time; an index with no entry for what the
-// query asks proves the segment empty. When that index is the time index and
-// the segment is sealed, its chunks go through the same chunk walk as a
-// file's (see the hot-segment paragraph of the next section). Cold files go
+// in-memory segment is offered whole, then walked over the window's stretch
+// of its time index and each event filtered exactly; when the segment is
+// sealed, its chunks go through the same chunk walk as a file's (see the
+// hot-segment paragraph of the next section). Cold files go
 // oldest first, chunks in file order, then segments in creation order, so
 // float partials fold in the same order run to run.
 //
@@ -129,8 +134,8 @@
 // theme never constrained together (headers carry each dimension's counts
 // but not the cross); a theme group-by needs the primary-theme stats
 // (files from before that header field fall back to reads) and a bare
-// theme filter must name a single theme, whose ThemeCounts entry is
-// exactly the matchTheme cardinality. Everything the header cannot answer
+// theme filter must name a single theme, not the empty one, whose
+// ThemeCounts entry is exactly the matchTheme cardinality. Everything the header cannot answer
 // falls back to reading just the window-overlapping chunks through the
 // chunk cache, bounded by the sparse time index, and filtering exactly —
 // so partially-covered boundary files pay chunk reads while interior files
@@ -162,14 +167,16 @@
 // events of the time index, with the stats persist.ChunkStatsFor computes
 // for a file chunk — one definition for both. The build is lazy and paid
 // once per segment: it runs under the shard read lock and publishes through
-// an atomic pointer, so two racing builders only duplicate work. It never runs on the ingest path, never for select or
-// count, never for the active hot or out-of-order segment (appends still
-// reorder its time index), and never under a Region or Cond, which no chunk
-// stats describe; such a segment keeps its cheapest index, so no
-// index-served query shape folds more events than it did. trimOldest, under
-// the write lock, clears the index with the rows it rebuilds; the next
-// aggregate builds it afresh. The chunk rules are the cold ones, and the
-// unanswered runs fold event by event in time-index order.
+// an atomic pointer, so two racing builders only duplicate work. It never
+// runs on the ingest path, never for select or count, never for the active
+// hot or out-of-order segment (appends still reorder its time index), and
+// never under a Region or Cond, which no chunk stats describe; such a
+// segment folds its window event by event. A source or theme filter is no
+// obstacle: the chunk counts resolve it as they do for a file chunk.
+// trimOldest, under the write lock, clears the index with the rows it
+// rebuilds; the next aggregate builds it afresh. The chunk rules are the
+// cold ones, and the unanswered runs fold event by event in time-index
+// order.
 // QueryStats.HotChunkStats counts the chunks answered per query; it stays off
 // the wire (json "-"), so query replies keep their members.
 // BenchmarkAggregateBenchShaped gates the events the bench's aggregate shape

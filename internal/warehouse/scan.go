@@ -3,7 +3,6 @@ package warehouse
 import (
 	"container/heap"
 	"context"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -71,7 +70,7 @@ type visitor interface {
 	// hotChunks reports whether chunk could answer anything of this plan, so
 	// a sealed in-memory segment's chunk index is worth building.
 	hotChunks() bool
-	// segment may answer an in-memory segment from its indexes.
+	// segment may answer an in-memory segment from its time index.
 	segment(g *segment) bool
 	// event takes one matching event.
 	event(ev Event) error
@@ -104,18 +103,18 @@ type scanner struct {
 var rowBufs = sync.Pool{New: func() any { return new(persist.RowBuf) }}
 
 // scan is the one walk every query, view scan and view tail fold takes
-// through a shard: segments whose time envelope misses the window are
-// pruned without touching an index or opening a file; a surviving cold file
+// through a shard: segments and cold files whose time envelope misses the
+// window, or whose source and theme counts name nothing the filter asks for
+// (countsExclude), are pruned without opening a file; a surviving cold file
 // is offered to the visitor whole, then chunk by chunk, and only the runs
 // of chunks left unanswered are read back, with the plan's projection, and
 // filtered exactly; a surviving in-memory segment is offered whole, then
-// walked over its cheapest index. When that index is the time index, a
-// sealed segment's chunks are offered too, through the same chunk walk as a
-// file's, and only the unanswered runs are filtered. Visit order is fixed —
-// cold files oldest first, chunks in file order, then segments in creation
-// order — so float partials fold in the same order run to run. The context
-// is checked before each file and segment. Caller holds s.mu; read
-// suffices.
+// walked over the window's stretch of its time index. A sealed segment's
+// chunks are offered too, through the same chunk walk as a file's, and only
+// the unanswered runs are filtered. Visit order is fixed — cold files
+// oldest first, chunks in file order, then segments in creation order — so
+// float partials fold in the same order run to run. The context is checked
+// before each file and segment. Caller holds s.mu; read suffices.
 func (s *shard) scan(ctx context.Context, pl *scanPlan, v visitor) (QueryStats, error) {
 	sc := scanner{pl: pl, v: v, conds: condCache{}, rows: rowBufs.Get().(*persist.RowBuf)}
 	defer rowBufs.Put(sc.rows)
@@ -123,7 +122,7 @@ func (s *shard) scan(ctx context.Context, pl *scanPlan, v visitor) (QueryStats, 
 		if err := ctx.Err(); err != nil {
 			return sc.qs, err
 		}
-		if cs.prunedBy(pl.From, pl.To) || cs.seqHi < pl.minSeq {
+		if cs.prunedBy(pl.From, pl.To) || cs.seqHi < pl.minSeq || countsExclude(&pl.Query, cs.sourceCounts, cs.themeCounts) {
 			sc.qs.SegmentsPruned++
 			continue
 		}
@@ -136,7 +135,7 @@ func (s *shard) scan(ctx context.Context, pl *scanPlan, v visitor) (QueryStats, 
 		if err := ctx.Err(); err != nil {
 			return sc.qs, err
 		}
-		if seg.prunedBy(pl.From, pl.To) || seg.maxSeq < pl.minSeq {
+		if seg.prunedBy(pl.From, pl.To) || seg.maxSeq < pl.minSeq || countsExclude(&pl.Query, seg.sources, seg.themes) {
 			sc.qs.SegmentsPruned++
 			continue
 		}
@@ -144,27 +143,23 @@ func (s *shard) scan(ctx context.Context, pl *scanPlan, v visitor) (QueryStats, 
 		if pl.minSeq == 0 && v.segment(seg) {
 			continue
 		}
-		ords, ordered := seg.candidateSet(pl.Query)
-		if ordered && pl.minSeq == 0 && seg != s.hot && seg != s.ooo && v.hotChunks() {
-			// ords is byTime[lo:hi]: walk it chunk by chunk.
-			lo, hi := seg.timeBounds(pl.From, pl.To)
-			err := sc.chunks(seg.chunkIndex(), seg.len(), 0, lo, hi, &sc.qs.HotChunkStats, func(a, b int) error {
-				for _, ord := range seg.byTime[a:b] {
-					if err := sc.visit(seg.events[ord]); err != nil {
-						return err
-					}
+		lo, hi := seg.timeBounds(pl.From, pl.To)
+		read := func(a, b int) error {
+			for _, ord := range seg.byTime[a:b] {
+				if err := sc.visit(seg.events[ord]); err != nil {
+					return err
 				}
-				return nil
-			})
-			if err != nil {
-				return sc.qs, err
 			}
-			continue
+			return nil
 		}
-		for _, ord := range ords {
-			if err := sc.visit(seg.events[ord]); err != nil {
-				return sc.qs, err
-			}
+		var err error
+		if pl.minSeq == 0 && seg != s.hot && seg != s.ooo && v.hotChunks() {
+			err = sc.chunks(seg.chunkIndex(), seg.len(), 0, lo, hi, &sc.qs.HotChunkStats, read)
+		} else {
+			err = read(lo, hi)
+		}
+		if err != nil {
+			return sc.qs, err
 		}
 	}
 	return sc.qs, nil
@@ -504,14 +499,15 @@ type mergeShard struct {
 	events int
 }
 
-// open pushes a cursor for every cold file and hot segment of s the window
-// reaches, counting the rest as pruned. A cold cursor starts unread at the
-// later of the file's live head and the window start, a lower bound on its
-// first match. Caller holds s.mu.
+// open pushes a cursor for every cold file and hot segment of s that
+// neither the window nor the counts prune, counting the rest as pruned. A
+// cold cursor starts unread at the later of the file's live head and the
+// window start, a lower bound on its first match; a hot cursor at the
+// window's start in the segment's time index. Caller holds s.mu.
 func (ms *mergeShard) open(s *shard, h cursorHeap[*mergeCursor]) cursorHeap[*mergeCursor] {
 	pl, qs := ms.sc.pl, &ms.sc.qs
 	for _, cs := range s.cold {
-		if cs.prunedBy(pl.From, pl.To) {
+		if cs.prunedBy(pl.From, pl.To) || countsExclude(&pl.Query, cs.sourceCounts, cs.themeCounts) {
 			qs.SegmentsPruned++
 			continue
 		}
@@ -528,19 +524,13 @@ func (ms *mergeShard) open(s *shard, h cursorHeap[*mergeCursor]) cursorHeap[*mer
 		}
 	}
 	for _, seg := range s.segs {
-		if seg.prunedBy(pl.From, pl.To) {
+		if seg.prunedBy(pl.From, pl.To) || countsExclude(&pl.Query, seg.sources, seg.themes) {
 			qs.SegmentsPruned++
 			continue
 		}
 		qs.SegmentsScanned++
-		ords, ordered := seg.candidateSet(pl.Query)
-		if !ordered {
-			// An index's ordinals are in append order, not event time.
-			slices.SortFunc(ords, func(a, b int) int {
-				return persist.CompareEvents(seg.events[a], seg.events[b])
-			})
-		}
-		if c := (&mergeCursor{ms: ms, seg: seg, ords: ords}); c.advance() {
+		lo, hi := seg.timeBounds(pl.From, pl.To)
+		if c := (&mergeCursor{ms: ms, seg: seg, pos: lo, hi: hi}); c.advance() {
 			h = append(h, c)
 		}
 	}
@@ -557,13 +547,11 @@ type mergeCursor struct {
 	buf  []Event
 	next int
 
-	// A cold cursor reads the file's ordinals [pos, hi), chunk k holding pos.
+	// The cursor reads ordinals [pos, hi): of a cold file, chunk k holding
+	// pos, or of a hot segment's time index.
 	cs         *coldSegment
+	seg        *segment
 	k, pos, hi int
-	// A hot cursor walks ords, the segment's candidates in (time, seq)
-	// order, from pos.
-	seg  *segment
-	ords []int
 }
 
 func (c *mergeCursor) head() persist.Key { return c.key }
@@ -578,14 +566,14 @@ func (c *mergeCursor) event(ev Event) error {
 func (c *mergeCursor) done() int { return len(c.buf) }
 
 // fill reads the cursor's next stretch into buf: one chunk of a cold file,
-// or a hot segment's candidates up to its next match.
+// or a hot segment's time index up to its next match.
 func (c *mergeCursor) fill(ctx context.Context) error {
 	c.buf, c.next = c.buf[:0], 0
 	sc := &c.ms.sc
 	sc.v = c
 	if c.seg != nil {
-		for ; len(c.buf) == 0 && c.pos < len(c.ords); c.pos++ {
-			if err := sc.visit(c.seg.events[c.ords[c.pos]]); err != nil {
+		for ; len(c.buf) == 0 && c.pos < c.hi; c.pos++ {
+			if err := sc.visit(c.seg.events[c.seg.byTime[c.pos]]); err != nil {
 				return err
 			}
 		}
@@ -610,21 +598,18 @@ func (c *mergeCursor) fill(ctx context.Context) error {
 }
 
 // advance sets key for what the cursor holds next: the key of its next
-// buffered match, else of its next hot candidate, else the later of the
-// last key and the next chunk's first event time — a bound on all the
-// chunk holds, known without reading it. It reports false once the cursor
-// has nothing left.
+// buffered match, else of its next hot event, else the later of the last
+// key and the next chunk's first event time — a bound on all the chunk
+// holds, known without reading it. It reports false once the cursor has
+// nothing left.
 func (c *mergeCursor) advance() bool {
 	switch {
 	case c.next < len(c.buf):
 		c.key = eventKey(c.buf[c.next])
-	case c.seg != nil:
-		if c.pos >= len(c.ords) {
-			return false
-		}
-		c.key = eventKey(c.seg.events[c.ords[c.pos]])
 	case c.pos >= c.hi:
 		return false
+	case c.seg != nil:
+		c.key = eventKey(c.seg.events[c.seg.byTime[c.pos]])
 	case c.key.Time.Before(c.cs.info.Sparse[c.k].Time):
 		// Time is enough: Seq 0 is the lowest key at the chunk's start time.
 		c.key = persist.Key{Time: c.cs.info.Sparse[c.k].Time}

@@ -5,28 +5,26 @@ import (
 	"sync/atomic"
 	"time"
 
-	"streamloader/internal/geo"
 	"streamloader/internal/persist"
 	"streamloader/internal/stt"
 )
 
 // segment is one time-partitioned slice of a shard: a bounded run of events
-// with its own time/space/theme/source indexes and a [minTime, maxTime]
-// envelope. Shards rotate to a fresh segment once the active one reaches the
-// configured event count or time span, so retention can drop whole cold
-// segments and time-range queries can skip segments whose envelope misses
-// the query window without touching any index.
+// with its own time index, per-source and per-theme counts and a [minTime,
+// maxTime] envelope. Shards rotate to a fresh segment once the active one
+// reaches the configured event count or time span, so retention can drop
+// whole cold segments and time-range queries can skip segments whose
+// envelope misses the query window without touching the index.
 type segment struct {
 	events []Event
 
 	// byTime: events sorted by event time (ordinals into events).
 	byTime []int
-	// spatial grid -> event ordinals.
-	byCell map[geo.Cell][]int
-	// theme -> event ordinals.
-	byTheme map[string][]int
-	// source -> event ordinals.
-	bySource map[string][]int
+	// sources and themes count the events here as a cold file's header
+	// does: sources by non-empty source, themes by every theme matchTheme
+	// matches an event on (primary tag plus schema themes). A query skips
+	// the segment when they name none of its sources or themes.
+	sources, themes map[string]int
 
 	// minTime/maxTime bound the event times stored here (inclusive).
 	minTime, maxTime time.Time
@@ -53,17 +51,13 @@ type segment struct {
 }
 
 func newSegment() *segment {
-	return &segment{
-		byCell:   map[geo.Cell][]int{},
-		byTheme:  map[string][]int{},
-		bySource: map[string][]int{},
-	}
+	return &segment{sources: map[string]int{}, themes: map[string]int{}}
 }
 
 func (g *segment) len() int { return len(g.events) }
 
-// append stores one event and maintains the indexes and time envelope.
-// Caller holds the shard write lock.
+// append stores one event and maintains the time index, the counts and the
+// time envelope. Caller holds the shard write lock.
 func (g *segment) append(ev Event) {
 	t := ev.Tuple
 	ord := len(g.events)
@@ -101,23 +95,21 @@ func (g *segment) append(ev Event) {
 		g.minSeq = ev.Seq
 	}
 	g.maxSeq = max(g.maxSeq, ev.Seq)
-	g.index(t, ord)
+	g.count(t)
 }
 
-// index adds the secondary-index entries for the event at ord.
-func (g *segment) index(t *stt.Tuple, ord int) {
-	cell := geo.CellOf(geo.Point{Lat: t.Lat, Lon: t.Lon}, gridCellDeg)
-	g.byCell[cell] = append(g.byCell[cell], ord)
+// count adds one event to the source and theme counts.
+func (g *segment) count(t *stt.Tuple) {
+	if t.Source != "" {
+		g.sources[t.Source]++
+	}
 	if t.Theme != "" {
-		g.byTheme[t.Theme] = append(g.byTheme[t.Theme], ord)
+		g.themes[t.Theme]++
 	}
 	for _, theme := range t.Schema.Themes {
 		if theme != t.Theme {
-			g.byTheme[theme] = append(g.byTheme[theme], ord)
+			g.themes[theme]++
 		}
-	}
-	if t.Source != "" {
-		g.bySource[t.Source] = append(g.bySource[t.Source], ord)
 	}
 }
 
@@ -154,6 +146,23 @@ func (g *segment) prunedBy(from, to time.Time) bool {
 	return false
 }
 
+// countsExclude reports whether a segment or cold file whose source and
+// theme counts are these holds no match for q's source or theme filter:
+// the filter names some, and none of them is counted. An empty name is
+// never counted, so a filter naming one proves nothing.
+func countsExclude(q *Query, sources, themes map[string]int) bool {
+	return namesNone(q.Sources, sources) || namesNone(q.Themes, themes)
+}
+
+func namesNone(names []string, counts map[string]int) bool {
+	for _, name := range names {
+		if name == "" || counts[name] > 0 {
+			return false
+		}
+	}
+	return len(names) > 0
+}
+
 // timeBounds returns the [lo, hi) slice of byTime falling inside the
 // [from, to) window, by binary search. A search by time is exact: byTime is
 // (time, seq)-ordered, so the events at or past a time bound are a suffix,
@@ -176,64 +185,11 @@ func (g *segment) timeBounds(from, to time.Time) (int, int) {
 	return lo, hi
 }
 
-// candidateSet picks the cheapest index for the query and returns candidate
-// ordinals: every event when no index applies, none when an index proves
-// the segment holds no match. ordered reports a stretch of the time index,
-// already in (time, seq) order; the other indexes list ordinals in append
-// order, a fresh slice the caller may sort. Caller holds the shard read lock.
-func (g *segment) candidateSet(q Query) (ords []int, ordered bool) {
-	best, indexed, ordered := g.byTime, false, true
-	consider := func(ords []int, byTime bool) {
-		if !indexed || len(ords) < len(best) {
-			best, indexed, ordered = ords, true, byTime
-		}
-	}
-	if len(q.Themes) > 0 {
-		var merged []int
-		for _, th := range q.Themes {
-			merged = append(merged, g.byTheme[th]...)
-		}
-		sort.Ints(merged)
-		merged = dedupeInts(merged)
-		consider(merged, false)
-	}
-	if len(q.Sources) > 0 {
-		var merged []int
-		for _, src := range q.Sources {
-			merged = append(merged, g.bySource[src]...)
-		}
-		sort.Ints(merged)
-		merged = dedupeInts(merged)
-		consider(merged, false)
-	}
-	if q.Region != nil {
-		minCell := geo.CellOf(q.Region.Min, gridCellDeg)
-		maxCell := geo.CellOf(q.Region.Max, gridCellDeg)
-		nCells := (maxCell.X - minCell.X + 1) * (maxCell.Y - minCell.Y + 1)
-		// Only use the grid when the region is small enough to enumerate.
-		if nCells > 0 && nCells <= 10000 {
-			var merged []int
-			for x := minCell.X; x <= maxCell.X; x++ {
-				for y := minCell.Y; y <= maxCell.Y; y++ {
-					merged = append(merged, g.byCell[geo.Cell{X: x, Y: y}]...)
-				}
-			}
-			sort.Ints(merged)
-			consider(merged, false)
-		}
-	}
-	if !q.From.IsZero() || !q.To.IsZero() {
-		lo, hi := g.timeBounds(q.From, q.To)
-		consider(g.byTime[lo:hi], true)
-	}
-	return best, ordered
-}
-
 // trimOldest evicts the n oldest events (by the time index) and rebuilds
-// this segment's indexes; n must be in (0, len). It returns the dropped
-// events so the shard can settle its per-source counts. Only the one
-// boundary segment of a compaction pays this rebuild — whole cold segments
-// are dropped without it. Caller holds the shard write lock.
+// this segment's time index and counts; n must be in (0, len). It returns
+// the dropped events so the shard can settle its per-source counts. Only the
+// one boundary segment of a compaction pays this rebuild — whole cold
+// segments are dropped without it. Caller holds the shard write lock.
 func (g *segment) trimOldest(n int) []Event {
 	dropped := make([]Event, 0, n)
 	for _, ord := range g.byTime[:n] {
@@ -246,12 +202,11 @@ func (g *segment) trimOldest(n int) []Event {
 	g.events = survivors
 	g.chunks.Store(nil)
 	g.byTime = g.byTime[:0]
-	g.byCell = map[geo.Cell][]int{}
-	g.byTheme = map[string][]int{}
-	g.bySource = map[string][]int{}
+	clear(g.sources)
+	clear(g.themes)
 	for i, ev := range survivors {
 		g.byTime = append(g.byTime, i) // survivors come out time-sorted
-		g.index(ev.Tuple, i)
+		g.count(ev.Tuple)
 		if i == 0 || ev.Seq < g.minSeq {
 			g.minSeq = ev.Seq
 		}
@@ -259,17 +214,4 @@ func (g *segment) trimOldest(n int) []Event {
 	g.minTime = survivors[0].Tuple.Time
 	g.maxTime = survivors[len(survivors)-1].Tuple.Time
 	return dropped
-}
-
-func dedupeInts(s []int) []int {
-	if len(s) < 2 {
-		return s
-	}
-	out := s[:1]
-	for _, v := range s[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -52,7 +52,7 @@ type shard struct {
 	// an empty shard and for one holding seq 0.
 	seqNext uint64
 	// sources tracks live events per source, so Stats can count distinct
-	// sources without unioning per-segment indexes.
+	// sources without unioning per-segment counts.
 	sources map[string]int
 
 	// Durable-mode state; wal is nil for a pure in-memory warehouse.
@@ -194,7 +194,7 @@ func (s *shard) applyDropsLocked(w *Warehouse, drops map[*segment]int, coldDrops
 		case n <= 0:
 			kept = append(kept, seg)
 		case n >= seg.len():
-			s.dropSourcesLocked(seg.bySource)
+			s.dropSourceCountsLocked(seg.sources)
 			s.count -= seg.len()
 			if seg == s.hot {
 				s.hot = nil
@@ -223,18 +223,8 @@ func (s *shard) applyDropsLocked(w *Warehouse, drops map[*segment]int, coldDrops
 	return wholeDrops, trims
 }
 
-// dropSourcesLocked settles the per-source counts for a whole dropped
-// segment.
-func (s *shard) dropSourcesLocked(bySource map[string][]int) {
-	for src, ords := range bySource {
-		if s.sources[src] -= len(ords); s.sources[src] <= 0 {
-			delete(s.sources, src)
-		}
-	}
-}
-
-// dropSourceCountsLocked is dropSourcesLocked for a cold segment's
-// count-valued source map.
+// dropSourceCountsLocked settles the per-source counts for a whole dropped
+// segment or cold file, given its own source counts.
 func (s *shard) dropSourceCountsLocked(counts map[string]int) {
 	for src, n := range counts {
 		if s.sources[src] -= n; s.sources[src] <= 0 {
@@ -367,8 +357,8 @@ func (s *shard) stats(st *Stats) {
 	st.SegmentsCold += len(s.cold)
 	// Earliest and Latest report event times, so time picks them.
 	for _, seg := range s.segs {
-		for theme, ords := range seg.byTheme {
-			st.Themes[theme] += len(ords)
+		for theme, n := range seg.themes {
+			st.Themes[theme] += n
 		}
 		if st.Earliest.IsZero() || seg.minTime.Before(st.Earliest) {
 			st.Earliest = seg.minTime

@@ -15,9 +15,6 @@ import (
 	"streamloader/internal/stt"
 )
 
-// gridCellDeg is the spatial index resolution (~1.1 km cells).
-const gridCellDeg = 0.01
-
 // DefaultShards is the shard count New uses; Config.Shards overrides it.
 const DefaultShards = 16
 
@@ -125,10 +122,11 @@ type Query struct {
 }
 
 // QueryStats reports how segment pruning served one query: Scanned segments
-// had their indexes consulted — for Select and a limited Count, those the
-// merge gave a cursor, whether or not the page filled before it was read —
-// Pruned segments were skipped outright because their time envelope missed
-// the query window.
+// were walked — for Select and a limited Count, those the merge gave a
+// cursor, whether or not the page filled before it was read — Pruned
+// segments were skipped outright because their time envelope missed the
+// query window or their source and theme counts name nothing the filter
+// asks for.
 type QueryStats struct {
 	SegmentsScanned int `json:"segments_scanned"`
 	SegmentsPruned  int `json:"segments_pruned"`
