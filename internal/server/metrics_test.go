@@ -333,6 +333,54 @@ func TestAggregateTraceSpans(t *testing.T) {
 	checkTrace(t, *sum.Trace, "warehouse_aggregate")
 }
 
+// TestQueryTraceEncodeSpan checks the select trace's encode span: one per
+// page, on the JSON and the NDJSON path alike, carrying the page's events,
+// their bytes, and six values formatted or copied per event (a reading and
+// five coordinates).
+func TestQueryTraceEncodeSpan(t *testing.T) {
+	srv, ts := newTestServer(t)
+	if err := srv.Warehouse.AppendBatch(queryTuples(20)); err != nil {
+		t.Fatal(err)
+	}
+	encodeSpan := func(tr *traceJSON) spanJSON {
+		t.Helper()
+		var found []spanJSON
+		for _, sp := range tr.Spans {
+			if sp.Name == "encode" {
+				found = append(found, sp)
+			}
+		}
+		if len(found) != 1 {
+			t.Fatalf("encode spans = %d, want 1", len(found))
+		}
+		sp := found[0]
+		if sp.Attrs["events"] != 7 {
+			t.Errorf("encode span events = %d, want 7", sp.Attrs["events"])
+		}
+		if n := sp.Attrs["values_formatted"] + sp.Attrs["values_copied"]; n != 6*7 {
+			t.Errorf("encode span values = %d formatted + %d copied, want %d in all",
+				sp.Attrs["values_formatted"], sp.Attrs["values_copied"], 6*7)
+		}
+		return sp
+	}
+	var res struct {
+		Trace *traceJSON `json:"trace"`
+	}
+	if code := getJSON(t, ts.URL+"/api/warehouse/query?limit=7&trace=1", &res); code != 200 || res.Trace == nil {
+		t.Fatalf("status = %d, trace %v", code, res.Trace)
+	}
+	page := encodeSpan(res.Trace)
+	sum := lastNDJSONSummary(t, ts.URL+"/api/warehouse/query?limit=7&format=ndjson&trace=1")
+	if sum.Trace == nil {
+		t.Fatal("ndjson summary has no trace")
+	}
+	lines := encodeSpan(sum.Trace)
+	if page.Attrs["bytes"] <= 0 || page.Attrs["bytes"] != lines.Attrs["bytes"] {
+		t.Errorf("encode span bytes = %d on the JSON page, %d on NDJSON; want the same, non-zero",
+			page.Attrs["bytes"], lines.Attrs["bytes"])
+	}
+}
+
 // lastNDJSONSummary reads an NDJSON response and decodes its terminating
 // {"summary": ...} line.
 func lastNDJSONSummary(t *testing.T, url string) (sum struct {

@@ -629,10 +629,18 @@ func writeNDJSON(w http.ResponseWriter, lines func(yield func(v any) bool)) bool
 // one buffer that is handed to the connection every pageFlushBytes — no
 // per-event map, no reflection — and is byte for byte the document
 // encoding/json produced from maps. The page's events go through one
-// stt.PageEncoder, on the JSON and the NDJSON path alike: a page of one
-// minute from a few sensors repeats its _time, _lat, _lon, _source and
-// _theme from event to event, and a repeat is copied, not formatted again.
-// All of it runs after Select has returned, with no shard lock held.
+// stt.PageEncoder, on the JSON and the NDJSON path alike, taken from a pool
+// so that what it remembers carries from page to page. Sensors quantize
+// their readings, so a page of one minute from a few sensors holds few
+// distinct values per field and repeats its _lat, _lon, _source, _theme and
+// _time from event to event: the encoder formats each distinct value once
+// and copies its bytes after that, and copies a repeated run of leading
+// coordinates whole. The bytes do not change, because the encoder keys what
+// it remembers by the value alone. With ?trace=1 the trace carries one
+// "encode" span: the page's events, their bytes, and the values formatted
+// versus copied. All of it runs after Select has returned, with no shard
+// lock held: encoding inside the merge's emit callback would hold every
+// routed shard's read lock across the page's socket writes.
 //
 // &format=ndjson streams the page as newline-delimited JSON instead of one
 // buffered array: one {"seq","event"} object per line, flushed
@@ -740,20 +748,28 @@ func (s *Server) handleWarehouseQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		evs = nil
 	}
+	enc := pageEncoders.Get().(*stt.PageEncoder)
+	defer pageEncoders.Put(enc)
+	var span *obs.Span
+	if wantTrace {
+		span = tr.Start("encode")
+		enc.TakeStats() // count this page's values only
+	}
 	if format == "ndjson" {
 		summary := map[string]any{
 			"count": len(evs), "segments": qs,
 			"offset": offset, "truncated": truncated,
 		}
-		if wantTrace {
-			summary["trace"] = tr.Report()
-		}
-		line := new(pageLine)
+		line := &pageLine{enc: enc}
 		writeNDJSON(w, func(yield func(v any) bool) {
 			for i := range evs {
 				if line.ev = &evs[i]; !yield(line) {
 					return
 				}
+			}
+			if wantTrace {
+				endEncode(span, enc, len(evs), line.bytes)
+				summary["trace"] = tr.Report()
 			}
 			yield(map[string]any{"summary": summary})
 		})
@@ -763,11 +779,36 @@ func (s *Server) handleWarehouseQuery(w http.ResponseWriter, r *http.Request) {
 	// gives a map — count, events, offset, segments, trace, truncated — so
 	// the events can be appended straight into the page buffer. What follows
 	// them is small and goes through Marshal as a struct declared in that
-	// same order.
+	// same order, once the events are out, so that the trace holds their
+	// encode span.
+	w.Header().Set("Content-Type", "application/json")
+	buf := make([]byte, 0, pageFlushBytes+pageFlushBytes/8)
+	buf = append(buf, `{"count":`...)
+	buf = strconv.AppendInt(buf, int64(len(evs)), 10)
+	buf = append(buf, `,"events":[`...)
+	eventBytes := 0
+	for i := range evs {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		start := len(buf)
+		buf = appendPageEvent(buf, enc, &evs[i])
+		eventBytes += len(buf) - start
+		if len(buf) >= pageFlushBytes {
+			if _, err := w.Write(buf); err != nil {
+				return // client gone
+			}
+			buf = buf[:0]
+		}
+	}
 	var report *obs.TraceReport
 	if wantTrace {
+		endEncode(span, enc, len(evs), eventBytes)
 		report = tr.Report()
 	}
+	// The tail holds ints, a bool and the trace's strings and ints, which
+	// Marshal always encodes; an error here is a bug, and the events may
+	// already be on the wire.
 	tail, err := json.Marshal(struct {
 		Offset    int                  `json:"offset"`
 		Segments  warehouse.QueryStats `json:"segments"`
@@ -776,31 +817,29 @@ func (s *Server) handleWarehouseQuery(w http.ResponseWriter, r *http.Request) {
 	}{offset, qs, report, truncated})
 	if err != nil {
 		log.Printf("encode query summary: %v", err)
-		writeError(w, http.StatusInternalServerError, "encode response: %v", err)
 		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	buf := make([]byte, 0, pageFlushBytes+pageFlushBytes/8)
-	buf = append(buf, `{"count":`...)
-	buf = strconv.AppendInt(buf, int64(len(evs)), 10)
-	buf = append(buf, `,"events":[`...)
-	var enc stt.PageEncoder
-	for i := range evs {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = appendPageEvent(buf, &enc, &evs[i])
-		if len(buf) >= pageFlushBytes {
-			if _, err := w.Write(buf); err != nil {
-				return // client gone
-			}
-			buf = buf[:0]
-		}
 	}
 	buf = append(buf, "],"...)
 	buf = append(buf, tail[1:]...) // the tail's members, without its '{'
 	buf = append(buf, '\n')
 	_, _ = w.Write(buf) // a failed write is a client that left
+}
+
+// pageEncoders keeps page encoders, and the values they remember, from one
+// select page to the next: what an encoder remembers is keyed by the value
+// alone, so it is right for any later page.
+var pageEncoders = sync.Pool{New: func() any { return new(stt.PageEncoder) }}
+
+// endEncode closes a page's encode span with the page's events, the bytes
+// of their {"seq","event"} objects, and the values its encoder formatted and
+// copied: set once per page, so tracing costs the loop nothing per event.
+func endEncode(span *obs.Span, enc *stt.PageEncoder, events, bytes int) {
+	st := enc.TakeStats()
+	span.SetInt("events", int64(events))
+	span.SetInt("bytes", int64(bytes))
+	span.SetInt("values_formatted", int64(st.Formatted))
+	span.SetInt("values_copied", int64(st.Copied))
+	span.End()
 }
 
 // pageFlushBytes is how much of a JSON query page is encoded before it is
@@ -811,8 +850,8 @@ const pageFlushBytes = 64 << 10
 
 // appendPageEvent appends the wire form of one query match,
 // {"seq":N,"event":{…}}, the same on a JSON page and on an NDJSON line. A
-// page's matches go through one encoder, which writes a coordinate that
-// repeats the previous match's as a copy of its bytes.
+// page's matches go through one encoder, which copies a value or a run of
+// leading coordinates it has written before instead of formatting it again.
 func appendPageEvent(dst []byte, enc *stt.PageEncoder, ev *warehouse.Event) []byte {
 	dst = append(dst, `{"seq":`...)
 	dst = strconv.AppendUint(dst, ev.Seq, 10)
@@ -823,13 +862,20 @@ func appendPageEvent(dst []byte, enc *stt.PageEncoder, ev *warehouse.Event) []by
 
 // pageLine is the NDJSON line of a page's current match. One pageLine is
 // yielded for every match in turn: boxing the same pointer costs no
-// allocation, and its encoder keeps its memory from line to line.
+// allocation, and its encoder keeps its memory from line to line. bytes
+// sums the lines' event bytes for the encode span.
 type pageLine struct {
-	enc stt.PageEncoder
-	ev  *warehouse.Event
+	enc   *stt.PageEncoder
+	ev    *warehouse.Event
+	bytes int
 }
 
-func (l *pageLine) AppendJSON(dst []byte) []byte { return appendPageEvent(dst, &l.enc, l.ev) }
+func (l *pageLine) AppendJSON(dst []byte) []byte {
+	start := len(dst)
+	dst = appendPageEvent(dst, l.enc, l.ev)
+	l.bytes += len(dst) - start
+	return dst
+}
 
 // statusClientClosedRequest is nginx's code for a request whose client left
 // before the answer: nobody reads it, and it stays out of the 5xx count.

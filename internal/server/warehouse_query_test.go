@@ -6,15 +6,18 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"streamloader/internal/stt"
+	"streamloader/internal/warehouse"
 )
 
 var queryWeather = stt.MustSchema([]stt.Field{
@@ -540,4 +543,51 @@ func TestWarehouseStatsExposesDurability(t *testing.T) {
 	if *st.WALBytes != 0 || *st.DiskBytes != 0 || st.SegmentsSpilled != 0 {
 		t.Fatalf("in-memory warehouse reports disk usage: %+v", st)
 	}
+}
+
+// TestQueryPagesConcurrent serves pages from several goroutines at once, so
+// pooled page encoders pass from request to request with what they
+// remember: every JSON and NDJSON page must still be the map-based
+// rendering.
+func TestQueryPagesConcurrent(t *testing.T) {
+	srv, ts := newTestServer(t)
+	if err := srv.Warehouse.AppendBatch(goldenTuples(400)); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{}
+	for _, format := range []string{"json", "ndjson"} {
+		for _, limit := range []int{7, 400} {
+			evs, qs, err := srv.Warehouse.Select(context.Background(), warehouse.Query{Limit: limit + 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			truncated := len(evs) > limit
+			evs = evs[:min(limit, len(evs))]
+			u := ts.URL + "/api/warehouse/query?format=" + format + "&limit=" + strconv.Itoa(limit)
+			want[u] = referenceQueryBody(t, format, evs, 0, truncated, qs, nil)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				for u, body := range want {
+					resp, err := http.Get(u)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if err != nil || !bytes.Equal(got, body) {
+						t.Errorf("%s: page differs from the map-based rendering (read error %v)", u, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

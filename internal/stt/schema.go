@@ -35,8 +35,10 @@ type Schema struct {
 	fields []Field
 	index  map[string]int
 
-	// wire is the key table of the event wire form (Tuple.AppendJSON).
-	wire []wireKey
+	// wire is the key table of the event wire form (Tuple.AppendJSON), and
+	// wireLead the number of its leading keys that are coordinates only.
+	wire     []wireKey
+	wireLead int
 
 	// TGran and SGran are the temporal and spatial granularities the
 	// stream's events are represented at.
@@ -69,7 +71,8 @@ func NewSchema(fields []Field, tg TemporalGranularity, sg SpatialGranularity, th
 	ts := make([]string, len(themes))
 	copy(ts, themes)
 	sort.Strings(ts)
-	return &Schema{fields: fs, index: idx, wire: wireKeys(fs, idx), TGran: tg, SGran: sg, Themes: ts}, nil
+	wire := wireKeys(fs, idx)
+	return &Schema{fields: fs, index: idx, wire: wire, wireLead: leadingCoordinates(wire), TGran: tg, SGran: sg, Themes: ts}, nil
 }
 
 // MustSchema is NewSchema that panics on error; for package-level literals
@@ -129,17 +132,6 @@ func (s *Schema) WithField(f Field) (*Schema, error) {
 		return nil, fmt.Errorf("stt: schema already has field %q", f.Name)
 	}
 	fields := append(s.Fields(), f)
-	return NewSchema(fields, s.TGran, s.SGran, s.Themes...)
-}
-
-// WithoutField returns a new schema with the named field removed.
-func (s *Schema) WithoutField(name string) (*Schema, error) {
-	i := s.IndexOf(name)
-	if i < 0 {
-		return nil, fmt.Errorf("stt: schema has no field %q", name)
-	}
-	fields := s.Fields()
-	fields = append(fields[:i], fields[i+1:]...)
 	return NewSchema(fields, s.TGran, s.SGran, s.Themes...)
 }
 

@@ -96,20 +96,6 @@ func TestWithField(t *testing.T) {
 	}
 }
 
-func TestWithoutField(t *testing.T) {
-	s := weatherSchema(t)
-	s2, err := s.WithoutField("humidity")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.NumFields() != 2 || s2.IndexOf("humidity") != -1 || s2.IndexOf("station") != 1 {
-		t.Errorf("WithoutField result: %s", s2)
-	}
-	if _, err := s.WithoutField("missing"); err == nil {
-		t.Error("WithoutField(missing) must fail")
-	}
-}
-
 func TestWithGranularities(t *testing.T) {
 	s := weatherSchema(t)
 	s2 := s.WithGranularities(GranHour, SpatCellCity)

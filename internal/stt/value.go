@@ -28,6 +28,14 @@
 // the sorted, pre-quoted key table once per schema. The one difference is
 // that NaN and ±Inf, which JSON cannot carry and encoding/json refuses,
 // are written as null.
+//
+// A query page is written by a PageEncoder, which remembers the values it
+// wrote with their bytes — one small table per payload position and per
+// coordinate — and the run of leading coordinates last written, and copies
+// a repeat instead of formatting it again. Its output is still byte for
+// byte AppendJSON's: what it remembers is keyed by the value alone (a float
+// by its bits, a time by its instant, a string by equality), and a value's
+// wire form depends on nothing else.
 package stt
 
 import (

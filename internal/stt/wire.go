@@ -1,6 +1,7 @@
 package stt
 
 import (
+	"hash/maphash"
 	"math"
 	"sort"
 	"strconv"
@@ -61,6 +62,17 @@ func wireKeys(fields []Field, index map[string]int) []wireKey {
 	return keys
 }
 
+// leadingCoordinates counts the keys at the start of a key table that are
+// coordinates only. Meta keys sort as _lat, _lon, _source, _theme, _time,
+// so they are always the first that many of those five.
+func leadingCoordinates(keys []wireKey) int {
+	n := 0
+	for n < len(keys) && keys[n].field < 0 {
+		n++
+	}
+	return n
+}
+
 // AppendJSON appends the event's wire form to dst: one JSON object holding
 // the payload fields by name and the STT coordinates as _time (RFC3339Nano,
 // UTC), _lat, _lon and — when set — _theme and _source, with keys in sorted
@@ -74,36 +86,226 @@ func (t *Tuple) AppendJSON(dst []byte) []byte {
 }
 
 // PageEncoder writes the wire forms of a run of events — one query page —
-// and remembers the STT coordinates (_time, _lat, _lon, _source, _theme) it
-// last wrote, with their bytes. Tuples are aligned to their schema's
-// granularity and a sensor does not move, so a page repeats its
-// coordinates from event to event; a repeat is copied instead of formatted
-// again. The output is byte for byte Tuple.AppendJSON's.
+// and remembers the values it wrote with their bytes, so that a page
+// formats each distinct value once. Sensors quantize their readings and do
+// not move, and tuples are aligned to their schema's granularity, so a page
+// holds few distinct values per field and repeats its coordinates from
+// event to event. The output is byte for byte Tuple.AppendJSON's.
 //
-// A coordinate is a repeat when its key equals the remembered one: a time
-// by time.Equal (one instant, whatever its Location, is one UTC string), a
-// float by its bits (so 0 and -0 stay distinct), a string by equality. The
-// memory covers the coordinates only, never a payload field that shares a
-// meta key's name.
+// It remembers two things:
+//   - Values. Each payload position of a schema (Tuple.Values[i], for i
+//     below memoFields, in up to memoSchemas schemas at a time) and each
+//     coordinate (_lat, _lon, _source, _theme, _time) has a direct-mapped
+//     table of memoEntries values with the bytes they were written as. A
+//     hit appends those bytes; a miss formats the value and takes over its
+//     entry. Null and bool, whose forms are constants, are written
+//     directly.
+//   - The leading coordinates. A schema's wire keys start with the
+//     coordinate keys that sort before its first payload field (all five,
+//     unless a field sorts before or among them). When an event's leading
+//     coordinates all equal those of the prefix last written, the whole
+//     {"_lat":…,"_time":"…" prefix is one copy.
 //
-// The zero value is ready to use, and a nil *PageEncoder remembers nothing.
-// A PageEncoder is not safe for concurrent use.
+// Every memory is keyed by values alone, never by the event, schema or
+// page they came from, and a value's wire form depends on nothing else: a
+// float is keyed by its bits (so +0 and -0 stay distinct, and a NaN or ±Inf
+// writes null whatever its bits), an int by its value, a string by
+// equality, a time by its instant (one instant, whatever its Location or
+// monotonic reading, is one UTC string). So a remembered form is right in
+// any later page, a schema can take over another's tables as they stand,
+// and an encoder can serve page after page without being cleared. Its
+// bytes live in one arena of memoArenaBytes; when that is full every
+// memory is cleared and the arena starts over.
+//
+// A PageEncoder holds its coordinate tables and arena inline, about 115
+// KB, and makes a payload table (10 KB) on a position's first value, so
+// reuse one rather than make one per page. The zero value is ready to use,
+// and a nil *PageEncoder remembers nothing. A PageEncoder is not safe for
+// concurrent use.
 type PageEncoder struct {
-	// The keys of the coordinates last written. The zero value is a key
-	// like any other: time.Time{}, +0, "".
-	time          time.Time // without a monotonic reading
-	lat, lon      uint64    // math.Float64bits
-	source, theme string
-	// out holds the bytes of each key, empty until the key repeats: a
-	// coordinate's wire form is never empty.
-	out [metaTime + 1][]byte
+	// coords holds a table per coordinate, at metaKey-1.
+	coords [metaTime]memoTable
+	// fields holds the payload tables of up to memoSchemas schemas, taken
+	// over in turn by the schemas that come after them; last is the one
+	// the previous event used.
+	fields [memoSchemas]fieldMemo
+	last   int
+	next   int
+	// arena holds the bytes of every memo entry and of the lead in its
+	// first used bytes.
+	arena [memoArenaBytes]byte
+	used  int
+
+	// The leading coordinates last written: their key (the zero key when
+	// none are kept), where their bytes sit in the arena, and how many
+	// values they hold.
+	leadAt           leadKey
+	leadOff, leadEnd uint32
+	leadValues       int
+
+	stats EncodeStats
+}
+
+const (
+	// memoFields is how many leading payload positions of a schema have a
+	// memo; a wider schema formats the fields past them.
+	memoFields = 8
+	// memoSchemas is how many schemas' payload tables are kept at once.
+	memoSchemas = 16
+	// memoEntries is the size of one direct-mapped table, indexed by a
+	// byte of the value's hash.
+	memoEntries = 256
+	// memoValueMax bounds the wire form the memory keeps of a value or a
+	// run of leading coordinates: a longer one is formatted every time, so
+	// one long string cannot crowd the arena.
+	memoValueMax = 256
+	// memoArenaBytes bounds the bytes the memory holds together.
+	memoArenaBytes = 64 << 10
+)
+
+type memoTable [memoEntries]memoEntry
+
+// fieldMemo is the payload tables of one schema, one per position, made
+// on the position's first value.
+type fieldMemo struct {
+	schema *Schema
+	tables [memoFields]*memoTable
+}
+
+// table returns the table of payload position i, or nil: on a nil
+// fieldMemo, and past memoFields.
+func (f *fieldMemo) table(i int) *memoTable {
+	if f == nil || i >= memoFields {
+		return nil
+	}
+	if f.tables[i] == nil {
+		f.tables[i] = new(memoTable)
+	}
+	return f.tables[i]
+}
+
+// fieldsOf returns the payload tables of schema s, taking over the next
+// schema's in turn when s has none yet. What they remember stays right for
+// s, as every entry is keyed by its value alone.
+func (e *PageEncoder) fieldsOf(s *Schema) *fieldMemo {
+	if f := &e.fields[e.last]; f.schema == s {
+		return f
+	}
+	for i := range e.fields {
+		if e.fields[i].schema == s {
+			e.last = i
+			return &e.fields[i]
+		}
+	}
+	e.last, e.next = e.next, (e.next+1)%memoSchemas
+	e.fields[e.last].schema = s
+	return &e.fields[e.last]
+}
+
+// coord returns the table of coordinate m, or nil on a nil encoder.
+func (e *PageEncoder) coord(m metaKey) *memoTable {
+	if e == nil {
+		return nil
+	}
+	return &e.coords[m-1]
+}
+
+// memoEntry is one remembered value and where its bytes sit in the arena.
+// The zero entry holds null, which is never remembered, so it matches no
+// value.
+type memoEntry struct {
+	v        Value
+	off, end uint32
+}
+
+// EncodeStats counts the values a PageEncoder wrote: Formatted anew, or
+// Copied from bytes it wrote before. A leading-coordinate copy counts each
+// of its values.
+type EncodeStats struct {
+	Formatted, Copied int
+}
+
+// TakeStats returns the counts since the last call and starts them over.
+func (e *PageEncoder) TakeStats() EncodeStats {
+	st := e.stats
+	e.stats = EncodeStats{}
+	return st
 }
 
 // AppendJSON appends t's wire form to dst.
 func (e *PageEncoder) AppendJSON(dst []byte, t *Tuple) []byte {
 	dst = append(dst, '{')
 	open := len(dst)
-	for _, k := range t.Schema.wire {
+	keys := t.Schema.wire
+	if e == nil {
+		return append(e.appendKeys(dst, open, keys, nil, t), '}')
+	}
+	if n := t.Schema.wireLead; n > 0 {
+		dst = e.appendLead(dst, keys[:n], t)
+		keys = keys[n:]
+	}
+	return append(e.appendKeys(dst, open, keys, e.fieldsOf(t.Schema), t), '}')
+}
+
+// leadKey is what a run of leading coordinates is written from: the count
+// of its keys and the coordinates among them — floats by their bits, the
+// time without a monotonic reading, so that Equal compares instants.
+type leadKey struct {
+	keys          int
+	lat, lon      uint64
+	source, theme string
+	time          time.Time
+}
+
+// leadOf is the key of t's first n coordinates.
+func leadOf(n int, t *Tuple) leadKey {
+	k := leadKey{keys: n, lat: math.Float64bits(t.Lat)}
+	if n > 1 {
+		k.lon = math.Float64bits(t.Lon)
+	}
+	if n > 2 {
+		k.source = t.Source
+	}
+	if n > 3 {
+		k.theme = t.Theme
+	}
+	if n > 4 {
+		k.time = t.Time.Round(0)
+	}
+	return k
+}
+
+// leads reports whether t's first n coordinates are the ones k was taken
+// from.
+func (k *leadKey) leads(n int, t *Tuple) bool {
+	return n == k.keys && math.Float64bits(t.Lat) == k.lat &&
+		(n < 2 || math.Float64bits(t.Lon) == k.lon) &&
+		(n < 3 || t.Source == k.source) &&
+		(n < 4 || t.Theme == k.theme) &&
+		(n < 5 || t.Time.Equal(k.time))
+}
+
+// appendLead appends t's leading coordinate keys, as one copy when they
+// repeat the prefix last written.
+func (e *PageEncoder) appendLead(dst []byte, keys []wireKey, t *Tuple) []byte {
+	if e.leadAt.leads(len(keys), t) {
+		e.stats.Copied += e.leadValues
+		return append(dst, e.arena[e.leadOff:e.leadEnd]...)
+	}
+	start, before := len(dst), e.stats.Formatted+e.stats.Copied
+	dst = e.appendKeys(dst, start, keys, nil, t)
+	e.leadAt = leadKey{}
+	if out := dst[start:]; len(out) <= memoValueMax {
+		e.leadOff, e.leadEnd = e.keep(out)
+		e.leadAt, e.leadValues = leadOf(len(keys), t), e.stats.Formatted+e.stats.Copied-before
+	}
+	return dst
+}
+
+// appendKeys appends t's members under keys, each after a comma unless it
+// is the first since open, with fields as its schema's payload tables.
+func (e *PageEncoder) appendKeys(dst []byte, open int, keys []wireKey, fields *fieldMemo, t *Tuple) []byte {
+	for _, k := range keys {
 		// A coordinate the event lacks leaves the key to a same-named
 		// payload field, if the schema has one.
 		meta := k.meta
@@ -118,73 +320,89 @@ func (e *PageEncoder) AppendJSON(dst []byte, t *Tuple) []byte {
 		}
 		dst = append(dst, k.quoted...)
 		if meta == metaNone {
-			dst = t.Values[k.field].AppendJSON(dst)
+			dst = e.appendValue(dst, fields.table(k.field), t.Values[k.field])
 		} else {
-			dst = e.appendMeta(dst, meta, t)
+			dst = e.appendValue(dst, e.coord(meta), metaValue(meta, t))
 		}
 	}
-	return append(dst, '}')
-}
-
-// appendMeta appends t's coordinate m, copied when it repeats the last one
-// written. A new key is only remembered; its bytes are kept once it
-// repeats, so a coordinate that changes with every event costs one
-// comparison more than formatting, and a run of one value formats it twice.
-func (e *PageEncoder) appendMeta(dst []byte, m metaKey, t *Tuple) []byte {
-	if e == nil {
-		return formatMeta(dst, m, t)
-	}
-	switch m {
-	case metaLat:
-		if bits := math.Float64bits(t.Lat); bits != e.lat {
-			e.lat, e.out[m] = bits, e.out[m][:0]
-			return AppendJSONFloat(dst, t.Lat)
-		}
-	case metaLon:
-		if bits := math.Float64bits(t.Lon); bits != e.lon {
-			e.lon, e.out[m] = bits, e.out[m][:0]
-			return AppendJSONFloat(dst, t.Lon)
-		}
-	case metaSource:
-		if t.Source != e.source {
-			e.source, e.out[m] = t.Source, e.out[m][:0]
-			return AppendJSONString(dst, t.Source)
-		}
-	case metaTheme:
-		if t.Theme != e.theme {
-			e.theme, e.out[m] = t.Theme, e.out[m][:0]
-			return AppendJSONString(dst, t.Theme)
-		}
-	default:
-		// e.time carries no monotonic reading, so Equal compares instants.
-		if !t.Time.Equal(e.time) {
-			e.time, e.out[m] = t.Time.Round(0), e.out[m][:0]
-			return AppendJSONTime(dst, t.Time)
-		}
-	}
-	if len(e.out[m]) > 0 {
-		return append(dst, e.out[m]...)
-	}
-	start := len(dst)
-	dst = formatMeta(dst, m, t)
-	e.out[m] = append(e.out[m], dst[start:]...)
 	return dst
 }
 
-// formatMeta appends t's coordinate m, formatted.
-func formatMeta(dst []byte, m metaKey, t *Tuple) []byte {
+// metaValue is t's coordinate m as a Value, whose wire form is the
+// coordinate's.
+func metaValue(m metaKey, t *Tuple) Value {
 	switch m {
 	case metaLat:
-		return AppendJSONFloat(dst, t.Lat)
+		return Float(t.Lat)
 	case metaLon:
-		return AppendJSONFloat(dst, t.Lon)
+		return Float(t.Lon)
 	case metaSource:
-		return AppendJSONString(dst, t.Source)
+		return String(t.Source)
 	case metaTheme:
-		return AppendJSONString(dst, t.Theme)
+		return String(t.Theme)
 	default:
-		return AppendJSONTime(dst, t.Time)
+		return Time(t.Time)
 	}
+}
+
+// appendValue appends v's wire form through the memo table tab: a copy
+// when tab remembers v, formatted and remembered otherwise. Null and bool,
+// whose forms are constants, and any value without a table are formatted.
+func (e *PageEncoder) appendValue(dst []byte, tab *memoTable, v Value) []byte {
+	if tab == nil || v.kind <= KindBool {
+		if e != nil {
+			e.stats.Formatted++
+		}
+		return v.AppendJSON(dst)
+	}
+	ent := &tab[v.memoHash()]
+	// ent.v == v, with the number word first and no call for the
+	// comparison.
+	if ent.v.num == v.num && ent.v.kind == v.kind && ent.v.nsec == v.nsec && ent.v.s == v.s {
+		e.stats.Copied++
+		return append(dst, e.arena[ent.off:ent.end]...)
+	}
+	e.stats.Formatted++
+	start := len(dst)
+	dst = v.AppendJSON(dst)
+	if out := dst[start:]; len(out) <= memoValueMax {
+		off, end := e.keep(out)
+		*ent = memoEntry{v: v, off: off, end: end}
+	}
+	return dst
+}
+
+// keep copies out into the arena and returns where it sits. A full arena
+// is started over first, with every memory that pointed into it cleared.
+func (e *PageEncoder) keep(out []byte) (off, end uint32) {
+	if e.used+len(out) > len(e.arena) {
+		clear(e.coords[:])
+		for i := range e.fields {
+			for _, tab := range e.fields[i].tables {
+				if tab != nil {
+					clear(tab[:])
+				}
+			}
+		}
+		e.leadAt = leadKey{}
+		e.used = 0
+	}
+	off = uint32(e.used)
+	e.used += copy(e.arena[e.used:], out)
+	return off, uint32(e.used)
+}
+
+// memoSeed seeds the string hash of the memo tables.
+var memoSeed = maphash.MakeSeed()
+
+// memoHash picks v's entry in a memo table: a byte of a multiplicative
+// hash of its number word, or of a string's hash.
+func (v Value) memoHash() uint8 {
+	x := v.num ^ uint64(v.nsec)<<32
+	if v.kind == KindString {
+		x = maphash.String(memoSeed, v.s)
+	}
+	return uint8((x * 0x9e3779b97f4a7c15) >> 56)
 }
 
 // MarshalJSON makes the wire form what encoding/json writes for a tuple.

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -291,54 +294,199 @@ func TestPageEncoderMatchesAppendJSON(t *testing.T) {
 	}
 }
 
-// FuzzPageEncoder drives a run of tuples whose coordinates, by the bits of
-// pick, repeat or change from event to event, through one PageEncoder and
-// through AppendJSON tuple by tuple. A fuzzed field name can shadow any
-// meta key; the coordinates may be non-finite, -0, empty or in any zone.
+// FuzzPageEncoder drives a run of tuples whose coordinates and payload
+// values, by the bits of pick and vpick, repeat or change from event to
+// event, through one PageEncoder and through AppendJSON tuple by tuple. Two
+// schemas that share field names, with different kinds and positions, take
+// turns; a fuzzed field name can shadow any meta key. The coordinates may be
+// non-finite, -0, empty or in any zone; the payload values are drawn from
+// pools that hold both signs of zero, several NaN bit patterns, ±Inf, the
+// float format's 1e-6 and 1e21 boundaries, extreme ints, times in different
+// zones and strings with escapes and invalid UTF-8.
 func FuzzPageEncoder(f *testing.F) {
-	f.Add("v", 34.7, 135.5, int64(1458034860), int64(0), int32(0), "osaka-1", "osaka-2", "weather", uint64(0x5a5a))
-	f.Add("_source", 0.0, math.Copysign(0, -1), int64(-1), int64(999999999), int32(9*3600), "", "s", "", uint64(0xf0f0))
-	f.Add("_theme", math.NaN(), math.Inf(-1), int64(0), int64(1), int32(-12345), "<&>", "", " ", uint64(0x1234))
-	f.Add("_time", 1e-7, 1e21, int64(253402300799), int64(5), int32(1), "a\xffb", "a\xffb", "t", ^uint64(0))
+	f.Add("v", 34.7, 135.5, int64(1458034860), int64(0), int32(0), "osaka-1", "osaka-2", "weather", uint64(0x5a5a), 25.5, int64(42), uint64(0x3c3c))
+	f.Add("_source", 0.0, math.Copysign(0, -1), int64(-1), int64(999999999), int32(9*3600), "", "s", "", uint64(0xf0f0), -0.1, int64(-1), uint64(0x0123456789abcdef))
+	f.Add("_theme", math.NaN(), math.Inf(-1), int64(0), int64(1), int32(-12345), "<&>", "", " ", uint64(0x1234), math.Inf(1), int64(math.MinInt64), ^uint64(0))
+	f.Add("_time", 1e-7, 1e21, int64(253402300799), int64(5), int32(1), "a\xffb", "a\xffb", "t", ^uint64(0), 9.99999e-7, int64(math.MaxInt64), uint64(0xdeadbeef))
+	f.Add("label", 1.5, 2.5, int64(1458034860), int64(0), int32(3600), "a", "b", "c", uint64(0), 1e-300, int64(7), uint64(0x1111111111111111))
 	f.Fuzz(func(t *testing.T, name string, lat, lon float64, sec, nsec int64, zone int32,
-		src1, src2, theme string, pick uint64) {
-		s, err := NewSchema([]Field{NewField("f", KindFloat, ""), NewField(name, KindString, "")}, GranSecond, SpatPoint)
+		src1, src2, theme string, pick uint64, fl float64, i int64, vpick uint64) {
+		one, err := NewSchema([]Field{
+			NewField("f", KindFloat, ""), NewField(name, KindString, ""), NewField("i", KindInt, ""),
+			NewField("b", KindBool, ""), NewField("t", KindTime, ""),
+		}, GranSecond, SpatPoint)
 		if err != nil {
 			t.Skip("fuzzed field name is empty or taken")
 		}
+		// The same names at other positions with other kinds.
+		two := MustSchema([]Field{
+			NewField("t", KindString, ""), NewField("i", KindFloat, ""), NewField("f", KindTime, ""),
+			NewField("b", KindInt, ""),
+		}, GranSecond, SpatPoint)
 		base := time.Unix(sec, nsec)
-		tups := make([]*Tuple, 16)
-		for i := range tups {
-			b := pick >> (4 * (i % 16))
-			tup := &Tuple{Schema: s, Values: []Value{Float(lat), String(src2)},
-				Time: base, Lat: lat, Lon: lon, Source: src1, Theme: theme}
+		floats := []Value{
+			Float(fl), Float(-fl), Float(lat), Float(0), Float(math.Copysign(0, -1)), Float(math.NaN()),
+			Float(math.Float64frombits(0x7ff8000000000001)), Float(math.Float64frombits(0xfff0000000000001)),
+			Float(math.Inf(1)), Float(math.Inf(-1)), Float(1e-7), Float(9.99999e-7), Float(1e-6),
+			Float(1e21), Float(9.99999e20), Float(1.5),
+		}
+		ints := []Value{Int(i), Int(-i), Int(0), Int(-1), Int(math.MinInt64), Int(math.MaxInt64), Int(i ^ 1), Int(100)}
+		bools := []Value{Bool(true), Bool(false), Null(), Bool(true)}
+		times := []Value{
+			Time(base), Time(base.In(time.FixedZone("", int(zone%(18*3600))))), Time(base.Add(1)),
+			Time(time.Time{}), Time(base.In(time.FixedZone("JST", 9*3600))), Time(base.Add(-time.Hour)),
+			Null(), Time(base),
+		}
+		strs := []Value{
+			String(src1), String(src2), String(theme), String(""), String("<&>\"\\\n\x00"),
+			String("a\xffb\xc3"), String("\u2028\u2029"), String(src1 + src2),
+		}
+		from := func(pool []Value, sel uint64) Value { return pool[sel%uint64(len(pool))] }
+		tups := make([]*Tuple, 32)
+		for n := range tups {
+			b := pick >> (4 * (n % 16))
+			v := vpick >> (4 * (n % 16))
+			if n >= 16 {
+				v = bits.RotateLeft64(vpick, n) // a second half drawn differently
+			}
+			tup := &Tuple{Schema: one, Time: base, Lat: lat, Lon: lon, Source: src1, Theme: theme}
+			if v&1 != 0 {
+				tup.Schema = two
+				tup.Values = []Value{from(strs, v>>1), from(floats, v>>2), from(times, v>>3), from(ints, v>>4)}
+			} else {
+				tup.Values = []Value{from(floats, v>>1), from(strs, v>>2), from(ints, v>>3), from(bools, v>>4), from(times, v>>5)}
+			}
 			if b&1 != 0 {
 				tup.Lat, tup.Lon = lon, lat
 			}
 			if b&2 != 0 {
-				tup.Source, tup.Values[1] = src2, String(src1)
+				tup.Source = src2
 			}
 			if b&4 != 0 {
 				tup.Time = base.In(time.FixedZone("", int(zone%(18*3600))))
 			}
 			if b&8 != 0 {
-				tup.Time, tup.Theme = base.Add(time.Duration(i)), ""
+				tup.Time, tup.Theme = base.Add(time.Duration(n)), ""
 			}
-			tups[i] = tup
+			tups[n] = tup
 		}
 		checkPage(t, tups)
 	})
 }
 
-// BenchmarkPageEncoder encodes a 5000-event page with one float payload per
-// event, without and with the encoder's memory. "repeats" is bench-shaped:
-// one minute from 8 sources in 256-event runs. "distinct" changes every
-// coordinate from one event to the next, so the memory never pays.
+// TestPageEncoderMemoLimits fills the memo past what it holds: more
+// distinct values than a table has entries, values that share an entry,
+// values too long to remember, and more bytes than the arena holds, so
+// that pages run through collisions and arena resets. Every page must
+// still be AppendJSON's bytes.
+func TestPageEncoderMemoLimits(t *testing.T) {
+	s := MustSchema([]Field{NewField("f", KindFloat, ""), NewField("s", KindString, ""), NewField("t", KindTime, "")},
+		GranSecond, SpatPoint)
+	when := time.Date(2016, 3, 15, 9, 41, 0, 0, time.UTC)
+	tup := func(f float64, str string, tm time.Time) *Tuple {
+		return &Tuple{Schema: s, Values: []Value{Float(f), String(str), Time(tm)}, Time: when, Lat: 1, Lon: 2, Source: "s"}
+	}
+
+	// Floats that share one entry of the table, taking turns with ints
+	// whose number word is theirs, in the same position.
+	var shared []float64
+	for x := 0.1; len(shared) < 4; x += 0.1 {
+		if Float(x).memoHash() == Float(0.1).memoHash() {
+			shared = append(shared, x)
+		}
+	}
+	var collide []*Tuple
+	for i := 0; i < 64; i++ {
+		f := shared[i%len(shared)]
+		collide = append(collide, tup(f, "x", when),
+			&Tuple{Schema: s, Values: []Value{Int(int64(math.Float64bits(f))), String("x"), Time(when)}, Time: when, Lat: 1, Lon: 2})
+	}
+
+	// More schemas than the encoder keeps tables for, taking turns, their
+	// values shared and not.
+	var schemas []*Tuple
+	for i := 0; i < 5*memoSchemas; i++ {
+		sch := MustSchema([]Field{NewField("f", KindFloat, ""), NewField(fmt.Sprint("g", i%7), KindFloat, "")},
+			GranSecond, SpatPoint)
+		schemas = append(schemas, &Tuple{Schema: sch, Values: []Value{Float(float64(i % 3)), Float(float64(i))},
+			Time: when, Lat: 1, Lon: 2})
+	}
+	schemas = append(schemas, schemas...)
+
+	// Three times the table's entries, each value twice, in two orders.
+	var distinct []*Tuple
+	for i := 0; i < 3*memoEntries; i++ {
+		distinct = append(distinct, tup(float64(i)/10, fmt.Sprint(i), when.Add(time.Duration(i)*time.Second)))
+	}
+	for i := 3*memoEntries - 1; i >= 0; i-- {
+		distinct = append(distinct, distinct[i])
+	}
+
+	// Three string fields whose values fit their tables but not, together,
+	// the arena: every round overruns it, and an entry from before a reset
+	// is asked for again after it. Beside them a string too long to keep.
+	wide := MustSchema([]Field{
+		NewField("a", KindString, ""), NewField("b", KindString, ""), NewField("c", KindString, ""),
+		NewField("long", KindString, ""),
+	}, GranSecond, SpatPoint)
+	long := strings.Repeat("<&>", memoValueMax)
+	per := memoArenaBytes / memoValueMax / 2 // distinct values per field
+	var arena []*Tuple
+	for round := 0; round < 3; round++ {
+		for i := 0; i < per; i++ {
+			v := func(field string) Value { return String(fmt.Sprintf("%s%0*d", field, memoValueMax-4, i)) }
+			arena = append(arena, &Tuple{Schema: wide, Values: []Value{v("a"), v("b"), v("c"), String(long)},
+				Time: when, Lat: 1, Lon: 2})
+		}
+	}
+
+	var e PageEncoder
+	for name, tups := range map[string][]*Tuple{
+		"colliding": collide, "distinct": distinct, "many schemas": schemas, "past the arena": arena,
+	} {
+		t.Run(name, func(t *testing.T) { checkPage(t, tups) })
+		// The same encoder, memory and all, on the next page.
+		var want, got []byte
+		for _, tup := range tups {
+			want = tup.AppendJSON(want)
+			got = e.AppendJSON(got, tup)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: a reused PageEncoder differs from AppendJSON", name)
+		}
+	}
+}
+
+// TestPageEncoderStats pins what TakeStats counts on a page of one
+// repeated event: the first event formats its six values, every later one
+// copies its leading coordinates and its payload, and a second call starts
+// over.
+func TestPageEncoderStats(t *testing.T) {
+	s := MustSchema([]Field{NewField("v", KindFloat, "")}, GranSecond, SpatPoint, "weather")
+	tup := &Tuple{Schema: s, Values: []Value{Float(21.4)}, Time: time.Unix(1458034860, 0), Lat: 34.7, Lon: 135.5,
+		Theme: "weather", Source: "temperature-1"}
+	var e PageEncoder
+	for i := 0; i < 10; i++ {
+		e.AppendJSON(nil, tup)
+	}
+	if got, want := e.TakeStats(), (EncodeStats{Formatted: 6, Copied: 54}); got != want {
+		t.Errorf("stats after 10 events = %+v, want %+v", got, want)
+	}
+	if got := e.TakeStats(); got != (EncodeStats{}) {
+		t.Errorf("stats after TakeStats = %+v, want none", got)
+	}
+}
+
+// BenchmarkPageEncoder encodes a 5000-event page without and with the
+// encoder's memory. "repeats" is bench-shaped: one minute from 8 sources in
+// 256-event runs, one float payload per event. "distinct" changes every
+// coordinate from one event to the next, so no leading prefix repeats.
+// "chain" is chain-mem-shaped (chainPage).
 func BenchmarkPageEncoder(b *testing.B) {
 	for _, page := range []struct {
 		name string
 		tups []*Tuple
-	}{{"repeats", benchPage(256)}, {"distinct", benchPage(1)}} {
+	}{{"repeats", benchPage(256)}, {"distinct", benchPage(1)}, {"chain", chainPage(5000)}} {
 		for _, tc := range []struct {
 			name string
 			enc  *PageEncoder
@@ -373,6 +521,48 @@ func benchPage(run int) []*Tuple {
 		tups[i] = &Tuple{Schema: s, Values: []Value{Float(15 + float64(i%97)/8)},
 			Time: when, Lat: 34.6 + float64(src)/100, Lon: 135.4 + float64(src)/100,
 			Theme: fmt.Sprintf("theme-%d", src%2), Source: fmt.Sprintf("temperature-%d", src+1)}
+	}
+	return tups
+}
+
+// chainPage builds a chain-mem-shaped page of n events: one minute from 8
+// sources in 500-event runs, each source with its own schema as its
+// operator chain leaves it — a quantized reading, a site label and the
+// reading's full-precision twin (a unit conversion or a derived property,
+// such as temperature*1.8+32). A reading is drawn the way the sensors draw
+// theirs: a baseline plus Gaussian noise, rounded to one or two decimals.
+func chainPage(n int) []*Tuple {
+	sources := []struct {
+		id, reading, twin    string
+		base, noise, quantum float64 // quantum 10 rounds to 0.1, 100 to 0.01
+		mul, add             float64 // twin = reading*mul + add
+	}{
+		{"temperature-1", "temperature", "temp_f", 22, 0.4, 10, 1.8, 32},
+		{"temperature-2", "temperature", "temp_f", 21.4, 0.4, 10, 1.8, 32},
+		{"temperature-3", "temperature", "temp_c", 71.6, 0.72, 10, 5.0 / 9, -160.0 / 9},
+		{"humidity-1", "humidity", "dryness", 62, 3, 10, -0.01, 1},
+		{"humidity-2", "humidity", "dryness", 58, 3, 10, -0.01, 1},
+		{"rain-1", "rain_rate", "rain_in", 6, 0.4, 100, 1 / 25.4, 0},
+		{"river-level-1", "level", "level_m", 2.2, 0.05, 100, 0.9144, 0},
+		{"traffic-1", "congestion", "delay", 0.45, 0.1, 100, 11.1, 0},
+	}
+	rng := rand.New(rand.NewSource(1))
+	minute := time.Date(2016, 3, 15, 9, 41, 0, 0, time.UTC)
+	schemas := make([]*Schema, len(sources))
+	for i, src := range sources {
+		schemas[i] = MustSchema([]Field{
+			NewField(src.reading, KindFloat, ""), NewField("site", KindString, ""), NewField(src.twin, KindFloat, ""),
+		}, GranMinute, SpatCellCity, src.reading)
+	}
+	tups := make([]*Tuple, n)
+	for i := range tups {
+		k := i / 500 % len(sources)
+		src := sources[k]
+		r := math.Round((src.base+rng.NormFloat64()*src.noise)*src.quantum) / src.quantum
+		tups[i] = &Tuple{Schema: schemas[k],
+			Values: []Value{Float(r), String(src.id), Float(r*src.mul + src.add)},
+			Time:   minute, Lat: 34.65 + float64(k%3)/10, Lon: 135.45 + float64(k/3)/10,
+			Theme: src.reading, Source: src.id}
 	}
 	return tups
 }
