@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"testing"
 	"time"
 
@@ -77,18 +76,18 @@ func chainPageTuples(n int) []*stt.Tuple {
 
 // pageAllocsBenchShaped bounds the allocations of one 5000-event
 // bench-shaped page, Select and encode together. It is the count of a page
-// whose encoder pool is empty, as a collection leaves it: 95–96, against
-// 92 with a pooled encoder. The empty pool costs the encoder (its
-// coordinate tables and arena are inside it), the table of the page's one
-// payload field, the per-P array sync.Pool allocates again after a
-// collection, and at times the growth of the runtime's list of pools. It
-// was 99 when each page had its own encoder, whose coordinate buffers
-// allocated 7 per page. Lower it when a change saves one.
-const pageAllocsBenchShaped = 96
+// whose encoder list is empty, as a store's first pages find it: 94, against
+// 92 with a kept encoder. The empty list costs the encoder (its coordinate
+// tables and arena are inside it) and the table of the page's one payload
+// field. It was 96 while a sync.Pool kept the encoders, whose per-P array
+// was allocated again after each collection, and 99 when each page had its
+// own encoder, whose coordinate buffers allocated 7 per page. Lower it when
+// a change saves one.
+const pageAllocsBenchShaped = 94
 
 // BenchmarkQueryPageBenchShaped serves one bench-shaped 5000-event JSON
 // page per iteration and reports the cost per event. It fails when a page
-// allocates more than pageAllocsBenchShaped times, with its encoder pooled
+// allocates more than pageAllocsBenchShaped times, with its encoder kept
 // or not.
 func BenchmarkQueryPageBenchShaped(b *testing.B) {
 	benchQueryPage(b, benchPageTuples, pageAllocsBenchShaped)
@@ -100,24 +99,49 @@ func BenchmarkQueryPageChainShaped(b *testing.B) {
 	benchQueryPage(b, chainPageTuples, 0)
 }
 
-// benchQueryPage serves the page of tuples(5000) per iteration. A non-zero
-// maxAllocs bounds its allocations.
-func benchQueryPage(b *testing.B, tuples func(n int) []*stt.Tuple, maxAllocs int) {
-	const events = 5000
-	srv, _ := newTestServer(b)
+// pageServer returns a server's page of tuples(events) as a function that
+// serves it once, into a body buffer it reuses.
+func pageServer(tb testing.TB, tuples func(n int) []*stt.Tuple, events int) func() *httptest.ResponseRecorder {
+	srv, _ := newTestServer(tb)
 	if err := srv.Warehouse.AppendBatch(tuples(events)); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	h := srv.Handler()
 	req := httptest.NewRequest("GET", fmt.Sprintf("/api/warehouse/query?limit=%d", events), nil)
 	body := bytes.NewBuffer(make([]byte, 0, 2<<20))
-	page := func() *httptest.ResponseRecorder {
+	return func() *httptest.ResponseRecorder {
 		body.Reset()
 		rec := httptest.NewRecorder()
 		rec.Body = body
 		h.ServeHTTP(rec, req)
 		return rec
 	}
+}
+
+// TestPageEncodersBuiltOnce gates the encoders a run of bench-shaped pages
+// builds: served one after another, the pages share one encoder, however
+// many collections run between them. A sync.Pool built one every 20-30
+// pages here, each time a collection emptied it.
+func TestPageEncodersBuiltOnce(t *testing.T) {
+	const pages = 100
+	page := pageServer(t, benchPageTuples, 5000)
+	defer func(l *encoderList) { pageEncoders = l }(pageEncoders)
+	pageEncoders = newEncoderList(cap(pageEncoders.free))
+	for i := 0; i < pages; i++ {
+		if rec := page(); rec.Code != 200 {
+			t.Fatalf("page %d: status %d", i, rec.Code)
+		}
+	}
+	if built := pageEncoders.built.Load(); built > 1 {
+		t.Fatalf("%d pages built %d encoders, want 1", pages, built)
+	}
+}
+
+// benchQueryPage serves the page of tuples(5000) per iteration. A non-zero
+// maxAllocs bounds its allocations.
+func benchQueryPage(b *testing.B, tuples func(n int) []*stt.Tuple, maxAllocs int) {
+	const events = 5000
+	page := pageServer(b, tuples, events)
 	rec := page()
 	if rec.Code != 200 || bytes.Count(rec.Body.Bytes(), []byte(`{"seq":`)) != events {
 		b.Fatalf("status %d, %d bytes: not a %d-event page", rec.Code, rec.Body.Len(), events)
@@ -136,19 +160,21 @@ func benchQueryPage(b *testing.B, tuples func(n int) []*stt.Tuple, maxAllocs int
 	if perPage := testing.AllocsPerRun(3, func() { page() }); perPage > float64(maxAllocs) {
 		b.Fatalf("%.0f allocations for a %d-event page, want at most %d", perPage, events, maxAllocs)
 	}
-	// Pages that each start with an empty encoder pool, as a collection may
-	// leave it, averaged as AllocsPerRun averages. No collection runs
-	// meanwhile: it would empty the warehouse's pools too.
+	// Pages that each start with an empty encoder list, as a store's first
+	// pages find it, averaged as AllocsPerRun averages. No collection runs
+	// meanwhile: it would empty the warehouse's pools.
 	const coldPages = 3
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < coldPages; i++ {
-		pageEncoders = sync.Pool{New: pageEncoders.New}
+		for len(pageEncoders.free) > 0 {
+			<-pageEncoders.free
+		}
 		page()
 	}
 	runtime.ReadMemStats(&after)
 	if cold := (after.Mallocs - before.Mallocs) / coldPages; cold > uint64(maxAllocs) {
-		b.Fatalf("%d allocations for a %d-event page with an empty encoder pool, want at most %d", cold, events, maxAllocs)
+		b.Fatalf("%d allocations for a %d-event page with an empty encoder list, want at most %d", cold, events, maxAllocs)
 	}
 }

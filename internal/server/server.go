@@ -13,9 +13,11 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"streamloader/internal/dataflow"
@@ -748,8 +750,8 @@ func (s *Server) handleWarehouseQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		evs = nil
 	}
-	enc := pageEncoders.Get().(*stt.PageEncoder)
-	defer pageEncoders.Put(enc)
+	enc := pageEncoders.get()
+	defer pageEncoders.put(enc)
 	var span *obs.Span
 	if wantTrace {
 		span = tr.Start("encode")
@@ -828,7 +830,39 @@ func (s *Server) handleWarehouseQuery(w http.ResponseWriter, r *http.Request) {
 // pageEncoders keeps page encoders, and the values they remember, from one
 // select page to the next: what an encoder remembers is keyed by the value
 // alone, so it is right for any later page.
-var pageEncoders = sync.Pool{New: func() any { return new(stt.PageEncoder) }}
+var pageEncoders = newEncoderList(runtime.GOMAXPROCS(0))
+
+// encoderList is a bounded free list of page encoders: as many as pages can
+// encode at once, one per P. A get takes a kept encoder, or builds one when
+// none is free; a put keeps it unless the list is full. Unlike a sync.Pool,
+// a garbage collection does not empty it, so a store serving page after
+// page builds its encoders once, not again after every collection.
+type encoderList struct {
+	free chan *stt.PageEncoder
+	// built counts the encoders get had to build.
+	built atomic.Uint64
+}
+
+func newEncoderList(n int) *encoderList {
+	return &encoderList{free: make(chan *stt.PageEncoder, n)}
+}
+
+func (l *encoderList) get() *stt.PageEncoder {
+	select {
+	case enc := <-l.free:
+		return enc
+	default:
+		l.built.Add(1)
+		return new(stt.PageEncoder)
+	}
+}
+
+func (l *encoderList) put(enc *stt.PageEncoder) {
+	select {
+	case l.free <- enc:
+	default:
+	}
+}
 
 // endEncode closes a page's encode span with the page's events, the bytes
 // of their {"seq","event"} objects, and the values its encoder formatted and

@@ -5,6 +5,7 @@ import (
 
 	"streamloader/internal/obs"
 	"streamloader/internal/persist"
+	"streamloader/internal/stt"
 )
 
 // coldSegment is a sealed segment spilled to disk. Only its envelope —
@@ -12,11 +13,12 @@ import (
 // index inside persist.SegmentInfo — stays in RAM; event payloads are read
 // back from the file on the rare query that survives envelope pruning.
 //
-// The file itself is immutable. Retention removes cold segments whole
-// (one O(1) file delete) or, for the one segment straddling a compaction
-// cutoff, records a logical skip of its oldest events; the skipped prefix
-// stays on disk and is re-derived from the manifest watermark after a
-// crash.
+// The file and the unit are immutable: nothing writes a coldSegment after
+// its constructor but the compactor's compacting flag. Retention removes a
+// cold segment whole (one O(1) file delete) or, for one straddling the cut,
+// swaps in a new unit over the same file with a logical skip of its oldest
+// events (trimmed); the skipped prefix stays on disk and is re-derived from
+// the manifest watermark after a crash.
 type coldSegment struct {
 	info *persist.SegmentInfo
 	// cache is the warehouse-wide LRU of decoded chunks reads go through;
@@ -40,11 +42,6 @@ type coldSegment struct {
 	// aggregate fast path for this one segment (reads still work).
 	primaryThemes map[string]int
 
-	// loaded caches the live events ([skip:] of the file) while a
-	// compaction needs per-event keys; it is released when the compaction
-	// is done with it.
-	loaded []Event
-
 	// compacting marks the segment as a victim of an in-flight background
 	// file compaction, so overlapping picks don't merge it twice. Queries
 	// ignore the flag: the file stays live until the swap.
@@ -57,10 +54,10 @@ type coldSegment struct {
 	seqHi uint64
 }
 
-// newColdSegment wraps a freshly written or reopened segment file. The
-// info's count maps are adopted (not copied): the coldSegment is their
-// sole owner from here on.
-func (w *Warehouse) newColdSegment(info *persist.SegmentInfo) *coldSegment {
+// newColdSegment wraps a freshly written or reopened segment file whose
+// highest seq is seqHi. The info's count maps are adopted (not copied): the
+// coldSegment is their sole owner from here on.
+func (w *Warehouse) newColdSegment(info *persist.SegmentInfo, seqHi uint64) *coldSegment {
 	return &coldSegment{
 		info:          info,
 		cache:         w.coldCache,
@@ -71,6 +68,7 @@ func (w *Warehouse) newColdSegment(info *persist.SegmentInfo) *coldSegment {
 		sourceCounts:  info.SourceCounts,
 		themeCounts:   info.ThemeCounts,
 		primaryThemes: info.PrimaryThemeCounts,
+		seqHi:         seqHi,
 	}
 }
 
@@ -107,77 +105,28 @@ func (c *coldSegment) window(from, to time.Time) (int, int) {
 	return max(lo, c.skip), hi
 }
 
-// ensureLoaded materializes every live event, for compactions that need
-// per-event keys. Release with unload once done. The read deliberately
-// bypasses the chunk cache (nil): the result is pinned in c.loaded for the
-// compaction's lifetime, and the segment is usually trimmed or deleted
-// moments later — inserting its chunks would only evict ones serving live
-// queries.
-func (c *coldSegment) ensureLoaded() error {
-	if c.loaded != nil {
-		return nil
-	}
+// live reads the file's live events ([skip:] of the file) in (time, seq)
+// order: the per-event keys and rows a retention cut's boundary file needs,
+// or a compaction victim's survivors. The read deliberately bypasses the
+// chunk cache (nil): the file is usually trimmed or deleted moments later,
+// and inserting its chunks would only evict ones serving live queries.
+func (c *coldSegment) live() ([]Event, error) {
 	evs, _, err := c.info.ReadRangeProjected(nil, c.skip, c.info.Count, persist.FullProjection)
-	if err != nil {
-		return err
-	}
-	c.loaded = evs
-	return nil
+	return evs, err
 }
 
-func (c *coldSegment) unload() { c.loaded = nil }
-
-// keyAt returns the i-th live event's eviction key. The first and last
-// keys come from the envelope; interior keys force a load and return ok
-// false if the file cannot be read.
-func (c *coldSegment) keyAt(i int) (persist.Key, bool) {
-	switch {
-	case i == 0:
-		return c.head, true
-	case i == c.count-1:
-		return c.tail, true
-	}
-	if err := c.ensureLoaded(); err != nil {
-		return persist.Key{}, false
-	}
-	return eventKey(c.loaded[i]), true
-}
-
-// dropPrefix applies a compaction verdict: the n oldest live events leave.
-// Caller has ensured the segment is loaded (n < count). The file is not
-// rewritten — the skip is logical, re-derivable from the watermark.
-func (c *coldSegment) dropPrefix(n int) (dropped []Event) {
-	dropped = c.loaded[:n]
-	for _, ev := range dropped {
-		t := ev.Tuple
-		if t.Source != "" {
-			if c.sourceCounts[t.Source]--; c.sourceCounts[t.Source] <= 0 {
-				delete(c.sourceCounts, t.Source)
-			}
-		}
-		if t.Theme != "" {
-			if c.themeCounts[t.Theme]--; c.themeCounts[t.Theme] <= 0 {
-				delete(c.themeCounts, t.Theme)
-			}
-			if c.primaryThemes != nil {
-				if c.primaryThemes[t.Theme]--; c.primaryThemes[t.Theme] <= 0 {
-					delete(c.primaryThemes, t.Theme)
-				}
-			}
-		}
-		for _, theme := range t.Schema.Themes {
-			if theme != t.Theme {
-				if c.themeCounts[theme]--; c.themeCounts[theme] <= 0 {
-					delete(c.themeCounts, theme)
-				}
-			}
-		}
-	}
-	c.skip += n
-	c.count -= n
-	c.head = eventKey(c.loaded[n])
-	c.loaded = c.loaded[n:]
-	return dropped
+// trimmed returns the unit left once the n oldest live events leave, given
+// live, the file's live events (n < count): a new coldSegment over the same
+// file and sparse index, its skip moved past them, with the survivors' own
+// head and counts. The file is not rewritten: the skip is logical,
+// re-derivable from the watermark. The new unit starts with compacting
+// clear: a compaction picked on this one abandons on it.
+func (c *coldSegment) trimmed(live []Event, n int) *coldSegment {
+	t := &coldSegment{info: c.info, cache: c.cache, readHist: c.readHist,
+		skip: c.skip + n, count: c.count - n, head: eventKey(live[n]), tail: c.tail, seqHi: c.seqHi}
+	t.sourceCounts, t.themeCounts, t.primaryThemes = survivorCounts(c.sourceCounts, c.themeCounts, c.primaryThemes, n,
+		func(i int) *stt.Tuple { return live[i].Tuple })
+	return t
 }
 
 // eventKey is the event's position in the global eviction order.

@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"streamloader/internal/persist"
@@ -77,16 +78,6 @@ func (w *Warehouse) CompactNow() {
 	w.compact.drain()
 }
 
-// compactSnap pins one victim's identity at selection time; the swap
-// validates against it so a segment retention touched mid-rewrite (its
-// skip or count moved) aborts the compaction instead of resurrecting
-// evicted events.
-type compactSnap struct {
-	cs    *coldSegment
-	skip  int
-	count int
-}
-
 // pickCompactionLocked selects the next run of cold segments worth
 // rewriting: neighbours in live head key order where each join is
 // justified — one side is small, or the two overlap by (time, seq) key
@@ -95,11 +86,11 @@ type compactSnap struct {
 // Full-size files in order are never rewritten: two that only share a
 // boundary event time do not join. A run is at least two segments. Caller
 // holds the shard lock.
-func (s *shard) pickCompactionLocked(below, maxOut int) []compactSnap {
+func (s *shard) pickCompactionLocked(below, maxOut int) []*coldSegment {
 	order := make([]*coldSegment, len(s.cold))
 	copy(order, s.cold)
 	sort.Slice(order, func(i, j int) bool { return order[i].head.Less(order[j].head) })
-	eligible := func(cs *coldSegment) bool { return !cs.compacting && cs.loaded == nil }
+	eligible := func(cs *coldSegment) bool { return !cs.compacting }
 	small := func(cs *coldSegment) bool { return cs.count < below }
 	for i := range order {
 		if !eligible(order[i]) {
@@ -120,11 +111,7 @@ func (s *shard) pickCompactionLocked(below, maxOut int) []compactSnap {
 			total += cs.count
 		}
 		if len(run) >= 2 {
-			snaps := make([]compactSnap, len(run))
-			for k, cs := range run {
-				snaps[k] = compactSnap{cs: cs, skip: cs.skip, count: cs.count}
-			}
-			return snaps
+			return run
 		}
 	}
 	return nil
@@ -137,13 +124,13 @@ func (s *shard) pickCompactionLocked(below, maxOut int) []compactSnap {
 // the rewrite with the store untouched.
 func (w *Warehouse) compactShardOnce(s *shard) bool {
 	s.mu.Lock()
-	snaps := s.pickCompactionLocked(w.compact.below, w.compact.maxOut)
-	if snaps == nil {
+	victims := s.pickCompactionLocked(w.compact.below, w.compact.maxOut)
+	if victims == nil {
 		s.mu.Unlock()
 		return false
 	}
-	for _, sn := range snaps {
-		sn.cs.compacting = true
+	for _, cs := range victims {
+		cs.compacting = true
 	}
 	gen := s.nextSegGen
 	s.nextSegGen++
@@ -154,8 +141,8 @@ func (w *Warehouse) compactShardOnce(s *shard) bool {
 
 	release := func() {
 		s.mu.Lock()
-		for _, sn := range snaps {
-			sn.cs.compacting = false
+		for _, cs := range victims {
+			cs.compacting = false
 		}
 		s.mu.Unlock()
 	}
@@ -163,19 +150,19 @@ func (w *Warehouse) compactShardOnce(s *shard) bool {
 		return false // crash before any I/O: nothing changed
 	}
 
-	// The victims' files are immutable, so their live suffixes read safely
-	// with no lock held. Each file is already (time, seq) sorted; the merge
-	// re-sorts the concatenation.
+	// The victims and their files are immutable, so their live suffixes
+	// read safely with no lock held. Each file is already (time, seq)
+	// sorted; the merge re-sorts the concatenation.
 	var events []persist.Event
-	oldGens := make([]int, 0, len(snaps))
-	for _, sn := range snaps {
-		g, err := persist.ParseSegmentFileName(filepath.Base(sn.cs.info.Path))
+	oldGens := make([]int, 0, len(victims))
+	for _, cs := range victims {
+		g, err := persist.ParseSegmentFileName(filepath.Base(cs.info.Path))
 		if err != nil {
 			release()
 			return false
 		}
 		oldGens = append(oldGens, g)
-		pes, _, err := sn.cs.info.ReadRangeProjected(nil, sn.skip, sn.cs.info.Count, persist.FullProjection)
+		pes, err := cs.live()
 		if err != nil {
 			release()
 			return false
@@ -195,7 +182,7 @@ func (w *Warehouse) compactShardOnce(s *shard) bool {
 		// detects by seq and deletes.
 		return false
 	}
-	return w.installCompaction(s, snaps, info, gen, oldGens)
+	return w.installCompaction(s, victims, info, gen, oldGens)
 }
 
 // installCompaction swaps the merged file in for its victims. It holds
@@ -203,21 +190,22 @@ func (w *Warehouse) compactShardOnce(s *shard) bool {
 // compactor itself that trims or drops a cold file, and it serializes
 // manifest writes. The shard lock is taken only to read and to swap the
 // cold list, never across I/O:
-//  1. validate the victims unchanged, under the read lock;
+//  1. validate the victims still listed, under the read lock: a unit never
+//     changes, and a trim or drop replaces or removes it;
 //  2. record the rewrite in the manifest, holding no shard lock;
 //  3. swap the merged file in for the victims, under the write lock;
 //  4. delete the victims' files and retire the record, with no shard lock.
 //
 // No reader can reach a victim once step 3 releases the lock, and the
 // record is on disk before the first victim is deleted.
-func (w *Warehouse) installCompaction(s *shard, snaps []compactSnap, info *persist.SegmentInfo, gen int, oldGens []int) bool {
+func (w *Warehouse) installCompaction(s *shard, victims []*coldSegment, info *persist.SegmentInfo, gen int, oldGens []int) bool {
 	w.retMu.Lock()
 	defer w.retMu.Unlock()
 
 	s.mu.RLock()
 	valid := true
-	for _, sn := range snaps {
-		if sn.cs.skip != sn.skip || sn.cs.count != sn.count || !s.containsColdLocked(sn.cs) {
+	for _, cs := range victims {
+		if !slices.Contains(s.cold, cs) {
 			valid = false
 			break
 		}
@@ -225,8 +213,8 @@ func (w *Warehouse) installCompaction(s *shard, snaps []compactSnap, info *persi
 	s.mu.RUnlock()
 	abandon := func() bool {
 		s.mu.Lock()
-		for _, sn := range snaps {
-			sn.cs.compacting = false
+		for _, cs := range victims {
+			cs.compacting = false
 		}
 		s.mu.Unlock()
 		// A failed delete is reaped at the next Open: no record names the
@@ -249,16 +237,17 @@ func (w *Warehouse) installCompaction(s *shard, snaps []compactSnap, info *persi
 		return abandon()
 	}
 
-	newCS := w.newColdSegment(info)
-	isVictim := make(map[*coldSegment]bool, len(snaps))
+	var seqHi uint64
+	isVictim := make(map[*coldSegment]bool, len(victims))
 	var oldBytes int64
-	for _, sn := range snaps {
-		newCS.seqHi = max(newCS.seqHi, sn.cs.seqHi)
-		isVictim[sn.cs] = true
-		oldBytes += sn.cs.info.Bytes
+	for _, cs := range victims {
+		seqHi = max(seqHi, cs.seqHi)
+		isVictim[cs] = true
+		oldBytes += cs.info.Bytes
 	}
+	newCS := w.newColdSegment(info, seqHi)
 	s.mu.Lock()
-	kept := make([]*coldSegment, 0, len(s.cold)-len(snaps)+1)
+	kept := make([]*coldSegment, 0, len(s.cold)-len(victims)+1)
 	placed := false
 	for _, cs := range s.cold {
 		if isVictim[cs] {
@@ -273,13 +262,13 @@ func (w *Warehouse) installCompaction(s *shard, snaps []compactSnap, info *persi
 	s.cold = kept
 	s.mu.Unlock()
 
-	for _, sn := range snaps {
-		_ = sn.cs.info.Remove() // a failed delete is finished at next Open via the record
-		sn.cs.cache.Invalidate(sn.cs.info.Path)
+	for _, cs := range victims {
+		_ = cs.info.Remove() // a failed delete is finished at next Open via the record
+		cs.cache.Invalidate(cs.info.Path)
 	}
 	w.coldBytes.Add(info.Bytes - oldBytes)
 	w.compactions.Add(1)
-	w.segsCompacted.Add(uint64(len(snaps)))
+	w.segsCompacted.Add(uint64(len(victims)))
 
 	// Victims are gone; retire the record. A failed save (counted by
 	// saveManifest) just means the next Open re-runs the (idempotent)
@@ -293,15 +282,4 @@ func (w *Warehouse) installCompaction(s *shard, snaps []compactSnap, info *persi
 	}
 	_ = w.saveManifest()
 	return true
-}
-
-// containsColdLocked reports whether cs is still one of the shard's cold
-// segments. Caller holds the lock.
-func (s *shard) containsColdLocked(cs *coldSegment) bool {
-	for _, c := range s.cold {
-		if c == cs {
-			return true
-		}
-	}
-	return false
 }

@@ -161,7 +161,8 @@
 // decoding its boundary chunks only.
 //
 // Sealed in-memory segments answer chunks from the same stats. A sealed
-// segment no longer changes until a retention trim rebuilds it, so the first
+// segment never changes (a retention trim lists a new unit in its place),
+// so the first
 // aggregate that walks one over its time index builds a chunk index, the
 // in-memory twin of a file's sparse index: one entry per persist.IndexEvery
 // events of the time index, with the stats persist.ChunkStatsFor computes
@@ -173,8 +174,8 @@
 // never under a Region or Cond, which no chunk stats describe; such a
 // segment folds its window event by event. A source or theme filter is no
 // obstacle: the chunk counts resolve it as they do for a file chunk.
-// trimOldest, under the write lock, clears the index with the rows it
-// rebuilds; the next aggregate builds it afresh. The chunk rules are the
+// A trimmed unit starts without an index, and the next aggregate builds
+// one over its live events. The chunk rules are the
 // cold ones, and the unanswered runs fold event by event in time-index
 // order.
 // QueryStats.HotChunkStats counts the chunks answered per query; it stays off
@@ -217,12 +218,30 @@
 // binary search, its whole prefix of keys below the next head's key. Where
 // heads tie on time that prefix is an appended batch, so the walk moves by
 // runs, never by events. A segment consumed in full is dropped whole off the
-// cold end — an O(1) unlink with no index rebuild, or a single file delete
-// for a spilled segment. Only the segments straddling the cutoff (at most a
-// handful, each bounded by SegmentEvents) pay a per-event trim: an index
-// rebuild in memory, a logical skip on disk. The cut holds every shard's
-// write lock throughout; streamloader_warehouse_retention_cut_seconds
-// times each hold.
+// cold end — an O(1) unlink, or a single file delete for a spilled
+// segment. The segments straddling the cutoff (at most a handful, each
+// bounded by SegmentEvents) are trimmed by one rule, hot or cold: the trim
+// builds a new unit that shares the old one's rows and time-index suffix,
+// or its file and sparse index, with its own live count, envelope and
+// counts (the dropped prefix subtracted from copies of the old maps). The
+// trimmed rows of a sealed segment stay allocated until the whole unit is
+// spilled or dropped; an active segment rotates on the rows it holds, so
+// they stay within about two segments a shard (TestRetentionTrimRowsHeld).
+// The cut holds every shard's write lock throughout;
+// streamloader_warehouse_retention_cut_seconds times each hold.
+//
+// Two invariants make a shard's state safe to read from a copy of its unit
+// lists taken under the read lock:
+//   - a sealed unit is never written after construction, except for the
+//     writer-side spilling and compacting flags and the atomically
+//     published chunk index;
+//   - unit lists are replaced, never edited: a removal or a trim builds a
+//     new slice, and an append writes only past the end of every copy taken
+//     before it.
+//
+// So the spiller and the compactor validate a swap by asking whether the
+// unit they picked is still listed. TestPinnedUnitsSurviveCutSpillCompaction
+// reads a pinned copy through a cut, a spill and a compaction.
 //
 // # Ingest taps and standing views
 //
@@ -382,7 +401,7 @@
 // background spill worker; the append returns immediately. The worker
 // snapshots the segment under the shard lock (a reference copy, no
 // encoding), writes and fsyncs the segment file with no lock held, then
-// briefly re-acquires the lock to validate the segment is unchanged, swap
+// briefly re-acquires the lock to validate the segment is still listed, swap
 // it for its cold envelope and checkpoint the WAL. Readers see the segment
 // as hot until that swap, so a query observes identical results before,
 // during and after a spill; if retention trimmed or dropped the segment

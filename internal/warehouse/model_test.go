@@ -838,20 +838,20 @@ func dumpDivergence(w *Warehouse, m *refModel) string {
 			} else if seg == s.ooo {
 				role = "ooo"
 			}
-			for _, ev := range seg.events {
-				impl[ev.Seq] = fmt.Sprintf("shard%d/mem-%s(len=%d)", si, role, seg.len())
+			for _, ord := range seg.byTime {
+				impl[seg.events[ord].Seq] = fmt.Sprintf("shard%d/mem-%s(len=%d)", si, role, seg.len())
 			}
 		}
 		for _, cs := range s.cold {
 			loc := fmt.Sprintf("shard%d/cold[%s count=%d skip=%d]", si, filepath.Base(cs.info.Path), cs.count, cs.skip)
-			if err := cs.ensureLoaded(); err != nil {
+			live, err := cs.live()
+			if err != nil {
 				b.WriteString(fmt.Sprintf("  LOAD ERR %s: %v\n", loc, err))
 				continue
 			}
-			for _, ev := range cs.loaded {
+			for _, ev := range live {
 				impl[ev.Seq] = loc
 			}
-			cs.unload()
 		}
 		s.mu.Unlock()
 	}

@@ -302,16 +302,16 @@ func (w *Warehouse) recoverShard(s *shard, cuts []persist.Cut, shardIdx int) (ui
 			}
 			continue
 		}
-		cs := w.newColdSegment(info)
-		cs.seqHi = fileSeqHi
+		cs := w.newColdSegment(info, fileSeqHi)
 		if cutApplies && keyLE(info.Head, watermark) {
 			// The file straddles the cut: re-apply the logical trim the
 			// pre-crash compaction performed.
-			if err := cs.ensureLoaded(); err != nil {
+			live, err := cs.live()
+			if err != nil {
 				return 0, false, fmt.Errorf("warehouse: recover: %w", err)
 			}
 			n := 0
-			for n < len(cs.loaded) && keyLE(eventKey(cs.loaded[n]), watermark) {
+			for n < len(live) && keyLE(eventKey(live[n]), watermark) {
 				n++
 			}
 			// A merged file a crashed cold-file compaction published but
@@ -324,8 +324,7 @@ func (w *Warehouse) recoverShard(s *shard, cuts []persist.Cut, shardIdx int) (ui
 			// event — already registered. Registering such a file would
 			// double-count the survivors; it contributes nothing live, so
 			// delete it instead.
-			if n > 0 && dupSuffix(spilled, cs.loaded[n:]) {
-				cs.unload()
+			if n > 0 && dupSuffix(spilled, live[n:]) {
 				registerSeqs()
 				if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 					return 0, false, fmt.Errorf("warehouse: recover: %w", err)
@@ -333,13 +332,8 @@ func (w *Warehouse) recoverShard(s *shard, cuts []persist.Cut, shardIdx int) (ui
 				continue
 			}
 			if n > 0 {
-				cs.dropPrefix(n)
-			}
-			cs.unload()
-			if cs.count == 0 {
-				registerSeqs()
-				_ = os.Remove(path)
-				continue
+				// n < len(live): the tail is above the watermark.
+				cs = cs.trimmed(live, n)
 			}
 		}
 		registerSeqs()

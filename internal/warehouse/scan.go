@@ -178,15 +178,6 @@ func (sc *scanner) cold(cs *coldSegment) error {
 			return nil
 		}
 	}
-	if cs.loaded != nil {
-		// A retention cut already paid for the full load.
-		for _, ev := range cs.loaded {
-			if err := sc.visit(ev); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	lo, hi := cs.window(pl.From, pl.To)
 	if lo >= hi {
 		return nil
@@ -585,15 +576,6 @@ func (c *mergeCursor) fill(ctx context.Context) error {
 	_, end := c.cs.info.ChunkRange(c.k)
 	a, b := c.pos, min(end, c.hi)
 	c.pos, c.k = b, c.k+1
-	if loaded := c.cs.loaded; loaded != nil {
-		// A retention cut already paid for the full load.
-		for _, ev := range loaded[a-c.cs.skip : b-c.cs.skip] {
-			if err := sc.visit(ev); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	return sc.reader()(c.cs, a, b)
 }
 

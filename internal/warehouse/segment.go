@@ -1,6 +1,8 @@
 package warehouse
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -15,10 +17,18 @@ import (
 // reaches the configured event count or time span, so retention can drop
 // whole cold segments and time-range queries can skip segments whose
 // envelope misses the query window without touching the index.
+//
+// Only the active segments (a shard's hot and ooo) change by append. A
+// sealed segment is never written after it seals, bar its spilling flag and
+// its chunk index: a retention trim builds a new unit (trimmed) that the
+// shard swaps into a new list, so a reader holding the old one reads it
+// unchanged.
 type segment struct {
+	// events holds the rows, in append order. After a trim it also holds
+	// the trimmed prefix's rows, which no ordinal in byTime names.
 	events []Event
 
-	// byTime: events sorted by event time (ordinals into events).
+	// byTime: the live events sorted by event time (ordinals into events).
 	byTime []int
 	// sources and themes count the events here as a cold file's header
 	// does: sources by non-empty source, themes by every theme matchTheme
@@ -40,8 +50,8 @@ type segment struct {
 	// byTime, Pos a byTime ordinal, Stats persist's own chunk stats. The
 	// first aggregate that scans the sealed segment builds it (chunkIndex)
 	// and publishes it under the shard read lock, so two racing builders
-	// only duplicate work; trimOldest clears it under the write lock. It
-	// stays nil on an active segment, which appends still reorder.
+	// only duplicate work; a trimmed unit starts without one. It stays nil
+	// on an active segment, which appends still reorder.
 	chunks atomic.Pointer[[]persist.SparseEntry]
 
 	// spilling marks a sealed segment that sits in the background spill
@@ -54,7 +64,12 @@ func newSegment() *segment {
 	return &segment{sources: map[string]int{}, themes: map[string]int{}}
 }
 
-func (g *segment) len() int { return len(g.events) }
+// len is the live event count.
+func (g *segment) len() int { return len(g.byTime) }
+
+// rows is the count of rows the segment holds, live or trimmed: what an
+// active segment rotates on, so trims cannot keep one growing.
+func (g *segment) rows() int { return len(g.events) }
 
 // append stores one event and maintains the time index, the counts and the
 // time envelope. Caller holds the shard write lock.
@@ -185,33 +200,59 @@ func (g *segment) timeBounds(from, to time.Time) (int, int) {
 	return lo, hi
 }
 
-// trimOldest evicts the n oldest events (by the time index) and rebuilds
-// this segment's time index and counts; n must be in (0, len). It returns
-// the dropped events so the shard can settle its per-source counts. Only the
-// one boundary segment of a compaction pays this rebuild — whole cold
-// segments are dropped without it. Caller holds the shard write lock.
-func (g *segment) trimOldest(n int) []Event {
-	dropped := make([]Event, 0, n)
-	for _, ord := range g.byTime[:n] {
-		dropped = append(dropped, g.events[ord])
+// trimmed returns the unit left once the n oldest live events leave, n in
+// (0, len): a new segment over the same rows, holding the suffix byTime[n:]
+// of the time index, with the survivors' own envelope and counts. The rows
+// the prefix names stay allocated until the whole unit goes. A sealed
+// segment shares its suffix; an active one, whose appends shift byTime in
+// place, gets its own copy. The new unit starts without a chunk index, and
+// with spilling clear: a spill request for this one abandons on it. Caller
+// holds the shard write lock.
+func (g *segment) trimmed(n int, active bool) *segment {
+	byTime := g.byTime[n:]
+	if active {
+		byTime = slices.Clone(byTime)
 	}
-	survivors := make([]Event, 0, len(g.byTime)-n)
-	for _, ord := range g.byTime[n:] {
-		survivors = append(survivors, g.events[ord])
+	t := &segment{events: g.events, byTime: byTime, maxTime: g.maxTime, maxSeq: g.maxSeq}
+	t.minTime = g.events[byTime[0]].Tuple.Time
+	t.minSeq = g.events[byTime[0]].Seq
+	for _, ord := range byTime[1:] {
+		t.minSeq = min(t.minSeq, g.events[ord].Seq)
 	}
-	g.events = survivors
-	g.chunks.Store(nil)
-	g.byTime = g.byTime[:0]
-	clear(g.sources)
-	clear(g.themes)
-	for i, ev := range survivors {
-		g.byTime = append(g.byTime, i) // survivors come out time-sorted
-		g.count(ev.Tuple)
-		if i == 0 || ev.Seq < g.minSeq {
-			g.minSeq = ev.Seq
+	t.sources, t.themes, _ = survivorCounts(g.sources, g.themes, nil, n, func(i int) *stt.Tuple {
+		return g.events[g.byTime[i]].Tuple
+	})
+	return t
+}
+
+// survivorCounts returns a unit's counts less those of its n oldest live
+// events, at(0) to at(n-1): copies of the source and theme counts, and of
+// the primary-theme counts when the unit keeps them (nil stays nil), each
+// decremented as segment.count and a cold file's header count. The copies
+// belong to the trimmed unit; the unit it replaces keeps its own maps.
+func survivorCounts(sources, themes, primary map[string]int, n int, at func(int) *stt.Tuple) (map[string]int, map[string]int, map[string]int) {
+	sources, themes, primary = maps.Clone(sources), maps.Clone(themes), maps.Clone(primary)
+	uncount := func(counts map[string]int, name string) {
+		if counts[name]--; counts[name] <= 0 {
+			delete(counts, name)
 		}
 	}
-	g.minTime = survivors[0].Tuple.Time
-	g.maxTime = survivors[len(survivors)-1].Tuple.Time
-	return dropped
+	for i := 0; i < n; i++ {
+		t := at(i)
+		if t.Source != "" {
+			uncount(sources, t.Source)
+		}
+		if t.Theme != "" {
+			uncount(themes, t.Theme)
+			if primary != nil {
+				uncount(primary, t.Theme)
+			}
+		}
+		for _, theme := range t.Schema.Themes {
+			if theme != t.Theme {
+				uncount(themes, theme)
+			}
+		}
+	}
+	return sources, themes, primary
 }

@@ -124,7 +124,7 @@ func (s *shard) appendLocked(ev Event) {
 	if t.Source != "" {
 		s.sources[t.Source]++
 	}
-	if seg.len() >= s.lim.maxEvents || seg.maxTime.Sub(seg.minTime) >= s.lim.maxSpan {
+	if seg.rows() >= s.lim.maxEvents || seg.maxTime.Sub(seg.minTime) >= s.lim.maxSpan {
 		s.sealLocked(seg)
 	}
 }
@@ -143,91 +143,83 @@ func (s *shard) sealLocked(seg *segment) {
 	}
 }
 
-// applyDropsLocked executes a compaction verdict: drops[seg] oldest events
-// leave each in-memory segment, coldDrops[cs] oldest live events leave
-// each spilled segment. Fully-consumed segments are dropped whole — an
-// in-memory unlink or a single file delete, no index rebuilt — and only
-// boundary segments pay a trim (in-memory rebuild, or a logical skip for
-// cold files). It returns how many segments were dropped whole and how
-// many were trimmed. Caller holds the write lock; w takes the disk-byte
-// accounting.
-func (s *shard) applyDropsLocked(w *Warehouse, drops map[*segment]int, coldDrops map[*coldSegment]int) (wholeDrops, trims int) {
-	keptCold := s.cold[:0]
-	for _, cs := range s.cold {
-		n := coldDrops[cs]
+// applyDropsLocked executes a retention cut's verdict on the shard: each
+// cursor's first pos events leave its unit. A unit consumed in full is
+// dropped whole (an unlink, or one file delete); a boundary unit is
+// replaced by its trimmed successor, which shares its rows or its file. The
+// unit lists are replaced, not edited, and hot and ooo follow their
+// successors, so a reader holding the old lists reads the pre-cut shard. It
+// returns how many units were dropped whole and how many trimmed. Caller
+// holds the write lock; w takes the disk-byte accounting.
+func (s *shard) applyDropsLocked(w *Warehouse, cursors []*segCursor) (wholeDrops, trims int) {
+	nextSeg := map[*segment]*segment{}
+	nextCold := map[*coldSegment]*coldSegment{}
+	for _, c := range cursors {
 		switch {
-		case n <= 0:
-			keptCold = append(keptCold, cs)
-		case n >= cs.count:
-			s.dropSourceCountsLocked(cs.sourceCounts)
-			s.count -= cs.count
+		case c.mem != nil:
+			seg := c.mem
+			var t *segment
+			var kept map[string]int
+			if c.pos < seg.len() {
+				t = seg.trimmed(c.pos, seg == s.hot || seg == s.ooo)
+				kept = t.sources
+				trims++
+			} else {
+				wholeDrops++
+			}
+			nextSeg[seg] = t
+			s.dropSourceCountsLocked(seg.sources, kept)
+			switch seg {
+			case s.hot:
+				s.hot = t
+			case s.ooo:
+				s.ooo = t
+			}
+		case c.pos < c.cold.count:
+			t := c.cold.trimmed(c.loaded, c.pos)
+			nextCold[c.cold] = t
+			s.dropSourceCountsLocked(c.cold.sourceCounts, t.sourceCounts)
+			trims++
+		default:
+			cs := c.cold
+			nextCold[cs] = nil
+			s.dropSourceCountsLocked(cs.sourceCounts, nil)
 			w.coldBytes.Add(-cs.info.Bytes)
 			_ = cs.info.Remove() // a failed delete is re-reaped at next Open
 			cs.cache.Invalidate(cs.info.Path)
 			wholeDrops++
-		default:
-			// The compaction walk loaded the segment to find the cutoff;
-			// settle per-source counts from the dropped prefix and record
-			// the skip. The file stays as-is.
-			for _, ev := range cs.dropPrefix(n) {
-				if src := ev.Tuple.Source; src != "" {
-					if s.sources[src]--; s.sources[src] == 0 {
-						delete(s.sources, src)
-					}
-				}
-			}
-			cs.unload()
-			s.count -= n
-			keptCold = append(keptCold, cs)
-			trims++
 		}
+		s.count -= c.pos
 	}
-	for i := len(keptCold); i < len(s.cold); i++ {
-		s.cold[i] = nil
-	}
-	s.cold = keptCold
-
-	kept := s.segs[:0]
-	for _, seg := range s.segs {
-		n := drops[seg]
-		switch {
-		case n <= 0:
-			kept = append(kept, seg)
-		case n >= seg.len():
-			s.dropSourceCountsLocked(seg.sources)
-			s.count -= seg.len()
-			if seg == s.hot {
-				s.hot = nil
-			}
-			if seg == s.ooo {
-				s.ooo = nil
-			}
-			wholeDrops++
-		default:
-			for _, ev := range seg.trimOldest(n) {
-				if src := ev.Tuple.Source; src != "" {
-					if s.sources[src]--; s.sources[src] == 0 {
-						delete(s.sources, src)
-					}
-				}
-			}
-			s.count -= n
-			kept = append(kept, seg)
-			trims++
-		}
-	}
-	for i := len(kept); i < len(s.segs); i++ {
-		s.segs[i] = nil
-	}
-	s.segs = kept
+	s.segs = replaceUnits(s.segs, nextSeg)
+	s.cold = replaceUnits(s.cold, nextCold)
 	return wholeDrops, trims
 }
 
-// dropSourceCountsLocked settles the per-source counts for a whole dropped
-// segment or cold file, given its own source counts.
-func (s *shard) dropSourceCountsLocked(counts map[string]int) {
+// replaceUnits returns a new unit list: list with each unit that next names
+// replaced by its successor there, or left out where that is nil.
+func replaceUnits[U comparable](list []U, next map[U]U) []U {
+	if len(next) == 0 {
+		return list
+	}
+	var zero U
+	out := make([]U, 0, len(list))
+	for _, u := range list {
+		if n, ok := next[u]; !ok {
+			out = append(out, u)
+		} else if n != zero {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// dropSourceCountsLocked settles the per-source counts for events leaving a
+// segment or cold file: counts are its source counts, kept those of what
+// remains of it (nil when it leaves whole).
+func (s *shard) dropSourceCountsLocked(counts, kept map[string]int) {
 	for src, n := range counts {
-		if s.sources[src] -= n; s.sources[src] <= 0 {
+		if s.sources[src] -= n - kept[src]; s.sources[src] <= 0 {
 			delete(s.sources, src)
 		}
 	}
@@ -272,17 +264,6 @@ func (s *shard) maybeSpillLocked(w *Warehouse) {
 		w.spill.enqueue(spillReq{s: s, seg: seg})
 		resident--
 	}
-}
-
-// containsSegLocked reports whether seg is still one of the shard's
-// in-memory segments. Caller holds the lock.
-func (s *shard) containsSegLocked(seg *segment) bool {
-	for _, sg := range s.segs {
-		if sg == seg {
-			return true
-		}
-	}
-	return false
 }
 
 // spillSnapshotLocked copies a segment's events in the canonical on-disk

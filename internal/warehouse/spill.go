@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"path/filepath"
+	"slices"
 
 	"streamloader/internal/persist"
 )
@@ -19,9 +20,10 @@ import (
 // the file is published loses nothing (the WAL replays it) and a crash
 // after publication but before the swap leaves a segment file whose events
 // recovery dedupes against the WAL by sequence number. A segment the
-// retention compactor trims or drops while its file write is in flight
-// fails the swap validation; the stale file is deleted and the segment
-// (if it survived) is re-enqueued by a later append.
+// retention compactor trims or drops while its file write is in flight is
+// no longer listed when the swap validates (a trim lists a new unit in its
+// place); the stale file is deleted and the trimmed unit, if any, is
+// enqueued by a later append.
 //
 // A producer enqueues under the owning shard's lock, having marked the
 // segment spilling, so no segment is ever queued twice.
@@ -67,14 +69,13 @@ func (w *Warehouse) spillOne(req spillReq) {
 	s, seg := req.s, req.seg
 
 	s.mu.Lock()
-	if !s.containsSegLocked(seg) || seg.len() == 0 {
+	if !slices.Contains(s.segs, seg) {
 		// Retention dropped the segment whole while it sat in the queue.
 		seg.spilling = false
 		s.mu.Unlock()
 		return
 	}
 	events := s.spillSnapshotLocked(seg)
-	snapLen := len(events)
 	gen := s.nextSegGen
 	s.nextSegGen++
 	path := filepath.Join(s.dir, persist.SegmentFileName(gen))
@@ -105,33 +106,26 @@ func (w *Warehouse) spillOne(req spillReq) {
 			seqHi = ev.Seq
 		}
 	}
-	w.installSpill(s, seg, info, snapLen, seqHi)
+	w.installSpill(s, seg, info, seqHi)
 }
 
 // installSpill swaps a written segment file for its in-memory segment and
-// checkpoints the WAL, under the shard lock. If retention touched the
-// segment while the file was being written, the file is stale — its
-// contents include events that were just evicted — so it is discarded and
-// the surviving segment left in memory for a later retry.
-func (w *Warehouse) installSpill(s *shard, seg *segment, info *persist.SegmentInfo, snapLen int, seqHi uint64) {
+// checkpoints the WAL, under the shard lock. If retention trimmed or
+// dropped the segment while the file was being written, the segment is no
+// longer listed and the file is stale — its contents include events that
+// were just evicted — so it is discarded, and the trimmed unit left in
+// memory for a later spill.
+func (w *Warehouse) installSpill(s *shard, seg *segment, info *persist.SegmentInfo, seqHi uint64) {
 	s.mu.Lock()
-	idx := -1
-	for i, sg := range s.segs {
-		if sg == seg {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 || seg.len() != snapLen {
+	idx := slices.Index(s.segs, seg)
+	if idx < 0 {
 		seg.spilling = false
 		s.mu.Unlock()
 		_ = info.Remove() // never installed, so never cached or read
 		return
 	}
-	s.segs = append(s.segs[:idx], s.segs[idx+1:]...)
-	cs := w.newColdSegment(info)
-	cs.seqHi = seqHi
-	s.cold = append(s.cold, cs)
+	s.segs = slices.Concat(s.segs[:idx], s.segs[idx+1:])
+	s.cold = append(s.cold, w.newColdSegment(info, seqHi))
 	w.segsSpilled.Add(1)
 	w.coldBytes.Add(info.Bytes)
 	// The swap may have raised the shard's minimum live seq; retire WAL

@@ -57,6 +57,36 @@ func TestRetentionCutHeapPops(t *testing.T) {
 	}
 }
 
+// TestRetentionTrimRowsHeld gates the rows retention trims leave allocated
+// on the tie-heavy cut store. A trim shares its segment's rows with the
+// unit it replaces, and they stay until the whole segment is spilled or
+// dropped. Only a shard's boundary segments are trimmed, and an active one
+// rotates on the rows it holds, so the rows resident segments hold beyond
+// their live events stay within two segments a shard.
+func TestRetentionTrimRowsHeld(t *testing.T) {
+	w := cutBenchShaped(t)
+	if cuts := w.met.retentionCut.Snapshot().Count; cuts < 3 {
+		t.Fatalf("%d cuts, want several", cuts)
+	}
+	const limit = 2 * DefaultSegmentEvents
+	total, worst := 0, 0
+	for i, s := range w.shards {
+		s.mu.RLock()
+		held := 0
+		for _, seg := range s.segs {
+			held += seg.rows() - seg.len()
+		}
+		s.mu.RUnlock()
+		total += held
+		worst = max(worst, held)
+		if held > limit {
+			t.Fatalf("shard %d: resident segments hold %d trimmed rows, limit %d", i, held, limit)
+		}
+	}
+	t.Logf("%d trimmed rows held across %d shards (worst shard %d, limit %d); %d live events",
+		total, w.NumShards(), worst, limit, w.Len())
+}
+
 // TestSelectPageHeapFixes gates the select merge's heap fixes per page on
 // BenchmarkSelectPage's store, where a minute's events share one instant
 // and each source appends 256-event batches. The merge emits from the top

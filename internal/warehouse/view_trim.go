@@ -11,7 +11,8 @@ import (
 // Retention-cut maintenance for standing views. compactAll calls
 // trimViews with every shard lock held, after the cut is persisted and
 // before the drops are applied, so the evicted events are still readable
-// from the in-memory segments and the loaded boundary cold files.
+// from the in-memory segments and the boundary cold files their cursors
+// loaded.
 //
 // The eviction prefix property does the heavy lifting: every evicted
 // event's (time, seq) key is ≤ the cut, so for a bucketed view every
@@ -121,14 +122,14 @@ func (v *View) applyTrim(cut persist.Key, anyDead bool, cursors []*segCursor, sh
 			for j := j0; j < c.pos; j++ {
 				boundary[i] = append(boundary[i], c.mem.events[c.mem.byTime[j]])
 			}
-		case c.cold.loaded != nil:
-			if c.cold.loaded[c.pos-1].Tuple.Time.Before(bstar) {
+		case c.loaded != nil:
+			if c.loaded[c.pos-1].Tuple.Time.Before(bstar) {
 				continue
 			}
 			j0 := sort.Search(c.pos, func(j int) bool {
-				return !c.cold.loaded[j].Tuple.Time.Before(bstar)
+				return !c.loaded[j].Tuple.Time.Before(bstar)
 			})
-			boundary[i] = append(boundary[i], c.cold.loaded[j0:c.pos]...)
+			boundary[i] = append(boundary[i], c.loaded[j0:c.pos]...)
 		default:
 			if !c.cold.tail.Time.Before(bstar) {
 				unknown = true
@@ -216,8 +217,8 @@ func (v *View) applyTrimFlat(cursors []*segCursor, shardIdx map[*shard]int) {
 			for j := 0; j < c.pos; j++ {
 				dropped[i] = append(dropped[i], c.mem.events[c.mem.byTime[j]])
 			}
-		case c.cold.loaded != nil:
-			dropped[i] = append(dropped[i], c.cold.loaded[:c.pos]...)
+		case c.loaded != nil:
+			dropped[i] = append(dropped[i], c.loaded[:c.pos]...)
 		default:
 			// A cold file dropped whole by envelope: its events are not in
 			// memory to subtract.

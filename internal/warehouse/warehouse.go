@@ -537,7 +537,7 @@ func (w *Warehouse) compactAll(maxEvents int) {
 			if c.cold != nil && take < rest {
 				// Partial consumption needs per-event keys below; make
 				// sure the boundary file is readable before committing.
-				if c.cold.ensureLoaded() != nil {
+				if c.load() != nil {
 					continue
 				}
 			}
@@ -559,11 +559,9 @@ func (w *Warehouse) compactAll(maxEvents int) {
 		// file — it is the compaction boundary, so at most a couple of
 		// files per compaction pay the read; an unreadable file is left
 		// untouched (its events simply outlive the bound).
-		if c.cold != nil {
-			if c.cold.ensureLoaded() != nil {
-				c.dead = true
-				continue
-			}
+		if c.cold != nil && c.load() != nil {
+			c.dead = true
+			continue
 		}
 		chunk := sort.Search(rest, func(i int) bool {
 			k, _ := c.key(c.pos + i)
@@ -641,34 +639,17 @@ func (w *Warehouse) compactAll(maxEvents int) {
 	// one-bucket rescan (view_trim.go).
 	w.trimViews(cut, anyDead, cursors)
 
-	perShard := map[*shard]map[*segment]int{}
-	perShardCold := map[*shard]map[*coldSegment]int{}
+	perShard := map[*shard][]*segCursor{}
 	for _, c := range cursors {
-		if c.pos == 0 {
-			continue
-		}
-		if c.mem != nil {
-			m := perShard[c.sh]
-			if m == nil {
-				m = map[*segment]int{}
-				perShard[c.sh] = m
-			}
-			m[c.mem] = c.pos
-		} else {
-			m := perShardCold[c.sh]
-			if m == nil {
-				m = map[*coldSegment]int{}
-				perShardCold[c.sh] = m
-			}
-			m[c.cold] = c.pos
+		if c.pos > 0 {
+			perShard[c.sh] = append(perShard[c.sh], c)
 		}
 	}
 	for _, s := range w.shards {
-		mem, cold := perShard[s], perShardCold[s]
-		if mem == nil && cold == nil {
+		if perShard[s] == nil {
 			continue
 		}
-		whole, trims := s.applyDropsLocked(w, mem, cold)
+		whole, trims := s.applyDropsLocked(w, perShard[s])
 		w.segDrops.Add(uint64(whole))
 		w.segTrims.Add(uint64(trims))
 		if s.wal != nil {
@@ -690,9 +671,26 @@ type segCursor struct {
 	mem  *segment
 	cold *coldSegment
 	pos  int
+	// loaded holds a cold cursor's live events once the walk needs their
+	// keys (load): the cut's boundary files, whose evicted prefix the
+	// standing views and the trim then read from here.
+	loaded []Event
 	// dead marks a cold cursor whose file could not be read; it is
 	// excluded from the walk and keeps its events.
 	dead bool
+}
+
+// load reads a cold cursor's live events into loaded, once.
+func (c *segCursor) load() error {
+	if c.loaded != nil {
+		return nil
+	}
+	evs, err := c.cold.live()
+	if err != nil {
+		return err
+	}
+	c.loaded = evs
+	return nil
 }
 
 func (c *segCursor) length() int {
@@ -703,13 +701,20 @@ func (c *segCursor) length() int {
 }
 
 // key returns the eviction key of the i-th oldest event. For a cold
-// segment, interior positions force a file load; ok is false if the file
-// is unreadable.
+// segment the first and last keys come from the envelope, and interior
+// positions force a file load; ok is false if the file is unreadable.
 func (c *segCursor) key(i int) (persist.Key, bool) {
-	if c.mem != nil {
+	switch {
+	case c.mem != nil:
 		return eventKey(c.mem.events[c.mem.byTime[i]]), true
+	case i == 0:
+		return c.cold.head, true
+	case i == c.cold.count-1:
+		return c.cold.tail, true
+	case c.load() != nil:
+		return persist.Key{}, false
 	}
-	return c.cold.keyAt(i)
+	return eventKey(c.loaded[i]), true
 }
 
 func (c *segCursor) head() persist.Key {

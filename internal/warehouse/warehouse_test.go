@@ -419,14 +419,16 @@ func gatherLive(t *testing.T, w *Warehouse) []Event {
 	for _, s := range w.shards {
 		s.mu.RLock()
 		for _, cs := range s.cold {
-			evs, _, err := cs.info.ReadRangeProjected(nil, cs.skip, cs.info.Count, persist.FullProjection)
+			evs, err := cs.live()
 			if err != nil {
 				t.Fatal(err)
 			}
 			all = append(all, evs...)
 		}
 		for _, seg := range s.segs {
-			all = append(all, seg.events...)
+			for _, ord := range seg.byTime {
+				all = append(all, seg.events[ord])
+			}
 		}
 		s.mu.RUnlock()
 	}
